@@ -88,15 +88,6 @@ def _float_at_least(lo: float) -> Callable[[str], float]:
     return parse
 
 
-def _choice(*names: str) -> Callable[[str], str]:
-    def parse(raw: str) -> str:
-        value = raw.strip()
-        if value not in names:
-            raise ValueError(f"expected one of {names}, got {value!r}")
-        return value
-    return parse
-
-
 def _string(raw: str) -> str:
     return raw
 
@@ -115,9 +106,6 @@ KNOBS: dict[str, Knob] = {k.name: k for k in (
     Knob("REPRO_ADAPTIVE", _flag, False,
          "LTE-controlled adaptive stepping for drivers that don't pin a mode",
          "unset (off)"),
-    Knob("REPRO_KERNEL", _choice("auto", "numpy", "numba"), "auto",
-         "array-kernel backend for the hot loops (`auto`/`numpy`/`numba`)",
-         "`auto`"),
     Knob("REPRO_PHASE_TIMERS", _flag, False,
          "per-phase wall-clock breakdown in `stats[\"phase_seconds\"]`",
          "unset (off)"),

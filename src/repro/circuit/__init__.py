@@ -17,17 +17,14 @@ Public surface:
   pattern-frozen Newton kernels (frozen-pattern SuperLU
   refactorization / block-bordered banded Schur) under the same names
 * Source functions (:class:`Dc`, :class:`Pwl`, :class:`RampSource`, …)
-* MOSFET parameter sets (:data:`NMOS_013`, :data:`PMOS_013`)
-* Array-kernel backends (:mod:`repro.circuit.kernels`): NumPy reference
-  vs numba-compiled flat-array hot loops, selected process-wide via
-  :func:`set_default_kernel` / ``REPRO_KERNEL``
+* MOSFET parameter sets (:data:`NMOS_013`, :data:`PMOS_013`) and the one
+  vectorised device evaluator :func:`mosfet_eval` (a scalar operating
+  point is a batch of one)
 """
 
 from .dc import (DcConvergenceError, DcResult, dc_operating_point,
                  dc_operating_point_batch)
 from .elements import Capacitor, CurrentSource, Mosfet, Resistor, VoltageSource
-from .kernels import (HAVE_NUMBA, KernelBackend, available_kernels,
-                      resolve_kernel, set_default_kernel)
 from .mna import MnaSystem
 from .mosfet import MosfetParams, NMOS_013, PMOS_013, mosfet_eval
 from .netlist import Circuit, GROUND
@@ -79,9 +76,4 @@ __all__ = [
     "MatrixStructure",
     "analyze_pattern",
     "select_backend",
-    "HAVE_NUMBA",
-    "KernelBackend",
-    "available_kernels",
-    "resolve_kernel",
-    "set_default_kernel",
 ]

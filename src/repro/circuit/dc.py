@@ -44,7 +44,6 @@ from functools import cached_property
 import numpy as np
 
 from .._util import require
-from .kernels.backend import resolve_kernel
 from .mna import MnaSystem, stacked_newton
 from .netlist import Circuit
 from .solvers import factorize, select_backend
@@ -306,16 +305,10 @@ def _newton_dc_batch(
     unconverged (the per-variant scalar fallback owns the diagnosis).
     ``kernel`` optionally routes the iterations through the
     pattern-frozen sparse operator.
-
-    The kernel backend is threaded through for uniformity, but
-    ``catch_singular`` solves always take the reference loop (the
-    mid-state contract a fused kernel cannot honour), so the DC batch
-    engine is backend-invariant by construction.
     """
     return stacked_newton(mna, mna.g_lin, rhs, x0, abstol=abstol,
                           max_iter=max_iter, v_limit=v_limit,
-                          catch_singular=True, kernel=kernel,
-                          backend=resolve_kernel())
+                          catch_singular=True, kernel=kernel)
 
 
 def dc_operating_point_batch(

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .._util import require
-from .kernels.step_kernels import DeviceArrays
 from .mosfet import mosfet_eval
 from .netlist import GROUND, Circuit
 from .solvers import (HAVE_SCIPY, BorderedBanded, MatrixStructure,
@@ -589,27 +588,6 @@ class MnaSystem:
                 "no viable core/border partition for this topology")
         return BorderedNewtonStep(self, partition, a_base)
 
-    def device_arrays(self) -> DeviceArrays:
-        """The MOSFET population as flat kernel-ready arrays (cached).
-
-        The seam the kernel backends consume: contiguous int64 terminal
-        indices (``-1`` = ground) and float64 parameter vectors, with no
-        reference back to this system — see
-        :class:`repro.circuit.kernels.step_kernels.DeviceArrays`.
-        """
-        dev = getattr(self, "_device_arrays", None)
-        if dev is None:
-            dev = DeviceArrays(
-                d=np.ascontiguousarray(self.mos_d, dtype=np.int64),
-                g=np.ascontiguousarray(self.mos_g, dtype=np.int64),
-                s=np.ascontiguousarray(self.mos_s, dtype=np.int64),
-                pol=np.ascontiguousarray(self.mos_pol, dtype=np.float64),
-                beta=np.ascontiguousarray(self.mos_beta, dtype=np.float64),
-                vth=np.ascontiguousarray(self.mos_vth, dtype=np.float64),
-                lam=np.ascontiguousarray(self.mos_lam, dtype=np.float64))
-            self._device_arrays = dev
-        return dev
-
     def _mos_lin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Newton linearisation of every MOSFET at operating point ``x``.
 
@@ -725,6 +703,20 @@ class MnaSystem:
         return ids
 
 
+def _lap(timers: "dict | None", key: str, t0: float) -> float:
+    """Charge the time since ``t0`` to phase ``key``; returns the new mark.
+
+    The phase-timer primitive of the Newton loops (see
+    ``repro.circuit.transient._phase_timers``): a no-op returning ``0.0``
+    when timing is disabled (``timers is None``).
+    """
+    if timers is None:
+        return 0.0
+    now = perf_counter()
+    timers[key] = timers.get(key, 0.0) + (now - t0)
+    return now
+
+
 class SparseNewtonStep:
     """Pattern-frozen sparse Newton linear operator (one topology, one
     base system).
@@ -738,9 +730,11 @@ class SparseNewtonStep:
     variants.  Singular refactorizations raise
     :class:`numpy.linalg.LinAlgError`; the Newton loops respond by
     finishing the solve on the dense path.
-    """
 
-    kind = "sparse"
+    Both solve forms take the caller's optional phase-timer dict and
+    charge the device linearisation and stamping to ``device_eval``, the
+    refactorization and substitution to ``solve``.
+    """
 
     def __init__(self, mna: "MnaSystem", maps: SparseStampMaps,
                  base_data: np.ndarray):
@@ -749,15 +743,21 @@ class SparseNewtonStep:
         self._base = base_data
         self._lu = PatternFrozenLu(maps.size, maps.indptr, maps.indices)
 
-    def solve(self, rhs_base: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def solve(self, rhs_base: np.ndarray, x: np.ndarray,
+              timers: "dict | None" = None) -> np.ndarray:
         """One Newton linear solve at operating point ``x`` (``rhs_base``
         is copied, never mutated)."""
+        t0 = perf_counter() if timers is not None else 0.0
         data = self._base.copy()
         rhs = rhs_base.copy()
         self._mna.stamp_mosfets_data(data, rhs, x, self._maps)
-        return self._lu.refactor(data).solve(rhs)
+        t0 = _lap(timers, "device_eval", t0)
+        out = self._lu.refactor(data).solve(rhs)
+        _lap(timers, "solve", t0)
+        return out
 
-    def solve_batch(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def solve_batch(self, rhs: np.ndarray, x: np.ndarray,
+                    timers: "dict | None" = None) -> np.ndarray:
         """Stacked solve over ``B`` operating points; ``rhs`` ``(B, n)``
         is owned by this call (overwritten with companion terms).
 
@@ -766,12 +766,15 @@ class SparseNewtonStep:
         per variant — run per variant against the shared symbolic
         pattern.
         """
+        t0 = perf_counter() if timers is not None else 0.0
         batch = x.shape[0]
         data = np.repeat(self._base[None, :], batch, axis=0)
         self._mna.stamp_mosfets_data_batch(data, rhs, x, self._maps)
+        t0 = _lap(timers, "device_eval", t0)
         out = np.empty_like(rhs)
         for b in range(batch):
             out[b] = self._lu.refactor(data[b]).solve(rhs[b])
+        _lap(timers, "solve", t0)
         return out
 
 
@@ -782,10 +785,9 @@ class BorderedNewtonStep:
     coupling solve and constant Schur part are built once per step size —
     with the border-local device scatter: each Newton iteration only
     assembles the ``(nb, nb)`` device delta and refactorises the
-    border-sized Schur complement.
+    border-sized Schur complement.  Phase timing as in
+    :class:`SparseNewtonStep`.
     """
-
-    kind = "banded"
 
     def __init__(self, mna: "MnaSystem", partition: NewtonPartition,
                  a_base: np.ndarray):
@@ -802,122 +804,41 @@ class BorderedNewtonStep:
         self._flat = lookup[mna._mos_flat // n] * nb + lookup[mna._mos_flat % n]
         self._flat_uniq = (lookup[mna._mos_flat_uniq // n] * nb
                            + lookup[mna._mos_flat_uniq % n])
-        self._lookup = lookup
-        self._fused_state: "tuple | None | bool" = False  # False = unbuilt
 
-    def flat_state(self) -> "tuple | None":
-        """Kernel-ready flat arrays ``(core, border, y, s0, lookup)``.
-
-        The device-array seam of the fused bordered Newton kernel; every
-        piece is a plain contiguous ndarray (built once, cached).
-        ``None`` when a device terminal unexpectedly falls outside the
-        border — callers then keep the reference path.
-        """
-        if self._fused_state is False:
-            mna = self._mna
-            terms = np.concatenate([mna.mos_d, mna.mos_g, mna.mos_s])
-            terms = terms[terms >= 0]
-            if terms.size and (self._lookup[terms] < 0).any():
-                self._fused_state = None
-            else:
-                core, border, f, y, s0 = self._bb.schur_state()
-                self._fused_state = (
-                    np.ascontiguousarray(core, dtype=np.int64),
-                    np.ascontiguousarray(border, dtype=np.int64),
-                    np.ascontiguousarray(y),
-                    np.ascontiguousarray(s0),
-                    self._lookup)
-        return self._fused_state
-
-    def prepare_fused(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Iteration-constant pieces of a fused solve for stacked ``rhs``.
-
-        Device stamps only touch border rows, so the core sweep ``w1 =
-        B⁻¹·r₁`` (one batched banded substitution) and the reduced rhs
-        ``t₀ = r₂ − F·w1`` hold for every Newton iteration of the step.
-        ``rhs`` is read, never mutated.
-        """
-        core, border, f, _, _ = self._bb.schur_state()
-        w1 = self._bb.core_sweep(rhs[:, core])
-        return w1, rhs[:, border] - w1 @ f.T
-
-    def solve(self, rhs_base: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def solve(self, rhs_base: np.ndarray, x: np.ndarray,
+              timers: "dict | None" = None) -> np.ndarray:
         """One Newton linear solve at ``x`` (``rhs_base`` copied)."""
+        t0 = perf_counter() if timers is not None else 0.0
         mna = self._mna
         vals, ieq = mna._mos_lin(x)
         delta = np.zeros(self._nb * self._nb)
         np.add.at(delta, self._flat, vals[mna._mos_valid])
         rhs = rhs_base.copy()
         mna._stamp_mos_rhs(rhs, ieq)
-        return self._bb.solve(rhs, delta.reshape(self._nb, self._nb))
+        t0 = _lap(timers, "device_eval", t0)
+        out = self._bb.solve(rhs, delta.reshape(self._nb, self._nb))
+        _lap(timers, "solve", t0)
+        return out
 
-    def solve_batch(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def solve_batch(self, rhs: np.ndarray, x: np.ndarray,
+                    timers: "dict | None" = None) -> np.ndarray:
         """Stacked solve; ``rhs`` ``(B, n)`` is owned by this call.
 
         Fully vectorised across the batch: the border deltas fold
         through the shared one-hot scatter and the Schur complements
         factor through one stacked ``numpy.linalg.solve``.
         """
+        t0 = perf_counter() if timers is not None else 0.0
         mna = self._mna
         batch = x.shape[0]
         vals, ieq = mna._mos_lin_batch(x)
         delta = np.zeros((batch, self._nb * self._nb))
         delta[:, self._flat_uniq] += vals[:, mna._mos_valid] @ mna._mos_jac_scatter
         mna._stamp_mos_rhs_batch(rhs, ieq)
-        return self._bb.solve(rhs, delta.reshape(batch, self._nb, self._nb))
-
-
-def _fused_stacked(
-    mna: MnaSystem,
-    a_base: np.ndarray,
-    rhs_base: np.ndarray,
-    x0: np.ndarray,
-    abstol: float,
-    max_iter: int,
-    v_limit: float,
-    require_unlimited: bool,
-    stats: dict | None,
-    kernel,
-    backend,
-) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Dispatch one stacked Newton solve to a fused kernel backend.
-
-    Covers the dense path (no structured kernel) and the bordered
-    structured path; returns ``None`` whenever the backend cannot take
-    this solve — sparse structured kernels, a partition the fused state
-    rejects, or a singular Schur complement mid-solve (counted as a
-    ``newton_fallbacks``) — and the caller runs the reference loop.
-    """
-    timers = stats.get("phase_seconds") if stats is not None else None
-    t_solve = perf_counter() if timers is not None else 0.0
-    if kernel is None:
-        x, converged, iters = backend.newton_dense(
-            mna.device_arrays(), a_base, rhs_base, x0, mna.n_nodes,
-            abstol, max_iter, v_limit, require_unlimited)
-    elif getattr(kernel, "kind", None) == "banded":
-        state = kernel.flat_state()
-        if state is None:
-            return None
-        try:
-            w1, t0 = kernel.prepare_fused(rhs_base)
-            x, converged, iters = backend.newton_bordered(
-                mna.device_arrays(), state, w1, t0, x0, mna.n_nodes,
-                abstol, max_iter, v_limit, require_unlimited)
-        except np.linalg.LinAlgError:
-            if stats is not None:
-                stats["newton_fallbacks"] = \
-                    stats.get("newton_fallbacks", 0) + 1
-            return None
-    else:
-        return None
-    if timers is not None:
-        # Fused kernels interleave device evaluation and solving, so the
-        # whole call lands in "solve".
-        timers["solve"] = timers.get("solve", 0.0) \
-            + (perf_counter() - t_solve)
-    if stats is not None:
-        stats["newton_iters"] += int(iters)
-    return x, converged
+        t0 = _lap(timers, "device_eval", t0)
+        out = self._bb.solve(rhs, delta.reshape(batch, self._nb, self._nb))
+        _lap(timers, "solve", t0)
+        return out
 
 
 def stacked_newton(
@@ -932,7 +853,6 @@ def stacked_newton(
     catch_singular: bool = False,
     stats: dict | None = None,
     kernel: "SparseNewtonStep | BorderedNewtonStep | None" = None,
-    backend=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton over ``B`` stacked operating points; ``(x, converged)``.
 
@@ -970,20 +890,7 @@ def stacked_newton(
         objects above) replacing the dense stamp-and-solve.  A singular
         structured refactorization drops back to the dense path for the
         remainder of the solve.
-    backend:
-        Optional :class:`~repro.circuit.kernels.backend.KernelBackend`.
-        A fused backend (numba) runs the whole solve in one compiled
-        call — dense, or bordered with the banded core sweep hoisted out
-        of the iteration; the NumPy backend (or ``None``) keeps the
-        vectorised reference loop below.  ``catch_singular`` solves
-        always take the reference loop (its mid-state contract).
     """
-    if backend is not None and backend.fused and not catch_singular:
-        fused = _fused_stacked(mna, a_base, rhs_base, x0, abstol, max_iter,
-                               v_limit, require_unlimited, stats, kernel,
-                               backend)
-        if fused is not None:
-            return fused
     x = x0.copy()
     m = x.shape[0]
     n_nodes = mna.n_nodes
@@ -994,27 +901,20 @@ def stacked_newton(
         sub = x[active]
         x_new = None
         if kernel is not None:
-            t0 = perf_counter() if timers is not None else 0.0
             try:
-                x_new = kernel.solve_batch(rhs_base[active].copy(), sub)
+                x_new = kernel.solve_batch(rhs_base[active].copy(), sub,
+                                           timers)
             except np.linalg.LinAlgError:
                 if stats is not None:
                     stats["newton_fallbacks"] = \
                         stats.get("newton_fallbacks", 0) + 1
                 kernel = None
-            if timers is not None:
-                timers["solve"] = timers.get("solve", 0.0) \
-                    + (perf_counter() - t0)
         if x_new is None:
             t0 = perf_counter() if timers is not None else 0.0
             a = np.broadcast_to(a_base, (active.size, *a_base.shape)).copy()
             rhs = rhs_base[active].copy()
             mna.stamp_mosfets_batch(a, rhs, sub)
-            if timers is not None:
-                t1 = perf_counter()
-                timers["device_eval"] = timers.get("device_eval", 0.0) \
-                    + (t1 - t0)
-                t0 = t1
+            t0 = _lap(timers, "device_eval", t0)
             try:
                 x_new = np.linalg.solve(a, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -1022,9 +922,7 @@ def stacked_newton(
                     return x, converged
                 raise
             finally:
-                if timers is not None:
-                    timers["solve"] = timers.get("solve", 0.0) \
-                        + (perf_counter() - t0)
+                _lap(timers, "solve", t0)
         dx = x_new - sub
         dv = dx[:, :n_nodes]
         worst = np.max(np.abs(dv), axis=1) if n_nodes else np.zeros(active.size)

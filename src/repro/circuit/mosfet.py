@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import require
-from .kernels.step_kernels import SMOOTH_EPS as _SMOOTH_EPS
-from .kernels.step_kernels import mos_eval as _mos_eval
-from .kernels.step_kernels import square_law as _square_law
 
-__all__ = ["MosfetParams", "NMOS_013", "PMOS_013", "mosfet_eval"]
+__all__ = ["MosfetParams", "NMOS_013", "PMOS_013", "SMOOTH_EPS",
+           "mosfet_eval", "square_law"]
+
+#: Overdrive smoothing width in volts; small enough not to disturb the
+#: strong-inversion region, large enough for smooth Newton convergence.
+SMOOTH_EPS = 0.02
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,42 @@ NMOS_013 = MosfetParams(polarity=1, kp=400e-6, vth=0.32, lam=0.06, cox=0.012, cj
 #: inverter has a balanced switching threshold near Vdd/2.
 PMOS_013 = MosfetParams(polarity=-1, kp=200e-6, vth=0.32, lam=0.06, cox=0.012, cj=0.8e-9)
 
+
+def square_law(vgs: np.ndarray, vds: np.ndarray, beta: np.ndarray,
+               vth: np.ndarray, lam: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Square-law drain current for ``vds >= 0`` with smooth overdrive.
+
+    Returns
+    -------
+    (ids, d_ids/d_vgs, d_ids/d_vds) arrays.
+    """
+    vgst = vgs - vth
+    root = np.sqrt(vgst * vgst + 4.0 * SMOOTH_EPS * SMOOTH_EPS)
+    vov = 0.5 * (vgst + root)          # smooth max(vgst, 0)
+    dvov = 0.5 * (1.0 + vgst / root)   # its derivative w.r.t. vgs
+
+    triode = vds < vov
+    # Triode region current and partials w.r.t. (vov, vds).
+    id_tri = beta * (vov * vds - 0.5 * vds * vds)
+    did_tri_dvov = beta * vds
+    did_tri_dvds = beta * (vov - vds)
+    # Saturation region.
+    id_sat = 0.5 * beta * vov * vov
+    did_sat_dvov = beta * vov
+    did_sat_dvds = np.zeros_like(vds)
+
+    id0 = np.where(triode, id_tri, id_sat)
+    did_dvov = np.where(triode, did_tri_dvov, did_sat_dvov)
+    did_dvds0 = np.where(triode, did_tri_dvds, did_sat_dvds)
+
+    clm = 1.0 + lam * vds
+    ids = id0 * clm
+    gm = did_dvov * dvov * clm
+    gds = did_dvds0 * clm + id0 * lam
+    return ids, gm, gds
+
+
 def mosfet_eval(
     vd: np.ndarray,
     vg: np.ndarray,
@@ -90,9 +128,13 @@ def mosfet_eval(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised drain current and partial derivatives for a device array.
 
-    Handles both polarities (PMOS via voltage mirroring) and both drain
-    bias signs (``vds < 0`` via source/drain swap — the square-law device
-    is symmetric).
+    Broadcasts over any leading shape — a ``(n_dev,)`` scalar operating
+    point and a stacked ``(B, n_dev)`` batch take the identical code
+    path (the scalar *is* a batch of one), which is what pins the
+    scalar and batched engines to bit-equal device physics.  Handles
+    both polarities (PMOS via voltage mirroring) and both drain bias
+    signs (``vds < 0`` via source/drain swap — the square-law device is
+    symmetric).
 
     Parameters
     ----------
@@ -106,15 +148,32 @@ def mosfet_eval(
     Returns
     -------
     (ids, d_ids/d_vd, d_ids/d_vg, d_ids/d_vs)
-        ``ids`` is the current flowing *into* the drain terminal and out of
-        the source terminal.  Derivatives are with respect to the original
-        (un-mirrored) node voltages, ready for Jacobian stamping.
-
-    Notes
-    -----
-    This is a thin alias of the flat kernel primitive
-    :func:`repro.circuit.kernels.step_kernels.mos_eval` — the scalar and
-    batched engines, and every kernel backend, share that one
-    implementation (a scalar operating point is a batch of one).
+        ``ids`` is the current flowing *into* the drain terminal and out
+        of the source terminal.  Derivatives are with respect to the
+        original (un-mirrored) node voltages, ready for Jacobian
+        stamping.
     """
-    return _mos_eval(vd, vg, vs, polarity, beta, vth, lam)
+    pol = polarity.astype(np.float64)
+    # Mirror PMOS into the NMOS frame: all voltages negated.
+    vdp = pol * vd
+    vgp = pol * vg
+    vsp = pol * vs
+
+    vds = vdp - vsp
+    swap = vds < 0.0
+    # In the swapped frame the physical source is the drain terminal.
+    vgs_n = np.where(swap, vgp - vdp, vgp - vsp)
+    vds_n = np.abs(vds)
+
+    ids_n, gm_n, gds_n = square_law(vgs_n, vds_n, beta, vth, lam)
+
+    # Partials w.r.t. the primed (mirrored) terminal voltages.
+    # Normal frame:  d/dvg = gm, d/dvd = gds, d/dvs = -(gm + gds).
+    # Swapped frame: current reverses and roles of d/s exchange.
+    did_dvd = np.where(swap, gm_n + gds_n, gds_n)
+    did_dvg = np.where(swap, -gm_n, gm_n)
+    did_dvs = np.where(swap, -gds_n, -(gm_n + gds_n))
+    ids = np.where(swap, -ids_n, ids_n)
+
+    # Un-mirror: ids_actual = pol * ids(primed); d/dv = pol * d/dv' * pol = d/dv'.
+    return pol * ids, did_dvd, did_dvg, did_dvs

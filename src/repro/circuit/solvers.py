@@ -343,16 +343,6 @@ class BandedThomas:
         self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
         self._n = n
 
-    def factor_state(self) -> tuple:
-        """Flat factor arrays ``(lu, ipiv, kl, ku, perm)``.
-
-        The banded-LU state in LAPACK's storage convention, for kernel
-        backends that run the substitution sweeps themselves (see
-        ``kernels._loops.banded_trs``); ``perm`` is the RCM permutation
-        or ``None``.
-        """
-        return self._lu, self._ipiv, self._kl, self._ku, self._perm
-
     def _sweep(self, cols: np.ndarray, overwrite: bool) -> np.ndarray:
         x, info = _lapack.dgbtrs(self._lu, self._kl, self._ku, cols,
                                  self._ipiv, overwrite_b=overwrite)
@@ -504,20 +494,6 @@ class BorderedBanded:
     def n_border(self) -> int:
         """Size of the dense border block."""
         return int(self._border.size)
-
-    def schur_state(self) -> tuple:
-        """Flat blocks ``(core, border, f, y, s0)`` for kernel backends.
-
-        Together with :meth:`core_sweep` this is everything a fused
-        Newton kernel needs: with the device fill confined to the
-        border, the per-iteration update is fully determined by
-        border-sized arithmetic on these arrays.
-        """
-        return self._core, self._border, self._f, self._y, self._s0
-
-    def core_sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """Core solve ``B⁻¹·rhs`` (``(n_core,)`` or stacked ``(B, n_core)``)."""
-        return self._core_solver.solve(rhs)
 
     def solve(self, rhs: np.ndarray, delta_c: np.ndarray) -> np.ndarray:
         """Solve with the border block perturbed by ``delta_c``.

@@ -158,9 +158,7 @@ from .._knobs import knob
 from .._util import require
 from ..core.waveform import Waveform
 from .dc import dc_operating_point, dc_operating_point_batch
-from .kernels.backend import resolve_kernel
-from .kernels.step_kernels import companion_rhs
-from .mna import MnaSystem, stacked_newton
+from .mna import MnaSystem, _lap, stacked_newton
 from .netlist import Circuit
 from .solvers import BACKENDS, factorize, select_backend, sparse_csr
 from .sources import as_source
@@ -405,6 +403,29 @@ def _cap_voltages(mna: MnaSystem, x: np.ndarray) -> np.ndarray:
     return vi - vj
 
 
+def companion_rhs(rhs: np.ndarray, cap_i: np.ndarray, cap_j: np.ndarray,
+                  ieq: np.ndarray) -> np.ndarray:
+    """Scatter capacitor companion currents onto a scalar rhs, in place.
+
+    ``rhs[i] += ieq``, ``rhs[j] -= ieq`` per capacitor, skipping ground
+    terminals.  The updates interleave exactly like the per-capacitor
+    Python loop this replaces (``+i₀, −j₀, +i₁, −j₁, …``) and
+    ``np.add.at`` applies them unbuffered in that order, so shared
+    terminals accumulate in the same sequence — the result is
+    bit-identical to the loop.
+    """
+    n = cap_i.size
+    idx = np.empty(2 * n, dtype=np.int64)
+    idx[0::2] = cap_i
+    idx[1::2] = cap_j
+    vals = np.empty(2 * n)
+    vals[0::2] = ieq
+    vals[1::2] = -ieq
+    ok = idx >= 0
+    np.add.at(rhs, idx[ok], vals[ok])
+    return rhs
+
+
 #: Above this many pattern cells (``n_caps × size``) the batched capacitor
 #: gather/scatter goes through a CSR incidence matrix instead of a dense
 #: matmul (the dense product costs O(n_caps · size · B) per step and
@@ -426,17 +447,12 @@ def _phase_timers() -> "dict | None":
     on; the engines then publish ``stats["phase_seconds"]`` with
     ``factor`` (matrix builds and factorizations), ``stamp``
     (companion/rhs assembly), ``device_eval`` (MOSFET linearisation and
-    stamping), ``solve`` (linear solves, and whole fused kernel calls),
+    stamping, on every Newton path), ``solve`` (linear solves),
     ``overhead`` (everything else) and ``total``.  Disabled runs pay
     exactly one environment lookup per engine invocation — every timing
     site is guarded by a ``None`` check.
     """
     return {} if knob("REPRO_PHASE_TIMERS") else None
-
-
-def _phase_add(timers: "dict | None", key: str, dt: float) -> None:
-    if timers is not None:
-        timers[key] = timers.get(key, 0.0) + dt
 
 
 def _phase_close(timers: "dict | None", stats: dict, t_start: float) -> None:
@@ -466,13 +482,9 @@ class _StepMatrixCache:
     """
 
     def __init__(self, mna: MnaSystem, dt: float, backend: str = "auto",
-                 kernel=None, timers: "dict | None" = None):
+                 timers: "dict | None" = None):
         self.mna = mna
         self._dt = dt
-        # The array-kernel backend every Newton solve of this run
-        # dispatches through (resolved once — REPRO_KERNEL / installed
-        # default); orthogonal to the linear-solver ``backend`` ladder.
-        self.kernel = kernel if kernel is not None else resolve_kernel()
         self.timers = timers
         self._factorize = mna.n_mosfets == 0
         # The pattern/RCM analysis is only consulted where selection (or
@@ -537,8 +549,7 @@ class _StepMatrixCache:
             a = _cap_stamp_matrix(self.mna, self.mna.g_lin.copy(), h)
             solver = factorize(a, self.backend, self._structure) \
                 if self._factorize else None
-            if self.timers is not None:
-                _phase_add(self.timers, "factor", perf_counter() - t0)
+            _lap(self.timers, "factor", t0)
             entry = (a, solver, h)
             self._entries[h] = entry
             self.builds += 1
@@ -572,8 +583,7 @@ class _StepMatrixCache:
                     kernel = mna.sparse_newton_step(h)
             else:
                 kernel = mna.sparse_newton_step(h)
-            if self.timers is not None:
-                _phase_add(self.timers, "factor", perf_counter() - t0)
+            _lap(self.timers, "factor", t0)
             self._kernels[h] = kernel
             while len(self._kernels) > _STEP_CACHE_ENTRIES:
                 self._kernels.popitem(last=False)
@@ -622,46 +632,33 @@ def _newton_solve(
     opts: TransientOptions,
     stats: dict,
     kernel=None,
-    backend=None,
 ) -> np.ndarray | None:
     """Newton iteration for ``a_base``-plus-MOSFETs; ``None`` on failure.
 
     ``kernel`` optionally supplies a pattern-frozen structured linear
     operator (sparse refactorization or bordered-banded Schur solve); a
     singular structured refactorization falls back to the dense path for
-    the remainder of the solve.  A fused kernel ``backend`` takes the
-    whole solve as a stacked batch of one (the damped iteration
-    sequences are identical); the NumPy reference loop below remains the
-    scalar path otherwise.
+    the remainder of the solve.
     """
-    if backend is not None and backend.fused:
-        x, ok = stacked_newton(mna, a_base, rhs_base[None, :], x0[None, :],
-                               abstol=opts.abstol, max_iter=opts.max_newton,
-                               v_limit=opts.v_limit, require_unlimited=True,
-                               stats=stats, kernel=kernel, backend=backend)
-        return x[0] if ok[0] else None
     timers = stats.get("phase_seconds")
     x = x0.copy()
     for _ in range(opts.max_newton):
         x_new = None
-        t0 = perf_counter() if timers is not None else 0.0
         if kernel is not None:
             try:
-                x_new = kernel.solve(rhs_base, x)
+                x_new = kernel.solve(rhs_base, x, timers)
             except np.linalg.LinAlgError:
                 stats["newton_fallbacks"] = \
                     stats.get("newton_fallbacks", 0) + 1
                 kernel = None
         if x_new is None:
+            t0 = perf_counter() if timers is not None else 0.0
             a = a_base.copy()
             rhs = rhs_base.copy()
             mna.stamp_mosfets(a, rhs, x)
-            if timers is not None:
-                _phase_add(timers, "device_eval", perf_counter() - t0)
-                t0 = perf_counter()
+            t0 = _lap(timers, "device_eval", t0)
             x_new = np.linalg.solve(a, rhs)
-        if timers is not None:
-            _phase_add(timers, "solve", perf_counter() - t0)
+            _lap(timers, "solve", t0)
         dx = x_new - x
         dv = dx[: mna.n_nodes]
         worst = float(np.max(np.abs(dv))) if dv.size else 0.0
@@ -683,7 +680,6 @@ def _newton_solve_batch(
     opts: TransientOptions,
     stats: dict,
     kernel=None,
-    backend=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched Newton over stacked variants; returns ``(x, converged)``.
 
@@ -693,8 +689,7 @@ def _newton_solve_batch(
     """
     return stacked_newton(mna, a_base, rhs_base, x0, abstol=opts.abstol,
                           max_iter=opts.max_newton, v_limit=opts.v_limit,
-                          require_unlimited=True, stats=stats, kernel=kernel,
-                          backend=backend)
+                          require_unlimited=True, stats=stats, kernel=kernel)
 
 
 def _advance_scalar(
@@ -724,17 +719,14 @@ def _advance_scalar(
     ieq = geq * vcap_prev + i_cap_prev
     rhs = mna.source_rhs(t_prev + h)
     companion_rhs(rhs, mna.cap_i, mna.cap_j, ieq)
-    if timers is not None:
-        _phase_add(timers, "stamp", perf_counter() - t0)
+    _lap(timers, "stamp", t0)
     if solver is not None:
         t0 = perf_counter() if timers is not None else 0.0
         x_new = solver.solve(rhs)
-        if timers is not None:
-            _phase_add(timers, "solve", perf_counter() - t0)
+        _lap(timers, "solve", t0)
     else:
         x_new = _newton_solve(mna, a_base, rhs, x_prev, opts, stats,
-                              kernel=cache.newton_kernel(h),
-                              backend=cache.kernel)
+                              kernel=cache.newton_kernel(h))
     if x_new is None:
         if halvings_left <= 0 or (opts.min_step > 0.0
                                   and h / 2 < opts.min_step):
@@ -768,8 +760,7 @@ def _initial_state(
 
 def _new_stats(**extra) -> dict:
     stats = {"newton_iters": 0, "halvings": 0, "matrix_builds": 0,
-             "batch_size": 1, "backend": "dense", "newton_fallbacks": 0,
-             "kernel": "numpy"}
+             "batch_size": 1, "backend": "dense", "newton_fallbacks": 0}
     stats.update(extra)
     return stats
 
@@ -804,7 +795,7 @@ def _simulate_scalar(
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
     cache = _StepMatrixCache(mna, dt, backend=opts.backend, timers=timers)
-    stats = _new_stats(backend=cache.backend, kernel=cache.kernel.name)
+    stats = _new_stats(backend=cache.backend)
     if timers is not None:
         stats["phase_seconds"] = timers
 
@@ -902,13 +893,11 @@ def _advance_batch(
     t0 = perf_counter() if timers is not None else 0.0
     if mna0.n_caps:
         rhs += cache.cap_scatter(ieq_prev)
-    if timers is not None:
-        _phase_add(timers, "stamp", perf_counter() - t0)
+    _lap(timers, "stamp", t0)
 
     fallback: list[tuple[int, np.ndarray]] = []
     x_new, ok = _newton_solve_batch(mna0, a_base, rhs, x_prev, opts, stats,
-                                    kernel=cache.newton_kernel(h),
-                                    backend=cache.kernel)
+                                    kernel=cache.newton_kernel(h))
 
     if not ok.all():
         if opts.max_halvings < 1:
@@ -929,8 +918,7 @@ def _advance_batch(
             fallback.append((int(pos), i_fin))
     t0 = perf_counter() if timers is not None else 0.0
     ieq_new = 2.0 * geq * cache.cap_gather(x_new) - ieq_prev
-    if timers is not None:
-        _phase_add(timers, "stamp", perf_counter() - t0)
+    _lap(timers, "stamp", t0)
     # Fallback variants integrated at half steps: their trapezoidal
     # history comes from the scalar recursion, not the full-step identity.
     for pos, i_fin in fallback:
@@ -1004,8 +992,7 @@ def _simulate_group(jobs: Sequence[TransientJob],
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
     cache = _StepMatrixCache(mna0, dt, backend=opts.backend, timers=timers)
-    stats = _new_stats(batch_size=batch, backend=cache.backend,
-                       kernel=cache.kernel.name)
+    stats = _new_stats(batch_size=batch, backend=cache.backend)
     if timers is not None:
         stats["phase_seconds"] = timers
 
@@ -1035,8 +1022,7 @@ def _simulate_group(jobs: Sequence[TransientJob],
             rhs += state_sub
             t0 = perf_counter() if timers is not None else 0.0
             x_new = solver0.solve(rhs)
-            if timers is not None:
-                _phase_add(timers, "solve", perf_counter() - t0)
+            _lap(timers, "solve", t0)
             return x_new, 2.0 * cache.cap_s_matvec(x_new) - state_sub
         return _advance_batch(sub_mnas, cache, x_sub, state_sub, t, rhs,
                               opts, stats)
@@ -1158,7 +1144,6 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
     t_engine = perf_counter() if timers is not None else 0.0
     cache = _StepMatrixCache(mna0, dt, backend=opts.backend, timers=timers)
     stats = _new_stats(batch_size=batch, backend=cache.backend,
-                       kernel=cache.kernel.name,
                        adaptive=True, lte_rejects=0, newton_rejects=0)
     if timers is not None:
         stats["phase_seconds"] = timers
@@ -1220,16 +1205,14 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
                 # Scalar Newton for singleton groups: same iterates as
                 # the stacked loop without its broadcasting overhead.
                 x_one = _newton_solve(mna0, a_base, rhs[0], x_al[0], opts,
-                                      stats, kernel=cache.newton_kernel(h),
-                                      backend=cache.kernel)
+                                      stats, kernel=cache.newton_kernel(h))
                 ok_all = x_one is not None
                 ok = np.array([ok_all])
                 x_cand = x_one[None, :] if ok_all else x_al.copy()
             else:
                 x_cand, ok = _newton_solve_batch(mna0, a_base, rhs, x_al,
                                                  opts, stats,
-                                                 kernel=cache.newton_kernel(h),
-                                                 backend=cache.kernel)
+                                                 kernel=cache.newton_kernel(h))
                 ok_all = bool(ok.all())
             if not ok_all and m > 1:
                 # Newton trouble on a grown stride: shrink it rather than

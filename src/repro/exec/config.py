@@ -1,4 +1,4 @@
-"""Execution configuration: worker count and result-store wiring.
+"""Execution configuration: worker count, result store and shard deadline.
 
 One :class:`ExecutionConfig` travels through every experiment driver
 (``run_noise_cases``, ``run_table1``, ``generate_figure2``, the
@@ -15,9 +15,6 @@ in :mod:`repro._knobs`):
     Directory of the content-keyed result store; unset disables it.
 ``REPRO_STORE_MAX_BYTES``
     Size budget of that store (default 512 MiB).
-``REPRO_KERNEL``
-    Array-kernel backend for the hot loops (``auto``/``numpy``/
-    ``numba``; read by :func:`repro.circuit.kernels.resolve_kernel`).
 ``REPRO_SHARD_TIMEOUT``
     Per-shard worker deadline in seconds (0 disables it); see
     :attr:`ExecutionConfig.shard_timeout`.
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 from .._knobs import knob
 from .._util import require
 from ..circuit import dc as _dc
-from ..circuit.kernels import backend as _kernels
 from .store import DEFAULT_MAX_BYTES, DcStoreMemo, ResultStore
 
 __all__ = ["ExecutionConfig", "default_execution", "set_default_execution",
@@ -56,19 +52,6 @@ def _install_dc_memo(config: "ExecutionConfig | None") -> None:
     _dc.set_dc_memo(DcStoreMemo(config.store)
                     if config is not None and config.store is not None
                     else None)
-
-
-def _install_kernel(config: "ExecutionConfig | None") -> None:
-    """Mirror the default config's kernel choice into the circuit layer.
-
-    Like the DC memo, the kernel backend is consulted deep inside the
-    transient engines where no ``ExecutionConfig`` travels, so the
-    default config installs it process-wide.  ``None`` (config unset)
-    falls back to the ``REPRO_KERNEL`` environment variable.  The
-    kernel changes execution speed only, never results — it must not
-    (and does not) enter result-store keys.
-    """
-    _kernels.set_default_kernel(config.kernel if config is not None else None)
 
 
 def store_max_bytes(env: "os._Environ | dict" = os.environ) -> int:
@@ -102,12 +85,6 @@ class ExecutionConfig:
         re-simulation) solve in milliseconds — pool creation plus
         pickling would dwarf them — so they run inline even when
         ``workers > 1``.
-    kernel:
-        Array-kernel backend name for the hot loops (``auto``/
-        ``numpy``/``numba``).  Installed process-wide when this config
-        is the default (see :func:`_install_kernel`); pool workers
-        inherit it through their environment.  Performance-only: never
-        part of result-store keys.
     shard_timeout:
         Deadline, in seconds, for an *average-cost* shard's worker
         future; each shard's own deadline scales with its estimated
@@ -123,15 +100,11 @@ class ExecutionConfig:
     workers: int = 1
     store: ResultStore | None = None
     min_pool_jobs: int = 4
-    kernel: str = "auto"
     shard_timeout: float = 0.0
 
     def __post_init__(self) -> None:
         require(self.workers >= 1, "workers must be at least 1")
         require(self.min_pool_jobs >= 2, "min_pool_jobs must be at least 2")
-        require(self.kernel in _kernels.KERNEL_NAMES,
-                f"unknown kernel backend {self.kernel!r}; pick from "
-                f"{_kernels.KERNEL_NAMES}")
         require(self.shard_timeout >= 0.0,
                 "shard_timeout must be >= 0 (0 disables the deadline)")
 
@@ -141,7 +114,7 @@ class ExecutionConfig:
 
         Every knob resolves through the :mod:`repro._knobs` declaration
         table, so malformed values (``REPRO_WORKERS=lots``,
-        ``REPRO_KERNEL=gpu``) fall back to their declared defaults
+        ``REPRO_SHARD_TIMEOUT=soon``) fall back to their declared defaults
         instead of crashing the run.
         """
         store = None
@@ -149,7 +122,6 @@ class ExecutionConfig:
         if root:
             store = ResultStore(root, max_bytes=store_max_bytes(env))
         return cls(workers=knob("REPRO_WORKERS", env), store=store,
-                   kernel=knob("REPRO_KERNEL", env),
                    shard_timeout=knob("REPRO_SHARD_TIMEOUT", env))
 
 
@@ -162,7 +134,6 @@ def default_execution() -> ExecutionConfig:
     if _DEFAULT is None:
         _DEFAULT = ExecutionConfig.from_env()
         _install_dc_memo(_DEFAULT)
-        _install_kernel(_DEFAULT)
     return _DEFAULT
 
 
@@ -170,13 +141,11 @@ def set_default_execution(config: ExecutionConfig | None) -> ExecutionConfig | N
     """Install a new process-wide default; returns the previous one.
 
     ``None`` resets to "unset": the next :func:`default_execution` call
-    re-reads the environment.  The DC operating-point memo and the
-    kernel-backend default follow the installed default (see
-    :func:`_install_dc_memo` / :func:`_install_kernel`).
+    re-reads the environment.  The DC operating-point memo follows the
+    installed default (see :func:`_install_dc_memo`).
     """
     global _DEFAULT
     previous = _DEFAULT
     _DEFAULT = config
     _install_dc_memo(config)
-    _install_kernel(config)
     return previous

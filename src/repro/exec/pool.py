@@ -107,7 +107,7 @@ def _simulate_shard(jobs: list[TransientJob],
 _FLEET: dict = {}
 
 #: Per-result stats entries that are not additive counters.
-_FLEET_SKIP = frozenset({"batch_size", "backend", "kernel", "adaptive"})
+_FLEET_SKIP = frozenset({"batch_size", "backend", "adaptive"})
 
 
 def reset_fleet_stats() -> None:

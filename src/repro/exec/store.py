@@ -69,7 +69,7 @@ from ..circuit.mna import MnaSystem
 from ..circuit.transient import TransientJob, TransientOptions, TransientResult
 from ..faults import FaultError, maybe_fault
 
-__all__ = ["STORE_VERSION", "KEYED_FIELDS", "NO_KEY", "UnkeyableJobError",
+__all__ = ["STORE_VERSION", "KEYED_FIELDS", "UnkeyableJobError",
            "ResultStore", "job_key", "dc_key", "content_key", "DcStoreMemo"]
 
 #: Bump when solver numerics change in a way that should invalidate
@@ -93,30 +93,15 @@ STORE_VERSION = 3
 DEFAULT_MAX_BYTES = DEFAULT_STORE_MAX_BYTES
 
 #: :class:`TransientOptions` fields that participate in every transient
-#: store key.  Together with :data:`NO_KEY` this must cover *every*
-#: dataclass field — :func:`_options_items` enforces it at runtime (so a
-#: new field fails loudly at first keying, not via stale cache hits) and
-#: reprolint's ``store-key`` rule proves it statically in CI.  Adding a
-#: result-affecting option means adding it here *and* bumping
-#: :data:`STORE_VERSION`.
+#: store key.  This must name *every* dataclass field —
+#: :func:`_options_items` enforces it at runtime (so a new field fails
+#: loudly at first keying, not via stale cache hits) and reprolint's
+#: ``store-key`` rule proves it statically in CI.  Adding an option
+#: means adding it here *and* bumping :data:`STORE_VERSION`.
 KEYED_FIELDS = frozenset({
     "abstol", "max_newton", "max_halvings", "v_limit", "backend",
     "adaptive", "lte_rtol", "lte_atol", "max_step", "min_step",
 })
-
-#: Names that must NEVER enter a store key because they cannot affect
-#: results.  ``kernel`` is declared even though it lives on
-#: ``ExecutionConfig`` today: the PR-6 contract is that the array-kernel
-#: choice only renames which machine runs the arithmetic, so a store
-#: warmed under one backend must stay warm under the other — if the
-#: knob ever migrates onto :class:`TransientOptions`, this entry keeps
-#: it out of the keys (entries here need not be current fields; the set
-#: is a blocklist, not an inventory).
-NO_KEY = frozenset({"kernel"})
-
-require(KEYED_FIELDS.isdisjoint(NO_KEY),
-        "KEYED_FIELDS and NO_KEY overlap; a field cannot both key the "
-        "store and be banned from its keys")
 
 #: Inserts between full directory rescans of the size counter (bounds
 #: the eviction-trigger drift when several processes share one root).
@@ -194,19 +179,17 @@ def _options_items(options: TransientOptions) -> tuple:
     """The *keyed* options as ``(name, value)`` pairs sorted by field name.
 
     Runtime mirror of reprolint's ``store-key`` rule: every dataclass
-    field must be declared in exactly one of :data:`KEYED_FIELDS` /
-    :data:`NO_KEY`, and every keyed name must still be a field.  An
-    undeclared field would otherwise either silently alias cached
-    waveforms (left out of the key) or silently fragment the store
-    (keyed without a ``STORE_VERSION`` decision); both fail here, at
+    field must be declared in :data:`KEYED_FIELDS`, and every keyed name
+    must still be a field.  An undeclared field would otherwise silently
+    alias cached waveforms (left out of the key); it fails here, at
     import/test time, instead.
     """
     names = {f.name for f in dataclasses.fields(options)}
-    undeclared = names - KEYED_FIELDS - NO_KEY
+    undeclared = names - KEYED_FIELDS
     require(not undeclared,
-            f"TransientOptions field(s) {sorted(undeclared)} are declared in "
-            f"neither KEYED_FIELDS nor NO_KEY; decide whether they affect "
-            f"results and register them in repro.exec.store")
+            f"TransientOptions field(s) {sorted(undeclared)} are not "
+            f"declared in KEYED_FIELDS; register them in repro.exec.store "
+            f"and bump STORE_VERSION")
     stale = KEYED_FIELDS - names
     require(not stale,
             f"KEYED_FIELDS name(s) {sorted(stale)} are not TransientOptions "

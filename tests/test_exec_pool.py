@@ -344,3 +344,28 @@ class TestWedgedWorkerDeadline:
             {"REPRO_SHARD_TIMEOUT": "-3"}).shard_timeout == 0.0
         with pytest.raises(ValueError):
             ExecutionConfig(workers=2, shard_timeout=-1.0)
+
+
+class TestFleetStats:
+    def test_serial_accumulation_and_reset(self):
+        from repro.exec import fleet_stats, reset_fleet_stats
+        from repro.experiments.setup import CONFIG_I, build_testbench
+        from repro.sta import quiet_cache_stats
+
+        tb = build_testbench(CONFIG_I, victim_start=0.2e-9,
+                             aggressor_starts=[0.25e-9])
+        jobs = [TransientJob(tb.circuit, t_stop=0.4e-9, dt=4e-12,
+                             initial_voltages=tb.initial_voltages)
+                for _ in range(3)]
+        reset_fleet_stats()
+        run_jobs(jobs, ExecutionConfig(workers=1))
+        fleet = fleet_stats()
+        assert fleet["runs"] == 1
+        assert fleet["jobs"] == 3
+        assert fleet["newton_iters"] > 0
+        assert isinstance(fleet["newton_iters"], int)
+        assert fleet["matrix_builds"] >= 1
+        assert quiet_cache_stats()["fleet"]["newton_iters"] \
+            == fleet["newton_iters"]
+        reset_fleet_stats()
+        assert fleet_stats() == {}

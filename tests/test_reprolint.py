@@ -21,12 +21,9 @@ from reprolint.core import extract_waivers  # noqa: E402
 from reprolint.reporters import render_human, render_json  # noqa: E402
 
 from repro._knobs import KNOBS, knob, knob_table_markdown  # noqa: E402
-from repro.circuit.kernels.backend import (  # noqa: E402
-    resolve_kernel, set_default_kernel)
 from repro.circuit.transient import TransientOptions  # noqa: E402
 from repro.exec.config import ExecutionConfig  # noqa: E402
-from repro.exec.store import (  # noqa: E402
-    KEYED_FIELDS, NO_KEY, _options_items)
+from repro.exec.store import KEYED_FIELDS, _options_items  # noqa: E402
 from repro.experiments.table1 import default_case_count  # noqa: E402
 
 SRC_REPRO = REPO / "src" / "repro"
@@ -50,9 +47,8 @@ def messages(result, rule=None):
 
 # ---------------------------------------------------------------- framework
 
-def test_registry_has_the_six_rules():
-    assert set(all_rules()) == {"store-key", "njit-subset",
-                                "silent-fallback", "env-knob",
+def test_registry_has_the_five_rules():
+    assert set(all_rules()) == {"store-key", "silent-fallback", "env-knob",
                                 "nan-policy", "fault-seam"}
 
 
@@ -74,9 +70,7 @@ def test_clean_tree_self_lint():
     assert result.files_scanned > 40
     assert result.errors == [], render_human(result)
     assert result.warnings == [], render_human(result)
-    # The two documented numba-probe waivers are present and used.
-    assert len(result.waived) == 2
-    assert all(f.rule == "silent-fallback" for f in result.waived)
+    assert result.waived == []
 
 
 def test_cli_json_report(tmp_path):
@@ -122,30 +116,6 @@ def test_r1_undeclared_field_is_caught(tmp_path):
     assert result.findings[0].path.endswith("circuit/transient.py")
 
 
-def test_r1_kernel_must_not_enter_keys(tmp_path):
-    result = lint(tmp_path, {
-        "circuit/transient.py": """\
-            class TransientOptions:
-                abstol: float = 1e-9
-                kernel: str = "auto"
-            """,
-        "exec/store.py": """\
-            KEYED_FIELDS = frozenset({"abstol", "kernel"})
-            NO_KEY = frozenset()
-
-            def _options_items(options):
-                return tuple(sorted(
-                    (n, getattr(options, n)) for n in KEYED_FIELDS))
-
-            def job_key(job):
-                return _options_items(job.options)
-            """,
-    }, rules=["store-key"])
-    msgs = messages(result)
-    assert any("'kernel' must never enter store keys" in m for m in msgs)
-    assert any("blocklist 'kernel'" in m for m in msgs)
-
-
 def test_r1_stale_and_bypassed_declarations(tmp_path):
     result = lint(tmp_path, {
         "circuit/transient.py": """\
@@ -154,7 +124,6 @@ def test_r1_stale_and_bypassed_declarations(tmp_path):
             """,
         "exec/store.py": """\
             KEYED_FIELDS = frozenset({"abstol", "ghost"})
-            NO_KEY = frozenset({"kernel"})
 
             def _options_items(options):
                 return ((\"abstol\", options.abstol),)
@@ -181,79 +150,9 @@ def test_runtime_guard_mirrors_r1():
 
 def test_runtime_guard_declarations_cover_all_fields():
     names = {f.name for f in dataclasses.fields(TransientOptions)}
-    assert names == set(KEYED_FIELDS)  # today every field is keyed
-    assert "kernel" in NO_KEY and KEYED_FIELDS.isdisjoint(NO_KEY)
+    assert names == set(KEYED_FIELDS)
     items = _options_items(TransientOptions())
     assert [n for n, _ in items] == sorted(KEYED_FIELDS)
-
-
-# ------------------------------------------------------ R2: njit-subset
-
-R2_FIXTURE = """\
-    import math
-    import numpy as np
-
-    SCALE = 2.0
-
-    def make_kernels(decorate):
-        helper_table = {}
-
-        @decorate
-        def bad_kernel(x):
-            try:
-                y = {k: x for k in range(3)}
-            except Exception:
-                y = None
-            label = f"x={x}"
-            return mystery(x)
-
-        @decorate
-        def closure_kernel(x):
-            return decorate(x) + len(helper_table)
-
-        @decorate
-        def good_kernel(x):
-            acc = 0.0
-            for i in range(int(x)):
-                acc += math.sqrt(SCALE * i) + np.float64(i)
-            return closure_free(acc)
-
-        @decorate
-        def closure_free(x):
-            return abs(x)
-
-        return bad_kernel
-    """
-
-
-def test_r2_fixture_violations(tmp_path):
-    result = lint(tmp_path, {"circuit/kernels/_loops.py": R2_FIXTURE},
-                  rules=["njit-subset"])
-    msgs = messages(result)
-    assert any("try/except" in m for m in msgs)
-    assert any("dict comprehension" in m for m in msgs)
-    assert any("f-string" in m for m in msgs)
-    assert any("'mystery'" in m for m in msgs)
-    assert any("factory local 'decorate'" in m for m in msgs)
-    assert any("factory local 'helper_table'" in m for m in msgs)
-    # good_kernel/closure_free trip nothing: math/np/module consts,
-    # whitelisted builtins and sibling kernels are all in-namespace.
-    assert not any("good_kernel" in m or "closure_free" in m
-                   for m in msgs)
-
-
-def test_r2_ignores_files_elsewhere(tmp_path):
-    result = lint(tmp_path, {"somewhere/else.py": R2_FIXTURE},
-                  rules=["njit-subset"])
-    assert messages(result) == []
-
-
-def test_r2_real_loops_file_is_clean():
-    result = run([SRC_REPRO / "circuit" / "kernels" / "_loops.py"],
-                 rule_ids=["njit-subset"])
-    assert messages(result) == []
-    # ... and it actually checked the kernels, not vacuously passed.
-    assert result.files_scanned == 1
 
 
 # -------------------------------------------------- R3: silent-fallback
@@ -554,8 +453,9 @@ def test_knob_garbage_falls_back_to_default():
     assert knob("REPRO_WORKERS", {"REPRO_WORKERS": "junk"}) == 1
     assert knob("REPRO_WORKERS", {"REPRO_WORKERS": "0"}) == 1
     assert knob("REPRO_WORKERS", {"REPRO_WORKERS": "3"}) == 3
-    assert knob("REPRO_KERNEL", {"REPRO_KERNEL": "gpu"}) == "auto"
-    assert knob("REPRO_KERNEL", {"REPRO_KERNEL": " numba "}) == "numba"
+    assert knob("REPRO_SHARD_TIMEOUT", {"REPRO_SHARD_TIMEOUT": "soon"}) == 0.0
+    assert knob("REPRO_SHARD_TIMEOUT", {"REPRO_SHARD_TIMEOUT": "-1"}) == 0.0
+    assert knob("REPRO_SHARD_TIMEOUT", {"REPRO_SHARD_TIMEOUT": "2.5"}) == 2.5
     assert knob("REPRO_ADAPTIVE", {"REPRO_ADAPTIVE": "yes"}) is True
     assert knob("REPRO_ADAPTIVE", {"REPRO_ADAPTIVE": "maybe"}) is False
     assert knob("REPRO_CASES", {}) is None
@@ -564,26 +464,13 @@ def test_knob_garbage_falls_back_to_default():
 
 
 def test_knob_consumers_share_the_fallback_contract(monkeypatch):
-    cfg = ExecutionConfig.from_env({"REPRO_KERNEL": "gpu",
+    cfg = ExecutionConfig.from_env({"REPRO_SHARD_TIMEOUT": "soon",
                                     "REPRO_WORKERS": "junk"})
-    assert cfg.workers == 1 and cfg.kernel == "auto"
+    assert cfg.workers == 1 and cfg.shard_timeout == 0.0
     monkeypatch.setenv("REPRO_CASES", "junk")
     assert default_case_count() == 24
     monkeypatch.setenv("REPRO_CASES", "7")
     assert default_case_count() == 7
-
-
-def test_resolve_kernel_env_garbage_degrades(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "definitely-not-a-backend")
-    previous = set_default_kernel(None)
-    try:
-        backend = resolve_kernel()
-        assert backend.name in ("numpy", "numba")
-    finally:
-        set_default_kernel(previous)
-    # Explicit API arguments stay strict.
-    with pytest.raises(ValueError, match="cuda"):
-        resolve_kernel("cuda")
 
 
 def test_readme_knob_table_in_sync():

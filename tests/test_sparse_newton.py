@@ -217,7 +217,7 @@ class TestFallbacks:
         """A kernel whose refactorization goes singular mid-run must
         degrade to the dense path — bitwise, since the fallback happens
         before any structured solve succeeded."""
-        def boom(self, rhs_base, x):
+        def boom(self, rhs_base, x, timers=None):
             raise np.linalg.LinAlgError("synthetic singular refactorization")
 
         ref = _simulate(_inverter(), INV_INITIAL, "dense", t_stop=0.3e-9,

@@ -22,7 +22,7 @@ from repro.circuit.transient import (
     simulate_transient_many,
 )
 from repro.experiments.noise_injection import SweepTiming
-from repro.experiments.setup import CONFIG_I, build_testbench
+from repro.experiments.setup import CONFIG_I, CrosstalkConfig, build_testbench
 from repro.library.cells import make_inverter
 
 VOLTAGE_TOL = 1e-9
@@ -243,3 +243,67 @@ class TestManyMisc:
         v = res.voltage_samples("out")
         assert v[-1] == pytest.approx(1.0, abs=1e-3)
         assert res.stats["matrix_builds"] == 1
+
+
+def _table1_bench():
+    return build_testbench(CONFIG_I, victim_start=0.2e-9,
+                           aggressor_starts=[0.25e-9],
+                           aggressor_active=True)
+
+
+def _deep_line_bench():
+    """Config I on a 96-segment line: the structured Newton workload."""
+    config = CrosstalkConfig(name="deep96", n_aggressors=1,
+                             line_length_um=1000.0,
+                             coupling_per_aggressor=100e-15, n_segments=96)
+    return build_testbench(config, 0.05e-9, (0.06e-9,))
+
+
+def _assert_phases_sum_to_total(phases):
+    assert set(phases) <= {"factor", "stamp", "device_eval", "solve",
+                           "overhead", "total"}
+    assert all(v >= 0.0 for v in phases.values())
+    known = sum(v for k, v in phases.items() if k != "total")
+    assert phases["total"] > 0.0
+    assert known == pytest.approx(phases["total"], rel=1e-6)
+
+
+class TestPhaseTimers:
+    def _run(self):
+        tb = _table1_bench()
+        return simulate_transient(tb.circuit, t_stop=0.4e-9, dt=4e-12,
+                                  initial_voltages=tb.initial_voltages)
+
+    def test_disabled_by_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PHASE_TIMERS", raising=False)
+        assert "phase_seconds" not in self._run().stats
+
+    def test_enabled_by_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PHASE_TIMERS", "1")
+        _assert_phases_sum_to_total(self._run().stats["phase_seconds"])
+
+    def test_off_switch_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PHASE_TIMERS", "0")
+        assert "phase_seconds" not in self._run().stats
+
+    @pytest.mark.parametrize("backend", ["banded", "sparse"])
+    def test_structured_newton_times_device_eval(self, monkeypatch,
+                                                 backend):
+        # The structured Newton steps linearise the devices inside their
+        # solve calls; that work is device_eval, not solve — for the
+        # scalar and the stacked engines alike.
+        monkeypatch.setenv("REPRO_PHASE_TIMERS", "1")
+        tb = _deep_line_bench()
+        opts = TransientOptions(backend=backend, adaptive=False)
+        jobs = [TransientJob(tb.circuit, t_stop=0.1e-9, dt=2e-12,
+                             initial_voltages=tb.initial_voltages,
+                             options=opts)
+                for _ in range(2)]
+        scalar = jobs[0].run()
+        stacked = simulate_transient_many(jobs)[0]
+        for res in (scalar, stacked):
+            assert res.stats["backend"] == backend
+            phases = res.stats["phase_seconds"]
+            assert phases["device_eval"] > 0.0
+            assert phases["solve"] > 0.0
+            _assert_phases_sum_to_total(phases)

@@ -3,10 +3,7 @@
 Proves, statically and in CI, the contracts the engine only documents:
 
 * ``store-key``       — every ``TransientOptions`` field is declared
-                        keyed or key-exempt, and ``kernel`` never
-                        reaches a store key;
-* ``njit-subset``     — ``kernels/_loops.py`` kernels stay inside
-                        numba's nopython subset;
+                        in ``KEYED_FIELDS`` and reaches the store key;
 * ``silent-fallback`` — broad ``except Exception`` handlers re-raise,
                         count, or warn;
 * ``env-knob``        — ``REPRO_*`` variables are read only through the
@@ -20,7 +17,7 @@ Suppressions are inline, reasoned, and audited::
     risky()  # reprolint: rule-id(why this one is fine)
 
 Stdlib-only by design: the linter never imports the code it analyses,
-so it runs on hosts without numpy or numba.
+so it runs on hosts without numpy.
 """
 
 from .core import (Finding, FileContext, Project, Rule, RunResult,

@@ -1,10 +1,9 @@
 """R3 ``silent-fallback``: broad excepts must leave a trace.
 
 The repro engine deliberately degrades in a few places (a worker pool
-that cannot fork runs inline, a broken numba install runs NumPy) — but
-a degradation nobody can observe is indistinguishable from a bug, and a
-``except Exception: pass`` around numerics can hide divergence from the
-paper's tables.  Every handler catching ``Exception``/``BaseException``
+that cannot fork runs inline) — but a degradation nobody can observe is
+indistinguishable from a bug, and a ``except Exception: pass`` around
+numerics can hide divergence from the paper's tables.  Every handler catching ``Exception``/``BaseException``
 (or a bare ``except:``) must therefore do at least one of:
 
 * re-``raise`` (possibly a translated error),

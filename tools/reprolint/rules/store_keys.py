@@ -1,22 +1,19 @@
 """R1 ``store-key``: store-key completeness for ``TransientOptions``.
 
-The contract (PR 3/5/6): every result-affecting ``TransientOptions``
-field must enter the result-store key, and the array-kernel choice must
-*never* enter it.  The runtime mirror lives in
+The contract: every ``TransientOptions`` field must enter the
+result-store key.  The runtime mirror lives in
 ``repro.exec.store._options_items``; this rule proves the same facts
 statically by cross-checking the two declaration sites:
 
 * ``circuit/transient.py`` — the dataclass fields of
   ``TransientOptions`` (the ground truth of what exists);
-* ``exec/store.py`` — the ``KEYED_FIELDS`` / ``NO_KEY`` literals (the
-  declaration of what is keyed), ``_options_items`` (which must filter
-  through ``KEYED_FIELDS``), and the ``job_key``/``dc_key`` hash
-  builders (which must route options through ``_options_items`` and
-  must not mention ``kernel`` at all).
+* ``exec/store.py`` — the ``KEYED_FIELDS`` literal (the declaration of
+  what is keyed), ``_options_items`` (which must filter through
+  ``KEYED_FIELDS``), and the ``job_key`` hash builder (which must route
+  options through ``_options_items``).
 
-A field in neither set means adding an option silently aliases cached
-waveforms; ``kernel`` in the keyed set means a warmed store fragments
-per execution backend.  Both fail CI here.
+A field missing from ``KEYED_FIELDS`` means adding an option silently
+aliases cached waveforms; that fails CI here.
 """
 
 from __future__ import annotations
@@ -105,9 +102,9 @@ def _calls(node: ast.AST, name: str) -> bool:
 class StoreKeyCompleteness(Rule):
     id = "store-key"
     description = (
-        "every TransientOptions field is declared KEYED_FIELDS or NO_KEY, "
-        "KEYED_FIELDS stays a field subset, and 'kernel' never enters "
-        "job_key/dc_key")
+        "every TransientOptions field is declared in KEYED_FIELDS, "
+        "KEYED_FIELDS names only real fields, and job_key hashes options "
+        "through _options_items")
 
     def check_project(self, project):
         t_ctx = project.find(TRANSIENT_SUFFIX)
@@ -124,47 +121,27 @@ class StoreKeyCompleteness(Rule):
             return findings
 
         keyed = _set_literal(s_ctx.tree, "KEYED_FIELDS")
-        nokey = _set_literal(s_ctx.tree, "NO_KEY")
-        for label, got in (("KEYED_FIELDS", keyed), ("NO_KEY", nokey)):
-            if got is None:
-                findings.append(self.finding(
-                    s_ctx, 1, f"store module must declare {label} as a "
-                    f"module-level frozenset of field-name literals"))
-            elif got[0] == "non-literal":
-                findings.append(self.finding(
-                    s_ctx, got[1], f"{label} must contain only string "
-                    f"literals so the declaration is statically checkable"))
-        if findings:
-            return findings
+        if keyed is None:
+            return [self.finding(
+                s_ctx, 1, "store module must declare KEYED_FIELDS as a "
+                "module-level frozenset of field-name literals")]
+        if keyed[0] == "non-literal":
+            return [self.finding(
+                s_ctx, keyed[1], "KEYED_FIELDS must contain only string "
+                "literals so the declaration is statically checkable")]
         keyed_names, keyed_line = keyed
-        nokey_names, nokey_line = nokey
 
-        for name in sorted(set(fields) - keyed_names - nokey_names):
+        for name in sorted(set(fields) - keyed_names):
             findings.append(self.finding(
                 t_ctx, fields[name],
-                f"{OPTIONS_CLASS}.{name} is declared in neither "
-                f"KEYED_FIELDS nor NO_KEY — an unkeyed option aliases "
-                f"cached waveforms; register it in exec/store.py (and bump "
-                f"STORE_VERSION if it affects results)"))
-        for name in sorted(keyed_names & nokey_names):
-            findings.append(self.finding(
-                s_ctx, nokey_line,
-                f"{name!r} appears in both KEYED_FIELDS and NO_KEY"))
+                f"{OPTIONS_CLASS}.{name} is not declared in KEYED_FIELDS — "
+                f"an unkeyed option aliases cached waveforms; register it "
+                f"in exec/store.py and bump STORE_VERSION"))
         for name in sorted(keyed_names - set(fields)):
             findings.append(self.finding(
                 s_ctx, keyed_line,
                 f"KEYED_FIELDS names {name!r}, which is not a "
                 f"{OPTIONS_CLASS} field; remove the stale declaration"))
-        if "kernel" in keyed_names:
-            findings.append(self.finding(
-                s_ctx, keyed_line,
-                "'kernel' must never enter store keys (the array-kernel "
-                "backend changes execution speed only); move it to NO_KEY"))
-        if "kernel" not in nokey_names:
-            findings.append(self.finding(
-                s_ctx, nokey_line,
-                "NO_KEY must blocklist 'kernel' so the array-kernel "
-                "choice can never enter store keys"))
 
         items_fn = _function(s_ctx.tree, "_options_items")
         if items_fn is None:
@@ -182,21 +159,9 @@ class StoreKeyCompleteness(Rule):
             findings.append(self.finding(
                 s_ctx, 1, "job_key not found; transient store keys "
                 "cannot be checked"))
-        else:
-            if not _calls(job_fn, "_options_items"):
-                findings.append(self.finding(
-                    s_ctx, job_fn.lineno,
-                    "job_key must hash options through _options_items so "
-                    "the KEYED_FIELDS declaration governs the key"))
-            if _mentions(job_fn, "kernel"):
-                findings.append(self.finding(
-                    s_ctx, job_fn.lineno,
-                    "job_key mentions 'kernel'; the array-kernel choice "
-                    "must never enter store keys"))
-        dc_fn = _function(s_ctx.tree, "dc_key")
-        if dc_fn is not None and _mentions(dc_fn, "kernel"):
+        elif not _calls(job_fn, "_options_items"):
             findings.append(self.finding(
-                s_ctx, dc_fn.lineno,
-                "dc_key mentions 'kernel'; the array-kernel choice must "
-                "never enter store keys"))
+                s_ctx, job_fn.lineno,
+                "job_key must hash options through _options_items so "
+                "the KEYED_FIELDS declaration governs the key"))
         return findings
