@@ -1,4 +1,4 @@
-"""DC operating-point analysis — scalar and batched.
+"""DC operating-point analysis.
 
 Solves the nonlinear resistive network (capacitors open) with damped
 Newton–Raphson.  Robustness comes from *gmin stepping*: when plain Newton
@@ -9,14 +9,14 @@ Each stage is solved exactly once; the final stage removes the leak
 (``gmin = 0``), so the returned operating point is always that of the
 unmodified network.
 
-:func:`dc_operating_point_batch` applies the transient engine's stacked
-treatment to initial states: all variants of one topology (identical
-structure, different source values) advance through a single batched
-Newton loop, and MOSFET-free stacks collapse to one structured linear
-solve against ``B`` right-hand sides using the backend selected from the
-topology's sparsity pattern (see :mod:`repro.circuit.solvers`).  Variants
-the batched pass cannot converge fall back, individually, to the scalar
-gmin-stepping path.
+Every solve is a stack: :func:`dc_operating_point_batch` advances all
+variants of one topology (identical structure, different source values)
+through the transient engine's stacked Newton loop, and MOSFET-free
+stacks collapse to one structured linear solve against ``B`` right-hand
+sides using the backend selected from the topology's sparsity pattern
+(see :mod:`repro.circuit.solvers`).  :func:`dc_operating_point` is the
+stack of one.  Variants the stacked pass cannot converge go through
+gmin stepping one at a time, so each failure names its own stage.
 
 Large MOSFET networks run their Newton iterations through the
 pattern-frozen sparse kernel
@@ -134,65 +134,42 @@ class DcResult:
 def _newton_dc(
     mna: MnaSystem,
     extra_gmin: float,
-    rhs_src: np.ndarray,
+    rhs: np.ndarray,
     x0: np.ndarray,
-    abstol: float = 1e-9,
-    max_iter: int = 200,
-    v_limit: float = 0.4,
-    sparse: bool = False,
-) -> np.ndarray | None:
-    """Damped Newton for the resistive network; ``None`` on failure.
+    kernel=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton for ``B`` stacked resistive networks; ``(x, converged)``.
 
-    ``extra_gmin`` adds a leak conductance to ground on every node
-    diagonal — the gmin-stepping knob.  MOSFET-free networks are linear,
-    so a single (leaked) solve is *exact*: the early return below stamps
-    the same ``extra_gmin`` the iterative path would, and honours the
-    same ``None``-on-failure contract when the matrix is singular.
+    ``rhs`` and ``x0`` are ``(B, size)``.  ``extra_gmin`` adds a leak
+    conductance to ground on every node diagonal — the gmin-stepping
+    knob.  MOSFET-free networks are linear, so a single (leaked) solve
+    is *exact*; a singular matrix marks every variant unconverged.
 
-    ``sparse`` runs the iterations through the pattern-frozen sparse
-    kernel (the gmin leak lands on the frozen diagonal positions, so
-    every stage shares one symbolic pattern); a singular structured
-    refactorization falls back to the dense path mid-solve.
+    MOSFET networks run :func:`~repro.circuit.mna.stacked_newton`;
+    ``kernel`` optionally routes its iterations through the
+    pattern-frozen sparse operator of the same leaked system (the leak
+    lands on the frozen diagonal positions, so every gmin stage shares
+    one symbolic pattern; a singular structured refactorization falls
+    back to the dense path mid-solve).
+    A singular dense solve marks every still-active variant unconverged.
     """
     a_base = mna.g_lin.copy()
-    for i in range(mna.n_nodes):
-        a_base[i, i] += extra_gmin
-    x = x0.copy()
+    nodes = np.arange(mna.n_nodes)
+    a_base[nodes, nodes] += extra_gmin
     if mna.n_mosfets == 0:
         try:
-            return np.linalg.solve(a_base, rhs_src)
+            x = np.linalg.solve(a_base, rhs.T).T
         except np.linalg.LinAlgError:
-            return None
-    kernel = mna.sparse_newton_step(extra_gmin=extra_gmin) if sparse else None
-    for _ in range(max_iter):
-        x_new = None
-        if kernel is not None:
-            try:
-                x_new = kernel.solve(rhs_src, x)
-            except np.linalg.LinAlgError:
-                kernel = None
-        if x_new is None:
-            a = a_base.copy()
-            rhs = rhs_src.copy()
-            mna.stamp_mosfets(a, rhs, x)
-            try:
-                x_new = np.linalg.solve(a, rhs)
-            except np.linalg.LinAlgError:
-                return None
-        dx = x_new - x
-        dv = dx[: mna.n_nodes]
-        worst = float(np.max(np.abs(dv))) if dv.size else 0.0
-        if worst > v_limit:
-            dx = dx * (v_limit / worst)
-        x = x + dx
-        if worst < abstol:
-            return x
-    return None
+            return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
+        return x, np.isfinite(x).all(axis=1)
+    return stacked_newton(mna, a_base, rhs, x0, abstol=1e-9, max_iter=200,
+                          v_limit=0.4, catch_singular=True, kernel=kernel)
 
 
 def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
                    circuit_name: str, sparse: bool = False) -> np.ndarray:
-    """Walk the gmin schedule, solving each stage exactly once.
+    """Walk the gmin schedule for one variant (``(1, size)`` stacks),
+    solving each stage exactly once.
 
     Every successful stage warm-starts the next; the final ``gmin = 0``
     stage's solution is returned directly (no redundant re-solve).  When
@@ -201,9 +178,14 @@ def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
     relaxation stages are skipped, never retried.  Failures raise
     :class:`DcConvergenceError` naming the stage that failed.
     """
+    def solve(gmin: float, seed: np.ndarray) -> "np.ndarray | None":
+        kernel = sys_.sparse_newton_step(extra_gmin=gmin) if sparse else None
+        x, converged = _newton_dc(sys_, gmin, rhs, seed, kernel)
+        return x if converged.all() else None
+
     n_stages = len(GMIN_STAGES)
     for k, gmin in enumerate(GMIN_STAGES):
-        x = _newton_dc(sys_, gmin, rhs, x0, sparse=sparse)
+        x = solve(gmin, x0)
         if x is not None:
             x0 = x
             continue
@@ -219,7 +201,7 @@ def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
             raise DcConvergenceError(
                 f"no DC operating point found for circuit {circuit_name!r}: "
                 f"gmin stepping failed at its final {stage}")
-        x = _newton_dc(sys_, 0.0, rhs, x0, sparse=sparse)
+        x = solve(0.0, x0)
         if x is None:
             raise DcConvergenceError(
                 f"no DC operating point found for circuit {circuit_name!r}: "
@@ -237,6 +219,8 @@ def dc_operating_point(
     backend: str = "auto",
 ) -> DcResult:
     """Find the DC operating point with sources evaluated at ``at_time``.
+
+    The single-circuit form of :func:`dc_operating_point_batch`.
 
     Parameters
     ----------
@@ -263,52 +247,9 @@ def dc_operating_point(
         When Newton fails at every gmin-stepping stage; the message names
         the stage that failed.
     """
-    sys_ = mna or MnaSystem(circuit)
-    # Only nonlinear solves are worth a disk entry: a MOSFET-free DC
-    # "solve" is one linear factorization, cheaper than the lookup.
-    memo = _DC_MEMO if sys_.n_mosfets > 0 else None
-    key = None
-    if memo is not None:
-        key = memo.key(circuit, sys_, at_time, initial_voltages)
-        if key is not None:
-            cached = memo.lookup(key, sys_)
-            if cached is not None:
-                return DcResult(solution=cached,
-                                node_names=tuple(sys_.node_names))
-    rhs = sys_.source_rhs(at_time)
-    x0 = sys_.seed_vector(initial_voltages)
-    sparse = _sparse_dc(sys_, backend)
-
-    x = _newton_dc(sys_, 0.0, rhs, x0, sparse=sparse)
-    if x is None:
-        x = _gmin_stepping(sys_, rhs, x0, circuit.name, sparse=sparse)
-    if key is not None:
-        memo.store(key, x)
-    return DcResult(solution=x, node_names=tuple(sys_.node_names))
-
-
-def _newton_dc_batch(
-    mna: MnaSystem,
-    rhs: np.ndarray,
-    x0: np.ndarray,
-    abstol: float = 1e-9,
-    max_iter: int = 200,
-    v_limit: float = 0.4,
-    kernel=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked damped Newton over ``B`` variants; ``(x, converged)``.
-
-    :func:`~repro.circuit.mna.stacked_newton` with the scalar
-    :func:`_newton_dc` convergence and damping tests; converged variants
-    are frozen, so each variant reproduces the scalar iteration
-    sequence.  A singular stacked solve marks every still-active variant
-    unconverged (the per-variant scalar fallback owns the diagnosis).
-    ``kernel`` optionally routes the iterations through the
-    pattern-frozen sparse operator.
-    """
-    return stacked_newton(mna, mna.g_lin, rhs, x0, abstol=abstol,
-                          max_iter=max_iter, v_limit=v_limit,
-                          catch_singular=True, kernel=kernel)
+    return dc_operating_point_batch(
+        [circuit], at_time=at_time, initial_voltages=[initial_voltages],
+        mnas=[mna or MnaSystem(circuit)], backend=backend)[0]
 
 
 def dc_operating_point_batch(
@@ -320,13 +261,12 @@ def dc_operating_point_batch(
 ) -> list[DcResult]:
     """Solve the operating points of ``B`` topology-sharing variants at once.
 
-    The batched replacement for looping :func:`dc_operating_point` over
-    the variants of one circuit (noise-case sweeps, technique fixtures):
-    MOSFET stacks advance through one stacked Newton loop; MOSFET-free
-    stacks collapse to a single structured solve of ``g_lin`` against all
-    right-hand sides, with the linear-solver backend selected from the
-    topology's DC sparsity pattern (shared with the transient engine —
-    see :mod:`repro.circuit.solvers`).
+    The variants of one circuit (noise-case sweeps, technique fixtures)
+    share one solve: MOSFET stacks advance through one stacked Newton
+    loop; MOSFET-free stacks collapse to a single structured solve of
+    ``g_lin`` against all right-hand sides, with the linear-solver
+    backend selected from the topology's DC sparsity pattern (shared
+    with the transient engine — see :mod:`repro.circuit.solvers`).
 
     Parameters
     ----------
@@ -349,10 +289,15 @@ def dc_operating_point_batch(
     Returns
     -------
     list[DcResult]
-        One operating point per variant, in input order, equivalent to
-        the scalar solves.  Variants the batched pass cannot converge are
-        retried individually through the scalar gmin-stepping path, so
-        failure diagnostics match :func:`dc_operating_point`.
+        One operating point per variant, in input order.  Variants the
+        stacked pass cannot converge walk the gmin-stepping schedule one
+        at a time.
+
+    Raises
+    ------
+    DcConvergenceError
+        When a variant fails at every gmin-stepping stage; the message
+        names the circuit and the stage that failed.
     """
     circuits = list(circuits)
     require(len(circuits) >= 1, "need at least one circuit")
@@ -390,6 +335,7 @@ def dc_operating_point_batch(
     for i, b in enumerate(pending):
         mna0.seed_vector(seeds[b], out=x0[i])
 
+    sparse = _sparse_dc(mna0, backend)
     if mna0.n_mosfets == 0:
         # Linear network: one structured factorization, B exact solves.
         structure = mna0.structure(include_caps=False)
@@ -397,27 +343,22 @@ def dc_operating_point_batch(
             solver = factorize(mna0.g_lin,
                                select_backend(structure, 0, backend), structure)
             x = solver.solve(rhs)
-            # A singular matrix raises above; the finiteness guard keeps
-            # any backend that degrades silently on the scalar-fallback
-            # path, whose diagnosis matches dc_operating_point.
+            # A singular matrix raises above; the finiteness guard sends
+            # any backend that degrades silently to gmin stepping, which
+            # names the failure.
             converged = np.isfinite(x).all(axis=1)
         except np.linalg.LinAlgError:
             x = x0
             converged = np.zeros(len(pending), dtype=bool)
     else:
-        kernel = mna0.sparse_newton_step() if _sparse_dc(mna0, backend) \
-            else None
-        x, converged = _newton_dc_batch(mna0, rhs, x0, kernel=kernel)
+        kernel = mna0.sparse_newton_step() if sparse else None
+        x, converged = _newton_dc(mna0, 0.0, rhs, x0, kernel)
 
     for i, b in enumerate(pending):
-        if converged[i]:
-            results[b] = DcResult(solution=x[i], node_names=node_names)
-            if keys[b] is not None:
-                memo.store(keys[b], x[i])
-        else:
-            # The scalar fallback handles its own memoisation.
-            results[b] = dc_operating_point(
-                circuits[b], at_time=at_time,
-                initial_voltages=dict(seeds[b] or {}), mna=systems[b],
-                backend=backend)
+        solution = x[i] if converged[i] else _gmin_stepping(
+            systems[b], rhs[i:i + 1], x0[i:i + 1], circuits[b].name,
+            sparse=sparse)[0]
+        results[b] = DcResult(solution=solution, node_names=node_names)
+        if keys[b] is not None:
+            memo.store(keys[b], solution)
     return results  # type: ignore[return-value]

@@ -102,10 +102,9 @@ class SparseStampMaps:
         cap_sign · geq[cap_idx]`` applies the trapezoidal companion
         conductances for any step size (``np.add.at`` — shared-node
         capacitors hit duplicate positions).
-    ``mos_pos`` / ``mos_pos_uniq``
-        Data positions of the device Jacobian entries, aligned with the
-        scalar scatter layout (``MnaSystem._mos_flat``) and with the
-        deduplicated batch layout (``MnaSystem._mos_flat_uniq``).
+    ``mos_pos``
+        Data positions of the deduplicated device Jacobian entries,
+        aligned with ``MnaSystem._mos_flat_uniq``.
     """
 
     size: int
@@ -117,7 +116,6 @@ class SparseStampMaps:
     cap_sign: np.ndarray = field(repr=False)
     cap_idx: np.ndarray = field(repr=False)
     mos_pos: np.ndarray = field(repr=False)
-    mos_pos_uniq: np.ndarray = field(repr=False)
 
     @property
     def nnz(self) -> int:
@@ -210,36 +208,39 @@ class MnaSystem:
             for i in circuit.isources
         ]
 
-        # --- precomputed scatter indices for vectorised MOSFET stamping
+        # --- precomputed scatter operators for vectorised MOSFET stamping
         # Six Jacobian entries per device: rows (d,d,d,s,s,s) against
-        # columns (d,g,s,d,g,s), the source row negated.
+        # columns (d,g,s,d,g,s) take the partials (∂/∂vd, ∂/∂vg, ∂/∂vs),
+        # the source row negated.  Signs, ground terminals and duplicate
+        # destinations all fold into one signed scatter matrix per
+        # target, so each stamp is a single BLAS call per Newton
+        # iteration: ``[∂/∂vd | ∂/∂vg | ∂/∂vs] @ _mos_jac_scatter`` onto
+        # the flat positions ``_mos_flat_uniq``, ``ieq @
+        # _mos_rhs_scatter`` onto the rows ``_mos_rhs_uniq``.
         if self.n_mosfets:
+            n_mos = self.n_mosfets
             rows = np.stack([self.mos_d, self.mos_d, self.mos_d,
                              self.mos_s, self.mos_s, self.mos_s])
             cols = np.stack([self.mos_d, self.mos_g, self.mos_s,
                              self.mos_d, self.mos_g, self.mos_s])
             valid = (rows >= 0) & (cols >= 0)
             self._mos_flat = (rows * self.size + cols)[valid]
-            self._mos_valid = valid
-            self._mos_sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None]
-            self._mos_d_ok = self.mos_d >= 0
-            self._mos_s_ok = self.mos_s >= 0
-
-            # Dense scatter operators for the batched path: duplicate
-            # Jacobian/rhs destinations are folded by a one-hot matmul
-            # (one BLAS call per Newton iteration instead of np.add.at).
+            partial = (np.arange(6)[:, None] % 3) * n_mos + np.arange(n_mos)
+            sign = np.broadcast_to([[1.0]] * 3 + [[-1.0]] * 3, rows.shape)
             uniq, inv = np.unique(self._mos_flat, return_inverse=True)
-            onehot = np.zeros((self._mos_flat.size, uniq.size))
-            onehot[np.arange(self._mos_flat.size), inv] = 1.0
             self._mos_flat_uniq = uniq
-            self._mos_jac_scatter = onehot
-            rhs_rows = np.concatenate([self.mos_d[self._mos_d_ok],
-                                       self.mos_s[self._mos_s_ok]])
-            uniq_r, inv_r = np.unique(rhs_rows, return_inverse=True)
-            onehot_r = np.zeros((rhs_rows.size, uniq_r.size))
-            onehot_r[np.arange(rhs_rows.size), inv_r] = 1.0
+            self._mos_jac_scatter = np.zeros((3 * n_mos, uniq.size))
+            np.add.at(self._mos_jac_scatter, (partial[valid], inv),
+                      sign[valid])
+            terms = np.stack([self.mos_d, self.mos_s])
+            valid = terms >= 0
+            uniq_r, inv_r = np.unique(terms[valid], return_inverse=True)
             self._mos_rhs_uniq = uniq_r
-            self._mos_rhs_scatter = onehot_r
+            self._mos_rhs_scatter = np.zeros((n_mos, uniq_r.size))
+            np.add.at(self._mos_rhs_scatter,
+                      (np.broadcast_to(np.arange(n_mos), terms.shape)[valid],
+                       inv_r),
+                      np.broadcast_to([[1.0], [-1.0]], terms.shape)[valid])
 
     # ------------------------------------------------------------------
     def index_of(self, node: str) -> int:
@@ -362,17 +363,6 @@ class MnaSystem:
     def node_voltage(self, x: np.ndarray, index: int) -> float:
         """Voltage at MNA index ``index`` in solution ``x`` (0 for ground)."""
         return 0.0 if index < 0 else float(x[index])
-
-    def _terminal_voltages(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Gather node voltages for an index array, 0.0 where ground."""
-        v = np.zeros(idx.size)
-        mask = idx >= 0
-        v[mask] = x[idx[mask]]
-        return v
-
-    def _terminal_voltages_batch(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_terminal_voltages`: ``x`` is ``(B, size)``."""
-        return self._pad_ground(x)[:, idx]
 
     @staticmethod
     def _pad_ground(x: np.ndarray) -> np.ndarray:
@@ -503,19 +493,16 @@ class MnaSystem:
                 cap_idx.extend((k, k))
 
         if self.n_mosfets:
-            mos_pos = pos[self._mos_flat // n, self._mos_flat % n]
-            mos_pos_uniq = pos[self._mos_flat_uniq // n,
-                               self._mos_flat_uniq % n]
+            mos_pos = pos[self._mos_flat_uniq // n, self._mos_flat_uniq % n]
         else:
             mos_pos = np.empty(0, dtype=np.int64)
-            mos_pos_uniq = np.empty(0, dtype=np.int64)
         return SparseStampMaps(
             size=n, indptr=indptr, indices=rows, lin_data=lin_data,
             diag_pos=diag_pos,
             cap_pos=np.asarray(cap_pos, dtype=np.int64),
             cap_sign=np.asarray(cap_sign),
             cap_idx=np.asarray(cap_idx, dtype=np.int64),
-            mos_pos=mos_pos, mos_pos_uniq=mos_pos_uniq)
+            mos_pos=mos_pos)
 
     def sparse_base_data(self, maps: SparseStampMaps, h: "float | None" = None,
                          extra_gmin: float = 0.0) -> np.ndarray:
@@ -589,52 +576,34 @@ class MnaSystem:
         return BorderedNewtonStep(self, partition, a_base)
 
     def _mos_lin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Newton linearisation of every MOSFET at operating point ``x``.
+        """Newton linearisation of every MOSFET at operating points ``x``.
 
-        Returns the six signed Jacobian entries per device — rows
-        (d,d,d,s,s,s) against columns (d,g,s,d,g,s), shape
-        ``(6, n_mosfets)`` in the scalar scatter layout — and the
-        equivalent Newton currents ``ieq = J·x0 − ids0`` (stamped
+        ``x`` is ``(B, size)``.  Returns the drain-current partials
+        ``[∂/∂vd | ∂/∂vg | ∂/∂vs]``, shape ``(B, 3·n_mosfets)`` (the
+        layout ``_mos_jac_scatter`` stamps), and the equivalent Newton
+        currents ``ieq = J·x0 − ids0``, shape ``(B, n_mosfets)`` (stamped
         positive at the drain, negative at the source).
-
-        The scalar linearisation *is* the batched one applied to a batch
-        of one — the elementwise device math is identical, so the
-        results are bit-equal to the historical dedicated scalar path.
         """
-        vals, ieq = self._mos_lin_batch(x[None, :])
-        return vals[0], ieq[0]
+        xp = self._pad_ground(x)
+        vd = xp[:, self.mos_d]
+        vg = xp[:, self.mos_g]
+        vs = xp[:, self.mos_s]
+        ids, did_dvd, did_dvg, did_dvs = mosfet_eval(
+            vd, vg, vs, self.mos_pol, self.mos_beta, self.mos_vth, self.mos_lam
+        )
+        ieq = did_dvd * vd + did_dvg * vg + did_dvs * vs - ids
+        return np.concatenate((did_dvd, did_dvg, did_dvs), axis=1), ieq
 
     def _stamp_mos_rhs(self, rhs: np.ndarray, ieq: np.ndarray) -> None:
-        """Scatter the Newton companion currents onto a scalar rhs."""
-        np.add.at(rhs, self.mos_d[self._mos_d_ok], ieq[self._mos_d_ok])
-        np.add.at(rhs, self.mos_s[self._mos_s_ok], -ieq[self._mos_s_ok])
+        """Scatter companion currents ``(B, n_mosfets)`` onto ``(B, size)``."""
+        rhs[:, self._mos_rhs_uniq] += ieq @ self._mos_rhs_scatter
 
     def stamp_mosfets(self, a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> None:
-        """Stamp Newton-linearised MOSFETs at operating point ``x``.
+        """Stamp Newton-linearised MOSFETs at ``B`` operating points.
 
         Adds the Jacobian of the drain currents to ``a`` and the companion
         current terms to ``rhs`` so that solving ``a · x_new = rhs`` performs
         one Newton step of the nonlinear system.
-        """
-        if self.n_mosfets == 0:
-            return
-        vals, ieq = self._mos_lin(x)
-        np.add.at(a.reshape(-1), self._mos_flat, vals[self._mos_valid])
-        self._stamp_mos_rhs(rhs, ieq)
-
-    def stamp_mosfets_data(self, data: np.ndarray, rhs: np.ndarray,
-                           x: np.ndarray, maps: SparseStampMaps) -> None:
-        """Pattern-frozen :meth:`stamp_mosfets`: stamp into a CSC data
-        vector through the precomputed index maps — O(nnz device fill),
-        no dense matrix."""
-        if self.n_mosfets == 0:
-            return
-        vals, ieq = self._mos_lin(x)
-        np.add.at(data, maps.mos_pos, vals[self._mos_valid])
-        self._stamp_mos_rhs(rhs, ieq)
-
-    def stamp_mosfets_batch(self, a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> None:
-        """Batched :meth:`stamp_mosfets` over ``B`` operating points.
 
         Parameters
         ----------
@@ -652,53 +621,30 @@ class MnaSystem:
         """
         if self.n_mosfets == 0:
             return
-        vals, ieq = self._mos_lin_batch(x)
+        jac, ieq = self._mos_lin(x)
         a_flat = a.reshape(x.shape[0], -1)
-        a_flat[:, self._mos_flat_uniq] += vals[:, self._mos_valid] @ self._mos_jac_scatter
-        self._stamp_mos_rhs_batch(rhs, ieq)
+        a_flat[:, self._mos_flat_uniq] += jac @ self._mos_jac_scatter
+        self._stamp_mos_rhs(rhs, ieq)
 
-    def _mos_lin_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_mos_lin`: ``(B, 6, n_mosfets)`` Jacobian
-        entries and ``(B, n_mosfets)`` companion currents."""
-        xp = self._pad_ground(x)
-        vd = xp[:, self.mos_d]
-        vg = xp[:, self.mos_g]
-        vs = xp[:, self.mos_s]
-        ids, did_dvd, did_dvg, did_dvs = mosfet_eval(
-            vd, vg, vs, self.mos_pol, self.mos_beta, self.mos_vth, self.mos_lam
-        )
-        ieq = did_dvd * vd + did_dvg * vg + did_dvs * vs - ids
-        vals = self._mos_sign[None, :, :] * np.stack(
-            [did_dvd, did_dvg, did_dvs, did_dvd, did_dvg, did_dvs], axis=1
-        )
-        return vals, ieq
-
-    def _stamp_mos_rhs_batch(self, rhs: np.ndarray, ieq: np.ndarray) -> None:
-        """Scatter companion currents onto stacked right-hand sides."""
-        contrib = np.concatenate([ieq[:, self._mos_d_ok], -ieq[:, self._mos_s_ok]],
-                                 axis=1)
-        rhs[:, self._mos_rhs_uniq] += contrib @ self._mos_rhs_scatter
-
-    def stamp_mosfets_data_batch(self, data: np.ndarray, rhs: np.ndarray,
-                                 x: np.ndarray, maps: SparseStampMaps) -> None:
-        """Batched :meth:`stamp_mosfets_data`: ``data`` is ``(B, nnz)``,
-        the device fill of every variant folded through the shared
-        one-hot scatter (one BLAS call, shared symbolic pattern)."""
+    def stamp_mosfets_data(self, data: np.ndarray, rhs: np.ndarray,
+                           x: np.ndarray, maps: SparseStampMaps) -> None:
+        """Pattern-frozen :meth:`stamp_mosfets`: ``data`` is ``(B, nnz)``
+        CSC data, the device fill of every variant folded through the
+        shared one-hot scatter onto the frozen positions — O(nnz device
+        fill), no dense matrix."""
         if self.n_mosfets == 0:
             return
-        vals, ieq = self._mos_lin_batch(x)
-        data[:, maps.mos_pos_uniq] += vals[:, self._mos_valid] @ self._mos_jac_scatter
-        self._stamp_mos_rhs_batch(rhs, ieq)
+        jac, ieq = self._mos_lin(x)
+        data[:, maps.mos_pos] += jac @ self._mos_jac_scatter
+        self._stamp_mos_rhs(rhs, ieq)
 
     def mosfet_currents(self, x: np.ndarray) -> np.ndarray:
-        """Drain currents of every MOSFET at solution ``x`` (amperes)."""
-        if self.n_mosfets == 0:
-            return np.empty(0)
-        vd = self._terminal_voltages(x, self.mos_d)
-        vg = self._terminal_voltages(x, self.mos_g)
-        vs = self._terminal_voltages(x, self.mos_s)
+        """Drain currents ``(B, n_mosfets)`` of every MOSFET at stacked
+        solutions ``x`` ``(B, size)`` (amperes)."""
+        xp = self._pad_ground(x)
         ids, _, _, _ = mosfet_eval(
-            vd, vg, vs, self.mos_pol, self.mos_beta, self.mos_vth, self.mos_lam
+            xp[:, self.mos_d], xp[:, self.mos_g], xp[:, self.mos_s],
+            self.mos_pol, self.mos_beta, self.mos_vth, self.mos_lam
         )
         return ids
 
@@ -731,8 +677,8 @@ class SparseNewtonStep:
     :class:`numpy.linalg.LinAlgError`; the Newton loops respond by
     finishing the solve on the dense path.
 
-    Both solve forms take the caller's optional phase-timer dict and
-    charge the device linearisation and stamping to ``device_eval``, the
+    :meth:`solve` takes the caller's optional phase-timer dict and
+    charges the device linearisation and stamping to ``device_eval``, the
     refactorization and substitution to ``solve``.
     """
 
@@ -743,23 +689,11 @@ class SparseNewtonStep:
         self._base = base_data
         self._lu = PatternFrozenLu(maps.size, maps.indptr, maps.indices)
 
-    def solve(self, rhs_base: np.ndarray, x: np.ndarray,
+    def solve(self, rhs: np.ndarray, x: np.ndarray,
               timers: "dict | None" = None) -> np.ndarray:
-        """One Newton linear solve at operating point ``x`` (``rhs_base``
-        is copied, never mutated)."""
-        t0 = perf_counter() if timers is not None else 0.0
-        data = self._base.copy()
-        rhs = rhs_base.copy()
-        self._mna.stamp_mosfets_data(data, rhs, x, self._maps)
-        t0 = _lap(timers, "device_eval", t0)
-        out = self._lu.refactor(data).solve(rhs)
-        _lap(timers, "solve", t0)
-        return out
-
-    def solve_batch(self, rhs: np.ndarray, x: np.ndarray,
-                    timers: "dict | None" = None) -> np.ndarray:
-        """Stacked solve over ``B`` operating points; ``rhs`` ``(B, n)``
-        is owned by this call (overwritten with companion terms).
+        """Stacked Newton linear solve at ``B`` operating points ``x``
+        ``(B, n)``; ``rhs`` ``(B, n)`` is owned by this call (overwritten
+        with companion terms).
 
         Device evaluation and stamping are vectorised across the batch;
         the numeric refactorizations — whose factors genuinely differ
@@ -769,7 +703,7 @@ class SparseNewtonStep:
         t0 = perf_counter() if timers is not None else 0.0
         batch = x.shape[0]
         data = np.repeat(self._base[None, :], batch, axis=0)
-        self._mna.stamp_mosfets_data_batch(data, rhs, x, self._maps)
+        self._mna.stamp_mosfets_data(data, rhs, x, self._maps)
         t0 = _lap(timers, "device_eval", t0)
         out = np.empty_like(rhs)
         for b in range(batch):
@@ -801,28 +735,13 @@ class BorderedNewtonStep:
         n = mna.size
         # Device fill lands entirely inside the border block, so every
         # lookup is valid by construction of the partition.
-        self._flat = lookup[mna._mos_flat // n] * nb + lookup[mna._mos_flat % n]
-        self._flat_uniq = (lookup[mna._mos_flat_uniq // n] * nb
-                           + lookup[mna._mos_flat_uniq % n])
+        self._flat = (lookup[mna._mos_flat_uniq // n] * nb
+                      + lookup[mna._mos_flat_uniq % n])
 
-    def solve(self, rhs_base: np.ndarray, x: np.ndarray,
+    def solve(self, rhs: np.ndarray, x: np.ndarray,
               timers: "dict | None" = None) -> np.ndarray:
-        """One Newton linear solve at ``x`` (``rhs_base`` copied)."""
-        t0 = perf_counter() if timers is not None else 0.0
-        mna = self._mna
-        vals, ieq = mna._mos_lin(x)
-        delta = np.zeros(self._nb * self._nb)
-        np.add.at(delta, self._flat, vals[mna._mos_valid])
-        rhs = rhs_base.copy()
-        mna._stamp_mos_rhs(rhs, ieq)
-        t0 = _lap(timers, "device_eval", t0)
-        out = self._bb.solve(rhs, delta.reshape(self._nb, self._nb))
-        _lap(timers, "solve", t0)
-        return out
-
-    def solve_batch(self, rhs: np.ndarray, x: np.ndarray,
-                    timers: "dict | None" = None) -> np.ndarray:
-        """Stacked solve; ``rhs`` ``(B, n)`` is owned by this call.
+        """Stacked Newton linear solve at ``x`` ``(B, n)``; ``rhs``
+        ``(B, n)`` is owned by this call.
 
         Fully vectorised across the batch: the border deltas fold
         through the shared one-hot scatter and the Schur complements
@@ -831,10 +750,10 @@ class BorderedNewtonStep:
         t0 = perf_counter() if timers is not None else 0.0
         mna = self._mna
         batch = x.shape[0]
-        vals, ieq = mna._mos_lin_batch(x)
+        jac, ieq = mna._mos_lin(x)
         delta = np.zeros((batch, self._nb * self._nb))
-        delta[:, self._flat_uniq] += vals[:, mna._mos_valid] @ mna._mos_jac_scatter
-        mna._stamp_mos_rhs_batch(rhs, ieq)
+        delta[:, self._flat] += jac @ mna._mos_jac_scatter
+        mna._stamp_mos_rhs(rhs, ieq)
         t0 = _lap(timers, "device_eval", t0)
         out = self._bb.solve(rhs, delta.reshape(batch, self._nb, self._nb))
         _lap(timers, "solve", t0)
@@ -854,14 +773,15 @@ def stacked_newton(
     stats: dict | None = None,
     kernel: "SparseNewtonStep | BorderedNewtonStep | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton over ``B`` stacked operating points; ``(x, converged)``.
+    """Damped Newton over ``B ≥ 1`` stacked operating points;
+    ``(x, converged)``.
 
-    The one stacked-Newton loop shared by the transient and DC batch
-    engines: per iteration the MOSFETs of every *active* variant are
-    stamped onto broadcast copies of ``a_base``/``rhs_base``, solved
-    together, damped to ``v_limit`` per variant, and variants whose worst
-    node-voltage update drops below ``abstol`` are frozen — so each
-    variant reproduces the scalar iteration sequence.
+    The one Newton loop of the transient and DC engines: per iteration
+    the MOSFETs of every *active* variant are stamped onto broadcast
+    copies of ``a_base``/``rhs_base``, solved together, damped to
+    ``v_limit`` per variant, and variants whose worst node-voltage update
+    drops below ``abstol`` are frozen — so each variant follows its own
+    iteration sequence, independent of the batch around it.
 
     Parameters
     ----------
@@ -879,8 +799,8 @@ def stacked_newton(
         no-op whenever ``abstol < v_limit``).
     catch_singular:
         Return the still-unconverged state on a singular stacked solve
-        (the DC engine's per-variant-fallback contract) instead of
-        propagating :class:`numpy.linalg.LinAlgError`.
+        (the DC engine's gmin-stepping contract) instead of propagating
+        :class:`numpy.linalg.LinAlgError`.
     stats:
         Optional counter dict whose ``"newton_iters"`` entry is bumped
         per iteration (and ``"newton_fallbacks"`` when a structured
@@ -896,14 +816,18 @@ def stacked_newton(
     n_nodes = mna.n_nodes
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
+    # While no variant has converged the active-set gathers and scatters
+    # are identities; skip them (the common case, and every iteration of
+    # a single-variant solve).
+    full = True
     timers = stats.get("phase_seconds") if stats is not None else None
     for _ in range(max_iter):
-        sub = x[active]
+        sub = x if full else x[active]
         x_new = None
         if kernel is not None:
             try:
-                x_new = kernel.solve_batch(rhs_base[active].copy(), sub,
-                                           timers)
+                x_new = kernel.solve(rhs_base.copy() if full
+                                     else rhs_base[active], sub, timers)
             except np.linalg.LinAlgError:
                 if stats is not None:
                     stats["newton_fallbacks"] = \
@@ -911,9 +835,9 @@ def stacked_newton(
                 kernel = None
         if x_new is None:
             t0 = perf_counter() if timers is not None else 0.0
-            a = np.broadcast_to(a_base, (active.size, *a_base.shape)).copy()
-            rhs = rhs_base[active].copy()
-            mna.stamp_mosfets_batch(a, rhs, sub)
+            a = a_base[None].repeat(sub.shape[0], axis=0)
+            rhs = rhs_base.copy() if full else rhs_base[active]
+            mna.stamp_mosfets(a, rhs, sub)
             t0 = _lap(timers, "device_eval", t0)
             try:
                 x_new = np.linalg.solve(a, rhs[..., None])[..., 0]
@@ -925,17 +849,24 @@ def stacked_newton(
                 _lap(timers, "solve", t0)
         dx = x_new - sub
         dv = dx[:, :n_nodes]
-        worst = np.max(np.abs(dv), axis=1) if n_nodes else np.zeros(active.size)
+        worst = np.max(np.abs(dv), axis=1) if n_nodes else np.zeros(sub.shape[0])
         limited = worst > v_limit
-        scale = np.where(limited, v_limit / np.maximum(worst, 1e-300), 1.0)
-        x[active] = sub + dx * scale[:, None]
+        if limited.any():
+            dx *= np.where(limited, v_limit / np.maximum(worst, 1e-300),
+                           1.0)[:, None]
+        if full:
+            x = sub + dx
+        else:
+            x[active] = sub + dx
         if stats is not None:
             stats["newton_iters"] += 1
         ok = worst < abstol
         if require_unlimited:
             ok &= ~limited
-        converged[active[ok]] = True
-        active = active[~ok]
-        if active.size == 0:
-            break
+        if ok.any():
+            converged[active[ok]] = True
+            active = active[~ok]
+            full = False
+            if active.size == 0:
+                break
     return x, converged

@@ -128,10 +128,8 @@ def mosfet_eval(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised drain current and partial derivatives for a device array.
 
-    Broadcasts over any leading shape — a ``(n_dev,)`` scalar operating
-    point and a stacked ``(B, n_dev)`` batch take the identical code
-    path (the scalar *is* a batch of one), which is what pins the
-    scalar and batched engines to bit-equal device physics.  Handles
+    Broadcasts over any leading shape — the engine passes stacked
+    ``(B, n_dev)`` operating points, one row per variant.  Handles
     both polarities (PMOS via voltage mirroring) and both drain bias
     signs (``vds < 0`` via source/drain swap — the square-law device is
     symmetric).

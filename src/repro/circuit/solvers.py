@@ -480,7 +480,6 @@ class BorderedBanded:
         require(HAVE_SCIPY, "bordered-banded Newton requires scipy")
         require(border.size > 0 and core.size > 0,
                 "bordered solve needs non-empty border and core")
-        self._n = a.shape[0]
         self._border = border
         self._core = core
         self._core_solver = BandedThomas(a[np.ix_(core, core)],
@@ -496,21 +495,11 @@ class BorderedBanded:
         return int(self._border.size)
 
     def solve(self, rhs: np.ndarray, delta_c: np.ndarray) -> np.ndarray:
-        """Solve with the border block perturbed by ``delta_c``.
-
-        ``rhs`` is ``(n,)`` with ``delta_c`` ``(nb, nb)``, or a stacked
-        ``(B, n)`` with ``(B, nb, nb)``; the result has the same leading
-        shape.
+        """Solve stacked ``(B, n)`` right-hand sides with each variant's
+        border block perturbed by its ``(nb, nb)`` slice of ``delta_c``
+        ``(B, nb, nb)``; returns ``(B, n)``.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim == 1:
-            w1 = self._core_solver.solve(rhs[self._core])
-            z2 = np.linalg.solve(self._s0 + delta_c,
-                                 rhs[self._border] - self._f @ w1)
-            x = np.empty(self._n)
-            x[self._core] = w1 - self._y @ z2
-            x[self._border] = z2
-            return x
         w1 = self._core_solver.solve(rhs[:, self._core])
         t = rhs[:, self._border] - w1 @ self._f.T
         z2 = np.linalg.solve(self._s0[None, :, :] + delta_c,

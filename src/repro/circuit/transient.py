@@ -1,4 +1,4 @@
-"""Nonlinear transient analysis — scalar and batched.
+"""Nonlinear transient analysis.
 
 Fixed-step trapezoidal integration with Newton–Raphson at every step, the
 workhorse of this reproduction: it plays the role Hspice plays in the
@@ -11,32 +11,32 @@ The step size is chosen by the caller; the experiments use 1–2 ps, which
 resolves 150 ps slews and crosstalk pulses comfortably (validated against
 analytic RC responses and ``scipy`` reference integrations in the tests).
 
-Batched simulation
+Stacked simulation
 ------------------
-The experiments run the *same topology* under many stimuli (noise-case
+There is one engine, and it always advances a *stack* of ``B ≥ 1``
+variants of one topology through a single Newton loop over stacked
+``(B, n, n)`` matrices (:func:`~repro.circuit.mna.stacked_newton`).  The
+experiments run the *same topology* under many stimuli (noise-case
 sweeps, one circuit per aggressor alignment; technique evaluation, one
-receiver fixture per Γ_eff).  Two entry points amortise the per-step
-Python cost across those variants:
+receiver fixture per Γ_eff), and the entry points hand them over
+together so the per-step Python cost is paid once per stack:
 
 * :func:`simulate_transient_batch` — B variants of one circuit, given as
-  :class:`BatchStimulus` source/initial-state overrides, advanced through
-  a single Newton loop over stacked ``(B, n, n)`` matrices with batched
-  ``np.linalg.solve``.
+  :class:`BatchStimulus` source/initial-state overrides.
 * :func:`simulate_transient_many` — a list of independent
-  :class:`TransientJob` simulations.  Jobs are grouped by
+  :class:`TransientJob` simulations, grouped by
   :meth:`~repro.circuit.mna.MnaSystem.topology_signature` (plus time grid
-  and solver options); each compatible group runs through the batched
-  engine, singleton groups fall back to the scalar path.
+  and solver options); each group is one stack.
+* :func:`simulate_transient` — one circuit, a stack of one.
 
-In fixed-grid mode both return results numerically equivalent to running
-:func:`simulate_transient` per variant: the batched Newton iteration
-freezes converged variants and applies the same per-variant convergence
-and voltage-limiting tests as the scalar loop, and a variant whose step
-fails to converge falls back to the scalar recursive step-halving path on
-its own.  Variants may have different ``t_stop`` values (sharing
-``t_start``/``dt``); each result is truncated to its own window.  (For
-the adaptive mode's batched-vs-scalar contract see *Adaptive time
-stepping* below.)
+In fixed-grid mode a variant's result does not depend on its stack
+mates (to <1e-9 V): the Newton loop freezes converged variants and
+applies the convergence and voltage-limiting tests per variant, and the
+variants whose step fails to converge are recovered by recursive step
+halving as a sub-stack of their own.  Variants may have different
+``t_stop`` values (sharing ``t_start``/``dt``); each result is truncated
+to its own window.  (For the adaptive mode's grouping contract see
+*Adaptive time stepping* below.)
 
 Adaptive time stepping
 ----------------------
@@ -71,14 +71,14 @@ the experiments hold the engine at base ``dt``, and the grown strides
 concentrate in the settled tails that dominate ``t_stop ≫ transition``
 windows.
 
-In the batched engine the whole group advances in lockstep on the
-minimum accepted stride (one variant's rejection shrinks the step for
-all), which keeps the stacked solves and the step-matrix cache shared.
-Consequence: a job's accepted grid depends on its group membership, so
-batched-vs-scalar equivalence in adaptive mode is "both within the LTE
+A stack advances in lockstep on the minimum accepted stride (one
+variant's rejection shrinks the step for all), which keeps the stacked
+solves and the step-matrix cache shared.  Consequence: a job's accepted
+grid depends on its group membership, so the adaptive contract between
+a job run alone and the same job inside a group is "both within the LTE
 tolerance of the golden fixed grid" (pinned by the golden-grid harness
 in ``tests/test_adaptive_stepping.py``) rather than the fixed-grid
-engines' <1e-9 V contract.  The shard scheduler keeps adaptive groups
+engine's <1e-9 V contract.  The shard scheduler keeps adaptive groups
 whole for the same reason, which preserves the sharded ≡ serial
 equivalence bit for bit.
 
@@ -131,7 +131,7 @@ fall back to the dense Newton path mid-solve (counted in
 ``stats["newton_fallbacks"]``).  This is what extends the node-count
 ceiling to gate-plus-interconnect netlists, not just passive lines.
 
-DC operating points of batched groups take the same treatment:
+DC operating points take the same treatment:
 :func:`~repro.circuit.dc.dc_operating_point_batch` solves every
 variant's initial state in one stacked pass, sharing this backend
 selection.  Linear (MOSFET-free) groups additionally thread their
@@ -157,6 +157,7 @@ from time import perf_counter
 from .._knobs import knob
 from .._util import require
 from ..core.waveform import Waveform
+# Both DC entry points stay bound here: perfbench/tracing.py wraps them by attribute.
 from .dc import dc_operating_point, dc_operating_point_batch
 from .mna import MnaSystem, _lap, stacked_newton
 from .netlist import Circuit
@@ -260,9 +261,12 @@ class TransientResult:
     """Simulation output: node voltages (and branch currents) over time.
 
     Access node waveforms with :meth:`waveform` or dictionary-style with
-    :meth:`voltage_samples`.  ``stats`` carries solver diagnostics
-    (``newton_iters``, ``halvings``, ``matrix_builds``, ``batch_size``;
-    adaptive runs add ``adaptive``/``lte_rejects``).
+    :meth:`voltage_samples`.  ``stats`` carries solver diagnostics of the
+    stack the result was solved in (``newton_iters``, ``halvings``,
+    ``matrix_builds``, ``batch_size``; adaptive runs add
+    ``adaptive``/``lte_rejects``).  ``newton_iters`` counts passes of the
+    stacked Newton loop — one pass advances every still-active variant of
+    the stack — and ``halvings`` counts once per variant per halving.
 
     The time axis is *not* necessarily uniform: LTE-controlled runs
     (``TransientOptions.adaptive``) report the accepted non-uniform
@@ -336,7 +340,7 @@ class TransientJob:
 
     Mirrors the parameters of :func:`simulate_transient`; jobs whose
     circuits share a topology (and whose ``t_start``/``dt``/``options``
-    agree) are solved together through the batched engine.
+    agree) are solved together as one stack.
     """
 
     circuit: Circuit
@@ -348,17 +352,9 @@ class TransientJob:
     options: TransientOptions | None = None
 
     def run(self) -> "TransientResult":
-        """Run this job alone through the sequential engine.
-
-        Forwards every field, so ``job.run()`` is the per-job sequential
-        baseline equivalent to batching the job through
-        :func:`simulate_transient_many`.
-        """
-        return simulate_transient(
-            self.circuit, t_stop=self.t_stop, dt=self.dt, t_start=self.t_start,
-            initial_voltages=dict(self.initial_voltages)
-            if self.initial_voltages is not None else None,
-            use_ic=self.use_ic, options=self.options)
+        """Run this job alone: a stack of one through
+        :func:`simulate_transient_many`."""
+        return simulate_transient_many([self])[0]
 
 
 @dataclass(frozen=True)
@@ -396,37 +392,7 @@ def _cap_stamp_matrix(mna: MnaSystem, a: np.ndarray, h: float) -> np.ndarray:
     return a
 
 
-def _cap_voltages(mna: MnaSystem, x: np.ndarray) -> np.ndarray:
-    """Voltage across every capacitor at solution ``x``."""
-    vi = mna._terminal_voltages(x, mna.cap_i)
-    vj = mna._terminal_voltages(x, mna.cap_j)
-    return vi - vj
-
-
-def companion_rhs(rhs: np.ndarray, cap_i: np.ndarray, cap_j: np.ndarray,
-                  ieq: np.ndarray) -> np.ndarray:
-    """Scatter capacitor companion currents onto a scalar rhs, in place.
-
-    ``rhs[i] += ieq``, ``rhs[j] -= ieq`` per capacitor, skipping ground
-    terminals.  The updates interleave exactly like the per-capacitor
-    Python loop this replaces (``+i₀, −j₀, +i₁, −j₁, …``) and
-    ``np.add.at`` applies them unbuffered in that order, so shared
-    terminals accumulate in the same sequence — the result is
-    bit-identical to the loop.
-    """
-    n = cap_i.size
-    idx = np.empty(2 * n, dtype=np.int64)
-    idx[0::2] = cap_i
-    idx[1::2] = cap_j
-    vals = np.empty(2 * n)
-    vals[0::2] = ieq
-    vals[1::2] = -ieq
-    ok = idx >= 0
-    np.add.at(rhs, idx[ok], vals[ok])
-    return rhs
-
-
-#: Above this many pattern cells (``n_caps × size``) the batched capacitor
+#: Above this many pattern cells (``n_caps × size``) the stacked capacitor
 #: gather/scatter goes through a CSR incidence matrix instead of a dense
 #: matmul (the dense product costs O(n_caps · size · B) per step and
 #: dominates large RC bundles; tiny circuits keep the cheaper dense path).
@@ -594,10 +560,10 @@ class _StepMatrixCache:
     def cap_gather(self, x: np.ndarray) -> np.ndarray:
         """Voltage across every capacitor for stacked solutions ``(B, size)``.
 
-        A padded index gather (``v_i − v_j``) — bitwise identical to both
-        the scalar per-terminal gather and the incidence matmul (each
-        incidence row holds exactly one +1 and one −1), without the
-        O(n_caps · size · B) dense product or per-call sparse dispatch.
+        A padded index gather (``v_i − v_j``) — bitwise identical to the
+        incidence matmul (each incidence row holds exactly one +1 and one
+        −1), without the O(n_caps · size · B) dense product or per-call
+        sparse dispatch.
         """
         size = self.mna.size
         if self._xpad is None or self._xpad.shape[0] != x.shape[0]:
@@ -624,189 +590,11 @@ class _StepMatrixCache:
         return ieq @ self.mna.cap_incidence()
 
 
-def _newton_solve(
-    mna: MnaSystem,
-    a_base: np.ndarray,
-    rhs_base: np.ndarray,
-    x0: np.ndarray,
-    opts: TransientOptions,
-    stats: dict,
-    kernel=None,
-) -> np.ndarray | None:
-    """Newton iteration for ``a_base``-plus-MOSFETs; ``None`` on failure.
-
-    ``kernel`` optionally supplies a pattern-frozen structured linear
-    operator (sparse refactorization or bordered-banded Schur solve); a
-    singular structured refactorization falls back to the dense path for
-    the remainder of the solve.
-    """
-    timers = stats.get("phase_seconds")
-    x = x0.copy()
-    for _ in range(opts.max_newton):
-        x_new = None
-        if kernel is not None:
-            try:
-                x_new = kernel.solve(rhs_base, x, timers)
-            except np.linalg.LinAlgError:
-                stats["newton_fallbacks"] = \
-                    stats.get("newton_fallbacks", 0) + 1
-                kernel = None
-        if x_new is None:
-            t0 = perf_counter() if timers is not None else 0.0
-            a = a_base.copy()
-            rhs = rhs_base.copy()
-            mna.stamp_mosfets(a, rhs, x)
-            t0 = _lap(timers, "device_eval", t0)
-            x_new = np.linalg.solve(a, rhs)
-            _lap(timers, "solve", t0)
-        dx = x_new - x
-        dv = dx[: mna.n_nodes]
-        worst = float(np.max(np.abs(dv))) if dv.size else 0.0
-        limited = worst > opts.v_limit
-        if limited:
-            dx = dx * (opts.v_limit / worst)
-        x = x + dx
-        stats["newton_iters"] += 1
-        if not limited and worst < opts.abstol:
-            return x
-    return None
-
-
-def _newton_solve_batch(
-    mna: MnaSystem,
-    a_base: np.ndarray,
-    rhs_base: np.ndarray,
-    x0: np.ndarray,
-    opts: TransientOptions,
-    stats: dict,
-    kernel=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Newton over stacked variants; returns ``(x, converged)``.
-
-    :func:`~repro.circuit.mna.stacked_newton` with the scalar transient
-    loop's convergence and voltage-limit tests; converged variants are
-    frozen, so each variant reproduces the scalar iteration sequence.
-    """
-    return stacked_newton(mna, a_base, rhs_base, x0, abstol=opts.abstol,
-                          max_iter=opts.max_newton, v_limit=opts.v_limit,
-                          require_unlimited=True, stats=stats, kernel=kernel)
-
-
-def _advance_scalar(
-    mna: MnaSystem,
-    cache: _StepMatrixCache,
-    x_prev: np.ndarray,
-    i_cap_prev: np.ndarray,
-    t_prev: float,
-    h: float,
-    opts: TransientOptions,
-    stats: dict,
-    halvings_left: "int | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One trapezoidal step of size ``h`` from ``t_prev``.
-
-    ``halvings_left`` budgets the recursive Newton-failure halving
-    (defaults to ``opts.max_halvings``); ``opts.min_step`` additionally
-    floors the halved step size.
-    """
-    if halvings_left is None:
-        halvings_left = opts.max_halvings
-    a_base, solver, h = cache.get_h(h)
-    timers = cache.timers
-    t0 = perf_counter() if timers is not None else 0.0
-    geq = 2.0 * mna.cap_c / h
-    vcap_prev = _cap_voltages(mna, x_prev)
-    ieq = geq * vcap_prev + i_cap_prev
-    rhs = mna.source_rhs(t_prev + h)
-    companion_rhs(rhs, mna.cap_i, mna.cap_j, ieq)
-    _lap(timers, "stamp", t0)
-    if solver is not None:
-        t0 = perf_counter() if timers is not None else 0.0
-        x_new = solver.solve(rhs)
-        _lap(timers, "solve", t0)
-    else:
-        x_new = _newton_solve(mna, a_base, rhs, x_prev, opts, stats,
-                              kernel=cache.newton_kernel(h))
-    if x_new is None:
-        if halvings_left <= 0 or (opts.min_step > 0.0
-                                  and h / 2 < opts.min_step):
-            raise ConvergenceError(
-                f"Newton failed at t={t_prev + h:.4e}s even at dt={h:.2e}s"
-            )
-        stats["halvings"] += 1
-        x_mid, i_mid = _advance_scalar(mna, cache, x_prev, i_cap_prev, t_prev,
-                                       h / 2, opts, stats, halvings_left - 1)
-        return _advance_scalar(mna, cache, x_mid, i_mid, t_prev + h / 2,
-                               h / 2, opts, stats, halvings_left - 1)
-    i_cap_new = geq * _cap_voltages(mna, x_new) - ieq
-    return x_new, i_cap_new
-
-
-def _initial_state(
-    circuit: Circuit,
-    mna: MnaSystem,
-    t_start: float,
-    initial_voltages: Mapping[str, float] | None,
-    use_ic: bool,
-    backend: str = "auto",
-) -> np.ndarray:
-    """Initial MNA solution: exact ``UIC`` state or a seeded DC solve."""
-    if use_ic:
-        return mna.seed_vector(initial_voltages)
-    return dc_operating_point(circuit, at_time=t_start,
-                              initial_voltages=dict(initial_voltages or {}),
-                              mna=mna, backend=backend).solution
-
-
 def _new_stats(**extra) -> dict:
     stats = {"newton_iters": 0, "halvings": 0, "matrix_builds": 0,
              "batch_size": 1, "backend": "dense", "newton_fallbacks": 0}
     stats.update(extra)
     return stats
-
-
-def _simulate_scalar(
-    circuit: Circuit,
-    mna: MnaSystem,
-    t_stop: float,
-    dt: float,
-    t_start: float,
-    initial_voltages: Mapping[str, float] | None,
-    use_ic: bool,
-    opts: TransientOptions,
-) -> TransientResult:
-    """The sequential engine behind :func:`simulate_transient`."""
-    require(t_stop > t_start, "t_stop must exceed t_start")
-    require(dt > 0.0, "dt must be positive")
-
-    x = _initial_state(circuit, mna, t_start, initial_voltages, use_ic,
-                       backend=opts.backend)
-
-    n_steps = int(round((t_stop - t_start) / dt))
-    require(n_steps >= 1, "simulation window shorter than one step")
-    times = t_start + dt * np.arange(n_steps + 1)
-
-    solutions = np.empty((n_steps + 1, mna.size))
-    solutions[0] = x
-
-    # Trapezoidal history: capacitor currents at the previous accepted point.
-    # Starting from DC (or UIC) the capacitor currents are zero.
-    i_cap = np.zeros(mna.n_caps)
-    timers = _phase_timers()
-    t_engine = perf_counter() if timers is not None else 0.0
-    cache = _StepMatrixCache(mna, dt, backend=opts.backend, timers=timers)
-    stats = _new_stats(backend=cache.backend)
-    if timers is not None:
-        stats["phase_seconds"] = timers
-
-    for step in range(n_steps):
-        x, i_cap = _advance_scalar(mna, cache, x, i_cap, float(times[step]),
-                                   dt, opts, stats)
-        solutions[step + 1] = x
-
-    stats["matrix_builds"] = cache.builds
-    _phase_close(timers, stats, t_engine)
-    return TransientResult(mna, times, solutions, stats=stats)
 
 
 def simulate_transient(
@@ -849,15 +637,60 @@ def simulate_transient(
     ConvergenceError
         If a time step cannot be converged even after step halving.
     """
-    opts = options or TransientOptions()
-    mna = MnaSystem(circuit)
-    if opts.adaptive:
-        job = TransientJob(circuit=circuit, t_stop=t_stop, dt=dt,
-                           t_start=t_start, initial_voltages=initial_voltages,
-                           use_ic=use_ic, options=opts)
-        return _simulate_adaptive([job], [mna])[0]
-    return _simulate_scalar(circuit, mna, t_stop, dt, t_start,
-                            initial_voltages, use_ic, opts)
+    return TransientJob(circuit=circuit, t_stop=t_stop, dt=dt,
+                        t_start=t_start, initial_voltages=initial_voltages,
+                        use_ic=use_ic, options=options).run()
+
+
+def _halve(
+    mnas: Sequence[MnaSystem],
+    cache: _StepMatrixCache,
+    x: np.ndarray,
+    i_cap: np.ndarray,
+    t_prev: float,
+    h: float,
+    opts: TransientOptions,
+    stats: dict,
+    halvings_left: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Redo a failed step of size ``h`` from ``t_prev`` as two half steps.
+
+    ``mnas``, ``x`` and ``i_cap`` (capacitor currents at ``t_prev``) are
+    the sub-stack of variants whose Newton iteration failed.  Each half
+    step builds its source right-hand sides from every variant's own
+    system and halves again, recursively, for the variants that fail
+    it.  ``halvings_left`` budgets the recursion and ``opts.min_step``
+    floors the halved step at every level.  Returns ``(x, i_cap)`` at
+    ``t_prev + h``.
+    """
+    if halvings_left <= 0 or (opts.min_step > 0.0 and h / 2 < opts.min_step):
+        raise ConvergenceError(
+            f"Newton failed at t={t_prev + h:.4e}s even at dt={h:.2e}s")
+    stats["halvings"] += len(mnas)
+    mna0 = cache.mna
+    a_base, _, h = cache.get_h(h / 2)
+    kernel = cache.newton_kernel(h)
+    geq = 2.0 * mna0.cap_c / h
+    timers = cache.timers
+    for t in (t_prev, t_prev + h):
+        t0 = perf_counter() if timers is not None else 0.0
+        ieq = geq * cache.cap_gather(x) + i_cap
+        rhs = np.stack([mna.source_rhs(t + h) for mna in mnas])
+        if mna0.n_caps:
+            rhs += cache.cap_scatter(ieq)
+        _lap(timers, "stamp", t0)
+        x_new, ok = stacked_newton(
+            mna0, a_base, rhs, x, abstol=opts.abstol, max_iter=opts.max_newton,
+            v_limit=opts.v_limit, require_unlimited=True, stats=stats,
+            kernel=kernel)
+        i_new = geq * cache.cap_gather(x_new) - ieq
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            x_new[bad], i_new[bad] = _halve(
+                [mnas[k] for k in bad], cache, x[bad], i_cap[bad], t, h,
+                opts, stats, halvings_left - 1)
+        x, i_cap = x_new, i_new
+    return x, i_cap
 
 
 def _advance_batch(
@@ -872,18 +705,18 @@ def _advance_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One stacked trapezoidal Newton step for every variant in ``mnas``.
 
-    The *nonlinear* (MOSFET) batch step — linear groups take the
-    node-space recursion inside :func:`_simulate_group` instead.
-    ``rhs`` carries the source right-hand sides at the step's end time
-    (one row per variant); it is owned by this call and overwritten with
-    the capacitor companion currents.  ``ieq_prev`` is the threaded
-    companion-current state ``geq·v_cap + i_cap`` at ``x_prev``: the
-    trapezoidal identity ``ieq_new = 2·geq·v_cap_new − ieq_prev`` makes
-    it the only capacitor history the full-step recursion needs (one
-    gather and one fused multiply-add per step, instead of maintaining
-    ``i_cap`` and ``v_cap`` separately).  Variants whose Newton iteration
-    fails at the full step fall back, individually, to the scalar
-    recursive step-halving path; the rest advance together.  Returns
+    The *nonlinear* (MOSFET) step of the fixed-grid engine — linear
+    groups take the node-space recursion inside :func:`_simulate_group`
+    instead.  ``rhs`` carries the source right-hand sides at the step's
+    end time (one row per variant); it is owned by this call and
+    overwritten with the capacitor companion currents.  ``ieq_prev`` is
+    the threaded companion-current state ``geq·v_cap + i_cap`` at
+    ``x_prev``: the trapezoidal identity ``ieq_new = 2·geq·v_cap_new −
+    ieq_prev`` makes it the only capacitor history the full-step
+    recursion needs (one gather and one fused multiply-add per step,
+    instead of maintaining ``i_cap`` and ``v_cap`` separately).  The
+    variants whose Newton iteration fails are recovered together by
+    :func:`_halve`; the rest advance at the full step.  Returns
     ``(x_new, ieq_new)``.
     """
     mna0 = cache.mna
@@ -895,34 +728,23 @@ def _advance_batch(
         rhs += cache.cap_scatter(ieq_prev)
     _lap(timers, "stamp", t0)
 
-    fallback: list[tuple[int, np.ndarray]] = []
-    x_new, ok = _newton_solve_batch(mna0, a_base, rhs, x_prev, opts, stats,
-                                    kernel=cache.newton_kernel(h))
-
-    if not ok.all():
-        if opts.max_halvings < 1:
-            raise ConvergenceError(
-                f"Newton failed at t={t_prev + h:.4e}s even at dt={h:.2e}s"
-            )
-        for pos in np.nonzero(~ok)[0]:
-            stats["halvings"] += 1
-            # Recover the scalar-path state (i_cap) from the threaded ieq.
-            i_cap_pos = ieq_prev[pos] - geq * _cap_voltages(mna0, x_prev[pos])
-            x_mid, i_mid = _advance_scalar(mnas[pos], cache, x_prev[pos],
-                                           i_cap_pos, t_prev, h / 2, opts,
-                                           stats, opts.max_halvings - 1)
-            x_fin, i_fin = _advance_scalar(mnas[pos], cache, x_mid, i_mid,
-                                           t_prev + h / 2, h / 2, opts,
-                                           stats, opts.max_halvings - 1)
-            x_new[pos] = x_fin
-            fallback.append((int(pos), i_fin))
+    x_new, ok = stacked_newton(
+        mna0, a_base, rhs, x_prev, abstol=opts.abstol,
+        max_iter=opts.max_newton, v_limit=opts.v_limit,
+        require_unlimited=True, stats=stats, kernel=cache.newton_kernel(h))
     t0 = perf_counter() if timers is not None else 0.0
     ieq_new = 2.0 * geq * cache.cap_gather(x_new) - ieq_prev
     _lap(timers, "stamp", t0)
-    # Fallback variants integrated at half steps: their trapezoidal
-    # history comes from the scalar recursion, not the full-step identity.
-    for pos, i_fin in fallback:
-        ieq_new[pos] = geq * _cap_voltages(mna0, x_new[pos]) + i_fin
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        # Halving threads i_cap: recover it from the threaded ieq, and
+        # rebuild ieq from the half-step history it returns.
+        i_cap = ieq_prev[bad] - geq * cache.cap_gather(x_prev[bad])
+        x_bad, i_bad = _halve([mnas[k] for k in bad], cache, x_prev[bad],
+                              i_cap, t_prev, h, opts, stats,
+                              opts.max_halvings)
+        x_new[bad] = x_bad
+        ieq_new[bad] = geq * cache.cap_gather(x_bad) + i_bad
     return x_new, ieq_new
 
 
@@ -975,7 +797,8 @@ def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
 
 def _simulate_group(jobs: Sequence[TransientJob],
                     mnas: Sequence[MnaSystem]) -> list[TransientResult]:
-    """Batched engine for topology-compatible jobs (shared t_start/dt/options)."""
+    """The engine: one stack of ``B ≥ 1`` topology-compatible jobs (shared
+    t_start/dt/options), fixed-grid or adaptive."""
     job0 = jobs[0]
     mna0 = mnas[0]
     opts0 = job0.options or TransientOptions()
@@ -1009,7 +832,7 @@ def _simulate_group(jobs: Sequence[TransientJob],
     # as r' = 2·S·x' − r — so the per-step cost is one sparse matvec
     # regardless of the capacitor count.  Nonlinear groups thread the
     # per-capacitor companion currents ieq₀ = geq·v_cap(x₀) instead,
-    # which the scalar step-halving fallback needs.
+    # from which step halving recovers i_cap.
     _, solver0, h0 = cache.get_h(cache.base_dt)
     linear = solver0 is not None
     if linear:
@@ -1197,24 +1020,17 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
                 else src_vals[alive, idx + m - 1]
             if mna0.n_caps:
                 rhs += cache.cap_scatter(ieq)
-            fallback: list[tuple[int, np.ndarray]] = []
             if solver is not None:
                 x_cand = solver.solve(rhs)
-                ok_all = True
-            elif alive.size == 1:
-                # Scalar Newton for singleton groups: same iterates as
-                # the stacked loop without its broadcasting overhead.
-                x_one = _newton_solve(mna0, a_base, rhs[0], x_al[0], opts,
-                                      stats, kernel=cache.newton_kernel(h))
-                ok_all = x_one is not None
-                ok = np.array([ok_all])
-                x_cand = x_one[None, :] if ok_all else x_al.copy()
+                bad = np.empty(0, dtype=np.intp)
             else:
-                x_cand, ok = _newton_solve_batch(mna0, a_base, rhs, x_al,
-                                                 opts, stats,
-                                                 kernel=cache.newton_kernel(h))
-                ok_all = bool(ok.all())
-            if not ok_all and m > 1:
+                x_cand, ok = stacked_newton(
+                    mna0, a_base, rhs, x_al, abstol=opts.abstol,
+                    max_iter=opts.max_newton, v_limit=opts.v_limit,
+                    require_unlimited=True, stats=stats,
+                    kernel=cache.newton_kernel(h))
+                bad = np.flatnonzero(~ok)
+            if bad.size and m > 1:
                 # Newton trouble on a grown stride: shrink it rather than
                 # recursing below the base grid.  Counted apart from the
                 # LTE rejections — convergence robustness and truncation
@@ -1223,22 +1039,11 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
                 m = max(1, m >> 1)
                 level = min(level, max(m.bit_length() - 1, 0))
                 continue
-            if not ok_all:
-                if opts.max_halvings < 1 or (opts.min_step > 0.0
-                                             and h / 2 < opts.min_step):
-                    raise ConvergenceError(
-                        f"Newton failed at t={t_prev + h:.4e}s even at "
-                        f"dt={h:.2e}s")
-                for pos in np.nonzero(~ok)[0]:
-                    stats["halvings"] += 1
-                    x_mid, i_mid = _advance_scalar(
-                        mnas[alive[pos]], cache, x_al[pos], ic_al[pos],
-                        t_prev, h / 2, opts, stats, opts.max_halvings - 1)
-                    x_fin, i_fin = _advance_scalar(
-                        mnas[alive[pos]], cache, x_mid, i_mid, t_prev + h / 2,
-                        h / 2, opts, stats, opts.max_halvings - 1)
-                    x_cand[pos] = x_fin
-                    fallback.append((int(pos), i_fin))
+            if bad.size:
+                # A failed base step: the failing variants halve it.
+                x_cand[bad], i_bad = _halve(
+                    [mnas[alive[k]] for k in bad], cache, x_al[bad],
+                    ic_al[bad], t_prev, h, opts, stats, opts.max_halvings)
 
             if hist2 is not None:
                 # Two predictor/corrector differences, one per error
@@ -1281,10 +1086,11 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
             level = min(level, max(m.bit_length() - 1, 0))
 
         ic_new = geq * cache.cap_gather(x_cand) - ieq
-        for pos, i_fin in fallback:
-            # Halved variants carry the scalar recursion's history, not
-            # the full-stride identity.
-            ic_new[pos] = i_fin
+        if bad.size:
+            # Halved variants (only ever at a base step, which is always
+            # accepted) carry the half-step history, not the full-stride
+            # identity.
+            ic_new[bad] = i_bad
         hist2 = hist1
         hist1 = (x_al, h)
         if full:
@@ -1348,10 +1154,10 @@ def simulate_transient_many(
 
     Jobs are grouped by circuit topology
     (:meth:`~repro.circuit.mna.MnaSystem.topology_signature`), start time,
-    step and solver options.  Each group of two or more runs through the
-    stacked batched engine; singleton groups use the scalar path.  Results
-    come back in input order and are numerically equivalent to calling
-    :func:`simulate_transient` per job.
+    step and solver options, and each group runs as one stack (a lone
+    job is a stack of one).  Results come back in input order; in
+    fixed-grid mode each is numerically equivalent to solving its job
+    alone.
 
     ``mnas`` optionally supplies the jobs' pre-compiled systems (one per
     job, in order) so callers that already compiled them for their own
@@ -1370,20 +1176,9 @@ def simulate_transient_many(
 
     results: list[TransientResult | None] = [None] * len(jobs)
     for idxs in groups.values():
-        if len(idxs) == 1:
-            k = idxs[0]
-            job = jobs[k]
-            opts_k = job.options or TransientOptions()
-            if opts_k.adaptive:
-                results[k] = _simulate_adaptive([job], [mnas[k]])[0]
-            else:
-                results[k] = _simulate_scalar(
-                    job.circuit, mnas[k], job.t_stop, job.dt, job.t_start,
-                    job.initial_voltages, job.use_ic, opts_k)
-        else:
-            for k, res in zip(idxs, _simulate_group([jobs[k] for k in idxs],
-                                                    [mnas[k] for k in idxs])):
-                results[k] = res
+        for k, res in zip(idxs, _simulate_group([jobs[k] for k in idxs],
+                                                [mnas[k] for k in idxs])):
+            results[k] = res
     return results  # type: ignore[return-value]
 
 
@@ -1413,7 +1208,7 @@ def simulate_transient_batch(
     t_start: float = 0.0,
     options: TransientOptions | None = None,
 ) -> list[TransientResult]:
-    """Simulate ``B`` variants of one circuit through the batched engine.
+    """Simulate ``B`` variants of one circuit as one stack.
 
     Parameters
     ----------
@@ -1429,8 +1224,9 @@ def simulate_transient_batch(
     Returns
     -------
     list[TransientResult]
-        One result per stimulus, in order, numerically equivalent to
-        running :func:`simulate_transient` on each variant separately.
+        One result per stimulus, in order; in fixed-grid mode each is
+        numerically equivalent to running :func:`simulate_transient` on
+        its variant alone.
     """
     require(len(stimuli) >= 1, "need at least one stimulus")
     known = {v.name for v in circuit.vsources} | {i.name for i in circuit.isources}

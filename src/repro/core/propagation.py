@@ -207,7 +207,7 @@ class GateFixture:
 
         ``requests`` is a list of ``(stimulus, t_window)`` pairs (window
         semantics as in :meth:`response`).  With ``batch=False`` each
-        stimulus runs through the sequential engine — useful for
+        stimulus runs alone, as a stack of one — useful for
         benchmarking and as a numerical cross-check.
         """
         jobs = [self.transient_job(stim, win) for stim, win in requests]

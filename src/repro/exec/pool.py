@@ -23,8 +23,8 @@ Determinism and fallback
 ------------------------
 Shard assignment is a pure function of the job list and worker count,
 and results are merged back in submission order, so a sharded run
-returns the same list (within the batched-vs-scalar engine tolerance,
-<1e-9 V) as the serial path.  Adaptive (LTE-controlled) job groups are
+returns the same list (within the fixed-grid engine's tolerance between
+a job solved alone and inside a stack, <1e-9 V) as the serial path.  Adaptive (LTE-controlled) job groups are
 never split across shards — their lockstep step sequence depends on the
 group membership — so for them sharded and serial runs agree bit for
 bit.  ``workers=1``, tiny job lists, pool creation failure, and
@@ -354,8 +354,8 @@ def run_jobs(
     """Run many independent transient jobs through the execution layer.
 
     Results come back in submission order and are numerically equivalent
-    (within the engines' <1e-9 V batched-vs-scalar tolerance) to
-    ``simulate_transient_many(jobs)``; with a warm store they are *bit
+    (within the fixed-grid engine's <1e-9 V stack-membership tolerance)
+    to ``simulate_transient_many(jobs)``; with a warm store they are *bit
     identical* to the run that populated it.  Adaptive job groups are
     handled coherently everywhere membership matters within a call —
     shards never split them, and a *partially*-warm adaptive group

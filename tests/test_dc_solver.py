@@ -5,7 +5,7 @@ gmin stage solves exactly once on the success path (the seed re-solved
 the final gmin=0 system up to two extra times), a failed first stage
 raises without pointlessly retrying the already-failed plain solve, and
 :class:`DcConvergenceError` names the stage that failed.  Also covers
-the cached node lookup of :class:`DcResult`, the ``None``-on-singular
+the cached node lookup of :class:`DcResult`, the unconverged-on-singular
 contract of the MOSFET-free ``_newton_dc`` early return, and the
 batched-vs-serial equivalence of :func:`dc_operating_point_batch`.
 """
@@ -40,19 +40,20 @@ INV_SEED = {"in": 0.0, "out": VDD, "vdd": VDD}
 
 
 class _NewtonSpy:
-    """Counting (and optionally failure-injecting) ``_newton_dc`` wrapper."""
+    """Counting (and optionally failure-injecting) ``_newton_dc`` wrapper;
+    an injected failure reports every variant of the stack unconverged."""
 
     def __init__(self, fail_when=None):
         self.gmins: list[float] = []
         self._real = dc_mod._newton_dc
         self._fail_when = fail_when or (lambda idx, gmin: False)
 
-    def __call__(self, mna, extra_gmin, rhs, x0, **kw):
+    def __call__(self, mna, extra_gmin, rhs, x0, kernel=None):
         idx = len(self.gmins)
         self.gmins.append(extra_gmin)
         if self._fail_when(idx, extra_gmin):
-            return None
-        return self._real(mna, extra_gmin, rhs, x0, **kw)
+            return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
+        return self._real(mna, extra_gmin, rhs, x0, kernel)
 
 
 class TestGminControlFlow:
@@ -131,17 +132,18 @@ class TestDcResultLookup:
 
 
 class TestNewtonDcLinear:
-    def test_singular_linear_system_returns_none_then_clean_error(self):
+    def test_singular_linear_system_is_unconverged_then_clean_error(self):
         # Two ideal voltage sources in parallel: duplicated branch rows
         # make the MNA matrix singular at every gmin stage.  The linear
-        # early return must report None (not leak LinAlgError), and the
-        # driver must surface a DcConvergenceError.
+        # early return must report the variant unconverged (not leak
+        # LinAlgError), and dc_operating_point must raise DcConvergenceError.
         c = Circuit("conflict")
         c.vsource("V1", "a", "0", 1.0)
         c.vsource("V2", "a", "0", 2.0)
         mna = MnaSystem(c)
-        assert dc_mod._newton_dc(mna, 0.0, mna.source_rhs(0.0),
-                                 np.zeros(mna.size)) is None
+        _, converged = dc_mod._newton_dc(mna, 0.0, mna.source_rhs(0.0)[None],
+                                         np.zeros((1, mna.size)))
+        assert not converged.any()
         with pytest.raises(DcConvergenceError, match="gmin stage"):
             dc_operating_point(c)
 
@@ -152,10 +154,11 @@ class TestNewtonDcLinear:
         c.vsource("Vin", "a", "0", 1.0)
         c.resistor("R", "a", "b", 1.0)
         mna = MnaSystem(c)
-        x = dc_mod._newton_dc(mna, 0.1, mna.source_rhs(0.0), np.zeros(mna.size))
-        assert x is not None
+        x, converged = dc_mod._newton_dc(mna, 0.1, mna.source_rhs(0.0)[None],
+                                         np.zeros((1, mna.size)))
+        assert converged.all()
         expected = 1.0 / (1.0 + 0.1 + 1e-9)
-        assert x[mna.index_of("b")] == pytest.approx(expected, rel=1e-12)
+        assert x[0, mna.index_of("b")] == pytest.approx(expected, rel=1e-12)
 
 
 def _rc_bundle(n_lines: int = 3, n_segments: int = 8,

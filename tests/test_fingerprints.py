@@ -1,9 +1,10 @@
 """Behaviour fingerprints: the engines still produce the pinned results.
 
 Recomputes the canonical workloads of ``tools/fingerprints.py`` (Table-1
-Config-I scalar/batched/adaptive, the 96-segment deep line on the banded
-and sparse Newton backends, batched DC) and compares them with the
-checked-in ``tests/data/fingerprints.json``.  Regenerate the file only
+Config I alone and 3-stacked, fixed and adaptive; the 96-segment deep
+line on the banded and sparse Newton backends; a step-halving inverter
+pair; DC alone and 3-stacked) and compares them with the checked-in
+``tests/data/fingerprints.json``.  Regenerate the file only
 on a deliberate behaviour change, with
 ``PYTHONPATH=src python tools/fingerprints.py --update``.
 """

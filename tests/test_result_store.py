@@ -373,16 +373,8 @@ class TestDcStore:
             set_default_execution(previous)
 
     def test_warm_batch_dc_skips_newton(self, store, monkeypatch):
-        from repro.circuit import dc as dc_mod
         from repro.circuit.dc import dc_operating_point_batch
         calls = self._spy_newton(monkeypatch)
-        real_batch = dc_mod._newton_dc_batch
-
-        def counting_batch(*args, **kwargs):
-            calls["n"] += 1
-            return real_batch(*args, **kwargs)
-
-        monkeypatch.setattr(dc_mod, "_newton_dc_batch", counting_batch)
         previous = set_default_execution(ExecutionConfig(store=store))
         try:
             circuits = [self._inverter_circuit() for _ in range(3)]

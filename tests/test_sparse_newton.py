@@ -3,9 +3,10 @@
 The contract of the Newton backends (PR 5) is that the structured
 kernels — the frozen-pattern SuperLU refactorization and the
 block-bordered banded/Schur kernel — are drop-in replacements for the
-dense Newton path: <1e-9 V waveforms on every node across the scalar,
-batched, adaptive and DC engines, over the Table-1 gate testbenches,
-the receiver fixtures, and a gate-driving-deep-interconnect netlist.
+dense Newton path: <1e-9 V waveforms on every node for single and
+stacked jobs, fixed-grid and adaptive stepping, and DC, over the
+Table-1 gate testbenches, the receiver fixtures, and a
+gate-driving-deep-interconnect netlist.
 Singular structured refactorizations must degrade to dense mid-solve,
 and the per-topology analysis (pattern/RCM/partition) must be computed
 once per topology signature, not once per compiled system.
@@ -217,7 +218,7 @@ class TestFallbacks:
         """A kernel whose refactorization goes singular mid-run must
         degrade to the dense path — bitwise, since the fallback happens
         before any structured solve succeeded."""
-        def boom(self, rhs_base, x, timers=None):
+        def boom(self, rhs, x, timers=None):
             raise np.linalg.LinAlgError("synthetic singular refactorization")
 
         ref = _simulate(_inverter(), INV_INITIAL, "dense", t_stop=0.3e-9,

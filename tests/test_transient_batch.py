@@ -175,6 +175,23 @@ class TestStepHalving:
             simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
                                initial_voltages=INITIAL, options=opts)
 
+    def test_halving_respects_min_step_in_a_batch(self):
+        # h/2 = 10 ps would undercut min_step: the failing switching step
+        # must raise at its full 20 ps size, alone or inside a batch.
+        opts = TransientOptions(max_newton=4, min_step=15e-12)
+        message = r"t=2\.4000e-10s even at dt=2\.00e-11s"
+        with pytest.raises(ConvergenceError, match=message):
+            simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
+                               initial_voltages=INITIAL, options=opts)
+        stimuli = [
+            BatchStimulus(initial_voltages=INITIAL),
+            BatchStimulus(sources={"Vin": RampSource(0.2e-9, 200e-12, 0.0, 1.2)},
+                          initial_voltages=INITIAL),
+        ]
+        with pytest.raises(ConvergenceError, match=message):
+            simulate_transient_batch(_sharp_inverter(), stimuli, t_stop=1e-9,
+                                     dt=20e-12, options=opts)
+
     def test_batched_halving_matches_sequential(self):
         # Two variants: a sharp edge (needs halving) and a gentle one.
         opts = TransientOptions(max_newton=4)
@@ -290,8 +307,8 @@ class TestPhaseTimers:
     def test_structured_newton_times_device_eval(self, monkeypatch,
                                                  backend):
         # The structured Newton steps linearise the devices inside their
-        # solve calls; that work is device_eval, not solve — for the
-        # scalar and the stacked engines alike.
+        # solve calls; that work is device_eval, not solve — for
+        # a single job and a stack alike.
         monkeypatch.setenv("REPRO_PHASE_TIMERS", "1")
         tb = _deep_line_bench()
         opts = TransientOptions(backend=backend, adaptive=False)

@@ -14,7 +14,8 @@ with the checked-in ``tests/data/fingerprints.json``:
 * RMS and DC node voltages to 1e-9 relative (1e-12 V absolute floor,
   for nodes that sit at 0 V);
 * crossing times to 1e-15 s, with the crossing count exact;
-* Newton iteration counts, backends, batch sizes and key digests exact.
+* Newton iteration and step-halving counts, backends, batch sizes and
+  key digests exact.
 
 Only an explicit ``--update`` rewrites the file::
 
@@ -33,12 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.circuit.dc import dc_operating_point_batch
+from repro.circuit.dc import dc_operating_point, dc_operating_point_batch
 from repro.circuit.mna import MnaSystem
+from repro.circuit.netlist import Circuit
+from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
                                      simulate_transient_many)
 from repro.exec.store import dc_key, job_key
 from repro.experiments.setup import CONFIG_I, build_testbench
+from repro.library.cells import make_inverter
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_PATH = REPO / "tests" / "data" / "fingerprints.json"
@@ -55,27 +59,59 @@ TABLE1 = (CONFIG_I, 0.2e-9, (0.25e-9, 0.15e-9, 0.35e-9))
 DEEP_LINE = (dataclasses.replace(CONFIG_I, name="deep96", n_segments=96),
              0.05e-9, (0.06e-9, 0.04e-9, 0.08e-9))
 DT = 2e-12
+#: Supply of every workload; crossings are taken at half of it.
+VDD = CONFIG_I.vdd
+
+
+#: An inverter driven by a sharp (20 ps) and a gentle (200 ps) input
+#: edge, stepped at 20 ps with ``max_newton=4``: the sharp edge's
+#: switching step fails Newton and is recovered by step halving.
+HALVING = ((20e-12, 200e-12), {"in": 0.0, "out": VDD, "vdd": VDD})
+HALVING_DT = 20e-12
 
 
 def _bench(config, victim_start, aggressor_starts, batch=3) -> list:
-    return [build_testbench(config, victim_start, (start,) * config.n_aggressors)
-            for start in aggressor_starts[:batch]]
+    """``(circuit, initial_voltages)`` of the first ``batch`` Table-1 cases."""
+    benches = [build_testbench(config, victim_start,
+                               (start,) * config.n_aggressors)
+               for start in aggressor_starts[:batch]]
+    return [(tb.circuit, tb.initial_voltages) for tb in benches]
 
 
-#: Transient workloads: name → (bench, batch size, t_stop, options).
+def _halving_bench(slews, initial, batch=2) -> list:
+    out = []
+    for slew in slews[:batch]:
+        c = Circuit("inv")
+        c.vsource("Vdd", "vdd", "0", VDD)
+        c.vsource("Vin", "in", "0", RampSource(0.2e-9, slew, 0.0, VDD))
+        make_inverter(4).instantiate(c, "u0", "in", "out", "vdd")
+        c.capacitor("cl", "out", "0", 20e-15)
+        out.append((c, initial))
+    return out
+
+
+#: Transient workloads: name → (bench builder, its arguments, batch size,
+#: t_stop, dt, options).
 TRANSIENT = {
-    "table1_I_scalar": (TABLE1, 1, 1.1e-9, TransientOptions(adaptive=False)),
-    "table1_I_batch3": (TABLE1, 3, 1.1e-9, TransientOptions(adaptive=False)),
-    "table1_I_adaptive_scalar": (TABLE1, 1, 1.1e-9,
+    "table1_I_scalar": (_bench, TABLE1, 1, 1.1e-9, DT,
+                        TransientOptions(adaptive=False)),
+    "table1_I_batch3": (_bench, TABLE1, 3, 1.1e-9, DT,
+                        TransientOptions(adaptive=False)),
+    "table1_I_adaptive_scalar": (_bench, TABLE1, 1, 1.1e-9, DT,
                                  TransientOptions(adaptive=True)),
-    "table1_I_adaptive_batch3": (TABLE1, 3, 1.1e-9,
+    "table1_I_adaptive_batch3": (_bench, TABLE1, 3, 1.1e-9, DT,
                                  TransientOptions(adaptive=True)),
-    "deep96_banded_batch3": (DEEP_LINE, 3, 0.8e-9,
+    "deep96_banded_scalar": (_bench, DEEP_LINE, 1, 0.8e-9, DT,
                              TransientOptions(backend="banded",
                                               adaptive=False)),
-    "deep96_sparse_batch3": (DEEP_LINE, 3, 0.8e-9,
+    "deep96_banded_batch3": (_bench, DEEP_LINE, 3, 0.8e-9, DT,
+                             TransientOptions(backend="banded",
+                                              adaptive=False)),
+    "deep96_sparse_batch3": (_bench, DEEP_LINE, 3, 0.8e-9, DT,
                              TransientOptions(backend="sparse",
                                               adaptive=False)),
+    "inv_halving_batch2": (_halving_bench, HALVING, 2, 1e-9, HALVING_DT,
+                           TransientOptions(max_newton=4, adaptive=False)),
 }
 
 
@@ -89,18 +125,19 @@ def _crossings(times: np.ndarray, v: np.ndarray, level: float) -> list:
     return out
 
 
-def _transient_entry(bench, batch: int, t_stop: float, options) -> dict:
-    jobs = [TransientJob(tb.circuit, t_stop=t_stop, dt=DT,
-                         initial_voltages=tb.initial_voltages,
-                         options=options)
-            for tb in _bench(*bench, batch=batch)]
+def _transient_entry(build, args, batch: int, t_stop: float, dt: float,
+                     options) -> dict:
+    jobs = [TransientJob(circuit, t_stop=t_stop, dt=dt,
+                         initial_voltages=initial, options=options)
+            for circuit, initial in build(*args, batch=batch)]
     mnas = [MnaSystem(job.circuit) for job in jobs]
     results = [jobs[0].run()] if batch == 1 \
         else simulate_transient_many(jobs, mnas)
-    level = 0.5 * bench[0].vdd
+    level = 0.5 * VDD
     return {"kind": "transient", "variants": [{
         "job_key": job_key(job, mna),
         "newton_iters": int(res.stats["newton_iters"]),
+        "halvings": int(res.stats["halvings"]),
         "backend": res.stats["backend"],
         "batch_size": int(res.stats["batch_size"]),
         "nodes": {name: {
@@ -111,13 +148,17 @@ def _transient_entry(bench, batch: int, t_stop: float, options) -> dict:
     } for job, mna, res in zip(jobs, mnas, results)]}
 
 
-def _dc_entry(bench) -> dict:
-    benches = _bench(*bench)
-    circuits = [tb.circuit for tb in benches]
-    seeds = [tb.initial_voltages for tb in benches]
+def _dc_entry(bench, batch: int = 3, seeded: bool = True) -> dict:
+    circuits, seeds = zip(*_bench(*bench, batch=batch))
+    if not seeded:
+        seeds = (None,) * batch
     mnas = [MnaSystem(c) for c in circuits]
-    results = dc_operating_point_batch(circuits, initial_voltages=seeds,
-                                       mnas=mnas)
+    if batch == 1:
+        results = [dc_operating_point(circuits[0], initial_voltages=seeds[0],
+                                      mna=mnas[0])]
+    else:
+        results = dc_operating_point_batch(circuits, initial_voltages=seeds,
+                                           mnas=mnas)
     return {"kind": "dc", "variants": [
         {"dc_key": dc_key(c, m, 0.0, s), "voltages": r.voltages()}
         for c, m, s, r in zip(circuits, mnas, seeds, results)]}
@@ -127,6 +168,7 @@ def compute() -> dict:
     """Every canonical workload, fingerprinted (keyed by workload name)."""
     out = {name: _transient_entry(*spec) for name, spec in TRANSIENT.items()}
     out["dc_I_batch3"] = _dc_entry(TABLE1)
+    out["dc_I_scalar"] = _dc_entry(TABLE1, batch=1, seeded=False)
     return out
 
 
