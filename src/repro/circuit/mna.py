@@ -360,10 +360,6 @@ class MnaSystem:
             pts.extend(fn.breakpoints)
         return np.unique(np.asarray(pts)) if pts else np.empty(0)
 
-    def node_voltage(self, x: np.ndarray, index: int) -> float:
-        """Voltage at MNA index ``index`` in solution ``x`` (0 for ground)."""
-        return 0.0 if index < 0 else float(x[index])
-
     @staticmethod
     def _pad_ground(x: np.ndarray) -> np.ndarray:
         """Append a zero column so ground's ``-1`` index gathers 0 V."""
@@ -637,16 +633,6 @@ class MnaSystem:
         jac, ieq = self._mos_lin(x)
         data[:, maps.mos_pos] += jac @ self._mos_jac_scatter
         self._stamp_mos_rhs(rhs, ieq)
-
-    def mosfet_currents(self, x: np.ndarray) -> np.ndarray:
-        """Drain currents ``(B, n_mosfets)`` of every MOSFET at stacked
-        solutions ``x`` ``(B, size)`` (amperes)."""
-        xp = self._pad_ground(x)
-        ids, _, _, _ = mosfet_eval(
-            xp[:, self.mos_d], xp[:, self.mos_g], xp[:, self.mos_s],
-            self.mos_pol, self.mos_beta, self.mos_vth, self.mos_lam
-        )
-        return ids
 
 
 def _lap(timers: "dict | None", key: str, t0: float) -> float:

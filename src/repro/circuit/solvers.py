@@ -489,11 +489,6 @@ class BorderedBanded:
         self._y = self._core_solver.solve(a[np.ix_(core, border)].T).T
         self._s0 = a[np.ix_(border, border)] - self._f @ self._y
 
-    @property
-    def n_border(self) -> int:
-        """Size of the dense border block."""
-        return int(self._border.size)
-
     def solve(self, rhs: np.ndarray, delta_c: np.ndarray) -> np.ndarray:
         """Solve stacked ``(B, n)`` right-hand sides with each variant's
         border block perturbed by its ``(nb, nb)`` slice of ``delta_c``

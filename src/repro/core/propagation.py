@@ -20,8 +20,7 @@ never clipped mid-transition by the noisy waveform's window.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as _dc_replace
 
 from .._util import require
@@ -37,12 +36,6 @@ from .waveform import Waveform
 __all__ = ["GateFixture", "GateOutput", "TechniqueEvaluation",
            "EvaluationPlan", "prepare_evaluation", "finish_evaluation",
            "evaluate_techniques"]
-
-#: Anything that maps a job list to its results in order — the sequential
-#: engine by default; :func:`repro.exec.run_jobs` to add sharding and the
-#: result store.  Kept as an injection point so :mod:`repro.core` stays
-#: free of execution-layer imports.
-JobRunner = Callable[[list[TransientJob]], "list[TransientResult]"]
 
 
 @dataclass(frozen=True)
@@ -201,19 +194,6 @@ class GateFixture:
         """
         return self.measure(self.transient_job(stimulus, t_window).run())
 
-    def response_many(self, requests: "list[tuple[Waveform | SaturatedRamp, tuple[float, float] | None]]",
-                      batch: bool = True) -> list[GateOutput]:
-        """Simulate many stimuli against this fixture, batched by default.
-
-        ``requests`` is a list of ``(stimulus, t_window)`` pairs (window
-        semantics as in :meth:`response`).  With ``batch=False`` each
-        stimulus runs alone, as a stack of one — useful for
-        benchmarking and as a numerical cross-check.
-        """
-        jobs = [self.transient_job(stim, win) for stim, win in requests]
-        results = simulate_transient_many(jobs) if batch else [j.run() for j in jobs]
-        return [self.measure(r) for r in results]
-
 
 @dataclass(frozen=True)
 class TechniqueEvaluation:
@@ -356,16 +336,15 @@ def evaluate_techniques(
     inputs: PropagationInputs,
     techniques: list[Technique],
     golden: GateOutput | None = None,
-    batch: bool = True,
     solver_backend: str | None = None,
     adaptive: bool | None = None,
-    runner: JobRunner | None = None,
 ) -> tuple[GateOutput, dict[str, TechniqueEvaluation]]:
     """Score ``techniques`` on one noisy waveform against the golden gate.
 
     The golden run and every technique's re-simulation share the fixture
-    topology, so they are submitted as one batch (a single stacked Newton
-    loop) unless ``batch=False``.
+    topology, so :func:`prepare_evaluation` builds them as one batch,
+    :func:`~repro.circuit.transient.simulate_transient_many` runs it as a
+    single stacked Newton loop and :func:`finish_evaluation` scores it.
 
     Each technique's window covers its *own* equivalent ramp: sampling a
     late/slow ramp over only the noisy waveform's span would clip it
@@ -385,9 +364,6 @@ def evaluate_techniques(
     golden:
         Pre-computed golden response (the fixture driven by the noisy
         waveform itself); computed here when omitted.
-    batch:
-        ``False`` runs every simulation sequentially (numerically
-        equivalent; used by the batching benchmark as the baseline).
     solver_backend:
         Overrides the fixture's linear-solver backend request for this
         evaluation (``None`` keeps ``fixture.solver_backend``).
@@ -395,27 +371,15 @@ def evaluate_techniques(
         Overrides the fixture's stepping mode for this evaluation
         (``None`` keeps ``fixture.adaptive``, which itself defaults to
         the ``REPRO_ADAPTIVE`` environment knob).
-    runner:
-        Executes the batched job list; defaults to
-        :func:`~repro.circuit.transient.simulate_transient_many`.  Pass
-        :func:`repro.exec.run_jobs` (or a closure over it) to shard the
-        simulations and/or consult the result store.
 
     Returns
     -------
     (golden, results):
         The golden response and a name → evaluation map.
     """
-    require(runner is None or batch,
-            "runner only applies to the batched path; batch=False is the "
-            "strictly sequential baseline and would silently ignore it")
     if solver_backend is not None and solver_backend != fixture.solver_backend:
         fixture = _dc_replace(fixture, solver_backend=solver_backend)
     if adaptive is not None and adaptive != fixture.adaptive:
         fixture = _dc_replace(fixture, adaptive=adaptive)
     plan = prepare_evaluation(fixture, inputs, techniques, golden=golden)
-    if batch:
-        sims = (runner or simulate_transient_many)(plan.jobs)
-    else:
-        sims = [j.run() for j in plan.jobs]
-    return finish_evaluation(plan, sims)
+    return finish_evaluation(plan, simulate_transient_many(plan.jobs))

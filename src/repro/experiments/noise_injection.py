@@ -15,10 +15,16 @@ differs only in its source functions) as one batch through the execution
 layer (:func:`repro.exec.run_jobs`): an
 :class:`~repro.exec.ExecutionConfig` decides whether that batch runs
 in-process, sharded over worker processes, and/or against the
-content-keyed result store.  Every driver here takes the shared
-``execution`` object (defaulting to the ``REPRO_WORKERS`` /
-``REPRO_STORE`` environment configuration) instead of constructing its
-own.
+content-keyed result store.
+
+Every simulation takes the same path: :func:`prepare_noise_sweep`
+builds the jobs, :func:`~repro.exec.run_jobs` runs them and
+:func:`finish_noise_sweep` extracts the waveforms.  The single-case
+drivers (:func:`run_noiseless`, :func:`run_noise_case`,
+:func:`iter_noise_cases`) are one-job sweeps on that path, and every
+driver takes the shared ``execution`` object (defaulting to the
+``REPRO_WORKERS`` / ``REPRO_STORE`` environment configuration) instead
+of constructing its own.
 """
 
 from __future__ import annotations
@@ -116,30 +122,19 @@ def alignment_offsets(n_cases: int, window: float = 1.0e-9) -> np.ndarray:
     return np.linspace(-window / 2.0, window / 2.0, n_cases)
 
 
-def _simulate(bench: Testbench, timing: SweepTiming,
-              solver_backend: str = "auto",
-              adaptive: "bool | None" = None,
-              execution: ExecutionConfig | None = None):
-    return run_jobs([_bench_job(bench, timing, solver_backend, adaptive)],
-                    execution)[0]
-
-
 def run_noiseless(config: CrosstalkConfig, timing: SweepTiming | None = None,
                   solver_backend: str = "auto",
                   adaptive: "bool | None" = None,
                   execution: ExecutionConfig | None = None) -> NoiselessReference:
-    """Simulate the testbench with quiet aggressors."""
-    timing = timing or SweepTiming()
-    bench = build_testbench(config, victim_start=timing.victim_start,
-                            aggressor_starts=[timing.victim_start] * config.n_aggressors,
-                            aggressor_active=False)
-    result = _simulate(bench, timing, solver_backend, adaptive, execution)
-    v_in = result.waveform(bench.nodes.victim_far_end)
-    v_out = result.waveform(bench.nodes.receiver_out)
-    return NoiselessReference(
-        v_in=v_in, v_out=v_out,
-        output_arrival=v_out.arrival_time(config.vdd, which="last"),
-    )
+    """Simulate the testbench with quiet aggressors.
+
+    A one-job :func:`run_noise_cases` sweep (``include_noiseless=True``,
+    no alignment cases); parameters as there.
+    """
+    ref, _ = run_noise_cases(config, [], timing, include_noiseless=True,
+                             solver_backend=solver_backend, adaptive=adaptive,
+                             execution=execution)
+    return ref
 
 
 def run_noise_case(config: CrosstalkConfig, offsets: tuple[float, ...],
@@ -149,30 +144,15 @@ def run_noise_case(config: CrosstalkConfig, offsets: tuple[float, ...],
                    execution: ExecutionConfig | None = None) -> NoiseCase:
     """Simulate one aggressor alignment.
 
-    Parameters
-    ----------
-    offsets:
-        Per-aggressor start-time offset relative to the victim start.
-    solver_backend:
-        Linear-solver backend request (``TransientOptions.backend``).
-    execution:
-        Execution-layer configuration (a single simulation still
-        benefits from the result store on repeat runs).
+    A one-case :func:`run_noise_cases` sweep; ``offsets`` holds one
+    start-time offset per aggressor relative to the victim start, the
+    other parameters are as there (a single simulation still benefits
+    from the result store on repeat runs).
     """
-    timing = timing or SweepTiming()
-    require(len(offsets) == config.n_aggressors, "one offset per aggressor")
-    starts = [timing.victim_start + off for off in offsets]
-    bench = build_testbench(config, victim_start=timing.victim_start,
-                            aggressor_starts=starts, aggressor_active=True)
-    result = _simulate(bench, timing, solver_backend, adaptive, execution)
-    v_in = result.waveform(bench.nodes.victim_far_end)
-    v_out = result.waveform(bench.nodes.receiver_out)
-    return NoiseCase(
-        offsets=tuple(offsets),
-        v_in_noisy=v_in,
-        v_out_noisy=v_out,
-        golden_output_arrival=v_out.arrival_time(config.vdd, which="last"),
-    )
+    _, cases = run_noise_cases(config, [offsets], timing,
+                               solver_backend=solver_backend,
+                               adaptive=adaptive, execution=execution)
+    return cases[0]
 
 
 def _bench_job(bench: Testbench, timing: SweepTiming,
@@ -185,16 +165,12 @@ def _bench_job(bench: Testbench, timing: SweepTiming,
                             adaptive=resolve_adaptive(adaptive)))
 
 
-def _case_from(bench: Testbench, result, config: CrosstalkConfig,
-               offsets: tuple[float, ...]) -> NoiseCase:
+def _probe(bench: Testbench, result, vdd: float):
+    """Victim far-end and receiver-output waveforms of one simulation,
+    plus the output's latest 0.5·Vdd crossing."""
     v_in = result.waveform(bench.nodes.victim_far_end)
     v_out = result.waveform(bench.nodes.receiver_out)
-    return NoiseCase(
-        offsets=tuple(offsets),
-        v_in_noisy=v_in,
-        v_out_noisy=v_out,
-        golden_output_arrival=v_out.arrival_time(config.vdd, which="last"),
-    )
+    return v_in, v_out, v_out.arrival_time(vdd, which="last")
 
 
 @dataclass(frozen=True)
@@ -264,23 +240,11 @@ def finish_noise_sweep(
     """Extract the reference and cases from a prepared sweep's results."""
     require(len(results) == plan.n_jobs,
             f"sweep plan expects {plan.n_jobs} results, got {len(results)}")
-    config = plan.config
-    ref: NoiselessReference | None = None
-    cursor = 0
-    if plan.include_noiseless:
-        bench0, res0 = plan.benches[0], results[0]
-        v_in = res0.waveform(bench0.nodes.victim_far_end)
-        v_out = res0.waveform(bench0.nodes.receiver_out)
-        ref = NoiselessReference(
-            v_in=v_in, v_out=v_out,
-            output_arrival=v_out.arrival_time(config.vdd, which="last"),
-        )
-        cursor = 1
-    cases = [
-        _case_from(bench, result, config, offsets)
-        for bench, result, offsets in zip(plan.benches[cursor:],
-                                          results[cursor:], plan.offsets_list)
-    ]
+    probes = [_probe(bench, result, plan.config.vdd)
+              for bench, result in zip(plan.benches, results)]
+    ref = NoiselessReference(*probes.pop(0)) if plan.include_noiseless else None
+    cases = [NoiseCase(offsets, *probe)
+             for offsets, probe in zip(plan.offsets_list, probes)]
     return ref, cases
 
 
@@ -289,7 +253,6 @@ def run_noise_cases(
     offsets_list: "list[tuple[float, ...]]",
     timing: SweepTiming | None = None,
     include_noiseless: bool = False,
-    batch: bool = True,
     solver_backend: str = "auto",
     adaptive: "bool | None" = None,
     execution: ExecutionConfig | None = None,
@@ -312,10 +275,6 @@ def run_noise_cases(
     include_noiseless:
         Also simulate the quiet-aggressor reference (in the same batch)
         and return it as the first element.
-    batch:
-        ``False`` falls back to strictly sequential per-case simulation,
-        bypassing the execution layer entirely (numerically equivalent;
-        the benchmarks' baseline).
     solver_backend:
         Linear-solver backend request (``TransientOptions.backend``)
         applied to every simulation of the sweep.
@@ -336,9 +295,7 @@ def run_noise_cases(
                                include_noiseless=include_noiseless,
                                solver_backend=solver_backend,
                                adaptive=adaptive)
-    results = run_jobs(list(plan.jobs), execution) if batch \
-        else [j.run() for j in plan.jobs]
-    return finish_noise_sweep(plan, results)
+    return finish_noise_sweep(plan, run_jobs(list(plan.jobs), execution))
 
 
 def iter_noise_cases(config: CrosstalkConfig, n_cases: int,
@@ -354,11 +311,12 @@ def iter_noise_cases(config: CrosstalkConfig, n_cases: int,
     specify the multi-aggressor alignment policy — synchronised aggressors
     maximise the injected noise, which is the interesting regime).
 
-    Lazy: one coupled simulation per ``next()``, each routed through the
-    shared ``execution`` configuration (not a private per-case default) —
-    so a warm result store feeds the iterator for free, and consumers
-    that break early never pay for the rest of the sweep.  Use
-    :func:`run_noise_cases` for the batched/sharded all-at-once front.
+    Lazy: one coupled simulation per ``next()``, each a one-case
+    :func:`run_noise_case` sweep through the shared ``execution``
+    configuration — so a warm result store feeds the iterator for free,
+    and consumers that break early never pay for the rest of the sweep.
+    Use :func:`run_noise_cases` for the batched/sharded all-at-once
+    front.
     """
     timing = timing or SweepTiming()
     for base in alignment_offsets(n_cases, timing.window):

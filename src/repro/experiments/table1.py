@@ -27,7 +27,7 @@ re-simulations form a second — so a multi-worker
 :class:`~repro.exec.ExecutionConfig` shards the whole workload in two
 passes, and a warm result store satisfies it without a single transient
 solve.  :func:`run_table1_many` exposes the multi-configuration front
-directly; pass ``batch=False`` for the strictly sequential baseline.
+directly.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ def run_table1(
     polarity: str = "both",
     noiseless: NoiselessReference | None = None,
     progress: bool = False,
-    batch: bool = True,
     solver_backend: str = "auto",
     adaptive: "bool | None" = None,
     execution: ExecutionConfig | None = None,
@@ -178,12 +177,6 @@ def run_table1(
         Announce each batched submission as it starts and print one
         line per case once its results are scored (for long interactive
         runs; per-case lines necessarily follow the batched solves).
-    batch:
-        Submit the coupled-circuit sweep and all technique
-        re-simulations through the execution layer in two wide batches
-        (default).  ``False`` reproduces the strictly sequential
-        per-simulation path — numerically equivalent, used as the
-        benchmark baseline.
     solver_backend:
         Linear-solver backend request (``TransientOptions.backend``)
         applied to every simulation of the sweep — the coupled-circuit
@@ -210,7 +203,7 @@ def run_table1(
     return run_table1_many(
         [config], n_cases=n_cases, timing=timing, techniques=techniques,
         polarity=polarity, noiseless=noiseless, progress=progress,
-        batch=batch, solver_backend=solver_backend, adaptive=adaptive,
+        solver_backend=solver_backend, adaptive=adaptive,
         execution=execution, journal=journal)[0]
 
 
@@ -222,7 +215,6 @@ def run_table1_many(
     polarity: str = "both",
     noiseless: NoiselessReference | None = None,
     progress: bool = False,
-    batch: bool = True,
     solver_backend: str = "auto",
     adaptive: "bool | None" = None,
     execution: ExecutionConfig | None = None,
@@ -273,8 +265,8 @@ def run_table1_many(
             res = run_table1_many(
                 [config], n_cases=n_total, timing=timing, techniques=techs,
                 polarity=polarity, noiseless=noiseless, progress=progress,
-                batch=batch, solver_backend=solver_backend,
-                adaptive=adaptive, execution=execution, journal=False)[0]
+                solver_backend=solver_backend, adaptive=adaptive,
+                execution=execution, journal=False)[0]
             jr.record(c_idx, _result_payload(res))
             results.append(res)
         jr.finish()
@@ -286,9 +278,6 @@ def run_table1_many(
     else:
         plan_dirs = [(polarity, polarity == "opposing")]
         counts = [n_total]
-
-    def run(jobs):
-        return run_jobs(jobs, execution) if batch else [j.run() for j in jobs]
 
     def announce(message):
         # Phase-level liveness for long interactive runs: the per-case
@@ -313,7 +302,7 @@ def run_table1_many(
             jobs.extend(sweep.jobs)
     announce(f"simulating {len(jobs)} coupled noise cases "
              f"({len(plans)} sweep plan(s))...")
-    sims = run(jobs)
+    sims = run_jobs(jobs, execution)
 
     # --- phase 2: golden + technique re-simulations for every case -----
     fixtures = [receiver_fixture(config, dt=timing.dt,
@@ -343,7 +332,7 @@ def run_table1_many(
     del sims, jobs
     announce(f"re-simulating {len(eval_jobs)} golden+technique fixtures "
              f"({len(eval_plans)} cases)...")
-    eval_sims = run(eval_jobs)
+    eval_sims = run_jobs(eval_jobs, execution)
 
     # --- scoring -------------------------------------------------------
     order = [t.name for t in techs]

@@ -78,26 +78,6 @@ class GateInstance:
         """Connected input nets, in pin declaration order."""
         return tuple(net for _, net in self.inputs)
 
-    @property
-    def input_pins(self) -> tuple[str, ...]:
-        """Input pin names, in declaration order."""
-        return tuple(pin for pin, _ in self.inputs)
-
-    @property
-    def input_net(self) -> str:
-        """The single input net (single-input cells only)."""
-        require(len(self.inputs) == 1,
-                f"instance {self.name!r} has {len(self.inputs)} input pins; "
-                f"use .inputs for multi-input cells")
-        return self.inputs[0][1]
-
-    def net_of(self, pin: str) -> str:
-        """Net connected to input ``pin``."""
-        for p, net in self.inputs:
-            if p == pin:
-                return net
-        raise KeyError(f"instance {self.name!r} has no input pin {pin!r} "
-                       f"(have {list(self.input_pins)})")
 
 
 @dataclass

@@ -16,6 +16,7 @@ from repro.experiments.noise_injection import (
     SweepTiming,
     alignment_offsets,
     run_noise_case,
+    run_noise_cases,
     run_noiseless,
 )
 from repro.experiments.runtime import make_runtime_inputs, measure_runtimes
@@ -108,6 +109,40 @@ class TestSweep:
             assert abs(r.delay_error) < 400e-12  # same ballpark as golden
         assert golden.output_arrival == pytest.approx(case.golden_output_arrival,
                                                       abs=10e-12)
+
+
+def _assert_same_wave(a, b):
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestSingleCaseDrivers:
+    """The single-case drivers are one-job sweeps: bit-for-bit equal to
+    the matching :func:`run_noise_cases` call."""
+
+    TIMING = SweepTiming(dt=4e-12, t_stop=2.2e-9)
+
+    @pytest.mark.parametrize("config", [CONFIG_I, CONFIG_II],
+                             ids=lambda c: c.name)
+    def test_run_noise_case_is_one_case_sweep(self, config):
+        offsets = tuple(-0.1e-9 for _ in range(config.n_aggressors))
+        case = run_noise_case(config, offsets, self.TIMING)
+        _, (swept,) = run_noise_cases(config, [offsets], self.TIMING)
+        assert case.offsets == swept.offsets == offsets
+        _assert_same_wave(case.v_in_noisy, swept.v_in_noisy)
+        _assert_same_wave(case.v_out_noisy, swept.v_out_noisy)
+        assert case.golden_output_arrival == swept.golden_output_arrival
+
+    @pytest.mark.parametrize("config", [CONFIG_I, CONFIG_II],
+                             ids=lambda c: c.name)
+    def test_run_noiseless_is_reference_only_sweep(self, config):
+        ref = run_noiseless(config, self.TIMING)
+        swept, cases = run_noise_cases(config, [], self.TIMING,
+                                       include_noiseless=True)
+        assert cases == []
+        _assert_same_wave(ref.v_in, swept.v_in)
+        _assert_same_wave(ref.v_out, swept.v_out)
+        assert ref.output_arrival == swept.output_arrival
 
 
 class TestTable1Harness:

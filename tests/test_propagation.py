@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core.propagation import GateFixture, evaluate_techniques
+from repro.core.propagation import (GateFixture, evaluate_techniques,
+                                    finish_evaluation, prepare_evaluation)
 from repro.core.ramp import SaturatedRamp
 from repro.core.techniques import PropagationInputs, technique_by_name
 from repro.library.cells import standard_cell
@@ -80,8 +81,11 @@ class TestEvaluateTechniques:
         wave = sigmoid_edge(0.5e-9, 150e-12, t_start=0.0, t_end=1.5e-9)
         inputs = PropagationInputs(v_in_noisy=wave, vdd=VDD)
         techs = [technique_by_name("P2"), technique_by_name("E4")]
-        golden_b, res_b = evaluate_techniques(fixture, inputs, techs, batch=True)
-        golden_s, res_s = evaluate_techniques(fixture, inputs, techs, batch=False)
+        golden_b, res_b = evaluate_techniques(fixture, inputs, techs)
+        # Reference: the same plan, each job run alone as a stack of one.
+        plan = prepare_evaluation(fixture, inputs, techs)
+        golden_s, res_s = finish_evaluation(
+            plan, [job.run() for job in plan.jobs])
         assert golden_b.output_arrival == pytest.approx(
             golden_s.output_arrival, abs=1e-13)
         for name in ("P2", "E4"):
