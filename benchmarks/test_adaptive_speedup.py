@@ -1,5 +1,5 @@
-"""Adaptive (LTE-controlled) vs fixed-grid wall-clock on a long-window
-Table-1 sweep, plus the golden-deviation guarantee.
+"""Adaptive (LTE-controlled) vs fixed-grid stepping on a long-window
+Table-1 sweep: the step-count saving, plus the golden-deviation guarantee.
 
 The settled tail dominates ``t_stop ≫ transition`` windows: all source
 activity of the Configuration I noise sweep finishes ~1.7 ns in, so a
@@ -9,7 +9,9 @@ reference) runs twice through the single-process batched engine — fixed
 grid, then ``TransientOptions(adaptive=True)`` — and the benchmark
 asserts
 
-* wall-clock speedup ≥ 2x (one retry absorbs machine noise), and
+* the adaptive runs take at most 0.2x the fixed grid's accepted steps
+  (a deterministic count, unlike the wall-clock speedup it stands for,
+  which is recorded but not gated), and
 * every node of every case within 1e-6 V of the fixed-grid golden on
   the golden's axis (the same gate `tests/test_adaptive_stepping.py`
   enforces per circuit class).
@@ -33,7 +35,7 @@ from repro.experiments.setup import CONFIG_I
 from repro.experiments.table1 import default_case_count
 from repro.experiments.noise_injection import alignment_offsets
 
-SPEEDUP_FLOOR = 2.0
+STEP_RATIO_CEILING = 0.2  # adaptive steps / fixed steps
 DEVIATION_GATE = 1e-6  # volts, vs the fixed-grid golden
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_adaptive.json"
 
@@ -63,18 +65,12 @@ def _max_deviation(golden_results, adaptive_results) -> float:
 
 
 def test_adaptive_speedup_on_long_window_sweep():
-    """Adaptive ≥2x over the fixed grid at <1e-6 V deviation."""
+    """Adaptive takes ≤0.2x the fixed grid's steps at <1e-6 V deviation."""
     n_cases = default_case_count(fallback=6)
 
     golden, t_fixed = _run(n_cases, adaptive=False)
     adaptive, t_adaptive = _run(n_cases, adaptive=True)
     speedup = t_fixed / t_adaptive
-
-    if speedup < SPEEDUP_FLOOR:
-        # One retry absorbs transient machine noise (typical is ~2.5x).
-        golden, t_fixed = _run(n_cases, adaptive=False)
-        adaptive, t_adaptive = _run(n_cases, adaptive=True)
-        speedup = t_fixed / t_adaptive
 
     deviation = _max_deviation(golden, adaptive)
     fixed_steps = sum(len(r.times) - 1 for r in golden)
@@ -89,7 +85,7 @@ def test_adaptive_speedup_on_long_window_sweep():
         "fixed_seconds": round(t_fixed, 4),
         "adaptive_seconds": round(t_adaptive, 4),
         "speedup": round(speedup, 3),
-        "speedup_floor": SPEEDUP_FLOOR,
+        "step_ratio_ceiling": STEP_RATIO_CEILING,
         "fixed_steps": fixed_steps,
         "adaptive_steps": adaptive_steps,
         "step_reduction": round(fixed_steps / max(adaptive_steps, 1), 2),
@@ -104,9 +100,8 @@ def test_adaptive_speedup_on_long_window_sweep():
         f"adaptive sweep deviates {deviation:.3e} V from the fixed-grid "
         f"golden; see {BENCH_PATH}"
     )
-    assert adaptive_steps < fixed_steps, \
-        "adaptive must take strictly fewer steps on a long window"
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"adaptive long-window sweep only {speedup:.2f}x faster "
-        f"({t_adaptive:.2f}s vs {t_fixed:.2f}s); see {BENCH_PATH}"
+    assert adaptive_steps <= STEP_RATIO_CEILING * fixed_steps, (
+        f"adaptive long-window sweep took {adaptive_steps} steps against "
+        f"{fixed_steps} fixed ({adaptive_steps / fixed_steps:.3f}x, ceiling "
+        f"{STEP_RATIO_CEILING}x); see {BENCH_PATH}"
     )

@@ -2,7 +2,8 @@
 Static Timing Analysis" (Nazarian, Pedram, Tuncer, Lin, Ajami; DATE 2005).
 
 The package implements the paper's SGDP technique together with every
-substrate it depends on, all from scratch:
+substrate it depends on, all from scratch (each subpackage is imported on
+first access, so ``import repro`` alone is cheap):
 
 * :mod:`repro.core` — waveforms, sensitivity (Eq. 1/2/3), the six
   equivalent-waveform techniques (P1, P2, LSF3, E4, WLS5, SGDP), and the
@@ -17,9 +18,9 @@ substrate it depends on, all from scratch:
   equivalent-waveform propagation mode;
 * :mod:`repro.experiments` — the Figure 1 testbench and one harness per
   paper artifact (Table 1, §4.2 run-times, Figure 2) plus ablations;
-* :mod:`repro.exec` — the execution layer: process-pool sharding of
-  independent simulations and a content-keyed on-disk result store
-  (``REPRO_WORKERS`` / ``REPRO_STORE`` knobs).
+* :mod:`repro.exec` (alias ``repro.exec_``) — the execution layer:
+  process-pool sharding of independent simulations and a content-keyed
+  on-disk result store (``REPRO_WORKERS`` / ``REPRO_STORE`` knobs).
 
 Quickstart::
 
@@ -27,10 +28,19 @@ Quickstart::
     print(run_table1(CONFIG_I, n_cases=10).format())
 """
 
-from . import circuit, core, experiments, interconnect, library, sta
-from . import exec as exec_  # "exec" shadows nothing but reads awkwardly bare
+import importlib
 
 __version__ = "1.1.0"
 
 __all__ = ["core", "circuit", "interconnect", "library", "sta", "experiments",
            "exec_", "__version__"]
+_SUBPACKAGES = (*__all__[:-1], "exec")  # all but __version__
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first access (PEP 562)."""
+    if name not in _SUBPACKAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + name.rstrip("_"), __name__)
+    globals()[name] = module
+    return module

@@ -25,7 +25,7 @@ from time import perf_counter
 from .._util import require
 from .mosfet import mosfet_eval
 from .netlist import GROUND, Circuit
-from .solvers import (HAVE_SCIPY, BorderedBanded, MatrixStructure,
+from .solvers import (BorderedBanded, MatrixStructure,
                       PatternFrozenLu, _BANDED_MAX_BANDWIDTH, _MAX_BORDER,
                       _MIN_STRUCTURED_SIZE, analyze_pattern)
 
@@ -530,7 +530,7 @@ class MnaSystem:
         return shared.partition
 
     def _build_newton_partition(self) -> "NewtonPartition | None":
-        if self.n_mosfets == 0 or not HAVE_SCIPY:
+        if self.n_mosfets == 0:
             return None
         border_mask = np.zeros(self.size, dtype=bool)
         for idx in (self.mos_d, self.mos_g, self.mos_s):

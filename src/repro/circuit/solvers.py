@@ -11,11 +11,10 @@ batch ``(B, n)`` and returns the solution in the same shape.
 Three backends cover the workloads of this reproduction:
 
 ``dense``
-    LAPACK LU (``getrf``/``getrs`` via :func:`scipy.linalg.lu_factor`,
-    with a plain :func:`numpy.linalg.solve` fallback when SciPy is
-    unavailable).  O(n³) factor, O(n²) per solve.  Right for small
-    systems and the only choice for MOSFET circuits, whose Newton
-    iterations re-stamp dense stacked Jacobians every pass.
+    LAPACK LU (``getrf``/``getrs`` via :func:`scipy.linalg.lu_factor`).
+    O(n³) factor, O(n²) per solve.  Right for small systems and the only
+    choice for MOSFET circuits, whose Newton iterations re-stamp dense
+    stacked Jacobians every pass.
 
 ``banded``
     The structured path for the RC-line topologies emitted by
@@ -61,10 +60,14 @@ topology and cached per topology signature (see
 :meth:`~repro.circuit.mna.MnaSystem.structure`); MOSFET circuits
 additionally consult the core/border partition
 (:meth:`~repro.circuit.mna.MnaSystem.newton_partition`).
+
+Every backend needs SciPy, imported on the first pattern analysis or
+factorization (:func:`_scipy`) rather than with this module.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -72,28 +75,6 @@ import numpy as np
 
 from .._util import require
 from ..faults import maybe_fault
-
-try:  # SciPy is optional; every structured backend degrades to dense LU.
-    from scipy.linalg import LinAlgWarning as _LinAlgWarning
-    from scipy.linalg import lapack as _lapack
-    from scipy.linalg import lu_factor as _lu_factor
-    from scipy.linalg import lu_solve as _lu_solve
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import reverse_cuthill_mckee as _rcm
-    from scipy.sparse.linalg import splu as _splu
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - the container ships scipy
-    _LinAlgWarning = Warning
-    _lapack = None
-    _lu_factor = None
-    _lu_solve = None
-    _csc_matrix = None
-    _csr_matrix = None
-    _rcm = None
-    _splu = None
-    HAVE_SCIPY = False
 
 __all__ = [
     "BACKENDS",
@@ -104,7 +85,6 @@ __all__ = [
     "sparse_csr",
     "PatternFrozenLu",
     "BorderedBanded",
-    "HAVE_SCIPY",
 ]
 
 #: Accepted backend requests; ``"auto"`` resolves via :func:`select_backend`.
@@ -131,6 +111,16 @@ _MIN_NEWTON_SIZE = 64
 _MAX_BORDER = 64
 
 
+@functools.cache
+def _scipy():
+    """``scipy`` with ``linalg`` and ``sparse`` loaded (~0.45 s, 33 MB)."""
+    import scipy.linalg
+    import scipy.sparse.csgraph
+    import scipy.sparse.linalg
+
+    return scipy
+
+
 @dataclass(frozen=True)
 class MatrixStructure:
     """Structural summary of a sparsity pattern, for backend selection.
@@ -149,8 +139,7 @@ class MatrixStructure:
         ``None``.
     perm:
         Reverse Cuthill–McKee ordering that achieves ``bandwidth``, or
-        ``None`` when the natural ordering is already at least as narrow
-        (or SciPy is unavailable).
+        ``None`` when the natural ordering is already at least as narrow.
     """
 
     size: int
@@ -176,12 +165,13 @@ def analyze_pattern(pattern: np.ndarray) -> MatrixStructure:
     nnz = int(rows.size)
     density = nnz / float(n * n) if n else 0.0
     natural_bw = int(np.max(np.abs(rows - cols))) if nnz else 0
-    if not HAVE_SCIPY or n == 0 or nnz == 0:
+    if nnz == 0:
         return MatrixStructure(size=n, nnz=nnz, density=density,
                                bandwidth=natural_bw, perm=None)
 
     sym = pattern | pattern.T
-    perm = np.asarray(_rcm(_csr_matrix(sym), symmetric_mode=True))
+    perm = np.asarray(_scipy().sparse.csgraph.reverse_cuthill_mckee(
+        sparse_csr(sym), symmetric_mode=True))
     # Post-RCM bandwidth straight from the index lists (O(nnz)) — no
     # need to materialise the permuted dense pattern.
     inv = np.empty(n, dtype=np.intp)
@@ -205,7 +195,7 @@ def select_backend(structure: MatrixStructure | None, n_mosfets: int = 0,
     structure:
         Pattern analysis of the system matrix.  ``None`` is accepted
         whenever the resolution does not consult it (non-``"auto"``
-        requests, and the no-SciPy degradation).
+        requests).
     n_mosfets:
         With MOSFETs present the names resolve to the *pattern-frozen
         Newton* kernels instead of the factor-once linear solvers:
@@ -216,8 +206,7 @@ def select_backend(structure: MatrixStructure | None, n_mosfets: int = 0,
     requested:
         One of :data:`BACKENDS`.  Non-``"auto"`` requests are honoured
         verbatim (benchmarks and tests force specific paths), except
-        that structured backends degrade to ``"dense"`` without SciPy
-        and a ``"banded"`` Newton request without a viable partition
+        that a ``"banded"`` Newton request without a viable partition
         degrades to ``"sparse"``.
     partition:
         The circuit's core/border split
@@ -227,8 +216,6 @@ def select_backend(structure: MatrixStructure | None, n_mosfets: int = 0,
     """
     require(requested in BACKENDS,
             f"unknown solver backend {requested!r}; expected one of {BACKENDS}")
-    if not HAVE_SCIPY:
-        return "dense"
     if n_mosfets > 0:
         if requested == "banded":
             return "banded" if partition is not None else "sparse"
@@ -265,32 +252,26 @@ def _solve_columns(solve_cols, rhs: np.ndarray) -> np.ndarray:
 
 
 class DenseLu:
-    """Dense LAPACK LU with factor reuse (NumPy fallback without SciPy)."""
+    """Dense LAPACK LU (``scipy.linalg.lu_factor``) with factor reuse."""
 
     name = "dense"
 
     def __init__(self, a: np.ndarray):
-        if _lu_factor is not None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", _LinAlgWarning)
-                self._lu = _lu_factor(a)
-            # lu_factor only *warns* on exact singularity (zero U pivot)
-            # and would let NaNs cascade through every solve; normalise
-            # to the LinAlgError contract numpy.linalg.solve honours.
-            if np.any(np.diag(self._lu[0]) == 0.0):
-                raise np.linalg.LinAlgError(
-                    "dense LU factorization hit an exactly zero pivot "
-                    "(singular matrix)")
-            self._a = None
-        else:  # pragma: no cover - exercised only without scipy
-            self._lu = None
-            self._a = a.copy()
+        linalg = _scipy().linalg
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", linalg.LinAlgWarning)
+            self._lu = linalg.lu_factor(a)
+        # lu_factor only *warns* on exact singularity (zero U pivot)
+        # and would let NaNs cascade through every solve; normalise
+        # to the LinAlgError contract numpy.linalg.solve honours.
+        if np.any(np.diag(self._lu[0]) == 0.0):
+            raise np.linalg.LinAlgError(
+                "dense LU factorization hit an exactly zero pivot "
+                "(singular matrix)")
+        self._lu_solve = linalg.lu_solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return _solve_columns(lambda cols: _lu_solve(self._lu, cols), rhs)
-        return _solve_columns(  # pragma: no cover - no-scipy fallback
-            lambda cols: np.linalg.solve(self._a, cols), rhs)
+        return _solve_columns(lambda cols: self._lu_solve(self._lu, cols), rhs)
 
 
 class SparseLu:
@@ -299,9 +280,9 @@ class SparseLu:
     name = "sparse"
 
     def __init__(self, a: np.ndarray):
-        require(HAVE_SCIPY, "sparse backend requires scipy")
+        sparse = _scipy().sparse
         try:
-            self._lu = _splu(_csc_matrix(a))
+            self._lu = sparse.linalg.splu(sparse.csc_matrix(a))
         except RuntimeError as exc:  # SuperLU signals singularity this way.
             raise np.linalg.LinAlgError(str(exc)) from exc
 
@@ -324,7 +305,6 @@ class BandedThomas:
     name = "banded"
 
     def __init__(self, a: np.ndarray, structure: MatrixStructure | None = None):
-        require(HAVE_SCIPY, "banded backend requires scipy")
         if structure is None or structure.size != a.shape[0]:
             structure = analyze_pattern(a != 0.0)
         self._perm = structure.perm
@@ -336,16 +316,18 @@ class BandedThomas:
         ab = np.zeros((2 * kl + ku + 1, n))
         rows, cols = np.nonzero(ap)
         ab[kl + ku + rows - cols, cols] = ap[rows, cols]
-        lu, ipiv, info = _lapack.dgbtrf(ab, kl=kl, ku=ku)
+        lapack = _scipy().linalg.lapack
+        lu, ipiv, info = lapack.dgbtrf(ab, kl=kl, ku=ku)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"banded LU factorization failed (gbtrf info={info})")
         self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
         self._n = n
+        self._dgbtrs = lapack.dgbtrs
 
     def _sweep(self, cols: np.ndarray, overwrite: bool) -> np.ndarray:
-        x, info = _lapack.dgbtrs(self._lu, self._kl, self._ku, cols,
-                                 self._ipiv, overwrite_b=overwrite)
+        x, info = self._dgbtrs(self._lu, self._kl, self._ku, cols,
+                               self._ipiv, overwrite_b=overwrite)
         if info != 0:  # pragma: no cover - gbtrs only fails on bad args
             raise np.linalg.LinAlgError(
                 f"banded LU solve failed (gbtrs info={info})")
@@ -397,8 +379,6 @@ def factorize(a: np.ndarray, backend: str,
     """
     require(backend in BACKENDS and backend != "auto",
             f"factorize needs a concrete backend, got {backend!r}")
-    if not HAVE_SCIPY:
-        return DenseLu(a)
     if backend == "sparse":
         return SparseLu(a)
     if backend == "banded":
@@ -407,10 +387,8 @@ def factorize(a: np.ndarray, backend: str,
 
 
 def sparse_csr(m: np.ndarray):
-    """CSR view of a dense matrix, or ``None`` when SciPy is missing."""
-    if not HAVE_SCIPY:
-        return None
-    return _csr_matrix(m)
+    """CSR copy of a dense matrix (``scipy.sparse.csr_matrix``)."""
+    return _scipy().sparse.csr_matrix(m)
 
 
 class PatternFrozenLu:
@@ -426,7 +404,7 @@ class PatternFrozenLu:
     """
 
     def __init__(self, size: int, indptr: np.ndarray, indices: np.ndarray):
-        require(HAVE_SCIPY, "pattern-frozen sparse Newton requires scipy")
+        self._sparse = _scipy().sparse
         self._shape = (int(size), int(size))
         self._indptr = np.asarray(indptr)
         self._indices = np.asarray(indices)
@@ -443,10 +421,10 @@ class PatternFrozenLu:
         """
         if maybe_fault("solver.refactor") is not None:
             raise np.linalg.LinAlgError("injected singular refactorization")
-        a = _csc_matrix((data, self._indices, self._indptr),
-                        shape=self._shape)
+        a = self._sparse.csc_matrix((data, self._indices, self._indptr),
+                                    shape=self._shape)
         try:
-            return _splu(a)
+            return self._sparse.linalg.splu(a)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
 
@@ -477,7 +455,6 @@ class BorderedBanded:
 
     def __init__(self, a: np.ndarray, border: np.ndarray, core: np.ndarray,
                  core_structure: MatrixStructure):
-        require(HAVE_SCIPY, "bordered-banded Newton requires scipy")
         require(border.size > 0 and core.size > 0,
                 "bordered solve needs non-empty border and core")
         self._border = border

@@ -475,8 +475,7 @@ class _StepMatrixCache:
         self._gi = np.where(mna.cap_i >= 0, mna.cap_i, mna.size)
         self._gj = np.where(mna.cap_j >= 0, mna.cap_j, mna.size)
         self._xpad: np.ndarray | None = None
-        self._cap_csr_t = None
-        self._cap_csr_t_built = False
+        self._scatter = None
         self._cap_s: object | None = None
 
     def cap_s_matvec(self, x: np.ndarray) -> np.ndarray:
@@ -495,9 +494,8 @@ class _StepMatrixCache:
             for k in range(mna.n_caps):
                 MnaSystem._stamp_conductance(s, int(mna.cap_i[k]),
                                              int(mna.cap_j[k]), float(geq[k]))
-            csr = sparse_csr(s) \
-                if mna.n_caps * mna.size >= _SPARSE_CAP_CELLS else None
-            self._cap_s = csr if csr is not None else s
+            self._cap_s = sparse_csr(s) \
+                if mna.n_caps * mna.size >= _SPARSE_CAP_CELLS else s
         if isinstance(self._cap_s, np.ndarray):
             return x @ self._cap_s  # S is symmetric
         return (self._cap_s @ x.T).T
@@ -573,21 +571,19 @@ class _StepMatrixCache:
 
     def cap_scatter(self, ieq: np.ndarray) -> np.ndarray:
         """Companion currents ``(B, n_caps)`` scattered onto ``(B, size)``."""
-        if not self._cap_csr_t_built:
+        if self._scatter is None:
             # Built on first use only (the linear engine never scatters —
-            # it threads node-space state through cap_s_matvec instead):
-            # a pre-transposed CSR of the incidence, since `.T` per step
-            # would rebuild it and the dense matmul costs
-            # O(n_caps · size · B) on large RC bundles.
-            mna = self.mna
-            if mna.n_caps and mna.n_caps * mna.size >= _SPARSE_CAP_CELLS:
-                csr = sparse_csr(mna.cap_incidence())
-                if csr is not None:
-                    self._cap_csr_t = csr.T.tocsr()
-            self._cap_csr_t_built = True
-        if self._cap_csr_t is not None:
-            return (self._cap_csr_t @ ieq.T).T
-        return ieq @ self.mna.cap_incidence()
+            # it threads node-space state through cap_s_matvec instead).
+            # Large RC bundles get a pre-transposed CSR of the incidence,
+            # since `.T` per step would rebuild it and the dense matmul
+            # costs O(n_caps · size · B).
+            inc = self.mna.cap_incidence()
+            if inc.size >= _SPARSE_CAP_CELLS:
+                inc_t = sparse_csr(inc).T.tocsr()
+                self._scatter = lambda v: (inc_t @ v.T).T
+            else:
+                self._scatter = lambda v: v @ inc
+        return self._scatter(ieq)
 
 
 def _new_stats(**extra) -> dict:

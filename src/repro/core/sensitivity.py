@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .._util import require
 from .waveform import TransitionPolarity, Waveform
@@ -168,6 +167,22 @@ class SensitivityMap:
         return float(self.times[i_done] - self.times[i_commit])
 
 
+def _savgol3(x: np.ndarray, window: int) -> np.ndarray:
+    """SciPy's ``savgol_filter(x, window, 3)`` in NumPy: least-squares cubic
+    smoothing, and cubics fitted to the first/last window at the edges."""
+    x = np.asarray(x, dtype=np.float64)
+    n, half = x.size, window // 2
+    require(window % 2 == 1 and 5 <= window <= n,
+            "Savitzky–Golay window must be odd, at least 5 and at most len(x)")
+    offsets = np.arange(-half, half + 1, dtype=np.float64)
+    coeffs = np.linalg.pinv(offsets[:, None] ** np.arange(4))[0]
+    y = np.convolve(x, coeffs[::-1], mode="same")
+    k = np.arange(window, dtype=np.float64)
+    y[:half] = np.polyval(np.polyfit(k, x[:window], 3), k[:half])
+    y[n - half:] = np.polyval(np.polyfit(k, x[n - window:], 3), k[window - half:])
+    return y
+
+
 def compute_sensitivity(
     v_in_noiseless: Waveform,
     v_out_noiseless: Waveform,
@@ -212,10 +227,10 @@ def compute_sensitivity(
     # Savitzky–Golay smoothing before differentiating: the waveforms come
     # from a discrete-step simulator, and ρ is a ratio of derivatives, so
     # raw finite differences make dρ/dv (needed by SGDP's second-order
-    # term) uselessly noisy.
+    # term) uselessly noisy.  The filter is NumPy, so ρ loads no SciPy.
     window = max(5, (n_samples // 16) | 1)
-    vin_s = savgol_filter(vin, window_length=window, polyorder=3)
-    vout_s = savgol_filter(vout, window_length=window, polyorder=3)
+    vin_s = _savgol3(vin, window)
+    vout_s = _savgol3(vout, window)
     din = np.gradient(vin_s, times)
     dout = np.gradient(vout_s, times)
 
@@ -226,7 +241,7 @@ def compute_sensitivity(
     require(peak > 0, "noiseless input is flat inside its critical region")
     floor = 1e-3 * peak
     din_safe = np.where(np.abs(din) < floor, np.sign(din) * floor + (din == 0) * floor, din)
-    rho = savgol_filter(dout / din_safe, window_length=window, polyorder=3)
+    rho = _savgol3(dout / din_safe, window)
 
     # Enforce a strictly monotone voltage grid for the by-voltage view
     # (simulation noise can leave micro-wiggles).

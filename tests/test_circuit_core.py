@@ -1,4 +1,11 @@
-"""Tests for circuit netlist construction, sources and the MOSFET model."""
+"""Tests for circuit netlist construction, sources and the MOSFET model,
+and for which parts of SciPy the package pulls in at import time."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +242,57 @@ class TestFlatPrimitive:
         # Reverse frame: source and drain swap, gate overdrive differs,
         # but the current must be negative (flowing out of the drain).
         assert ids_r[0] < 0.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loaded_scipy_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the ``scipy*`` modules
+    it left in ``sys.modules``."""
+    probe = textwrap.dedent(code) + textwrap.dedent("""
+        import sys
+        print(*(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("REPRO_STORE", None)  # a warm store would skip the solves
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return out.split()
+
+
+class TestImportHygiene:
+    """Parsing and SSTA never load SciPy; nothing loads ``scipy.signal``."""
+
+    def test_sta_and_parsers_load_no_scipy(self):
+        loaded = _loaded_scipy_modules("""
+            import repro
+            import repro.library.liberty
+            import repro.sta
+            import repro.sta.sdf
+        """)
+        assert loaded == []
+
+    def test_service_and_table1_skip_scipy_signal(self):
+        loaded = _loaded_scipy_modules("""
+            import repro.experiments.table1
+            import repro.service
+        """)
+        assert "scipy.signal" not in loaded
+
+    def test_sensitivity_on_a_simulated_inverter_skips_scipy_signal(self):
+        loaded = _loaded_scipy_modules("""
+            from repro.core.propagation import GateFixture
+            from repro.core.ramp import SaturatedRamp
+            from repro.core.sensitivity import compute_sensitivity
+            from repro.library.cells import make_inverter
+
+            fixture = GateFixture(cell=make_inverter(4), extra_load=5e-15,
+                                  dt=2e-12)
+            ramp = SaturatedRamp.from_arrival_slew(0.3e-9, 100e-12, 1.2)
+            out = fixture.response(ramp, t_window=(0.0, 0.8e-9))
+            sens = compute_sensitivity(out.v_in, out.v_out, 1.2)
+            assert sens.peak_rho > 0.5
+        """)
+        assert "scipy.linalg" in loaded  # the transient engine factored
+        assert "scipy.signal" not in loaded

@@ -160,6 +160,26 @@ class TestTable1Harness:
         with pytest.raises(ValueError):
             run_table1(CONFIG_I, n_cases=2, polarity="sideways")
 
+    def test_rows_match_scipy_savgol_filter(self, monkeypatch):
+        """ρ's NumPy Savitzky–Golay filter moves no row beyond 1e-18 s."""
+        from scipy.signal import savgol_filter
+
+        import repro.core.sensitivity as sensitivity
+
+        ours = run_table1(CONFIG_I, n_cases=2)
+        monkeypatch.setattr(sensitivity, "_savgol3",
+                            lambda x, window: savgol_filter(x, window, 3))
+        reference = run_table1(CONFIG_I, n_cases=2)
+        assert [r.technique for r in ours.rows] == \
+            [r.technique for r in reference.rows]
+        for got, ref in zip(ours.rows, reference.rows):
+            for name in ("delay", "arrival"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert (a.count, a.failures) == (b.count, b.failures)
+                for field in ("max_abs", "mean_abs", "rms", "mean_signed"):
+                    assert abs(getattr(a, field) - getattr(b, field)) <= 1e-18, \
+                        (got.technique, name, field)
+
 
 class TestFigure2:
     def test_series_shapes_and_content(self):

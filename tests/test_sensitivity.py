@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.sensitivity import (
     NonOverlappingTransitionsError,
+    _savgol3,
     compute_sensitivity,
 )
 
@@ -105,3 +106,30 @@ class TestCausalHelpers:
         assert sens.settle_input_voltage() == pytest.approx(0.9 * VDD)
         assert sens.commit_input_voltage() == pytest.approx(0.5 * VDD)
         assert sens.settle_duration_after_commit() > 0
+
+
+class TestSavitzkyGolay:
+    """The NumPy filter behind ρ is pinned to SciPy's reference."""
+
+    @pytest.mark.parametrize("window", range(5, 64, 2))
+    def test_matches_scipy_savgol_filter(self, window):
+        from scipy.signal import savgol_filter
+
+        rng = np.random.default_rng(window)
+        for n in (window, 2 * window, 512):
+            t = np.linspace(0.0, 1.0, n)
+            smooth = np.tanh(6.0 * (t - 0.4))
+            for x in (smooth, smooth + 0.05 * rng.standard_normal(n)):
+                ref = savgol_filter(x, window, polyorder=3)
+                got = _savgol3(x, window)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cubic_passes_through_exactly(self):
+        t = np.linspace(-1.0, 2.0, 40)
+        x = 0.5 * t**3 - t**2 + 0.25 * t + 3.0
+        np.testing.assert_allclose(_savgol3(x, 11), x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [4, 3, 41])
+    def test_rejects_bad_windows(self, window):
+        with pytest.raises(ValueError):
+            _savgol3(np.zeros(40), window)
