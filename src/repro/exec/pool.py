@@ -260,11 +260,16 @@ def run_indexed(
     """Evaluate ``[fn(0), fn(1), ..., fn(count-1)]``, sharded over workers.
 
     The generic fan-out companion of :func:`run_jobs` for index-addressed
-    work that is not a transient job — Monte-Carlo samples above all.
-    ``fn`` must be picklable (a module-level function or
-    ``functools.partial`` over one) and *pure in its index*: each call
-    derives everything it needs (e.g. an RNG stream) from ``i`` alone,
-    which is what makes the result independent of the sharding.
+    work that is not a transient job — blocks of Monte-Carlo samples
+    above all (:func:`repro.sta.run_sta_monte_carlo` passes one index
+    per block, each block one array pass over its samples).  ``fn`` must
+    be picklable (a module-level function or ``functools.partial`` over
+    one) and *pure in its index*: each call derives everything it needs
+    (e.g. its samples' RNG streams) from ``i`` alone, which is what makes
+    the result independent of the sharding.  Chunks hold contiguous
+    indices and the pool only forks for ``count >= min_pool_jobs``, so
+    callers should size an index's work to outweigh a shard's fixed
+    overhead rather than hand out many tiny indices.
 
     Determinism contract: results come back in index order, and the
     value of ``fn(i)`` cannot depend on the worker count, so

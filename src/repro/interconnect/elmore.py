@@ -118,22 +118,24 @@ def elmore_delay(tree: RcTree, sink: str) -> float:
     return delay
 
 
-def elmore_delays_line(total_r: float, total_c: float, n_segments: int,
-                       load_c: float = 0.0) -> float:
+def elmore_delays_line(total_r, total_c, n_segments: int, load_c=0.0):
     """Elmore delay of a uniform π-segmented line with far-end load.
 
     Matches the discretisation of :func:`repro.interconnect.rcline.add_rc_line`
     exactly, so it can cross-validate the circuit simulator on the same
-    structure.
+    structure.  This is :func:`elmore_delay` on that line's tree, summed
+    node by node in the same order (bit-for-bit), written out so that
+    ``total_r``, ``total_c`` and ``load_c`` broadcast as arrays — one
+    delay per Monte-Carlo sample.
     """
     require(n_segments >= 1, "need at least one segment")
-    tree = RcTree(root="n0")
     r_seg = total_r / n_segments
     c_half = total_c / n_segments / 2.0
-    tree.add_capacitance("n0", c_half)
+    # The root node n0 sits at zero resistance and adds nothing.
+    cum_r = 0.0
+    delay = 0.0
     for k in range(1, n_segments + 1):
-        tree.add_resistor(f"n{k - 1}", f"n{k}", r_seg)
-        c_here = c_half if k == n_segments else 2 * c_half
-        tree.add_capacitance(f"n{k}", c_here)
-    tree.add_capacitance(f"n{n_segments}", load_c)
-    return elmore_delay(tree, f"n{n_segments}")
+        cum_r = cum_r + r_seg
+        c_here = c_half + load_c if k == n_segments else 2 * c_half
+        delay = delay + c_here * cum_r
+    return delay

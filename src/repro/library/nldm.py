@@ -18,17 +18,20 @@ from .._util import as_float_array, is_strictly_increasing, require
 __all__ = ["NldmTable", "TimingArc"]
 
 
-def _bracket(grid: np.ndarray, x: float) -> tuple[int, float]:
+def _bracket(grid: np.ndarray, x):
     """Index ``i`` and fraction ``f`` such that ``x ≈ grid[i]·(1-f) + grid[i+1]·f``.
 
     Out-of-range ``x`` extrapolates linearly from the boundary cell, the
-    standard NLDM convention.
+    standard NLDM convention.  A scalar ``x`` gives ``(int, float)``; an
+    array gives elementwise index and fraction arrays of its shape.
     """
     if grid.size == 1:
         return 0, 0.0
-    i = int(np.clip(np.searchsorted(grid, x) - 1, 0, grid.size - 2))
-    span = grid[i + 1] - grid[i]
-    return i, float((x - grid[i]) / span)
+    i = np.clip(np.searchsorted(grid, x) - 1, 0, grid.size - 2)
+    f = (x - grid[i]) / (grid[i + 1] - grid[i])
+    if np.ndim(f) == 0:
+        return int(i), float(f)
+    return i, f
 
 
 @dataclass(frozen=True)
@@ -61,23 +64,31 @@ class NldmTable:
         require(bool(np.all(np.isfinite(vals))), "table values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def lookup(self, input_slew: float, load: float) -> float:
-        """Bilinear interpolation (linear extrapolation outside the grid)."""
+    def lookup(self, input_slew, load, scale=1.0):
+        """Bilinear interpolation (linear extrapolation outside the grid).
+
+        ``scale`` multiplies the table entries before they are
+        interpolated, so ``lookup(s, l, f)`` is bit-for-bit
+        ``map_values(lambda v: v * f).lookup(s, l)`` without building the
+        scaled table.  Broadcasts: ``input_slew``, ``load`` and ``scale``
+        may be arrays of one shape (one lookup per element, e.g. per
+        Monte-Carlo sample); all-scalar arguments return a ``float``.
+        """
         i, fi = _bracket(self.input_slews, input_slew)
         j, fj = _bracket(self.loads, load)
         v = self.values
         if self.input_slews.size == 1 and self.loads.size == 1:
-            return float(v[0, 0])
-        if self.input_slews.size == 1:
-            return float(v[0, j] * (1 - fj) + v[0, j + 1] * fj)
-        if self.loads.size == 1:
-            return float(v[i, 0] * (1 - fi) + v[i + 1, 0] * fi)
-        return float(
-            v[i, j] * (1 - fi) * (1 - fj)
-            + v[i + 1, j] * fi * (1 - fj)
-            + v[i, j + 1] * (1 - fi) * fj
-            + v[i + 1, j + 1] * fi * fj
-        )
+            out = v[0, 0] * scale
+        elif self.input_slews.size == 1:
+            out = v[0, j] * scale * (1 - fj) + v[0, j + 1] * scale * fj
+        elif self.loads.size == 1:
+            out = v[i, 0] * scale * (1 - fi) + v[i + 1, 0] * scale * fi
+        else:
+            out = (v[i, j] * scale * (1 - fi) * (1 - fj)
+                   + v[i + 1, j] * scale * fi * (1 - fj)
+                   + v[i, j + 1] * scale * (1 - fi) * fj
+                   + v[i + 1, j + 1] * scale * fi * fj)
+        return float(out) if np.ndim(out) == 0 else out
 
     def map_values(self, func) -> "NldmTable":
         """Return a new table with ``func`` applied elementwise to values."""
@@ -112,9 +123,13 @@ class TimingArc:
     rise_transition: NldmTable
     fall_transition: NldmTable
 
-    def delay_and_slew(self, input_slew: float, load: float,
-                       input_rising: bool) -> tuple[float, float, bool]:
+    def delay_and_slew(self, input_slew, load, input_rising: bool,
+                       scale=1.0) -> tuple:
         """Propagate (slew, load) through the arc.
+
+        ``scale`` is the delay-and-slew factor of :meth:`scaled`, applied
+        per lookup (see :meth:`NldmTable.lookup`); slew, load and scale
+        broadcast as arrays.
 
         Returns
         -------
@@ -122,11 +137,11 @@ class TimingArc:
         """
         output_rising = (not input_rising) if self.inverting else input_rising
         if output_rising:
-            return (self.cell_rise.lookup(input_slew, load),
-                    self.rise_transition.lookup(input_slew, load),
+            return (self.cell_rise.lookup(input_slew, load, scale),
+                    self.rise_transition.lookup(input_slew, load, scale),
                     True)
-        return (self.cell_fall.lookup(input_slew, load),
-                self.fall_transition.lookup(input_slew, load),
+        return (self.cell_fall.lookup(input_slew, load, scale),
+                self.fall_transition.lookup(input_slew, load, scale),
                 False)
 
     def scaled(self, delay_factor: float,

@@ -351,14 +351,18 @@ class StaMonteCarloServiceJob(ServiceJob):
             self.required = _float_field(spec, "required")
         self.input_slew = _float_field(spec, "input_slew", 50e-12)
         _require_spec(self.input_slew > 0, "'input_slew' must be > 0")
+        # bool is an int subclass: JSON true must not pass as 1.
         samples = spec.get("samples")
         _require_spec(samples is None
-                      or (isinstance(samples, int) and samples >= 1),
+                      or (isinstance(samples, int)
+                          and not isinstance(samples, bool) and samples >= 1),
                       "'samples' must be an integer >= 1")
         self.samples = samples
         seed = spec.get("seed")
-        _require_spec(seed is None or isinstance(seed, int),
-                      "'seed' must be an integer")
+        _require_spec(seed is None
+                      or (isinstance(seed, int)
+                          and not isinstance(seed, bool) and seed >= 0),
+                      "'seed' must be an integer >= 0")
         self.seed = seed
         self.sigma_cell = _float_field(spec, "sigma_cell", 0.05)
         self.sigma_wire = _float_field(spec, "sigma_wire", 0.10)

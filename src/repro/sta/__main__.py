@@ -68,7 +68,10 @@ def _ps(seconds: float) -> str:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.liberty is None and args.sdf is None:
         print("error: need --liberty and/or --sdf", file=sys.stderr)
         return 2

@@ -2,18 +2,27 @@
 
 Process variation enters conventional STA as per-sample scaling of the
 characterised data: every NLDM delay/slew table is multiplied by a
-lognormal cell-speed factor (via :meth:`NldmTable.map_values` /
-:meth:`TimingArc.scaled`) and every wire's R and C by lognormal
-interconnect factors, then the deterministic engine runs unchanged.
-Arrival and slack *distributions* come out of the sample sweep; the
-drivers report the 5/50/95 quantiles.
+lognormal cell-speed factor and every wire's R and C by lognormal
+interconnect factors.  Arrival and slack *distributions* come out of
+the sample sweep; the drivers report the 5/50/95 quantiles.
+
+The sweep is sample-parallel.  Samples run in fixed blocks of
+:data:`_BLOCK`; a block walks the timing graph's levels once with every
+arrival, slew, load and required time held as a ``(block,)`` array (the
+level-by-level, all-patterns-in-one-array evaluation of a logic
+simulator).  No scaled library is built: NLDM lookups multiply the
+nominal table entries by each sample's cell factor before interpolating
+(:meth:`NldmTable.lookup`'s ``scale``), the same IEEE operations as a
+lookup on the scaled table.  Every row is therefore *bit-identical* to
+:meth:`StaEngine.analyze` on that sample's :func:`sample_library` /
+:func:`sample_wire_specs` draw, which the tests use as the oracle.
 
 Determinism is the load-bearing property: sample ``i`` draws from the
 dedicated stream ``default_rng([salt, tag, seed, i])`` — no shared
-sequential RNG — so the value of a sample does not depend on which
-worker computes it or how many workers there are.  The sweep fans out
-through :func:`repro.exec.run_indexed`, and sharded≡serial quantiles are
-bit-for-bit identical (asserted by the corpus smoke in CI).
+sequential RNG — so the value of a sample depends neither on its block
+nor on which worker computes it.  Blocks fan out through
+:func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
+quantiles are bit-for-bit identical (asserted by the corpus smoke in CI).
 
 :func:`run_noise_monte_carlo` adds the same statistical axis to the
 paper's noise-aware propagation: aggressor alignments jitter per sample,
@@ -25,8 +34,9 @@ keeps one cache/store key across the whole sweep and is solved once.
 from __future__ import annotations
 
 import dataclasses
+import math
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -35,9 +45,11 @@ import numpy as np
 from .._knobs import knob
 from .._util import require
 from ..exec import ExecutionConfig, journal_for, run_indexed
+from ..interconnect.elmore import elmore_delays_line
 from ..interconnect.rcline import RcLineSpec
 from ..library.characterize import CharacterizedCell
 from .analysis import InputSpec, StaEngine
+from .graph import TimingGraph
 from .netlist import GateNetlist
 
 __all__ = [
@@ -53,6 +65,17 @@ __all__ = [
 #: of the same base seed.
 _STREAM_SALT = 0x55A57A
 
+#: Samples per block, the unit :func:`run_indexed` hands a worker.  A
+#: sample costs about 40 µs, nearly all of it constructing its RNG
+#: stream, so 256 samples (~10 ms) cost about what a pool shard's fixed
+#: overhead does: smaller blocks would make sharding pay more overhead
+#: than it saves, larger ones would keep mid-sized sweeps off the pool.
+_BLOCK = 256
+
+#: ln(9) — converts an RC time constant into a 10–90% transition time
+#: (as in :mod:`repro.sta.analysis`).
+_LN9 = math.log(9.0)
+
 
 def _rng_for(tag: str, seed: int, index: int) -> np.random.Generator:
     """The dedicated RNG stream of sample ``index``.
@@ -63,6 +86,19 @@ def _rng_for(tag: str, seed: int, index: int) -> np.random.Generator:
     """
     return np.random.default_rng(
         [_STREAM_SALT, zlib.crc32(tag.encode()), int(seed), int(index)])
+
+
+def _lognormal(rng: np.random.Generator, sigma: float,
+               shape: tuple[int, ...]) -> np.ndarray:
+    """Lognormal factors ``exp(N(0, σ))``, drawn in row-major order.
+
+    The one definition of a sample's draw order: one factor per library
+    cell in sorted-name order, then one ``(R, C)`` row per wire in
+    sorted-net order.  ``σ ≤ 0`` draws nothing and returns ones.
+    """
+    if sigma <= 0:
+        return np.ones(shape)
+    return np.exp(rng.normal(0.0, sigma, size=shape))
 
 
 @dataclass(frozen=True)
@@ -98,10 +134,11 @@ def sample_library(library: dict[str, CharacterizedCell],
     """
     if sigma <= 0:
         return dict(library)
+    names = sorted(library)
+    factors = _lognormal(rng, sigma, (len(names),)).tolist()
     out: dict[str, CharacterizedCell] = {}
-    for name in sorted(library):
+    for name, factor in zip(names, factors):
         entry = library[name]
-        factor = float(np.exp(rng.normal(0.0, sigma)))
         arcs = tuple(a.scaled(factor) for a in entry.timing_arcs)
         out[name] = dataclasses.replace(
             entry, arc=arcs[0], arcs=arcs if len(arcs) > 1 else ())
@@ -114,11 +151,11 @@ def sample_wire_specs(wire_specs: dict[str, RcLineSpec],
     """One Monte-Carlo draw of the interconnect (independent R/C factors)."""
     if sigma <= 0 or not wire_specs:
         return dict(wire_specs)
+    nets = sorted(wire_specs)
+    factors = _lognormal(rng, sigma, (len(nets), 2)).tolist()
     out: dict[str, RcLineSpec] = {}
-    for net in sorted(wire_specs):
+    for net, (f_r, f_c) in zip(nets, factors):
         spec = wire_specs[net]
-        f_r = float(np.exp(rng.normal(0.0, sigma)))
-        f_c = float(np.exp(rng.normal(0.0, sigma)))
         out[net] = RcLineSpec(total_r=spec.total_r * f_r,
                               total_c=spec.total_c * f_c,
                               n_segments=spec.n_segments)
@@ -127,7 +164,7 @@ def sample_wire_specs(wire_specs: dict[str, RcLineSpec],
 
 @dataclass(frozen=True)
 class _McSpec:
-    """Everything a worker needs to solve one sample (picklable)."""
+    """Everything a worker needs to solve a block of samples (picklable)."""
 
     netlist: GateNetlist
     library: dict[str, CharacterizedCell]
@@ -139,42 +176,156 @@ class _McSpec:
     watch: tuple[str, ...]
 
 
-def _solve_sample(index: int, spec: _McSpec) -> dict:
-    """Solve sample ``index``: draw, run the deterministic engine, record.
+def _draw_block(spec: _McSpec, indices: Sequence[int]):
+    """Per-sample factors of ``indices``: cell → ``(n,)``, net → R, C.
 
-    Module-level (not a closure) so :func:`repro.exec.run_indexed` can
-    pickle it to worker processes.
+    Each sample draws from its own stream in :func:`_lognormal`'s order,
+    exactly as :func:`sample_library` then :func:`sample_wire_specs`
+    would, so a sample's factors do not depend on its block.
     """
-    rng = _rng_for("ssta", spec.seed, index)
-    library = sample_library(spec.library, rng, spec.variation.sigma_cell)
-    wires = sample_wire_specs(spec.wire_specs, rng, spec.variation.sigma_wire)
-    engine = StaEngine(library, wire_specs=wires)
-    result = engine.analyze(spec.netlist, inputs=spec.inputs,
-                            required_times=spec.required_times or None)
-    row: dict = {"index": index,
-                 "arrival": {net: result.arrival(net) for net in spec.watch}}
+    cells, nets = sorted(spec.library), sorted(spec.wire_specs)
+    cell_f = np.empty((len(indices), len(cells)))
+    wire_f = np.empty((len(indices), len(nets), 2))
+    var = spec.variation
+    for k, i in enumerate(indices):
+        rng = _rng_for("ssta", spec.seed, i)
+        cell_f[k] = _lognormal(rng, var.sigma_cell, (len(cells),))
+        wire_f[k] = _lognormal(rng, var.sigma_wire, (len(nets), 2))
+    scale = {name: cell_f[:, c] for c, name in enumerate(cells)}
+    wires = {net: (spec.wire_specs[net].total_r * wire_f[:, w, 0],
+                   spec.wire_specs[net].total_c * wire_f[:, w, 1])
+             for w, net in enumerate(nets)}
+    return scale, wires
+
+
+def _later(cur, new):
+    """:meth:`EdgeTiming.later_of` per sample: ``new`` wins ties."""
+    if cur is None:
+        return new
+    take = new[0] >= cur[0]
+    return (np.where(take, new[0], cur[0]), np.where(take, new[1], cur[1]))
+
+
+def _min(a, b):
+    """Python's ``min(a, b)`` per sample: ``b`` only where ``b < a``."""
+    return b if a is None else np.where(b < a, b, a)
+
+
+def _evaluate(spec: _McSpec, indices: Sequence[int]) -> list[dict]:
+    """Rows of samples ``indices``: one level-order pass over the block.
+
+    Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
+    per-edge backward required pass) with ``(len(indices),)`` arrays in
+    place of floats, operation for operation, so each row equals the
+    scalar engine's bit for bit.
+    """
+    n = len(indices)
+    netlist, library = spec.netlist, spec.library
+    scale, wires = _draw_block(spec, indices)
+    graph = TimingGraph.build(netlist)
+    order = graph.levels()
+    edges: dict[str, dict] = {"rise": {}, "fall": {}}
+    arcs: dict[str, list] = {}
+    for net in order:
+        if net in netlist.primary_inputs:
+            pi = spec.inputs.get(net, InputSpec())
+            at = (np.full(n, pi.arrival), np.full(n, pi.slew))
+            edges["rise"][net] = edges["fall"][net] = at
+            continue
+        inst = graph.fanin[net]
+        load = sum(library[load_inst.cell].input_capacitance
+                   for load_inst, _pin in netlist.load_pins(net))
+        wire_delay, wire_slew = 0.0, None
+        if net in wires:
+            total_r, total_c = wires[net]
+            load = load + total_c
+            wire_delay = elmore_delays_line(
+                total_r, total_c, spec.wire_specs[net].n_segments,
+                load_c=load)
+            wire_slew = _LN9 * wire_delay
+        cell = library[inst.cell]
+        best: dict[str, tuple] = {}
+        records = []
+        for pin, in_net in inst.inputs:
+            arc = cell.arc_for(pin)
+            for in_edge in ("rise", "fall"):
+                in_arrival, in_slew = edges[in_edge][in_net]
+                delay, out_slew, out_rising = arc.delay_and_slew(
+                    in_slew, load, input_rising=(in_edge == "rise"),
+                    scale=scale[inst.cell])
+                total_delay = delay + wire_delay
+                if wire_slew is None:
+                    slew = np.abs(out_slew)  # == math.hypot(x, 0.0), bitwise
+                else:
+                    # np.hypot and math.hypot differ in the last bit.
+                    slew = np.fromiter(
+                        map(math.hypot, out_slew.tolist(), wire_slew.tolist()),
+                        float, count=n)
+                out_edge = "rise" if out_rising else "fall"
+                best[out_edge] = _later(best.get(out_edge),
+                                        (in_arrival + total_delay, slew))
+                records.append((in_net, in_edge, out_edge, total_delay))
+        edges["rise"][net], edges["fall"][net] = best["rise"], best["fall"]
+        arcs[net] = records
+
+    def arrival(net):
+        r, f = edges["rise"][net][0], edges["fall"][net][0]
+        return np.where(r >= f, r, f)
+
+    columns = {"arrival": {net: arrival(net).tolist() for net in spec.watch}}
     if spec.required_times:
-        row["slack"] = {net: result.slack(net) for net in spec.watch
-                        if net in result.required}
-        row["worst_slack"] = result.worst_slack()
-    return row
+        req = {"rise": dict(spec.required_times),
+               "fall": dict(spec.required_times)}
+        for net in reversed(order):
+            for in_net, in_edge, out_edge, delay in arcs.get(net, ()):
+                out_req = req[out_edge].get(net)
+                if out_req is None:
+                    continue
+                req[in_edge][in_net] = _min(
+                    req[in_edge].get(in_net, math.inf), out_req - delay)
+        # Constrained nets in the order StaResult.required holds them.
+        slack: dict = {}
+        for net in set(req["rise"]) | set(req["fall"]):
+            for edge in ("rise", "fall"):
+                if net in req[edge]:
+                    slack[net] = _min(slack.get(net),
+                                      req[edge][net] - edges[edge][net][0])
+        worst_slack = None
+        for value in slack.values():
+            worst_slack = _min(worst_slack, value)
+        columns["slack"] = {net: slack[net].tolist()
+                            for net in spec.watch if net in slack}
+        columns["worst_slack"] = worst_slack.tolist()
+
+    rows = []
+    for k, i in enumerate(indices):
+        row: dict = {"index": i, "arrival": {
+            net: v[k] for net, v in columns["arrival"].items()}}
+        if spec.required_times:
+            row["slack"] = {net: v[k] for net, v in columns["slack"].items()}
+            row["worst_slack"] = columns["worst_slack"][k]
+        rows.append(row)
+    return rows
 
 
-def _solve_journaled(j: int, spec: _McSpec, indices: tuple[int, ...],
-                     journal) -> dict:
-    """Solve the ``j``-th *missing* sample and journal it before returning.
+def _solve_block(b: int, spec: _McSpec,
+                 blocks: tuple[tuple[int, ...], ...],
+                 journal=None) -> list[dict]:
+    """Solve ``blocks[b]`` and journal its rows if asked.
 
-    The write-ahead ordering (journal first, merge after) is what makes
-    a ``kill -9`` between samples safe: a sample is either fully
-    recorded or recomputed from scratch on resume — never half-counted.
-    Module-level for the same pickling reason as :func:`_solve_sample`;
+    The caller cuts the blocks, so their composition never depends on
+    module state in a worker process.  Module-level (not a closure) so
+    :func:`repro.exec.run_indexed` can pickle it to worker processes;
     the journal pickles without its file handle, so pool workers append
-    through their own descriptors.
+    through their own descriptors.  The write-ahead ordering (journal first, merge after) is what makes a
+    ``kill -9`` mid-sweep safe: a sample is either fully recorded or
+    recomputed from scratch on resume — never half-counted.
     """
-    i = indices[j]
-    row = _solve_sample(i, spec)
-    journal.record(i, row)
-    return row
+    rows = _evaluate(spec, blocks[b])
+    if journal is not None:
+        for row in rows:
+            journal.record(row["index"], row)
+    return rows
 
 
 def _quantiles(values, qs=(0.05, 0.5, 0.95)) -> dict[str, float]:
@@ -246,22 +397,24 @@ def run_sta_monte_carlo(
         The σ model; each sample scales the library and wires by its own
         lognormal draws.
     samples / seed:
-        Sweep size and base seed; ``None`` reads the ``REPRO_MC_SAMPLES``
-        / ``REPRO_MC_SEED`` knobs.
+        Sweep size and base seed (``>= 0``); ``None`` reads the
+        ``REPRO_MC_SAMPLES`` / ``REPRO_MC_SEED`` knobs.
     watch:
         Nets whose arrival/slack distributions are recorded (default:
         the primary outputs).
     execution:
-        Worker configuration for :func:`repro.exec.run_indexed`; results
-        are bit-identical across worker counts.
+        Worker configuration for :func:`repro.exec.run_indexed`, which
+        receives one index per block of :data:`_BLOCK` samples (so
+        ``diag["jobs"]`` counts blocks); results are bit-identical
+        across worker counts.
     on_sample:
         Optional streaming callback, called with each per-sample row in
         index order after the sweep completes (the service job uses this
         to emit rows).
     journal:
         Crash-safe resume through the write-ahead run journal
-        (:mod:`repro.exec.journal`): completed samples are recorded as
-        they finish and a rerun of the identical sweep resumes at the
+        (:mod:`repro.exec.journal`): each block's samples are recorded
+        before the block returns, and a rerun of the identical sweep resumes at the
         first unfinished one, with bit-identical quantiles.  ``None``
         (default) follows the ``REPRO_JOURNAL`` knob; needs a
         configured result store.
@@ -273,6 +426,7 @@ def run_sta_monte_carlo(
     n = int(knob("REPRO_MC_SAMPLES") if samples is None else samples)
     base_seed = int(knob("REPRO_MC_SEED") if seed is None else seed)
     require(n >= 1, "need at least one sample")
+    require(base_seed >= 0, "seed must be >= 0")
     watch_nets = tuple(watch if watch is not None else netlist.primary_outputs)
     require(len(watch_nets) >= 1, "no nets to watch (no primary outputs?)")
     spec = _McSpec(netlist=netlist, library=dict(library),
@@ -281,28 +435,25 @@ def run_sta_monte_carlo(
                    required_times=dict(required_times or {}),
                    variation=variation, seed=base_seed, watch=watch_nets)
     # Nominal run first: fail fast (and in-process) on bad designs.
-    _solve_sample_check = StaEngine(spec.library, wire_specs=spec.wire_specs)
-    _solve_sample_check.analyze(netlist, inputs=spec.inputs,
-                                required_times=spec.required_times or None)
+    StaEngine(spec.library, wire_specs=spec.wire_specs).analyze(
+        netlist, inputs=spec.inputs,
+        required_times=spec.required_times or None)
 
     diag: dict = {}
     jr = journal_for("ssta-mc", (spec, n), n,
                      execution=execution, enabled=journal)
+    done = jr.completed() if jr is not None else {}
+    todo = tuple(i for i in range(n) if i not in done)
+    blocks = tuple(todo[k:k + _BLOCK] for k in range(0, len(todo), _BLOCK))
+    solved = run_indexed(
+        partial(_solve_block, spec=spec, blocks=blocks, journal=jr),
+        len(blocks), execution=execution, diag=diag)
+    by_index = dict(done)
+    by_index.update((row["index"], row) for block in solved for row in block)
+    rows = [by_index[i] for i in range(n)]
     if jr is not None:
-        done = jr.completed()
-        missing = tuple(i for i in range(n) if i not in done)
-        computed = run_indexed(
-            partial(_solve_journaled, spec=spec, indices=missing, journal=jr),
-            len(missing), execution=execution,
-            diag=diag) if missing else []
-        by_index = dict(done)
-        by_index.update(zip(missing, computed))
-        rows = [by_index[i] for i in range(n)]
-        diag["journal"] = {"resumed": len(done), "computed": len(missing)}
+        diag["journal"] = {"resumed": len(done), "computed": len(todo)}
         jr.finish()
-    else:
-        rows = run_indexed(partial(_solve_sample, spec=spec), n,
-                           execution=execution, diag=diag)
     if on_sample is not None:
         for row in rows:
             on_sample(row)
@@ -347,6 +498,7 @@ def run_noise_monte_carlo(
     n = int(knob("REPRO_MC_SAMPLES") if samples is None else samples)
     base_seed = int(knob("REPRO_MC_SEED") if seed is None else seed)
     require(n >= 1, "need at least one sample")
+    require(base_seed >= 0, "seed must be >= 0")
     require(sigma_align >= 0, "sigma_align must be >= 0")
     stages = list(stages)
     require(len(stages) >= 1, "need at least one stage")

@@ -273,6 +273,28 @@ class TestImportHygiene:
         """)
         assert loaded == []
 
+    def test_monte_carlo_ssta_loads_no_scipy(self):
+        data = SRC.parent / "tests" / "data"
+        loaded = _loaded_scipy_modules(f"""
+            from repro.exec import ExecutionConfig
+            from repro.library.liberty import parse_liberty
+            from repro.sta import InputSpec, read_verilog, run_sta_monte_carlo
+
+            with open({str(data / "c17.v")!r}) as fh:
+                net = read_verilog(fh.read())
+            with open({str(data / "c17.lib")!r}) as fh:
+                lib = parse_liberty(fh.read())
+            res = run_sta_monte_carlo(
+                net, lib,
+                inputs={{n: InputSpec(slew=50e-12)
+                         for n in net.primary_inputs}},
+                required_times={{n: 100e-12 for n in net.primary_outputs}},
+                samples=64, seed=3, journal=False,
+                execution=ExecutionConfig(workers=1))
+            assert len(res.rows) == 64
+        """)
+        assert loaded == []
+
     def test_service_and_table1_skip_scipy_signal(self):
         loaded = _loaded_scipy_modules("""
             import repro.experiments.table1

@@ -1,14 +1,23 @@
 """Monte-Carlo statistical STA: determinism, sharding, cache reuse."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+import repro.sta.statistical as statistical
 from repro.exec import ExecutionConfig, run_indexed
 from repro.interconnect.rcline import RcLineSpec
 from repro.library.cells import make_inverter
+from repro.library.characterize import CharacterizedCell
+from repro.library.liberty import parse_liberty
+from repro.library.nldm import NldmTable, TimingArc
 from repro.sta import (
     InputSpec,
     McVariation,
+    StaEngine,
+    read_verilog,
     run_noise_monte_carlo,
     run_sta_monte_carlo,
     sample_library,
@@ -80,6 +89,198 @@ class TestDeterminism:
         _rng_for("ssta", 3, 4).normal()
         assert _rng_for("ssta", 3, 5).normal() == a
         assert _rng_for("other", 3, 5).normal() != a
+
+
+def _oracle_rows(net, lib, wires, inputs, required, variation, seed, n,
+                 watch):
+    """Rows of the per-sample scalar engine on scaled copies (the oracle)."""
+    rows = []
+    for i in range(n):
+        rng = _rng_for("ssta", seed, i)
+        res = StaEngine(
+            sample_library(lib, rng, variation.sigma_cell),
+            wire_specs=sample_wire_specs(wires, rng, variation.sigma_wire),
+        ).analyze(net, inputs=inputs, required_times=required)
+        row = {"index": i, "arrival": {w: res.arrival(w) for w in watch}}
+        if required:
+            row["slack"] = {w: res.slack(w) for w in watch
+                            if w in res.required}
+            row["worst_slack"] = res.worst_slack()
+        rows.append(row)
+    return rows
+
+
+def _bits(rows):
+    """Rows as text that tells every double apart (``repr`` round-trips)."""
+    return json.dumps(rows, sort_keys=True)
+
+
+def _table(rng, slews, loads):
+    values = rng.uniform(5e-12, 80e-12, (len(slews), len(loads)))
+    return NldmTable(np.array(slews), np.array(loads), values)
+
+
+def _grid_cell(rng, pins, inverting, slews, loads, cap):
+    arcs = tuple(
+        TimingArc(related_pin=pin, output_pin="Y", inverting=inverting,
+                  cell_rise=_table(rng, slews, loads),
+                  cell_fall=_table(rng, slews, loads),
+                  rise_transition=_table(rng, slews, loads),
+                  fall_transition=_table(rng, slews, loads))
+        for pin in pins)
+    return CharacterizedCell(cell=make_inverter(1), arc=arcs[0],
+                             input_slews=np.array(slews),
+                             loads=np.array(loads),
+                             arcs=arcs if len(arcs) > 1 else (),
+                             input_cap=cap)
+
+
+@pytest.fixture()
+def grid_design():
+    """Non-linear NLDM grids (3×3, 2×3, 3×1, 1×3), two wires, slews and
+    loads on both sides of the grids, inverting and non-inverting arcs."""
+    rng = np.random.default_rng(20240517)
+    slews = [10e-12, 100e-12, 400e-12]
+    loads = [1e-15, 10e-15, 50e-15]
+    lib = {
+        "NAND2": _grid_cell(rng, ("A", "B"), True, slews, loads, 3e-15),
+        "BUF": _grid_cell(rng, ("A",), False, slews[:2], loads, 2e-15),
+        "INV_S": _grid_cell(rng, ("A",), True, slews, loads[:1], 4e-15),
+        "INV_L": _grid_cell(rng, ("A",), True, slews[1:2], loads, 1e-15),
+    }
+    net = GateNetlist()
+    for pi in ("a", "b", "c"):
+        net.add_input(pi)
+    net.add_instance("u0", "NAND2", {"A": "a", "B": "b"}, "n1")
+    net.add_instance("u1", "BUF", "n1", "n2")
+    net.add_instance("u2", "NAND2", {"A": "n2", "B": "c"}, "n3")
+    net.add_instance("u3", "INV_S", "n3", "n4")
+    net.add_instance("u4", "INV_L", "n1", "n5")
+    net.add_instance("u5", "NAND2", {"A": "n4", "B": "n5"}, "y")
+    net.add_output("y")
+    net.add_output("n3")
+    # n1's wire pushes its load past the grid; n3's stays inside.
+    wires = {"n1": RcLineSpec(total_r=400.0, total_c=80e-15, n_segments=3),
+             "n3": RcLineSpec(total_r=150.0, total_c=4e-15, n_segments=1)}
+    inputs = {"a": InputSpec(arrival=5e-12, slew=5e-12),     # below grid
+              "b": InputSpec(slew=150e-12),                   # inside
+              "c": InputSpec(arrival=-3e-12, slew=900e-12)}   # above
+    required = {"y": 260e-12, "n3": 150e-12}
+    return net, lib, wires, inputs, required
+
+
+class TestBlockOracle:
+    """Every row equals the scalar engine on that sample's scaled copy."""
+
+    def test_c17_rows_bitwise(self):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "c17.v")) as fh:
+            net = read_verilog(fh.read())
+        with open(os.path.join(data, "c17.lib")) as fh:
+            lib = parse_liberty(fh.read())
+        inputs = {pi: InputSpec(slew=50e-12) for pi in net.primary_inputs}
+        required = {po: 100e-12 for po in net.primary_outputs}
+        res = run_sta_monte_carlo(net, lib, inputs=inputs,
+                                  required_times=required, samples=500,
+                                  seed=1001, journal=False,
+                                  execution=ExecutionConfig(workers=1))
+        want = _oracle_rows(net, lib, {}, inputs, required, McVariation(),
+                            1001, 500, tuple(net.primary_outputs))
+        assert _bits(res.rows) == _bits(want)
+
+    @pytest.mark.parametrize("variation", [
+        McVariation(), McVariation(sigma_cell=0.2, sigma_wire=0.0),
+        McVariation(sigma_cell=0.0, sigma_wire=0.3)])
+    def test_grid_design_rows_bitwise(self, grid_design, variation):
+        net, lib, wires, inputs, required = grid_design
+        watch = ("y", "n3", "n1", "a")
+        res = run_sta_monte_carlo(net, lib, wire_specs=wires, inputs=inputs,
+                                  required_times=required,
+                                  variation=variation, samples=40, seed=5,
+                                  watch=list(watch), journal=False,
+                                  execution=ExecutionConfig(workers=1))
+        want = _oracle_rows(net, lib, wires, inputs, required, variation,
+                            5, 40, watch)
+        assert _bits(res.rows) == _bits(want)
+        assert len({r["arrival"]["y"] for r in res.rows}) > 1
+
+    def test_grid_design_leaves_the_grid(self, grid_design):
+        # The oracle test above is only as strong as the lookups it
+        # reaches: loads and slews fall on both sides of the grids.
+        net, lib, wires, inputs, _ = grid_design
+        engine = StaEngine(lib, wire_specs=wires)
+        res = engine.analyze(net, inputs=inputs)
+        assert engine.net_load(net, "n1") > 50e-15
+        assert engine.net_load(net, "n3") < 50e-15
+        slews = [res.rise[n].slew for n in res.rise]
+        assert min(slews) < 10e-12 and max(slews) > 400e-12
+
+    def test_rows_independent_of_block_composition(self, grid_design,
+                                                   monkeypatch):
+        net, lib, wires, inputs, required = grid_design
+        runs = []
+        for block in (1, 7, statistical._BLOCK):
+            monkeypatch.setattr(statistical, "_BLOCK", block)
+            res = run_sta_monte_carlo(
+                net, lib, wire_specs=wires, inputs=inputs,
+                required_times=required, samples=23, seed=9, journal=False,
+                execution=ExecutionConfig(workers=1))
+            assert res.diag["jobs"] == -(-23 // block)
+            runs.append(_bits(res.rows))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_small_blocks_shard_bit_identical(self, grid_design,
+                                              monkeypatch):
+        net, lib, wires, inputs, required = grid_design
+        monkeypatch.setattr(statistical, "_BLOCK", 4)
+
+        def run(execution):
+            return run_sta_monte_carlo(
+                net, lib, wire_specs=wires, inputs=inputs,
+                required_times=required, samples=30, seed=4, journal=False,
+                execution=execution)
+
+        serial = run(ExecutionConfig(workers=1))
+        sharded = run(ExecutionConfig(workers=2, min_pool_jobs=2))
+        assert sharded.diag["jobs"] == 8
+        assert sharded.diag["mode"] == "sharded" or \
+            sharded.diag["fallback_shards"] >= 1
+        assert _bits(sharded.rows) == _bits(serial.rows)
+        assert sharded.quantiles == serial.quantiles
+
+
+class TestSeedValidation:
+    def test_negative_seed_rejected(self, design):
+        with pytest.raises(ValueError, match="seed"):
+            _run(design, seed=-3)
+
+    def test_noise_mc_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_noise_monte_carlo([object()], None, samples=1, seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -3), ("seed", True), ("seed", False), ("samples", True)])
+    def test_service_spec_rejects(self, field, value):
+        from repro.service.jobs import JobSpecError, build_job
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "c17.v")) as fh:
+            verilog = fh.read()
+        with open(os.path.join(data, "c17.lib")) as fh:
+            liberty = fh.read()
+        spec = {"kind": "sta_mc", "verilog": verilog, "liberty": liberty,
+                field: value}
+        with pytest.raises(JobSpecError, match=field):
+            build_job(spec)
+
+    def test_cli_negative_seed_is_usage_error(self, capsys):
+        from repro.sta.__main__ import main
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with pytest.raises(SystemExit) as exc:
+            main([os.path.join(data, "c17.v"), "--liberty",
+                  os.path.join(data, "c17.lib"), "--mc", "4",
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSampling:

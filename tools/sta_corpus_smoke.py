@@ -9,11 +9,13 @@ Three gates, run from the repo root::
    NLDM engine (``tests/data/c17.lib``) reproduces every hand-computed
    arrival/slack in ``tests/data/golden.json`` to float tolerance, and
    the SDF engine (``tests/data/c17.sdf``) matches at all three corners.
-2. **Determinism** — a seeded 32-sample Monte-Carlo statistical sweep is
-   run serially (1 worker) and sharded (2 workers) and the quantiles
-   must be **bit-for-bit identical**: JSON serialises doubles via
-   ``repr``, which round-trips every finite value, so any deviation
-   means the sharded merge changed the arithmetic.
+2. **Determinism** — a seeded Monte-Carlo statistical sweep of
+   ``MIN_POOL_JOBS`` sample blocks is run serially (1 worker) and
+   sharded (2 workers) and the quantiles must be **bit-for-bit
+   identical**: JSON serialises doubles via ``repr``, which round-trips
+   every finite value, so any deviation means the sharded merge changed
+   the arithmetic.  The 2-worker leg must really reach the pool (mode
+   ``sharded``) or count the shards it fell back on.
 3. **Benchmark artifact** — timings and quantiles land in
    ``BENCH_ssta.json`` (``--out`` to rename) for CI to upload.
 
@@ -31,7 +33,9 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(REPO, "tests", "data")
-MC_SAMPLES = 32
+#: The sweep runs one pool job per block of samples; it needs at least
+#: this many blocks before ``run_indexed`` forks a pool at all.
+MIN_POOL_JOBS = 2
 MC_SEED = 1234
 
 
@@ -99,17 +103,22 @@ def check_golden(netlist, library, delays, golden) -> None:
           f"3 SDF corners)")
 
 
+def mc_samples() -> int:
+    from repro.sta.statistical import _BLOCK
+    return MIN_POOL_JOBS * _BLOCK
+
+
 def run_mc(netlist, library, workers: int):
     from repro.exec import ExecutionConfig
     from repro.sta import InputSpec, run_sta_monte_carlo
 
-    execution = ExecutionConfig(workers=workers, min_pool_jobs=2)
+    execution = ExecutionConfig(workers=workers, min_pool_jobs=MIN_POOL_JOBS)
     inputs = {net: InputSpec(slew=50e-12) for net in netlist.primary_inputs}
     required = {net: 100e-12 for net in netlist.primary_outputs}
     t0 = time.perf_counter()
     result = run_sta_monte_carlo(netlist, library, inputs=inputs,
                                  required_times=required,
-                                 samples=MC_SAMPLES, seed=MC_SEED,
+                                 samples=mc_samples(), seed=MC_SEED,
                                  execution=execution)
     return result, time.perf_counter() - t0
 
@@ -132,16 +141,19 @@ def main(argv: "list[str] | None" = None) -> int:
              f"  serial : {blob_serial}\n  sharded: {blob_sharded}")
     if serial.diag.get("mode") != "serial":
         fail(f"1-worker run used mode {serial.diag.get('mode')!r}")
-    if sharded.diag.get("fallback_shards", 0) not in (0,):
+    fallbacks = sharded.diag.get("fallback_shards", 0)
+    if sharded.diag.get("mode") != "sharded" and fallbacks < 1:
+        fail(f"2-worker run never reached the pool: diag {sharded.diag}")
+    if fallbacks:
         print(f"sta-corpus-smoke: note: sharded run fell back on "
-              f"{sharded.diag['fallback_shards']} shard(s)")
-    print(f"sta-corpus-smoke: {MC_SAMPLES}-sample MC quantiles bit-identical "
+              f"{fallbacks} shard(s)")
+    print(f"sta-corpus-smoke: {mc_samples()}-sample MC quantiles bit-identical "
           f"across 1 and 2 workers (serial {t_serial:.2f}s, "
           f"sharded {t_sharded:.2f}s, mode {sharded.diag.get('mode')})")
 
     payload = {
         "design": netlist.name,
-        "samples": MC_SAMPLES,
+        "samples": mc_samples(),
         "seed": MC_SEED,
         "quantiles": serial.quantiles,
         "seconds": {"serial": t_serial, "sharded": t_sharded},
