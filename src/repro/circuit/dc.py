@@ -27,12 +27,9 @@ refactorization.  The bordered-banded transient kernel is deliberately
 not used here — gmin stepping would re-factor its banded core once per
 stage for no gain at DC's solve counts.
 
-Operating points are memoisable: :func:`set_dc_memo` installs a
-process-wide content-keyed memo (the execution layer wires the on-disk
-:class:`~repro.exec.store.ResultStore` through it), and
-:func:`dc_operating_point` / :func:`dc_operating_point_batch` consult it
-before running Newton — warm characterisation and glitch sweeps perform
-zero DC Newton solves.
+Operating points are not memoised: one costs well under 1% of the
+transient solve it seeds, and a warm transient store hit skips DC
+altogether.
 """
 
 from __future__ import annotations
@@ -49,32 +46,10 @@ from .netlist import Circuit
 from .solvers import factorize, select_backend
 
 __all__ = ["DcResult", "dc_operating_point", "dc_operating_point_batch",
-           "DcConvergenceError", "set_dc_memo"]
+           "DcConvergenceError"]
 
 #: gmin-stepping schedule: heavy leak first, relaxed to the exact system.
 GMIN_STAGES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0)
-
-#: Process-wide DC operating-point memo (see :func:`set_dc_memo`).
-_DC_MEMO = None
-
-
-def set_dc_memo(memo):
-    """Install a process-wide DC operating-point memoiser; returns the
-    previous one (``None`` uninstalls).
-
-    The hook decouples the circuit layer from the execution layer: the
-    execution config (:mod:`repro.exec.config`) installs a
-    ResultStore-backed memo whenever a store is configured, and the DC
-    solvers consult it before running Newton.  The memo contract is
-    ``key(circuit, mna, at_time, seed) -> str | None`` (``None`` =
-    uncacheable), ``lookup(key, mna) -> np.ndarray | None`` and
-    ``store(key, solution)`` (which must swallow persistence failures).
-    """
-    global _DC_MEMO
-    previous = _DC_MEMO
-    _DC_MEMO = memo
-    return previous
-
 
 def _sparse_dc(mna: MnaSystem, requested: str) -> bool:
     """Whether a MOSFET DC Newton should use the pattern-frozen kernel.
@@ -238,8 +213,7 @@ def dc_operating_point(
         Solver backend request (``"auto"``/``"dense"``/``"sparse"``/
         ``"banded"``): large MOSFET networks run their Newton iterations
         through the pattern-frozen sparse kernel (see the module
-        docstring); never part of the memo key — every backend computes
-        the same operating point.
+        docstring); every backend computes the same operating point.
 
     Raises
     ------
@@ -311,29 +285,10 @@ def dc_operating_point_batch(
         else [None] * len(circuits)
     require(len(seeds) == len(circuits), "one seed mapping per circuit")
 
-    batch = len(circuits)
-    node_names = tuple(mna0.node_names)
-    results: list[DcResult | None] = [None] * batch
-
-    # Linear stacks solve in one factorization — not worth memoising.
-    memo = _DC_MEMO if mna0.n_mosfets > 0 else None
-    keys: list[str | None] = [None] * batch
-    if memo is not None:
-        for b in range(batch):
-            keys[b] = memo.key(circuits[b], systems[b], at_time, seeds[b])
-            if keys[b] is not None:
-                cached = memo.lookup(keys[b], systems[b])
-                if cached is not None:
-                    results[b] = DcResult(solution=cached,
-                                          node_names=node_names)
-    pending = [b for b in range(batch) if results[b] is None]
-    if not pending:
-        return results  # type: ignore[return-value]
-
-    rhs = np.stack([systems[b].source_rhs(at_time) for b in pending])
-    x0 = np.zeros((len(pending), mna0.size))
-    for i, b in enumerate(pending):
-        mna0.seed_vector(seeds[b], out=x0[i])
+    rhs = np.stack([m.source_rhs(at_time) for m in systems])
+    x0 = np.zeros((len(circuits), mna0.size))
+    for b, seed in enumerate(seeds):
+        mna0.seed_vector(seed, out=x0[b])
 
     sparse = _sparse_dc(mna0, backend)
     if mna0.n_mosfets == 0:
@@ -349,16 +304,16 @@ def dc_operating_point_batch(
             converged = np.isfinite(x).all(axis=1)
         except np.linalg.LinAlgError:
             x = x0
-            converged = np.zeros(len(pending), dtype=bool)
+            converged = np.zeros(len(circuits), dtype=bool)
     else:
         kernel = mna0.sparse_newton_step() if sparse else None
         x, converged = _newton_dc(mna0, 0.0, rhs, x0, kernel)
 
-    for i, b in enumerate(pending):
-        solution = x[i] if converged[i] else _gmin_stepping(
-            systems[b], rhs[i:i + 1], x0[i:i + 1], circuits[b].name,
+    node_names = tuple(mna0.node_names)
+    results = []
+    for b, circuit in enumerate(circuits):
+        solution = x[b] if converged[b] else _gmin_stepping(
+            systems[b], rhs[b:b + 1], x0[b:b + 1], circuit.name,
             sparse=sparse)[0]
-        results[b] = DcResult(solution=solution, node_names=node_names)
-        if keys[b] is not None:
-            memo.store(keys[b], solution)
-    return results  # type: ignore[return-value]
+        results.append(DcResult(solution=solution, node_names=node_names))
+    return results

@@ -27,8 +27,8 @@ from .config import (ExecutionConfig, default_execution,
 from .journal import RunJournal, journal_for
 from .pool import (fleet_stats, job_cost, make_shards, reset_fleet_stats,
                    run_indexed, run_jobs)
-from .store import (STORE_VERSION, DcStoreMemo, ResultStore,
-                    UnkeyableJobError, content_key, dc_key, job_key)
+from .store import (STORE_VERSION, ResultStore, UnkeyableJobError,
+                    content_key, job_key)
 
 __all__ = [
     "ExecutionConfig",
@@ -42,9 +42,7 @@ __all__ = [
     "fleet_stats",
     "reset_fleet_stats",
     "ResultStore",
-    "DcStoreMemo",
     "job_key",
-    "dc_key",
     "content_key",
     "UnkeyableJobError",
     "STORE_VERSION",

@@ -4,7 +4,9 @@ One :class:`ExecutionConfig` travels through every experiment driver
 (``run_noise_cases``, ``run_table1``, ``generate_figure2``, the
 ablations, ``propagate_path``), so a single object decides how *all*
 simulations of a run execute — in-process, sharded over a pool, and/or
-memoised through the on-disk store.
+memoised through the on-disk store.  The config is plain data: its store
+memoises transient results only, and resolving or installing a default
+config changes no other process-wide state.
 
 Environment knobs (read once, by :func:`default_execution`; all declared
 in :mod:`repro._knobs`):
@@ -31,27 +33,10 @@ from dataclasses import dataclass
 
 from .._knobs import knob
 from .._util import require
-from ..circuit import dc as _dc
-from .store import DEFAULT_MAX_BYTES, DcStoreMemo, ResultStore
+from .store import DEFAULT_MAX_BYTES, ResultStore
 
 __all__ = ["ExecutionConfig", "default_execution", "set_default_execution",
            "store_max_bytes"]
-
-
-def _install_dc_memo(config: "ExecutionConfig | None") -> None:
-    """Mirror the default config's store into the circuit layer's DC memo.
-
-    DC operating points are solved deep inside the circuit layer
-    (transient initial states, characterisation sweeps) where no
-    ``ExecutionConfig`` travels, so the *default* config's store is
-    installed process-wide through :func:`repro.circuit.dc.set_dc_memo`;
-    a config without a store uninstalls it.  Configs passed explicitly
-    to ``run_jobs`` do not touch the hook — their stores memoise
-    transient results only.
-    """
-    _dc.set_dc_memo(DcStoreMemo(config.store)
-                    if config is not None and config.store is not None
-                    else None)
 
 
 def store_max_bytes(env: "os._Environ | dict" = os.environ) -> int:
@@ -133,7 +118,6 @@ def default_execution() -> ExecutionConfig:
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = ExecutionConfig.from_env()
-        _install_dc_memo(_DEFAULT)
     return _DEFAULT
 
 
@@ -141,11 +125,9 @@ def set_default_execution(config: ExecutionConfig | None) -> ExecutionConfig | N
     """Install a new process-wide default; returns the previous one.
 
     ``None`` resets to "unset": the next :func:`default_execution` call
-    re-reads the environment.  The DC operating-point memo follows the
-    installed default (see :func:`_install_dc_memo`).
+    re-reads the environment.
     """
     global _DEFAULT
     previous = _DEFAULT
     _DEFAULT = config
-    _install_dc_memo(config)
     return previous

@@ -70,7 +70,7 @@ from ..circuit.transient import TransientJob, TransientOptions, TransientResult
 from ..faults import FaultError, maybe_fault
 
 __all__ = ["STORE_VERSION", "KEYED_FIELDS", "UnkeyableJobError",
-           "ResultStore", "job_key", "dc_key", "content_key", "DcStoreMemo"]
+           "ResultStore", "job_key", "content_key"]
 
 #: Bump when solver numerics change in a way that should invalidate
 #: previously stored waveforms.
@@ -83,8 +83,10 @@ __all__ = ["STORE_VERSION", "KEYED_FIELDS", "UnkeyableJobError",
 #: 3 — pattern-frozen sparse Newton for MOSFET circuits: large gate +
 #:     interconnect netlists now iterate through structured
 #:     refactorizations whose waveforms differ from the dense path at
-#:     the ~1e-12 V level, and the store gained DC operating-point
-#:     entries (:func:`dc_key`) alongside the transient ones.
+#:     the ~1e-12 V level.  The DC operating-point entries that arrived
+#:     with this version were later removed without a bump: transient
+#:     keys did not change, and the orphaned DC files never match again,
+#:     so LRU eviction drains them.
 STORE_VERSION = 3
 
 #: Default size budget of a store (bytes) unless overridden; the value
@@ -240,38 +242,6 @@ def job_key(job: TransientJob, mna: MnaSystem | None = None) -> str:
     return h.hexdigest()
 
 
-def dc_key(circuit, mna: MnaSystem, at_time: float,
-           seed: "Mapping[str, float] | None") -> str:
-    """SHA-256 content key of a DC operating-point solve (hex digest).
-
-    Same canonical machinery as :func:`job_key` over what determines the
-    operating point: topology signature, source fingerprints, the sample
-    time and the Newton seed (which steers the solution a multi-stable
-    circuit converges to, so it keys the entry).  The solver backend is
-    deliberately excluded — every backend computes the same point.
-
-    Raises
-    ------
-    UnkeyableJobError
-        When a source function has no canonical fingerprint.
-    """
-    h = hashlib.sha256()
-    _update(h, ("repro-dc-op", STORE_VERSION))
-    _update(h, mna.topology_signature())
-    try:
-        _update(h, tuple(v.source.content_fingerprint()
-                         for v in circuit.vsources))
-        _update(h, tuple(i.source.content_fingerprint()
-                         for i in circuit.isources))
-    except NotImplementedError as exc:
-        raise UnkeyableJobError(str(exc)) from exc
-    _update(h, float(at_time))
-    _update(h, tuple(sorted(
-        (str(node), float(v)) for node, v in (seed or {}).items()
-    )))
-    return h.hexdigest()
-
-
 def content_key(label: str, payload) -> str:
     """SHA-256 content key of an arbitrary canonical-hashable payload.
 
@@ -363,12 +333,6 @@ class ResultStore:
         # that will fail again — and stops spamming one warning per
         # entry.  clear() resets it (fresh root, fresh chances).
         self.miss_only = False
-        # DC operating-point entries are counted apart from the transient
-        # ones: the warm-run contracts differ ("zero transient solves"
-        # vs "zero DC Newton solves") and tests spy them separately.
-        self.dc_hits = 0
-        self.dc_misses = 0
-        self.dc_stores = 0
         # Keys whose corrupt entry could not be unlinked (read-only
         # store root): each is counted in ``corrupt`` exactly once —
         # without the memo every lookup of such a key re-counted it
@@ -404,32 +368,36 @@ class ResultStore:
         return self.root / f"{key}.npz"
 
     # -- lookup / store ------------------------------------------------
-    def _read_entry(self, key: str, decode):
-        """Load an entry through ``decode`` (which raises on a bad
-        payload); shared by every entry kind the way writes share
-        :meth:`_write_entry`.
+    def lookup(self, key: str, job: TransientJob,
+               mna: MnaSystem | None = None) -> TransientResult | None:
+        """The stored result rebuilt against ``job``'s circuit, or ``None``.
 
-        Returns the decoded value, or ``None`` when the entry is absent
-        or corrupt — corrupt entries are counted, deleted and thereby
-        healed; present ones get their LRU recency refreshed (the
-        pre-hit stamp is remembered so :meth:`discard_hit` can undo the
-        refresh).  An entry that cannot be deleted (read-only store
-        root) is counted as corrupt once, remembered, and read as a
-        plain miss from then on — no re-count, no byte-total rescan.
-        Per-kind hit/miss accounting stays with the callers.
+        A present-but-unreadable (or mis-shaped) entry counts as
+        ``corrupt``, is deleted — and thereby healed — and reads as a
+        miss: the caller re-simulates and re-stores.  A hit refreshes the
+        entry's LRU recency (the pre-hit stamp is remembered so
+        :meth:`discard_hit` can undo the refresh).  An entry that cannot
+        be deleted (read-only store root) is counted as corrupt once,
+        remembered, and read as a plain miss from then on — no re-count,
+        no byte-total rescan.
         """
         path = self._path(key)
-        if not path.is_file():
+        if not path.is_file() or key in self._undeletable:
+            self.misses += 1
             return None
-        if key in self._undeletable:
-            return None
+        mna = mna if mna is not None else MnaSystem(job.circuit)
         try:
             if maybe_fault("store.read") is not None:
                 raise FaultError("injected corrupt store entry")
             with np.load(path, allow_pickle=False) as data:
-                value = decode(data)
+                times = np.array(data["times"], dtype=np.float64)
+                x = np.array(data["x"], dtype=np.float64)
+            require(times.ndim == 1 and times.size >= 2, "bad time axis")
+            require(x.shape == (times.size, mna.size),
+                    "solution shape mismatch")
         except Exception:
             self.corrupt += 1
+            self.misses += 1
             try:
                 if maybe_fault("store.unlink") is not None:
                     raise OSError("injected unlink failure")
@@ -450,7 +418,8 @@ class ResultStore:
             os.utime(path)  # refresh LRU recency
         except OSError:
             pass
-        return value
+        self.hits += 1
+        return TransientResult(mna, times, x, stats={"source": "store"})
 
     def _remember_recency(self, key: str, atime: float, mtime: float) -> None:
         """Stash an entry's pre-hit timestamps (bounded, oldest dropped)."""
@@ -458,35 +427,6 @@ class ResultStore:
                 len(self._pre_hit_times) >= _RECENCY_REMEMBERED:
             self._pre_hit_times.pop(next(iter(self._pre_hit_times)))
         self._pre_hit_times[key] = (atime, mtime)
-
-    def lookup(self, key: str, job: TransientJob,
-               mna: MnaSystem | None = None) -> TransientResult | None:
-        """The stored result rebuilt against ``job``'s circuit, or ``None``.
-
-        A present-but-unreadable (or mis-shaped) entry counts as
-        ``corrupt``, is deleted, and reads as a miss — the caller
-        re-simulates and re-stores.
-        """
-        if not self._path(key).is_file():
-            self.misses += 1
-            return None
-        mna = mna if mna is not None else MnaSystem(job.circuit)
-
-        def decode(data):
-            times = np.array(data["times"], dtype=np.float64)
-            x = np.array(data["x"], dtype=np.float64)
-            require(times.ndim == 1 and times.size >= 2, "bad time axis")
-            require(x.shape == (times.size, mna.size),
-                    "solution shape mismatch")
-            return times, x
-
-        payload = self._read_entry(key, decode)
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return TransientResult(mna, payload[0], payload[1],
-                               stats={"source": "store"})
 
     def discard_hit(self, key: str | None = None) -> None:
         """Recount one successful :meth:`lookup` as a miss.
@@ -545,7 +485,7 @@ class ResultStore:
                 RuntimeWarning, stacklevel=3)
 
     def _write_entry(self, key: str, **arrays: np.ndarray) -> None:
-        """Atomic ``.npz`` insert shared by every entry kind."""
+        """Atomic ``.npz`` insert of one entry's arrays."""
         fault = maybe_fault("store.write")
         if fault is not None and fault.kind == "fail":
             raise FaultError("injected store write failure")
@@ -583,51 +523,6 @@ class ResultStore:
             self._total_bytes += written - existing
         if self.total_bytes() > self.max_bytes:
             self._evict(keep=path)
-
-    # -- DC operating points -------------------------------------------
-    def dc_key_for(self, circuit, mna: MnaSystem, at_time: float,
-                   seed: "Mapping[str, float] | None") -> str | None:
-        """The DC solve's content key, or ``None`` (counted) when
-        uncacheable."""
-        try:
-            return dc_key(circuit, mna, at_time, seed)
-        except UnkeyableJobError:
-            self.uncacheable += 1
-            return None
-
-    def lookup_dc(self, key: str, mna: MnaSystem) -> np.ndarray | None:
-        """The stored operating-point solution vector, or ``None``.
-
-        Same corruption contract as :meth:`lookup` (shared through
-        :meth:`_read_entry`): an unreadable or mis-shaped entry counts
-        as ``corrupt``, is deleted and reads as a miss.
-        """
-        def decode(data):
-            solution = np.array(data["dc"], dtype=np.float64)
-            require(solution.shape == (mna.size,),
-                    "dc solution shape mismatch")
-            return solution
-
-        solution = self._read_entry(key, decode)
-        if solution is None:
-            self.dc_misses += 1
-            return None
-        self.dc_hits += 1
-        return solution
-
-    def store_dc(self, key: str, solution: np.ndarray) -> None:
-        """Insert a DC operating point (LRU eviction shared with the
-        transient entries; same miss-only write-failure degradation as
-        :meth:`store`)."""
-        if self.miss_only:
-            return
-        try:
-            self._write_entry(key, dc=np.asarray(solution, dtype=np.float64))
-        except Exception:
-            self.write_failures += 1
-            self._enter_miss_only()
-            return
-        self.dc_stores += 1
 
     def _entries(self, own_only: bool = False) -> list[tuple[float, int, Path]]:
         """Entries as ``(mtime, size, path)``, oldest first.
@@ -687,9 +582,6 @@ class ResultStore:
         self.stores = 0
         self.uncacheable = 0
         self.write_failures = 0
-        self.dc_hits = 0
-        self.dc_misses = 0
-        self.dc_stores = 0
 
     def clear(self) -> None:
         """Delete every on-disk entry of *this namespace* and reset all
@@ -724,36 +616,9 @@ class ResultStore:
             "uncacheable": self.uncacheable,
             "write_failures": self.write_failures,
             "miss_only": self.miss_only,
-            "dc_hits": self.dc_hits,
-            "dc_misses": self.dc_misses,
-            "dc_stores": self.dc_stores,
             "entries": len(entries),
             "bytes": sum(size for _, size, _ in entries),
             "root": str(self.root),
             "namespace": self.namespace,
         }
 
-
-class DcStoreMemo:
-    """Adapter presenting a :class:`ResultStore` as the circuit layer's
-    DC operating-point memo (:func:`repro.circuit.dc.set_dc_memo`).
-
-    Lives here rather than in the circuit layer so ``repro.circuit``
-    keeps zero knowledge of the execution layer; the execution config
-    installs one whenever a store is configured.
-    """
-
-    def __init__(self, store: ResultStore):
-        self._store = store
-
-    def key(self, circuit, mna, at_time, seed) -> str | None:
-        return self._store.dc_key_for(circuit, mna, at_time, seed)
-
-    def lookup(self, key: str, mna) -> np.ndarray | None:
-        return self._store.lookup_dc(key, mna)
-
-    def store(self, key: str, solution: np.ndarray) -> None:
-        # store_dc degrades internally (miss-only mode + write_failures)
-        # rather than raising, so the solve that produced the operating
-        # point can never be lost to a persistence failure.
-        self._store.store_dc(key, solution)

@@ -33,7 +33,8 @@ _CAP_UNIT = 1e-12   # pF
 
 
 class LibertyParseError(ValueError):
-    """Raised on malformed Liberty input."""
+    """Raised on malformed Liberty input — the only exception
+    :func:`parse_liberty` raises for bad text."""
 
 
 # ----------------------------------------------------------------------
@@ -240,23 +241,46 @@ def _parse_statement(stream: _TokenStream, parent: LibertyGroup) -> None:
     raise LibertyParseError(f"cannot parse statement starting with {name!r}")
 
 
-def _numbers(args: list[str]) -> np.ndarray:
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise LibertyParseError(f"bad number {text!r} in {what}") from None
+
+
+def _numbers(args: list[str], what: str) -> np.ndarray:
     """Flatten Liberty number-list arguments into a float array."""
     values: list[float] = []
     for arg in args:
         for piece in arg.replace(",", " ").split():
-            values.append(float(piece))
+            values.append(_number(piece, what))
     return np.asarray(values)
 
 
+def _name(group: LibertyGroup) -> str:
+    if not group.args:
+        raise LibertyParseError(f"{group.name} group has no name")
+    return group.args[0]
+
+
 def _table_from_group(group: LibertyGroup) -> NldmTable:
-    idx1 = _numbers(group.complex_attributes["index_1"][0]) * _TIME_UNIT
-    idx2 = _numbers(group.complex_attributes["index_2"][0]) * _CAP_UNIT
-    rows = group.complex_attributes["values"][0]
-    flat = _numbers(rows) * _TIME_UNIT
-    require(flat.size == idx1.size * idx2.size,
-            f"values count {flat.size} != {idx1.size}x{idx2.size}")
-    return NldmTable(idx1, idx2, flat.reshape(idx1.size, idx2.size))
+    def numbers(name: str) -> np.ndarray:
+        if name not in group.complex_attributes:
+            raise LibertyParseError(f"{group.name} table has no {name}")
+        return _numbers(group.complex_attributes[name][0],
+                        f"{group.name} {name}")
+
+    idx1 = numbers("index_1") * _TIME_UNIT
+    idx2 = numbers("index_2") * _CAP_UNIT
+    flat = numbers("values") * _TIME_UNIT
+    if flat.size != idx1.size * idx2.size:
+        raise LibertyParseError(
+            f"{group.name} values count {flat.size} != "
+            f"{idx1.size}x{idx2.size}")
+    try:
+        return NldmTable(idx1, idx2, flat.reshape(idx1.size, idx2.size))
+    except ValueError as exc:  # the table's own invariants
+        raise LibertyParseError(f"bad {group.name} table: {exc}") from exc
 
 
 def _arc_from_timing_group(cell_name: str, out_pin: LibertyGroup,
@@ -269,7 +293,7 @@ def _arc_from_timing_group(cell_name: str, out_pin: LibertyGroup,
         tables[kind] = _table_from_group(sub)
     return TimingArc(
         related_pin=tg.attributes.get("related_pin", "A"),
-        output_pin=out_pin.args[0],
+        output_pin=_name(out_pin),
         inverting=tg.attributes.get("timing_sense", "negative_unate") == "negative_unate",
         **tables,
     )
@@ -290,30 +314,33 @@ def parse_liberty(text: str) -> dict[str, CharacterizedCell]:
     top = _parse_group(stream)
     if top.name != "library":
         raise LibertyParseError(f"expected a library group, got {top.name!r}")
-    nom_v = float(top.attributes.get("nom_voltage", "1.2"))
+    nom_v = _number(top.attributes.get("nom_voltage", "1.2"), "nom_voltage")
 
     cells: dict[str, CharacterizedCell] = {}
     for cg in top.all("cell"):
-        cell_name = cg.args[0]
+        cell_name = _name(cg)
         out_pin = None
         pin_cap: float | None = None
         for pg in cg.all("pin"):
             if pg.attributes.get("direction") == "output":
                 out_pin = pg
             elif "capacitance" in pg.attributes and pin_cap is None:
-                pin_cap = float(pg.attributes["capacitance"]) * _CAP_UNIT
+                pin_cap = _number(pg.attributes["capacitance"],
+                                  f"cell {cell_name!r} capacitance") * _CAP_UNIT
         m = re.fullmatch(r"INVX(\d+)", cell_name)
         if m is not None:
-            inv: InverterCell = make_inverter(int(m.group(1)), vdd=nom_v)
-            input_cap = None  # device-derived, exact
+            drive, input_cap = m.group(1), None  # device-derived, exact
         elif pin_cap is not None:
-            inv = make_inverter(1, vdd=nom_v)
-            input_cap = pin_cap
+            drive, input_cap = "1", pin_cap
         else:
             raise LibertyParseError(
                 f"cannot reconstruct geometry for cell {cell_name!r}: not an "
                 f"INVX<drive> name and no input-pin capacitance to fall back on"
             )
+        try:
+            inv: InverterCell = make_inverter(int(drive), vdd=nom_v)
+        except ValueError as exc:  # drive 0, non-positive nom_voltage
+            raise LibertyParseError(f"cell {cell_name!r}: {exc}") from exc
         if out_pin is None:
             raise LibertyParseError(f"cell {cell_name!r} has no output pin")
         timing_groups = out_pin.all("timing")

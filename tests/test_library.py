@@ -1,5 +1,8 @@
 """Tests for cells, NLDM tables, characterisation and Liberty I/O."""
 
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from repro.library.liberty import (
 from repro.library.nldm import NldmTable, TimingArc
 
 VDD = 1.2
+C17_LIB = (Path(__file__).parent / "data" / "c17.lib").read_text()
 
 
 class TestCells:
@@ -181,3 +185,80 @@ class TestLiberty:
         text = write_liberty([char_cell])
         assert 'time_unit : "1ns"' in text
         assert "capacitive_load_unit (1, pf)" in text
+
+
+class TestLibertyErrors:
+    """Malformed Liberty text raises :class:`LibertyParseError` and
+    nothing else, so callers (the ``sta_mc`` service spec) can catch one
+    declared type."""
+
+    def _bad(self, old, new, match):
+        assert old in C17_LIB
+        with pytest.raises(LibertyParseError, match=match):
+            parse_liberty(C17_LIB.replace(old, new, 1))
+
+    @pytest.mark.parametrize("attr", ["index_1", "index_2", "values"])
+    def test_table_missing_attribute(self, attr):
+        line = {"index_1": 'index_1 ("0.05");',
+                "index_2": 'index_2 ("0.002");',
+                "values": 'values ("0.020");'}[attr]
+        self._bad(line, "", f"cell_rise table has no {attr}")
+
+    @pytest.mark.parametrize("old,new", [
+        ('values ("0.020")', 'values ("0.02x")'),
+        ("nom_voltage : 1.2", "nom_voltage : 1.2.1"),
+        ("capacitance : 0.002", "capacitance : 0.00 2"),
+    ])
+    def test_non_numeric_number(self, old, new):
+        self._bad(old, new, "bad number")
+
+    def test_values_count_mismatch(self):
+        self._bad('values ("0.020")', 'values ("0.020, 0.021")',
+                  "values count 2 != 1x1")
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("cell (NAND2X1)", "cell ()", "cell group has no name"),
+        ("nom_voltage : 1.2", "nom_voltage : 0", "vdd must be positive"),
+        ('values ("0.020")', 'values ("nan")', "must be finite"),
+    ])
+    def test_model_invariants(self, old, new, match):
+        self._bad(old, new, match)
+
+    def test_service_spec_reports_bad_liberty(self):
+        from repro.service.jobs import JobSpecError, build_job
+        verilog = (Path(__file__).parent / "data" / "c17.v").read_text()
+        liberty = C17_LIB.replace('index_1 ("0.05");', "", 1)
+        with pytest.raises(JobSpecError, match="bad liberty"):
+            build_job({"kind": "sta_mc", "verilog": verilog,
+                       "liberty": liberty})
+
+    def test_seeded_byte_mutations_raise_only_parse_errors(self):
+        """2,000 seeded byte-level mutations of the c17 library (span
+        deletions, inserted punctuation, spliced copies; one to three
+        each) either parse or raise LibertyParseError."""
+        rng = random.Random(20051)
+        punct = '(){};:,"/*\\ \n.-0e'
+
+        def mutate(text):
+            i = rng.randrange(len(text) + 1)
+            kind = rng.randrange(3)
+            if kind == 0:
+                return text[:i] + text[i + rng.randint(1, 8):]
+            if kind == 1:
+                return text[:i] + rng.choice(punct) + text[i:]
+            j = rng.randrange(len(text))
+            return text[:i] + text[j:j + rng.randint(1, 40)] + text[i:]
+
+        parsed = 0
+        for _ in range(2000):
+            text = C17_LIB
+            for _ in range(rng.randint(1, 3)):
+                text = mutate(text)
+            try:
+                parse_liberty(text)
+            except LibertyParseError:
+                continue
+            parsed += 1
+        # Both outcomes occur: the mutations are neither all fatal nor
+        # all harmless (comment-only edits, extra whitespace).
+        assert 0 < parsed < 2000

@@ -328,129 +328,6 @@ class TestWarmTable1:
             assert a.golden_output_arrival == b.golden_output_arrival
 
 
-class TestDcStore:
-    """Store-backed DC operating points: the default execution config's
-    store memoises nonlinear DC solves through the circuit layer's memo
-    hook — warm sweeps perform zero DC Newton solves."""
-
-    def _inverter_circuit(self):
-        from repro.library.cells import make_inverter
-        c = Circuit("dcinv")
-        c.vsource("Vdd", "vdd", "0", 1.2)
-        c.vsource("Vin", "in", "0", RampSource(0.1e-9, 100e-12, 0.0, 1.2))
-        make_inverter(4).instantiate(c, "u0", "in", "out", "vdd")
-        c.capacitor("cl", "out", "0", 20e-15)
-        return c
-
-    def _spy_newton(self, monkeypatch):
-        from repro.circuit import dc as dc_mod
-        calls = {"n": 0}
-        real = dc_mod._newton_dc
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(dc_mod, "_newton_dc", counting)
-        return calls
-
-    def test_warm_dc_solve_skips_newton(self, store, monkeypatch):
-        from repro.circuit.dc import dc_operating_point
-        calls = self._spy_newton(monkeypatch)
-        previous = set_default_execution(ExecutionConfig(store=store))
-        try:
-            circuit = self._inverter_circuit()
-            cold = dc_operating_point(circuit, initial_voltages={"in": 0.0,
-                                                                 "vdd": 1.2})
-            assert calls["n"] >= 1 and store.dc_stores == 1
-            calls["n"] = 0
-            warm = dc_operating_point(circuit, initial_voltages={"in": 0.0,
-                                                                 "vdd": 1.2})
-            assert calls["n"] == 0, "warm DC solve must run zero Newton"
-            assert store.dc_hits == 1
-            np.testing.assert_array_equal(cold.solution, warm.solution)
-        finally:
-            set_default_execution(previous)
-
-    def test_warm_batch_dc_skips_newton(self, store, monkeypatch):
-        from repro.circuit.dc import dc_operating_point_batch
-        calls = self._spy_newton(monkeypatch)
-        previous = set_default_execution(ExecutionConfig(store=store))
-        try:
-            circuits = [self._inverter_circuit() for _ in range(3)]
-            seeds = [{"in": 0.0, "vdd": 1.2}] * 3
-            cold = dc_operating_point_batch(circuits, initial_voltages=seeds)
-            # Identical content → one entry (the three stores overwrite
-            # the same key; lookups all precede the stacked solve).
-            assert store.dc_misses == 3 and store.dc_stores == 3
-            assert store.stats()["entries"] == 1
-            calls["n"] = 0
-            warm = dc_operating_point_batch(circuits, initial_voltages=seeds)
-            assert calls["n"] == 0, "warm batch must run zero DC Newton"
-            assert store.dc_hits == 3
-            for c, w in zip(cold, warm):
-                np.testing.assert_array_equal(c.solution, w.solution)
-        finally:
-            set_default_execution(previous)
-
-    def test_warm_characterisation_sweep_zero_dc_newton(self, store,
-                                                        monkeypatch):
-        from repro.library.cells import make_inverter
-        from repro.library.characterize import simulate_gate_response
-        calls = self._spy_newton(monkeypatch)
-        previous = set_default_execution(ExecutionConfig(store=store))
-        try:
-            cell = make_inverter(1)
-            cold = simulate_gate_response(cell, 100e-12, 5e-15,
-                                          input_rising=True, dt=2e-12)
-            assert calls["n"] >= 1
-            calls["n"] = 0
-            warm = simulate_gate_response(cell, 100e-12, 5e-15,
-                                          input_rising=True, dt=2e-12)
-            assert calls["n"] == 0, \
-                "warm characterisation must run zero DC Newton solves"
-            assert warm.delay == pytest.approx(cold.delay, abs=1e-15)
-        finally:
-            set_default_execution(previous)
-
-    def test_mosfet_free_dc_not_memoised(self, store):
-        from repro.circuit.dc import dc_operating_point
-        previous = set_default_execution(ExecutionConfig(store=store))
-        try:
-            job = rc_job()
-            dc_operating_point(job.circuit)
-            assert store.dc_stores == 0 and store.dc_misses == 0
-        finally:
-            set_default_execution(previous)
-
-    def test_dc_key_sensitivity(self):
-        from repro.circuit.mna import MnaSystem
-        from repro.exec import dc_key
-        circuit = self._inverter_circuit()
-        mna = MnaSystem(circuit)
-        base = dc_key(circuit, mna, 0.0, {"in": 0.0})
-        assert dc_key(circuit, mna, 0.0, {"in": 0.0}) == base
-        assert dc_key(circuit, mna, 1e-10, {"in": 0.0}) != base
-        assert dc_key(circuit, mna, 0.0, {"in": 1.2}) != base
-        assert dc_key(circuit, mna, 0.0, None) != base
-
-    def test_corrupt_dc_entry_self_heals(self, store):
-        from repro.circuit.mna import MnaSystem
-        from repro.exec import dc_key
-        circuit = self._inverter_circuit()
-        mna = MnaSystem(circuit)
-        key = dc_key(circuit, mna, 0.0, None)
-        store.store_dc(key, np.zeros(mna.size))
-        path = store.root / f"{key}.npz"
-        path.write_bytes(b"not an npz")
-        assert store.lookup_dc(key, mna) is None
-        assert store.corrupt == 1 and not path.exists()
-        # A fresh store round-trips again.
-        store.store_dc(key, np.ones(mna.size))
-        np.testing.assert_array_equal(store.lookup_dc(key, mna),
-                                      np.ones(mna.size))
-
-
 class TestUndeletableCorruptEntry:
     """A corrupt entry the store cannot unlink (read-only root, a
     concurrent sweeper holding the file) must be counted once and then
@@ -631,3 +508,26 @@ class TestNamespaces:
     def test_stats_report_namespace(self, tmp_path):
         store = ResultStore(tmp_path, namespace="svc")
         assert store.stats()["namespace"] == "svc"
+
+    def test_tenant_run_under_default_store_writes_only_its_namespace(
+            self, tmp_path):
+        """A tenant's run writes nothing outside its namespace, even when
+        the process default config holds the un-namespaced root store (the
+        daemon under ``REPRO_STORE``): every file in the root carries the
+        tenant prefix, and the tenant's ``clear()`` empties the root."""
+        base = ResultStore(tmp_path / "store")
+        alice = base.namespaced("alice")
+        timing = SweepTiming(victim_start=0.4e-9, window=0.4e-9,
+                             t_stop=1.4e-9, dt=4e-12)
+        previous = set_default_execution(ExecutionConfig(store=base))
+        try:
+            run_table1(CONFIG_I, n_cases=2, timing=timing,
+                       techniques=[Sgdp()],
+                       execution=ExecutionConfig(store=alice))
+        finally:
+            set_default_execution(previous)
+        names = sorted(p.name for p in base.root.iterdir())
+        assert alice.stores > 0 and len(names) == alice.stores
+        assert all(n.startswith("alice--") for n in names), names
+        alice.clear()
+        assert list(base.root.iterdir()) == []

@@ -4,7 +4,7 @@
 Runs a fixed set of canonical workloads and reduces each result to
 statistics that survive a change of CPU or LAPACK build: per-node RMS,
 50%-of-Vdd crossing times, Newton iteration counts, the solver backend
-that ran, and the result-store key digests of every job.  Raw solution
+that ran, and the result-store key digest of every transient job.  Raw solution
 bytes are deliberately not hashed — LAPACK rounding differs across
 CPUs, so a byte hash would pin the machine, not the behaviour.
 
@@ -40,7 +40,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
                                      simulate_transient_many)
-from repro.exec.store import dc_key, job_key
+from repro.exec.store import job_key
 from repro.experiments.setup import CONFIG_I, build_testbench
 from repro.library.cells import make_inverter
 
@@ -160,8 +160,7 @@ def _dc_entry(bench, batch: int = 3, seeded: bool = True) -> dict:
         results = dc_operating_point_batch(circuits, initial_voltages=seeds,
                                            mnas=mnas)
     return {"kind": "dc", "variants": [
-        {"dc_key": dc_key(c, m, 0.0, s), "voltages": r.voltages()}
-        for c, m, s, r in zip(circuits, mnas, seeds, results)]}
+        {"voltages": r.voltages()} for r in results]}
 
 
 def compute() -> dict:
