@@ -5,13 +5,13 @@ Panel (b): noisy input, golden noisy output, 0.2·ρ_eff, Γ_eff, v_out_eff.
 
 The benchmark regenerates every series for a representative Config I
 noise alignment, renders both panels as ASCII plots into the captured
-output, writes ``figure2.csv`` next to this file, and asserts the
-qualitative features visible in the paper's figure.
+output, writes ``figure2.csv`` to a temporary directory (the tracked
+``benchmarks/figure2.csv`` holds the fixed-grid series; a test run must
+not rewrite it), and asserts the qualitative features visible in the
+paper's figure.
 """
 
 from __future__ import annotations
-
-import pathlib
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.experiments.setup import CONFIG_I
 VDD = 1.2
 
 
-def test_figure2(benchmark, sweep_timing):
+def test_figure2(benchmark, sweep_timing, tmp_path):
     data = benchmark.pedantic(
         generate_figure2,
         kwargs={"config": CONFIG_I, "offset": -0.1e-9, "timing": sweep_timing},
@@ -43,7 +43,7 @@ def test_figure2(benchmark, sweep_timing):
         "proposed_out": data.v_out_eff,
     }, v_min=-0.1, v_max=1.4))
 
-    out = pathlib.Path(__file__).with_name("figure2.csv")
+    out = tmp_path / "figure2.csv"
     out.write_text(data.to_csv())
     print(f"series written to {out}")
 

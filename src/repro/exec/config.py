@@ -65,11 +65,13 @@ class ExecutionConfig:
         populated after, every simulation; ``None`` disables
         memoisation.
     min_pool_jobs:
-        Smallest pending-job count worth forking a pool for.  Tiny
-        submissions (a propagate_path stage's 2 jobs, a single Figure 2
-        re-simulation) solve in milliseconds — pool creation plus
-        pickling would dwarf them — so they run inline even when
-        ``workers > 1``.
+        Smallest pending-job (or :func:`~repro.exec.run_indexed` index)
+        count worth forking a pool for.  Tiny submissions (a
+        propagate_path stage's 2 jobs, a single Figure 2 re-simulation)
+        solve in milliseconds — pool creation plus pickling would dwarf
+        them — so they run inline even when ``workers > 1``.  Shards
+        hold whole job groups, so a larger submission that forms a
+        single group runs inline too.
     shard_timeout:
         Deadline, in seconds, for an *average-cost* shard's worker
         future; each shard's own deadline scales with its estimated
@@ -77,9 +79,10 @@ class ExecutionConfig:
         deadline — wedged, not crashed: a deadlock or an NFS stall
         never raises — is abandoned and its shard re-solved inline, so
         one stuck process can no longer hang the whole run.  ``0.0``
-        (default) waits forever, the historical behaviour.  Results
-        are unaffected either way: the inline re-solve is the same
-        deterministic serial path the crash fallback uses.
+        (default) waits forever.  Results are bit-identical either
+        way: the inline re-solve runs the same whole groups on the
+        serial path the crash fallback uses.  Applies to
+        :func:`~repro.exec.run_jobs` only; ``run_indexed`` waits.
     """
 
     workers: int = 1

@@ -12,24 +12,24 @@ that combines the three scaling layers of this repo:
    simulation entirely and warm experiment re-runs perform zero
    transient solves.
 2. **Shards** — the remaining jobs are partitioned into per-worker
-   shards along :func:`~repro.circuit.transient.job_group_key`
-   boundaries (so in-worker batching stays intact), large groups are
-   split across workers, and each shard runs
-   ``simulate_transient_many`` in a forked worker process.
-3. **Batch** — inside every worker the PR-1/PR-2 batched engines do
-   their usual stacked-Newton / structured-solve work.
+   shards of *whole* :func:`~repro.circuit.transient.job_group_key`
+   groups, and each shard runs ``simulate_transient_many`` in a forked
+   worker process.  A group is never split: a stack's wall time hardly
+   grows with its width, so a split would make every worker pay the
+   full per-step overhead again.
+3. **Batch** — inside every worker the batched engines do their usual
+   stacked-Newton / structured-solve work.
 
 Determinism and fallback
 ------------------------
 Shard assignment is a pure function of the job list and worker count,
-and results are merged back in submission order, so a sharded run
-returns the same list (within the fixed-grid engine's tolerance between
-a job solved alone and inside a stack, <1e-9 V) as the serial path.  Adaptive (LTE-controlled) job groups are
-never split across shards — their lockstep step sequence depends on the
-group membership — so for them sharded and serial runs agree bit for
-bit.  ``workers=1``, tiny job lists, pool creation failure, and
-*per-shard worker crashes* all fall back to the deterministic
-in-process path — a crash costs time, never results.
+results are merged back in submission order, and every group solves
+with exactly the membership the serial path gives it, so a sharded run
+returns the same list as ``simulate_transient_many`` bit for bit, on
+fixed and adaptive grids alike.  ``workers=1``, tiny job lists, a plan
+of a single shard, pool creation failure, and *per-shard worker
+crashes* all fall back to the deterministic in-process path — a crash
+costs time, never results.
 
 Workers can also *wedge* rather than crash — a deadlock, a stalled NFS
 mount — and a wedged worker raises nothing, ever.  When the
@@ -45,7 +45,8 @@ Workers receive their shard by pickling the jobs (circuits, sources and
 options are plain data) and return ``(times, solutions, stats)`` arrays;
 the parent rebuilds :class:`~repro.circuit.transient.TransientResult`
 objects against its own compiled systems, so solver handles and other
-unpicklables never cross the process boundary.
+unpicklables never cross the process boundary.  :func:`run_indexed`
+fans index-addressed work out through the same pool loop.
 """
 
 from __future__ import annotations
@@ -187,52 +188,28 @@ def job_cost(job: TransientJob, mna: MnaSystem) -> float:
 
 def make_shards(indices: Sequence[int], jobs: Sequence[TransientJob],
                 mnas: Sequence[MnaSystem], n_workers: int) -> list[list[int]]:
-    """Partition job ``indices`` into at most ``n_workers`` shards.
+    """Partition job ``indices`` into at most ``n_workers`` shards of whole groups.
 
-    Groups of batch-compatible jobs (equal
-    :func:`~repro.circuit.transient.job_group_key`) are kept contiguous
-    so each worker still batches internally; a group whose estimated
-    cost (:func:`job_cost` — heterogeneous Table-1 + interconnect mixes
-    are *not* uniform per job, so raw job counts skew wall-clock)
-    exceeds the per-worker cost target is split into chunks — except
-    *adaptive* groups (``TransientOptions.adaptive``), which always stay
-    whole: the LTE-controlled engine advances a group in lockstep on the
-    minimum accepted stride, so a job's accepted grid depends on its
-    group membership, and splitting would make the sharded run diverge
-    from the serial one.  Chunks go to the least-loaded shard by
-    accumulated cost (ties to the lowest shard index), which is
-    deterministic for a given job list and worker count.
+    Every group of batch-compatible jobs (equal
+    :func:`~repro.circuit.transient.job_group_key`) lands whole in one
+    shard, so each worker solves exactly the stacks the serial path
+    solves.  Groups go, costliest first by summed :func:`job_cost`, to
+    the least-loaded shard (ties to the lowest shard index); the cost
+    only orders whole groups.  The plan is a pure function of the job
+    list and worker count, and holds fewer shards than workers when
+    there are fewer groups.
     """
     groups: dict[tuple, list[int]] = {}
     for k in indices:
         groups.setdefault(job_group_key(jobs[k], mnas[k]), []).append(k)
-    costs = {k: job_cost(jobs[k], mnas[k]) for k in indices}
-    target = sum(costs.values()) / max(1, n_workers)
-
-    chunks: list[tuple[list[int], float]] = []
-    for members in groups.values():
-        opts = jobs[members[0]].options
-        if opts is not None and opts.adaptive:
-            chunks.append((members, sum(costs[k] for k in members)))
-            continue
-        chunk: list[int] = []
-        chunk_cost = 0.0
-        for k in members:
-            if chunk and chunk_cost + costs[k] > target:
-                chunks.append((chunk, chunk_cost))
-                chunk, chunk_cost = [], 0.0
-            chunk.append(k)
-            chunk_cost += costs[k]
-        if chunk:
-            chunks.append((chunk, chunk_cost))
-
+    costed = [(sum(job_cost(jobs[k], mnas[k]) for k in members), members)
+              for members in groups.values()]
     shards: list[list[int]] = [[] for _ in range(n_workers)]
     loads = [0.0] * n_workers
-    # Stable sort: equal-cost chunks keep their group build order, so the
-    # assignment is a pure function of the job list and worker count.
-    for chunk, cost in sorted(chunks, key=lambda c: c[1], reverse=True):
+    # Stable sort: equal-cost groups keep their build order.
+    for cost, members in sorted(costed, key=lambda c: c[0], reverse=True):
         w = loads.index(min(loads))
-        shards[w].extend(chunk)
+        shards[w].extend(members)
         loads[w] += cost
     return [s for s in shards if s]
 
@@ -245,7 +222,7 @@ def _run_indexed_chunk(fn, indices: list[int]) -> list:
     chunks.  ``wedge`` is not a declared kind here: ``run_indexed`` has
     no deadline, so a wedge would hang the run rather than test it.
     """
-    rule = maybe_fault("pool.indexed", indices[0] if indices else 0)
+    rule = maybe_fault("pool.indexed", indices[0])
     if rule is not None:
         _honour_entry_fault(rule)
     return [fn(i) for i in indices]
@@ -281,59 +258,31 @@ def run_indexed(
     counted in ``diag["fallback_shards"]``; a crash costs time, never
     results or determinism.
     """
-    require_count = int(count)
-    if require_count < 0:
+    count = int(count)
+    if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     cfg = execution if execution is not None else default_execution()
-    workers = max(1, int(cfg.workers))
-    info = {"mode": "serial", "jobs": require_count, "shards": 0,
+    info = {"mode": "serial", "jobs": count, "shards": 0,
             "fallback_shards": 0}
     if diag is not None:
         diag.update(info)
-    if require_count == 0:
-        return []
-
-    if workers == 1 or require_count < cfg.min_pool_jobs:
-        results = [fn(i) for i in range(require_count)]
-        if diag is not None:
-            diag.update(info)
-        return results
 
     # Contiguous chunks, one per worker: a pure function of (count,
     # workers), and irrelevant to the results by the purity contract.
-    n_chunks = min(workers, require_count)
-    bounds = [round(require_count * w / n_chunks) for w in range(n_chunks + 1)]
-    chunks = [list(range(bounds[w], bounds[w + 1])) for w in range(n_chunks)]
-    chunks = [c for c in chunks if c]
-    info.update({"mode": "sharded", "shards": len(chunks)})
+    n_chunks = min(max(1, int(cfg.workers)), count) \
+        if count >= cfg.min_pool_jobs else 1
+    bounds = [round(count * w / n_chunks) for w in range(n_chunks + 1)]
+    chunks = [list(range(bounds[w], bounds[w + 1])) for w in range(n_chunks)
+              if bounds[w] < bounds[w + 1]]
+    results: list = [None] * count
 
-    results: list = [None] * require_count
-    try:
-        executor = ProcessPoolExecutor(max_workers=len(chunks),
-                                       mp_context=_pool_context())
-    except Exception:
-        info.update({"mode": "serial", "shards": 0})
-        info["fallback_shards"] += len(chunks)
-        for chunk in chunks:
-            for i in chunk:
-                results[i] = fn(i)
-        if diag is not None:
-            diag.update(info)
-        return results
+    def accept(chunk: list[int], payload: list) -> None:
+        for i, value in zip(chunk, payload):
+            results[i] = value
 
-    with executor:
-        futures = [(chunk, executor.submit(_run_indexed_chunk, fn, chunk))
-                   for chunk in chunks]
-        for chunk, future in futures:
-            try:
-                payload = future.result()
-            except Exception:
-                # Worker crash / pickling failure: re-evaluate inline —
-                # same values by the purity contract.
-                info["fallback_shards"] += 1
-                payload = [fn(i) for i in chunk]
-            for i, value in zip(chunk, payload):
-                results[i] = value
+    _fan_out(_run_indexed_chunk, chunks, [(fn, c) for c in chunks],
+             lambda chunk: accept(chunk, [fn(i) for i in chunk]), accept,
+             info)
     if diag is not None:
         diag.update(info)
     return results
@@ -358,15 +307,16 @@ def run_jobs(
 ) -> list[TransientResult]:
     """Run many independent transient jobs through the execution layer.
 
-    Results come back in submission order and are numerically equivalent
-    (within the fixed-grid engine's <1e-9 V stack-membership tolerance)
-    to ``simulate_transient_many(jobs)``; with a warm store they are *bit
-    identical* to the run that populated it.  Adaptive job groups are
-    handled coherently everywhere membership matters within a call —
-    shards never split them, and a *partially*-warm adaptive group
-    discards its store hits and re-solves whole — so every adaptive
-    group this call actually solves uses exactly the serial baseline's
-    lockstep grouping.  A *fully*-warm adaptive hit, however, replays
+    Results come back in submission order.  Shards hold whole job
+    groups (:func:`make_shards`), so every stack solves with the serial
+    membership and a cold run is *bit identical* to
+    ``simulate_transient_many(jobs)`` for any worker count; with a warm
+    store results are bit identical to the run that populated it.  A
+    *partially*-warm adaptive group discards its store hits and
+    re-solves whole, so every adaptive group this call actually solves
+    uses exactly the serial baseline's lockstep grouping (a partially
+    warm fixed-grid group solves only its misses, on any worker count).
+    A *fully*-warm adaptive hit, however, replays
     the accepted grid of whatever submission populated the store (the
     content key deliberately ignores group membership), which may differ
     from the grid the current submission would produce; both lie within
@@ -401,11 +351,6 @@ def run_jobs(
 
     store = cfg.store
     workers = max(1, int(cfg.workers))
-    if store is None and workers == 1:
-        results = simulate_transient_many(jobs)
-        _accumulate_fleet(results, info)
-        return results
-
     results: list[TransientResult | None] = [None] * len(jobs)
     mnas = [MnaSystem(job.circuit) for job in jobs]
     keys: list[str | None] = [None] * len(jobs)
@@ -428,14 +373,24 @@ def run_jobs(
         info["store_misses"] = len(pending)
 
     if pending:
-        if workers == 1 or len(pending) < cfg.min_pool_jobs:
-            solved = simulate_transient_many([jobs[k] for k in pending],
-                                             mnas=[mnas[k] for k in pending])
-            for k, res in zip(pending, solved):
+        shards = make_shards(pending, jobs, mnas, workers) \
+            if workers > 1 and len(pending) >= cfg.min_pool_jobs else [pending]
+
+        def solve_inline(shard: list[int]) -> None:
+            solved = simulate_transient_many([jobs[k] for k in shard],
+                                             mnas=[mnas[k] for k in shard])
+            for k, res in zip(shard, solved):
                 results[k] = res
-        else:
-            _run_sharded(pending, jobs, mnas, results, workers, info,
-                         shard_timeout=cfg.shard_timeout)
+
+        def accept(shard: list[int], payload: list) -> None:
+            for k, (times, x, stats) in zip(shard, payload):
+                results[k] = TransientResult(mnas[k], times, x, stats=stats)
+
+        _fan_out(_simulate_shard, shards,
+                 [([jobs[k] for k in shard], s_idx)
+                  for s_idx, shard in enumerate(shards)],
+                 solve_inline, accept, info,
+                 _shard_deadlines(shards, jobs, mnas, cfg.shard_timeout))
 
     if store is not None:
         for k in pending:
@@ -535,32 +490,25 @@ def _abandon_pool(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _run_sharded(
-    pending: list[int],
-    jobs: list[TransientJob],
-    mnas: list[MnaSystem],
-    results: list[TransientResult | None],
-    workers: int,
-    info: dict,
-    shard_timeout: float = 0.0,
-) -> None:
-    """Solve ``pending`` across a process pool, serial fallback on failure.
+def _fan_out(entry, shards: list[list[int]], args: list[tuple], inline,
+             accept, info: dict,
+             budgets: "list[float | None] | None" = None) -> None:
+    """Run ``entry(*args[s])`` for every shard ``s`` on a process pool.
 
-    With ``shard_timeout > 0`` every shard future gets a cost-scaled
-    deadline (:func:`_shard_deadlines`); a worker past its deadline is
-    abandoned and its shard re-solved inline, deterministically, exactly
-    like the crash path — counted in ``fallback_shards`` *and*
-    ``timeout_shards``.
+    The one pool loop of :func:`run_jobs` and :func:`run_indexed`.  A
+    plan of fewer than two shards runs ``inline`` with no fork and
+    leaves ``info`` in serial mode; otherwise each worker's payload goes
+    to ``accept(shard, payload)``.  Pool creation failure resolves every
+    shard inline (mode back to ``"serial"``); a worker that fails, or
+    whose future passes its ``budgets`` deadline (seconds, ``None`` =
+    wait forever), resolves its shard inline, counted in
+    ``fallback_shards`` (and, for a deadline, ``timeout_shards``).
     """
-    shards = make_shards(pending, jobs, mnas, workers)
+    if len(shards) < 2:
+        for shard in shards:
+            inline(shard)
+        return
     info.update({"mode": "sharded", "shards": len(shards)})
-
-    def solve_inline(shard: list[int]) -> None:
-        solved = simulate_transient_many([jobs[k] for k in shard],
-                                         mnas=[mnas[k] for k in shard])
-        for k, res in zip(shard, solved):
-            results[k] = res
-
     try:
         executor = ProcessPoolExecutor(max_workers=len(shards),
                                        mp_context=_pool_context())
@@ -571,26 +519,22 @@ def _run_sharded(
         info.update({"mode": "serial", "shards": 0})
         info["fallback_shards"] += len(shards)
         for shard in shards:
-            solve_inline(shard)
+            inline(shard)
         return
 
-    budgets = _shard_deadlines(shards, jobs, mnas, shard_timeout)
+    budgets = budgets or [None] * len(shards)
     abandoned = False
     try:
-        futures = [(shard, executor.submit(_simulate_shard,
-                                           [jobs[k] for k in shard], s_idx))
-                   for s_idx, shard in enumerate(shards)]
+        futures = [executor.submit(entry, *a) for a in args]
         # All shards run concurrently (max_workers == len(shards)), so
         # absolute deadlines are measured from one submission instant;
         # waiting for them in submission order costs nothing.
         t_submit = time.monotonic()
-        for (shard, future), budget in zip(futures, budgets):
+        for shard, future, budget in zip(shards, futures, budgets):
             try:
-                if budget is None:
-                    payload = future.result()
-                else:
-                    remaining = t_submit + budget - time.monotonic()
-                    payload = future.result(timeout=max(0.0, remaining))
+                payload = future.result(
+                    timeout=None if budget is None
+                    else max(0.0, t_submit + budget - time.monotonic()))
             except _FutureTimeout:
                 # A *wedged* worker (deadlock, NFS stall) raises
                 # nothing, ever — without this deadline the whole run
@@ -600,17 +544,16 @@ def _run_sharded(
                 abandoned = True
                 info["timeout_shards"] += 1
                 info["fallback_shards"] += 1
-                solve_inline(shard)
+                inline(shard)
                 continue
             except Exception:
                 # A dead or failing worker (crash, OOM kill, pickling
                 # error) must not take the run down: re-solve its shard
                 # in-process, deterministically.
                 info["fallback_shards"] += 1
-                solve_inline(shard)
+                inline(shard)
                 continue
-            for k, (times, x, stats) in zip(shard, payload):
-                results[k] = TransientResult(mnas[k], times, x, stats=stats)
+            accept(shard, payload)
     finally:
         if abandoned:
             _abandon_pool(executor)

@@ -79,11 +79,12 @@ def decode(line: "bytes | str") -> dict:
     Raises
     ------
     ProtocolError
-        When the line is not valid JSON or not a JSON object.
+        When the line is not valid JSON (nesting too deep to parse
+        included) or not a JSON object.
     """
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProtocolError(f"not a JSON line: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(

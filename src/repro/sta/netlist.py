@@ -41,10 +41,11 @@ def _normalize_inputs(inputs) -> tuple[tuple[str, str], ...]:
         pairs = tuple((str(p), str(n)) for p, n in inputs.items())
     else:
         pairs = tuple((str(p), str(n)) for p, n in inputs)
-    require(len(pairs) >= 1, "instance needs at least one input connection")
+    if not pairs:
+        raise NetlistError("instance needs at least one input connection")
     pins = [p for p, _ in pairs]
-    require(len(set(pins)) == len(pins),
-            f"duplicate input pin in {pins}")
+    if len(set(pins)) != len(pins):
+        raise NetlistError(f"duplicate input pin in {pins}")
     return pairs
 
 
@@ -100,8 +101,8 @@ class GateNetlist:
         ``inputs`` is a net name (single-input cells, pin ``A``), a
         ``{pin: net}`` mapping, or ``(pin, net)`` pairs.
         """
-        require(all(i.name != name for i in self.instances),
-                f"duplicate instance name {name!r}")
+        if any(i.name == name for i in self.instances):
+            raise NetlistError(f"duplicate instance name {name!r}")
         inst = GateInstance(name=name, cell=cell,
                             inputs=_normalize_inputs(inputs),
                             output_net=output_net, output_pin=output_pin)

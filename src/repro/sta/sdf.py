@@ -116,10 +116,18 @@ def _sdf_tokens(text: str) -> list[str]:
     return tokens
 
 
-def _read_sexpr(tokens: list[str], i: int) -> tuple[list, int]:
+#: Deepest parenthesis nesting :func:`read_sdf` accepts.  The subset it
+#: reads nests six levels (DELAYFILE > CELL > DELAY > ABSOLUTE > IOPATH >
+#: triple); the bound keeps a hostile input from exhausting the stack.
+_MAX_NESTING = 64
+
+
+def _read_sexpr(tokens: list[str], i: int, depth: int = 1) -> tuple[list, int]:
     """Parse one parenthesised expression starting at ``tokens[i] == '('``."""
     if tokens[i] != "(":
         raise SdfError(f"expected '(', got {tokens[i]!r}")
+    if depth > _MAX_NESTING:
+        raise SdfError(f"parentheses nest deeper than {_MAX_NESTING} levels")
     i += 1
     items: list = []
     while i < len(tokens):
@@ -127,7 +135,7 @@ def _read_sexpr(tokens: list[str], i: int) -> tuple[list, int]:
         if tok == ")":
             return items, i + 1
         if tok == "(":
-            sub, i = _read_sexpr(tokens, i)
+            sub, i = _read_sexpr(tokens, i, depth + 1)
             items.append(sub)
         else:
             items.append(tok[1:-1] if tok.startswith('"') else tok)

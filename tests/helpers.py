@@ -3,6 +3,8 @@ shared across the test suite."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from repro.core.waveform import Waveform
@@ -69,3 +71,30 @@ def synthetic_gate_pair(t50: float = 1.0e-9, slew: float = 200e-12,
     v_out = sigmoid_edge(t50 + delay, 0.8 * slew, vdd, rising=False,
                          t_start=t50 - 5 * slew, t_end=t50 + 5 * slew)
     return v_in, v_out
+
+
+def seeded_mutations(text: str, seed: int, punct: str, count: int = 2000):
+    """Yield ``count`` seeded byte-level mutants of ``text``.
+
+    Each applies one to three edits: a span deletion (1-8 characters),
+    one inserted character from ``punct``, or a spliced copy of another
+    span (1-40 characters).  A parser fed these must either accept the
+    text or raise its declared error.
+    """
+    rng = random.Random(seed)
+
+    def mutate(s: str) -> str:
+        i = rng.randrange(len(s) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return s[:i] + s[i + rng.randint(1, 8):]
+        if kind == 1:
+            return s[:i] + rng.choice(punct) + s[i:]
+        j = rng.randrange(len(s))
+        return s[:i] + s[j:j + rng.randint(1, 40)] + s[i:]
+
+    for _ in range(count):
+        mutant = text
+        for _ in range(rng.randint(1, 3)):
+            mutant = mutate(mutant)
+        yield mutant

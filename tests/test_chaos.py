@@ -33,16 +33,19 @@ def _clean_registry():
     install_plan(None)
 
 
-def rc_job(start: float = 50e-12) -> TransientJob:
+def rc_job(start: float = 50e-12, r_ohm: float = 1e3) -> TransientJob:
     c = Circuit("rc")
     c.vsource("Vin", "in", "0", RampSource(start, 1e-10, 0.0, 1.2))
-    c.resistor("R1", "in", "out", 1e3)
+    c.resistor("R1", "in", "out", r_ohm)
     c.capacitor("C1", "out", "0", 2e-14)
     return TransientJob(c, t_stop=5e-10, dt=2e-12)
 
 
 def _jobs(n: int) -> list:
-    return [rc_job(start=20e-12 + 10e-12 * k) for k in range(n)]
+    """Two resistor values, so two job groups: shards hold whole groups,
+    and a one-group list would run inline without reaching the pool."""
+    return [rc_job(start=20e-12 + 10e-12 * k,
+                   r_ohm=1e3 if k % 2 == 0 else 2e3) for k in range(n)]
 
 
 def _assert_identical(results, baseline):

@@ -1,5 +1,5 @@
-"""Execution-layer pool tests: sharded vs serial equivalence, determinism,
-and the worker-crash fallback path."""
+"""Execution-layer pool tests: sharded vs serial bit-exactness, whole-group
+shard plans, determinism, and the worker-crash fallback path."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.circuit.mna import MnaSystem
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
-                                     simulate_transient_many)
+                                     job_group_key, simulate_transient_many)
 from repro.core.waveform import Waveform
 from repro.exec import ExecutionConfig, run_jobs
 from repro.exec import pool as pool_mod
@@ -18,7 +18,6 @@ from repro.exec.pool import make_shards
 from repro.library.cells import standard_cell
 from repro.core.propagation import GateFixture
 
-VOLTAGE_TOL = 1e-9
 ADAPTIVE = TransientOptions(adaptive=True)
 
 
@@ -53,18 +52,20 @@ def job_mix() -> list[TransientJob]:
     return jobs
 
 
+def two_group_rc_jobs(n: int) -> list[TransientJob]:
+    """``n`` RC ladders alternating between two resistor values: two groups."""
+    return [rc_job(1e3 if k % 2 == 0 else 2e3, 30e-12 * k) for k in range(n)]
+
+
 def assert_equivalent(serial, sharded):
+    """Shards hold whole groups, so every stack solves with the serial
+    membership: results must match bit for bit."""
     assert len(serial) == len(sharded)
-    worst = 0.0
     for s, b in zip(serial, sharded):
         # Identical ordering: each result must describe the same job.
         assert s.node_names == b.node_names
-        assert s.times.shape == b.times.shape
         np.testing.assert_array_equal(s.times, b.times)
-        for node in s.node_names:
-            worst = max(worst, float(np.max(np.abs(
-                s.voltage_samples(node) - b.voltage_samples(node)))))
-    assert worst < VOLTAGE_TOL, f"worst node deviation {worst:.3e} V"
+        np.testing.assert_array_equal(s._x, b._x)
 
 
 class TestShardedEquivalence:
@@ -75,7 +76,7 @@ class TestShardedEquivalence:
         assert_equivalent(serial, sharded)
 
     def test_mosfet_free_only(self):
-        jobs = [rc_job(1e3, 30e-12 * k) for k in range(6)]
+        jobs = two_group_rc_jobs(6)
         serial = simulate_transient_many(jobs)
         diag = {}
         sharded = run_jobs(jobs, ExecutionConfig(workers=3), diag=diag)
@@ -119,12 +120,38 @@ class TestShardScheduler:
         assert flat == indices
         assert len(a) <= 3
 
-    def test_large_group_is_split(self):
+    def test_large_group_stays_whole(self):
         jobs = [rc_job(1e3, 10e-12 * k) for k in range(8)]
+        shards = make_shards(list(range(8)), jobs, self._mnas(jobs), 2)
+        assert shards == [list(range(8))]
+
+    def test_every_group_lands_in_exactly_one_shard(self):
+        jobs = job_mix() + two_group_rc_jobs(6)
         mnas = self._mnas(jobs)
-        shards = make_shards(list(range(8)), jobs, mnas, 2)
+        shards = make_shards(list(range(len(jobs))), jobs, mnas, 2)
         assert len(shards) == 2
-        assert sorted(len(s) for s in shards) == [4, 4]
+        where = {}
+        for s_idx, shard in enumerate(shards):
+            for k in shard:
+                key = job_group_key(jobs[k], mnas[k])
+                assert where.setdefault(key, s_idx) == s_idx
+        # Members keep their submission order inside a shard.
+        for shard in shards:
+            for key in set(where):
+                members = [k for k in shard
+                           if job_group_key(jobs[k], mnas[k]) == key]
+                assert members == sorted(members)
+
+    def test_single_shard_plan_forks_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-group plan must not fork")
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
+        jobs = [rc_job(1e3, 10e-12 * k) for k in range(8)]
+        diag = {}
+        results = run_jobs(jobs, ExecutionConfig(workers=2), diag=diag)
+        assert diag["mode"] == "serial" and diag["shards"] == 0
+        assert diag["fallback_shards"] == 0
+        assert_equivalent(simulate_transient_many(jobs), results)
 
 
 def adaptive_job_mix() -> list[TransientJob]:
@@ -144,9 +171,8 @@ class TestAdaptiveSharding:
     """Sharded ≡ serial with LTE-controlled stepping enabled.
 
     Adaptive groups advance in lockstep, so their accepted grid depends
-    on the group membership; the scheduler keeps them whole, making the
-    sharded run *bit-identical* to the serial one (`assert_equivalent`
-    also requires matching time axes).
+    on the group membership; the scheduler keeps every group whole, so
+    the sharded run is *bit-identical* to the serial one.
     """
 
     def test_adaptive_sharded_matches_serial(self):
@@ -164,13 +190,8 @@ class TestAdaptiveSharding:
                 for k in range(8)]
         mnas = [MnaSystem(j.circuit) for j in jobs]
         shards = make_shards(list(range(8)), jobs, mnas, 2)
-        # One topology-sharing adaptive group: all 8 jobs in one shard
-        # (a fixed-grid list of the same shape splits 4/4).
+        # One topology-sharing adaptive group: all 8 jobs in one shard.
         assert len(shards) == 1 and sorted(shards[0]) == list(range(8))
-        fixed = [rc_job(1e3, 10e-12 * k) for k in range(8)]
-        fixed_shards = make_shards(list(range(8)), fixed,
-                                   [MnaSystem(j.circuit) for j in fixed], 2)
-        assert sorted(len(s) for s in fixed_shards) == [4, 4]
 
     def test_adaptive_worker_crash_falls_back_to_serial(self, monkeypatch):
         jobs = adaptive_job_mix()
@@ -200,7 +221,7 @@ class TestWorkerCrashFallback:
         def no_pool(*args, **kwargs):
             raise OSError("no processes for you")
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
-        jobs = [rc_job(1e3, 30e-12 * k) for k in range(4)]
+        jobs = two_group_rc_jobs(4)
         diag = {}
         results = run_jobs(jobs, ExecutionConfig(workers=2), diag=diag)
         assert diag["mode"] == "serial" and diag["fallback_shards"] >= 1
@@ -208,9 +229,8 @@ class TestWorkerCrashFallback:
 
 
 class TestCostBalancedShards:
-    """make_shards balances by estimated job cost (steps × size² ×
-    (1 + n_mosfets)), not raw job count — heterogeneous Table-1 +
-    interconnect mixes would otherwise skew wall-clock."""
+    """make_shards places whole groups, costliest first by summed job
+    cost (steps × size² × (1 + n_mosfets)), on the least-loaded shard."""
 
     def test_cost_model_orders_jobs_sensibly(self):
         small = rc_job(1e3, 10e-12)
@@ -230,26 +250,24 @@ class TestCostBalancedShards:
         assert pool_mod.job_cost(mosfet, mna) == pytest.approx(
             n_steps * mna.size ** 2 * (1 + mna.n_mosfets))
 
-    def test_heterogeneous_mix_splits_expensive_group(self):
+    def test_costliest_group_gets_its_own_shard(self):
         big = [rc_job(1e3, 10e-12 * k, n_stages=30) for k in range(2)]
-        small = [rc_job(1e3, 10e-12 * k) for k in range(6)]
-        jobs = big + small
+        small = [rc_job(r, 10e-12 * k) for r in (1e3, 2e3, 3e3)
+                 for k in range(2)]
+        jobs = small + big
         mnas = [MnaSystem(j.circuit) for j in jobs]
-        costs = [pool_mod.job_cost(j, m) for j, m in zip(jobs, mnas)]
         shards = make_shards(list(range(len(jobs))), jobs, mnas, 2)
-        assert len(shards) == 2
-        # The two expensive jobs must not share a shard (count-based
-        # chunking kept their group whole and skewed one worker).
-        locate = {k: i for i, s in enumerate(shards) for k in s}
-        assert locate[0] != locate[1]
-        loads = [sum(costs[k] for k in s) for s in shards]
-        assert max(loads) <= 0.7 * sum(costs)
+        # The deep group outweighs the three shallow ones together: it
+        # goes first, alone; the shallow groups fill the other shard.
+        assert shards == [[6, 7], [0, 1, 2, 3, 4, 5]]
 
-    def test_equal_costs_still_split_evenly(self):
-        jobs = [rc_job(1e3, 10e-12 * k) for k in range(8)]
+    def test_equal_cost_groups_spread_evenly(self):
+        jobs = [rc_job(r, 10e-12 * k) for r in (1e3, 2e3, 3e3, 4e3)
+                for k in range(2)]
         mnas = [MnaSystem(j.circuit) for j in jobs]
         shards = make_shards(list(range(8)), jobs, mnas, 2)
-        assert sorted(len(s) for s in shards) == [4, 4]
+        # Equal costs keep their build order: groups alternate shards.
+        assert shards == [[0, 1, 4, 5], [2, 3, 6, 7]]
 
     def test_cost_balanced_run_matches_serial(self):
         jobs = [rc_job(1e3, 10e-12 * k, n_stages=30) for k in range(2)] \
@@ -296,7 +314,7 @@ class TestWedgedWorkerDeadline:
         assert_equivalent(serial, results)
 
     def test_generous_deadline_never_fires(self):
-        jobs = [rc_job(1e3, 30e-12 * k) for k in range(6)]
+        jobs = two_group_rc_jobs(6)
         diag = {}
         results = run_jobs(jobs,
                            ExecutionConfig(workers=2, shard_timeout=120.0),
@@ -307,7 +325,7 @@ class TestWedgedWorkerDeadline:
         assert_equivalent(simulate_transient_many(jobs), results)
 
     def test_crash_is_not_counted_as_timeout(self, monkeypatch):
-        jobs = [rc_job(1e3, 30e-12 * k) for k in range(6)]
+        jobs = two_group_rc_jobs(6)
         monkeypatch.setattr(pool_mod, "_simulate_shard", _crashing_shard)
         diag = {}
         results = run_jobs(jobs,

@@ -1,6 +1,5 @@
 """Tests for cells, NLDM tables, characterisation and Liberty I/O."""
 
-import random
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.library.liberty import (
     write_liberty,
 )
 from repro.library.nldm import NldmTable, TimingArc
+from tests.helpers import seeded_mutations
 
 VDD = 1.2
 C17_LIB = (Path(__file__).parent / "data" / "c17.lib").read_text()
@@ -236,24 +236,8 @@ class TestLibertyErrors:
         """2,000 seeded byte-level mutations of the c17 library (span
         deletions, inserted punctuation, spliced copies; one to three
         each) either parse or raise LibertyParseError."""
-        rng = random.Random(20051)
-        punct = '(){};:,"/*\\ \n.-0e'
-
-        def mutate(text):
-            i = rng.randrange(len(text) + 1)
-            kind = rng.randrange(3)
-            if kind == 0:
-                return text[:i] + text[i + rng.randint(1, 8):]
-            if kind == 1:
-                return text[:i] + rng.choice(punct) + text[i:]
-            j = rng.randrange(len(text))
-            return text[:i] + text[j:j + rng.randint(1, 40)] + text[i:]
-
         parsed = 0
-        for _ in range(2000):
-            text = C17_LIB
-            for _ in range(rng.randint(1, 3)):
-                text = mutate(text)
+        for text in seeded_mutations(C17_LIB, 20051, '(){};:,"/*\\ \n.-0e'):
             try:
                 parse_liberty(text)
             except LibertyParseError:

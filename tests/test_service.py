@@ -106,6 +106,8 @@ class TestProtocol:
             decode(b"not json\n")
         with pytest.raises(ProtocolError):
             decode(b"[1, 2, 3]\n")  # a list, not an object
+        with pytest.raises(ProtocolError):
+            decode(b"[" * 200_000)  # nesting past the recursion limit
 
 
 # ----------------------------------------------------------------------
@@ -313,6 +315,18 @@ class TestRoundTrip:
                 svc.submit({"kind": "gate"})
             assert svc.ping()["event"] == "pong"
         assert service.job_errors == 1
+
+    def test_deeply_nested_line_is_one_bad_request(self, service):
+        before = service.bad_requests
+        with ServiceClient(port=service.port) as svc:
+            svc._file.write(b"[" * 200_000 + b"\n")
+            svc._file.flush()
+            reply = svc._read()
+            assert reply["event"] == "error"
+            assert "JSON" in reply["error"]
+            # The same connection then serves a valid request.
+            assert svc.submit(RC_SPEC)["nodes"] == ["out"]
+        assert service.bad_requests == before + 1
 
     def test_oversized_request_is_refused(self, monkeypatch):
         # Patch the limit down so the oversized line fits in the socket

@@ -24,6 +24,7 @@ from repro.sta import (
     read_sdf,
     read_verilog,
 )
+from tests.helpers import seeded_mutations
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +160,16 @@ class TestVerilogReaderErrors:
         with pytest.raises(NetlistError, match="exactly one output"):
             read_verilog(src)
 
+    @pytest.mark.parametrize("instances,match", [
+        ("INVX1 u0 (.A(a), .Y(b)); INVX1 u0 (.A(b), .Y(y));",
+         "duplicate instance name"),
+        ("NAND2X1 u0 (.A(a), .A(a), .Y(y));", "duplicate input pin"),
+    ])
+    def test_duplicate_names_rejected(self, instances, match):
+        src = f"module m (a, y); input a; output y; wire b; {instances} endmodule"
+        with pytest.raises(NetlistError, match=match):
+            read_verilog(src)
+
     def test_undeclared_header_port_rejected(self):
         src = "module m (a, y); input a; endmodule"
         with pytest.raises(NetlistError, match="no input/output declaration"):
@@ -196,6 +207,10 @@ class TestSdfReader:
     def test_unbalanced_parens_rejected(self):
         with pytest.raises(SdfError, match="[Uu]nbalanced"):
             read_sdf("(DELAYFILE (TIMESCALE 1ns)")
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(SdfError, match="nest deeper"):
+            read_sdf("(" * 100_000)
 
     def test_non_delayfile_rejected(self):
         with pytest.raises(SdfError, match="DELAYFILE"):
@@ -240,3 +255,26 @@ class TestSdfEngineInline:
         # Slews pass through unchanged (SDF carries no transition data).
         assert res.rise["y"].slew == pytest.approx(60e-12)
         assert res.critical_path("y") == ["a", "w", "y"]
+
+
+class TestSeededMutations:
+    """2,000 seeded byte-level mutations each of the c17 netlist and SDF
+    file either parse or raise the reader's declared error — never an
+    ``IndexError``/``KeyError``/``RecursionError`` from inside it."""
+
+    @pytest.mark.parametrize("name,reader,error,seed,punct", [
+        ("c17.v", read_verilog, NetlistError, 20052, "();,.#\\[]:= \n/*"),
+        ("c17.sdf", read_sdf, SdfError, 20053, '()":.* \n/-0e'),
+    ])
+    def test_mutations_raise_only_declared_errors(self, name, reader, error,
+                                                  seed, punct):
+        parsed = 0
+        for text in seeded_mutations((DATA / name).read_text(), seed, punct):
+            try:
+                reader(text)
+            except error:
+                continue
+            parsed += 1
+        # Both outcomes occur: the mutations are neither all fatal nor
+        # all harmless.
+        assert 0 < parsed < 2000

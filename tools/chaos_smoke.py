@@ -150,12 +150,14 @@ def _rc_jobs(n: int):
     from repro.circuit.sources import RampSource
     from repro.circuit.transient import TransientJob
 
+    # Two resistor values, so two job groups: shards hold whole groups,
+    # and a one-group list would run inline without reaching the pool.
     jobs = []
     for k in range(n):
         c = Circuit("rc")
         c.vsource("Vin", "in", "0",
                   RampSource(20e-12 + 10e-12 * k, 1e-10, 0.0, 1.2))
-        c.resistor("R1", "in", "out", 1e3)
+        c.resistor("R1", "in", "out", 1e3 if k % 2 == 0 else 2e3)
         c.capacitor("C1", "out", "0", 2e-14)
         jobs.append(TransientJob(c, t_stop=5e-10, dt=2e-12))
     return jobs
