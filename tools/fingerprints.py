@@ -40,8 +40,11 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
                                      simulate_transient_many)
+from repro.core.ramp import SaturatedRamp
 from repro.exec.store import job_key
-from repro.experiments.setup import CONFIG_I, build_testbench
+from repro.experiments.setup import CONFIG_I, build_testbench, receiver_fixture
+from repro.interconnect.coupling import CouplingSpec, add_coupled_lines
+from repro.interconnect.rcline import RcLineSpec
 from repro.library.cells import make_inverter
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,6 +71,14 @@ VDD = CONFIG_I.vdd
 #: switching step fails Newton and is recovered by step halving.
 HALVING = ((20e-12, 200e-12), {"in": 0.0, "out": VDD, "vdd": VDD})
 HALVING_DT = 20e-12
+
+#: A victim and two aggressor lines, coupled, 48 segments each and driven
+#: straight by ramp sources: MOSFET-free, so the forced ``sparse`` and
+#: ``banded`` requests run the factor-once linear solvers.
+BUNDLE_SEGMENTS = 48
+BUNDLE_OPTIONS = (TransientOptions(backend="sparse", adaptive=False),
+                  TransientOptions(backend="banded", adaptive=False))
+
 
 
 def _bench(config, victim_start, aggressor_starts, batch=3) -> list:
@@ -115,6 +126,31 @@ TRANSIENT = {
 }
 
 
+def _bundle_jobs() -> list:
+    """The RC bundle once per linear structured backend."""
+    circuit = Circuit(f"rc_bundle_{BUNDLE_SEGMENTS}")
+    terminals = []
+    for k in range(3):
+        circuit.vsource(f"V{k}", f"in{k}", "0",
+                        RampSource(0.2e-9, 150e-12, 0.0, VDD))
+        circuit.capacitor(f"cl{k}", f"out{k}", "0", 5e-15)
+        terminals.append((f"in{k}", f"out{k}"))
+    add_coupled_lines(
+        circuit, "bundle", terminals,
+        [RcLineSpec.from_length(1000.0, n_segments=BUNDLE_SEGMENTS)] * 3,
+        [CouplingSpec(0, k, 100e-15) for k in (1, 2)])
+    return [TransientJob(circuit, t_stop=1e-9, dt=DT, options=options)
+            for options in BUNDLE_OPTIONS]
+
+
+def _receiver_jobs() -> list:
+    """The Config-I receiver fixture driven by a rising and a falling ramp."""
+    fixture = receiver_fixture(CONFIG_I, dt=DT, adaptive=False)
+    return [fixture.transient_job(
+        SaturatedRamp.from_arrival_slew(0.3e-9, 150e-12, VDD, rising=rising),
+        (0.0, 1.0e-9)) for rising in (True, False)]
+
+
 def _crossings(times: np.ndarray, v: np.ndarray, level: float) -> list:
     """Linearly interpolated times where ``v`` crosses ``level``."""
     above = v >= level
@@ -127,11 +163,14 @@ def _crossings(times: np.ndarray, v: np.ndarray, level: float) -> list:
 
 def _transient_entry(build, args, batch: int, t_stop: float, dt: float,
                      options) -> dict:
-    jobs = [TransientJob(circuit, t_stop=t_stop, dt=dt,
-                         initial_voltages=initial, options=options)
-            for circuit, initial in build(*args, batch=batch)]
+    return _jobs_entry([TransientJob(circuit, t_stop=t_stop, dt=dt,
+                                     initial_voltages=initial, options=options)
+                        for circuit, initial in build(*args, batch=batch)])
+
+
+def _jobs_entry(jobs: list) -> dict:
     mnas = [MnaSystem(job.circuit) for job in jobs]
-    results = [jobs[0].run()] if batch == 1 \
+    results = [jobs[0].run()] if len(jobs) == 1 \
         else simulate_transient_many(jobs, mnas)
     level = 0.5 * VDD
     return {"kind": "transient", "variants": [{
@@ -166,8 +205,11 @@ def _dc_entry(bench, batch: int = 3, seeded: bool = True) -> dict:
 def compute() -> dict:
     """Every canonical workload, fingerprinted (keyed by workload name)."""
     out = {name: _transient_entry(*spec) for name, spec in TRANSIENT.items()}
+    out["rc_bundle3_sparse_banded"] = _jobs_entry(_bundle_jobs())
+    out["receiver_I_batch2"] = _jobs_entry(_receiver_jobs())
     out["dc_I_batch3"] = _dc_entry(TABLE1)
     out["dc_I_scalar"] = _dc_entry(TABLE1, batch=1, seeded=False)
+    out["dc_deep96_batch3"] = _dc_entry(DEEP_LINE)
     return out
 
 
