@@ -1,4 +1,4 @@
-"""Pattern-frozen Newton vs dense Newton on gate + coupled-RC netlists.
+"""Bordered-banded Newton vs dense Newton on gate + coupled-RC netlists.
 
 Sweeps the paper's Figure 1 topology — an inverter driving a coupled RC
 line bundle into the receiver/fanout chain, one aggressor — with the
@@ -7,8 +7,7 @@ line discretisation deepened well past the 3-π-cell paper scale
 once with the solver backend forced dense (the historical MOSFET Newton
 path: per-iteration dense re-stamp + stacked LU) and once with ``auto``
 backend selection (the block-bordered banded kernel for these
-gate-plus-line topologies, degrading to the frozen-pattern SuperLU
-refactorization — see :mod:`repro.circuit.solvers`).
+gate-plus-line topologies — see :mod:`repro.circuit.solvers`).
 
 The structured path's speedup comes from factoring the same Newton
 systems more cheaply, so the sweep gates on that, deterministically:
@@ -101,4 +100,4 @@ def test_paper_scale_gate_circuits_stay_dense():
 @pytest.mark.parametrize("n_segments", [72])
 def test_structured_newton_engages_at_depth(n_segments):
     res = _run(_testbench(n_segments), "auto")
-    assert res[0].stats["backend"] in ("banded", "sparse")
+    assert res[0].stats["backend"] == "banded"

@@ -13,9 +13,9 @@ Public surface:
   stepping (stacked over topology-sharing variants in the batch form)
 * Pluggable linear-solver backends (:mod:`repro.circuit.solvers`):
   dense LU, banded/(block-)tridiagonal Thomas, sparse LU — selected per
-  topology from the MNA sparsity pattern; MOSFET circuits take the
-  pattern-frozen Newton kernels (frozen-pattern SuperLU
-  refactorization / block-bordered banded Schur) under the same names
+  topology from the MNA sparsity pattern; MOSFET circuits run dense
+  Newton or, on gate-plus-interconnect topologies, the block-bordered
+  banded Schur kernel
 * Source functions (:class:`Dc`, :class:`Pwl`, :class:`RampSource`, …)
 * MOSFET parameter sets (:data:`NMOS_013`, :data:`PMOS_013`) and the one
   vectorised device evaluator :func:`mosfet_eval` (a scalar operating

@@ -18,14 +18,13 @@ sides using the backend selected from the topology's sparsity pattern
 stack of one.  Variants the stacked pass cannot converge go through
 gmin stepping one at a time, so each failure names its own stage.
 
-Large MOSFET networks run their Newton iterations through the
-pattern-frozen sparse kernel
-(:meth:`~repro.circuit.mna.MnaSystem.sparse_newton_step`): the Jacobian
-pattern is frozen per topology, each iteration (and each gmin stage)
-updates only the nnz data vector and pays a numeric SuperLU
-refactorization.  The bordered-banded transient kernel is deliberately
-not used here — gmin stepping would re-factor its banded core once per
-stage for no gain at DC's solve counts.
+MOSFET networks run their Newton iterations on the kernel the transient
+engine picks for the same backend request
+(:meth:`~repro.circuit.mna.MnaSystem.newton_backend`): the bordered
+kernel on gate-plus-interconnect topologies, its banded core factored
+once per solve (once per gmin stage), and dense Newton everywhere else.
+A singular core or Schur factorization finishes the solve on dense
+Newton.
 
 Operating points are not memoised: one costs well under 1% of the
 transient solve it seeds, and a warm transient store hit skips DC
@@ -50,19 +49,6 @@ __all__ = ["DcResult", "dc_operating_point", "dc_operating_point_batch",
 
 #: gmin-stepping schedule: heavy leak first, relaxed to the exact system.
 GMIN_STAGES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0)
-
-def _sparse_dc(mna: MnaSystem, requested: str) -> bool:
-    """Whether a MOSFET DC Newton should use the pattern-frozen kernel.
-
-    Resolved through the shared :func:`select_backend` rules against the
-    DC (capacitor-free) pattern; both structured names map to the sparse
-    kernel here (see the module docstring).
-    """
-    if mna.n_mosfets == 0:
-        return False
-    structure = mna.structure(include_caps=False) \
-        if requested == "auto" else None
-    return select_backend(structure, mna.n_mosfets, requested) != "dense"
 
 
 class DcConvergenceError(RuntimeError):
@@ -111,7 +97,7 @@ def _newton_dc(
     extra_gmin: float,
     rhs: np.ndarray,
     x0: np.ndarray,
-    kernel=None,
+    banded: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton for ``B`` stacked resistive networks; ``(x, converged)``.
 
@@ -121,11 +107,9 @@ def _newton_dc(
     is *exact*; a singular matrix marks every variant unconverged.
 
     MOSFET networks run :func:`~repro.circuit.mna.stacked_newton`;
-    ``kernel`` optionally routes its iterations through the
-    pattern-frozen sparse operator of the same leaked system (the leak
-    lands on the frozen diagonal positions, so every gmin stage shares
-    one symbolic pattern; a singular structured refactorization falls
-    back to the dense path mid-solve).
+    ``banded`` routes its iterations through the bordered kernel of the
+    leaked system (dense Newton when its core factorization fails; a
+    singular Schur factorization falls back to dense mid-solve).
     A singular dense solve marks every still-active variant unconverged.
     """
     a_base = mna.g_lin.copy()
@@ -137,12 +121,13 @@ def _newton_dc(
         except np.linalg.LinAlgError:
             return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
         return x, np.isfinite(x).all(axis=1)
+    kernel = mna.bordered_newton_step(a_base) if banded else None
     return stacked_newton(mna, a_base, rhs, x0, abstol=1e-9, max_iter=200,
                           v_limit=0.4, catch_singular=True, kernel=kernel)
 
 
 def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
-                   circuit_name: str, sparse: bool = False) -> np.ndarray:
+                   circuit_name: str, banded: bool = False) -> np.ndarray:
     """Walk the gmin schedule for one variant (``(1, size)`` stacks),
     solving each stage exactly once.
 
@@ -154,8 +139,7 @@ def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
     :class:`DcConvergenceError` naming the stage that failed.
     """
     def solve(gmin: float, seed: np.ndarray) -> "np.ndarray | None":
-        kernel = sys_.sparse_newton_step(extra_gmin=gmin) if sparse else None
-        x, converged = _newton_dc(sys_, gmin, rhs, seed, kernel)
+        x, converged = _newton_dc(sys_, gmin, rhs, seed, banded)
         return x if converged.all() else None
 
     n_stages = len(GMIN_STAGES)
@@ -211,8 +195,8 @@ def dc_operating_point(
         driver).
     backend:
         Solver backend request (``"auto"``/``"dense"``/``"sparse"``/
-        ``"banded"``): large MOSFET networks run their Newton iterations
-        through the pattern-frozen sparse kernel (see the module
+        ``"banded"``): MOSFET networks run their Newton iterations on the
+        kernel the transient engine picks for it (see the module
         docstring); every backend computes the same operating point.
 
     Raises
@@ -257,8 +241,9 @@ def dc_operating_point_batch(
     backend:
         Solver backend request (``"auto"``, ``"dense"``, ``"sparse"``,
         ``"banded"``): selects the structured factorization of
-        MOSFET-free stacks, and whether MOSFET stacks iterate through
-        the pattern-frozen sparse Newton kernel.
+        MOSFET-free stacks, and the Newton kernel of MOSFET stacks
+        (:meth:`~repro.circuit.mna.MnaSystem.newton_backend`, shared
+        with the transient engine).
 
     Returns
     -------
@@ -290,7 +275,7 @@ def dc_operating_point_batch(
     for b, seed in enumerate(seeds):
         mna0.seed_vector(seed, out=x0[b])
 
-    sparse = _sparse_dc(mna0, backend)
+    banded = mna0.n_mosfets > 0 and mna0.newton_backend(backend) == "banded"
     if mna0.n_mosfets == 0:
         # Linear network: one structured factorization, B exact solves.
         structure = mna0.structure(include_caps=False)
@@ -306,14 +291,13 @@ def dc_operating_point_batch(
             x = x0
             converged = np.zeros(len(circuits), dtype=bool)
     else:
-        kernel = mna0.sparse_newton_step() if sparse else None
-        x, converged = _newton_dc(mna0, 0.0, rhs, x0, kernel)
+        x, converged = _newton_dc(mna0, 0.0, rhs, x0, banded)
 
     node_names = tuple(mna0.node_names)
     results = []
     for b, circuit in enumerate(circuits):
         solution = x[b] if converged[b] else _gmin_stepping(
             systems[b], rhs[b:b + 1], x0[b:b + 1], circuit.name,
-            sparse=sparse)[0]
+            banded=banded)[0]
         results.append(DcResult(solution=solution, node_names=node_names))
     return results

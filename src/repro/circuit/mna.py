@@ -26,12 +26,11 @@ from .._util import require
 from .mosfet import mosfet_eval
 from .netlist import GROUND, Circuit
 from .solvers import (BorderedBanded, MatrixStructure,
-                      PatternFrozenLu, _BANDED_MAX_BANDWIDTH, _MAX_BORDER,
-                      _MIN_STRUCTURED_SIZE, analyze_pattern)
+                      _BANDED_MAX_BANDWIDTH, _MAX_BORDER,
+                      _MIN_STRUCTURED_SIZE, analyze_pattern, select_backend)
 
-__all__ = ["MnaSystem", "stacked_newton", "SparseStampMaps",
-           "NewtonPartition", "SparseNewtonStep", "BorderedNewtonStep",
-           "clear_analysis_cache"]
+__all__ = ["MnaSystem", "stacked_newton", "NewtonPartition",
+           "BorderedNewtonStep", "clear_analysis_cache"]
 
 #: Conductance to ground added on every node diagonal for matrix robustness.
 DEFAULT_GMIN = 1e-9
@@ -41,8 +40,7 @@ DEFAULT_GMIN = 1e-9
 # Per-topology analysis cache
 # ----------------------------------------------------------------------
 #: Analysis products that depend only on the topology signature — pattern
-#: structures (RCM included), sparse stamp maps, Newton core/border
-#: partitions — shared across :class:`MnaSystem` instances.  Wide
+#: structures (RCM included) and Newton core/border partitions — shared across :class:`MnaSystem` instances.  Wide
 #: experiment fronts compile one system per job; without this cache every
 #: instance re-derived its O(n²)-ish pattern analysis inside
 #: ``_StepMatrixCache.__init__``, once per job instead of once per
@@ -57,11 +55,10 @@ _UNCOMPUTED = object()
 class _TopologyAnalysis:
     """Lazily filled per-topology analysis slot."""
 
-    __slots__ = ("structures", "maps", "partition")
+    __slots__ = ("structures", "partition")
 
     def __init__(self):
         self.structures: dict[bool, MatrixStructure] = {}
-        self.maps: "SparseStampMaps | None" = None
         self.partition = _UNCOMPUTED
 
 
@@ -80,47 +77,6 @@ def _analysis_for(signature: tuple) -> _TopologyAnalysis:
 def clear_analysis_cache() -> None:
     """Drop every cached per-topology analysis (test isolation hook)."""
     _ANALYSIS_CACHE.clear()
-
-
-@dataclass(frozen=True)
-class SparseStampMaps:
-    """Frozen CSC pattern plus O(nnz) scatter maps for one topology.
-
-    The pattern is the union of every value the assembled system can
-    ever hold — linear stamps (``g_lin``), node diagonals (gmin
-    stepping), capacitor companion positions and MOSFET Jacobian fill —
-    so it is fixed across time steps, Newton iterations and gmin stages;
-    only the ``data`` vector changes.  The index maps let each producer
-    stamp straight into a preallocated nnz vector:
-
-    ``lin_data``
-        ``g_lin`` scattered onto the pattern (the constant base).
-    ``diag_pos``
-        Data positions of the node diagonals (``extra_gmin`` stepping).
-    ``cap_pos`` / ``cap_sign`` / ``cap_idx``
-        One entry per capacitor stamp position: ``data[cap_pos] +=
-        cap_sign · geq[cap_idx]`` applies the trapezoidal companion
-        conductances for any step size (``np.add.at`` — shared-node
-        capacitors hit duplicate positions).
-    ``mos_pos``
-        Data positions of the deduplicated device Jacobian entries,
-        aligned with ``MnaSystem._mos_flat_uniq``.
-    """
-
-    size: int
-    indptr: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    lin_data: np.ndarray = field(repr=False)
-    diag_pos: np.ndarray = field(repr=False)
-    cap_pos: np.ndarray = field(repr=False)
-    cap_sign: np.ndarray = field(repr=False)
-    cap_idx: np.ndarray = field(repr=False)
-    mos_pos: np.ndarray = field(repr=False)
-
-    @property
-    def nnz(self) -> int:
-        """Structural nonzero count of the frozen pattern."""
-        return int(self.indices.size)
 
 
 @dataclass(frozen=True)
@@ -444,78 +400,6 @@ class MnaSystem:
             shared.structures[include_caps] = cached
         return cached
 
-    def sparse_maps(self) -> SparseStampMaps:
-        """The frozen CSC pattern and scatter maps, cached per topology."""
-        shared = self._analysis()
-        if shared.maps is None:
-            shared.maps = self._build_sparse_maps()
-        return shared.maps
-
-    def _build_sparse_maps(self) -> SparseStampMaps:
-        n = self.size
-        pat = self.system_pattern(include_caps=True)
-        # gmin stepping stamps every node diagonal; freeze them into the
-        # pattern so the DC kernel works even at gmin = 0.
-        nd = np.arange(self.n_nodes)
-        pat[nd, nd] = True
-        rows, cols = np.nonzero(pat)
-        order = np.lexsort((rows, cols))  # CSC: column-major, rows sorted
-        rows = rows[order]
-        cols = cols[order]
-        nnz = rows.size
-        counts = np.bincount(cols, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        # Dense position lookup, build-time only (discarded with scope).
-        pos = np.full((n, n), -1, dtype=np.int64)
-        pos[rows, cols] = np.arange(nnz)
-
-        lin_data = np.zeros(nnz)
-        lr, lc = np.nonzero(self.g_lin)
-        lin_data[pos[lr, lc]] = self.g_lin[lr, lc]
-        diag_pos = pos[nd, nd]
-
-        cap_pos: list[int] = []
-        cap_sign: list[float] = []
-        cap_idx: list[int] = []
-        for k in range(self.n_caps):
-            i, j = int(self.cap_i[k]), int(self.cap_j[k])
-            if i >= 0:
-                cap_pos.append(pos[i, i]); cap_sign.append(1.0); cap_idx.append(k)
-            if j >= 0:
-                cap_pos.append(pos[j, j]); cap_sign.append(1.0); cap_idx.append(k)
-            if i >= 0 and j >= 0:
-                cap_pos.extend((pos[i, j], pos[j, i]))
-                cap_sign.extend((-1.0, -1.0))
-                cap_idx.extend((k, k))
-
-        if self.n_mosfets:
-            mos_pos = pos[self._mos_flat_uniq // n, self._mos_flat_uniq % n]
-        else:
-            mos_pos = np.empty(0, dtype=np.int64)
-        return SparseStampMaps(
-            size=n, indptr=indptr, indices=rows, lin_data=lin_data,
-            diag_pos=diag_pos,
-            cap_pos=np.asarray(cap_pos, dtype=np.int64),
-            cap_sign=np.asarray(cap_sign),
-            cap_idx=np.asarray(cap_idx, dtype=np.int64),
-            mos_pos=mos_pos)
-
-    def sparse_base_data(self, maps: SparseStampMaps, h: "float | None" = None,
-                         extra_gmin: float = 0.0) -> np.ndarray:
-        """Numeric CSC data of the device-free system, O(nnz).
-
-        The linear stamps plus, for a transient step of size ``h``, the
-        trapezoidal companion conductances ``2C/h`` (``h=None`` is the DC
-        form) plus an optional gmin-stepping leak on the node diagonals.
-        """
-        data = maps.lin_data.copy()
-        if extra_gmin:
-            data[maps.diag_pos] += extra_gmin
-        if h is not None and self.n_caps:
-            geq = 2.0 * self.cap_c / h
-            np.add.at(data, maps.cap_pos, maps.cap_sign * geq[maps.cap_idx])
-        return data
-
     def newton_partition(self) -> "NewtonPartition | None":
         """Core/border split for the bordered Newton kernel, or ``None``.
 
@@ -552,24 +436,34 @@ class MnaSystem:
         return NewtonPartition(border=border, core=core,
                                core_structure=core_structure)
 
-    def sparse_newton_step(self, h: "float | None" = None,
-                           extra_gmin: float = 0.0) -> "SparseNewtonStep":
-        """Pattern-frozen sparse Newton operator (``h=None``: DC form)."""
-        maps = self.sparse_maps()
-        return SparseNewtonStep(self, maps,
-                                self.sparse_base_data(maps, h, extra_gmin))
+    def newton_backend(self, requested: str = "auto") -> str:
+        """The Newton kernel a backend request runs on this MOSFET system:
+        ``"banded"`` (the bordered kernel) or ``"dense"``.
 
-    def bordered_newton_step(self, a_base: np.ndarray) -> "BorderedNewtonStep":
-        """Bordered Newton operator for a companion-stamped base matrix.
+        The transient engine and the DC solver both resolve through
+        here, so an operating point runs on the kernel of the transient
+        it seeds.  See :func:`~repro.circuit.solvers.select_backend`.
+        """
+        partition = self.newton_partition() \
+            if requested in ("auto", "banded") else None
+        structure = self.structure() if requested == "auto" else None
+        return select_backend(structure, self.n_mosfets, requested, partition)
 
-        Raises :class:`numpy.linalg.LinAlgError` when the banded core
-        factorization fails (callers degrade to the sparse kernel) and
-        :class:`ValueError` when no viable partition exists.
+    def bordered_newton_step(
+            self, a_base: np.ndarray) -> "BorderedNewtonStep | None":
+        """Bordered Newton operator for a base matrix (companion-stamped,
+        or the DC form), or ``None`` when its banded core factorization
+        fails — the caller then runs dense Newton.
+
+        Raises :class:`ValueError` when no viable partition exists.
         """
         partition = self.newton_partition()
         require(partition is not None,
                 "no viable core/border partition for this topology")
-        return BorderedNewtonStep(self, partition, a_base)
+        try:
+            return BorderedNewtonStep(self, partition, a_base)
+        except np.linalg.LinAlgError:
+            return None
 
     def _mos_lin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Newton linearisation of every MOSFET at operating points ``x``.
@@ -622,18 +516,6 @@ class MnaSystem:
         a_flat[:, self._mos_flat_uniq] += jac @ self._mos_jac_scatter
         self._stamp_mos_rhs(rhs, ieq)
 
-    def stamp_mosfets_data(self, data: np.ndarray, rhs: np.ndarray,
-                           x: np.ndarray, maps: SparseStampMaps) -> None:
-        """Pattern-frozen :meth:`stamp_mosfets`: ``data`` is ``(B, nnz)``
-        CSC data, the device fill of every variant folded through the
-        shared one-hot scatter onto the frozen positions — O(nnz device
-        fill), no dense matrix."""
-        if self.n_mosfets == 0:
-            return
-        jac, ieq = self._mos_lin(x)
-        data[:, maps.mos_pos] += jac @ self._mos_jac_scatter
-        self._stamp_mos_rhs(rhs, ieq)
-
 
 def _lap(timers: "dict | None", key: str, t0: float) -> float:
     """Charge the time since ``t0`` to phase ``key``; returns the new mark.
@@ -649,55 +531,6 @@ def _lap(timers: "dict | None", key: str, t0: float) -> float:
     return now
 
 
-class SparseNewtonStep:
-    """Pattern-frozen sparse Newton linear operator (one topology, one
-    base system).
-
-    Each solve stamps the linearised devices into a fresh copy of the
-    base CSC data vector — O(nnz) through the frozen scatter maps — and
-    pays one numeric SuperLU refactorization
-    (:class:`~repro.circuit.solvers.PatternFrozenLu`), replacing the
-    dense O(n²) re-stamp + O(n³) LU of the dense Newton path.  The
-    symbolic pattern is shared across iterations, steps and batch
-    variants.  Singular refactorizations raise
-    :class:`numpy.linalg.LinAlgError`; the Newton loops respond by
-    finishing the solve on the dense path.
-
-    :meth:`solve` takes the caller's optional phase-timer dict and
-    charges the device linearisation and stamping to ``device_eval``, the
-    refactorization and substitution to ``solve``.
-    """
-
-    def __init__(self, mna: "MnaSystem", maps: SparseStampMaps,
-                 base_data: np.ndarray):
-        self._mna = mna
-        self._maps = maps
-        self._base = base_data
-        self._lu = PatternFrozenLu(maps.size, maps.indptr, maps.indices)
-
-    def solve(self, rhs: np.ndarray, x: np.ndarray,
-              timers: "dict | None" = None) -> np.ndarray:
-        """Stacked Newton linear solve at ``B`` operating points ``x``
-        ``(B, n)``; ``rhs`` ``(B, n)`` is owned by this call (overwritten
-        with companion terms).
-
-        Device evaluation and stamping are vectorised across the batch;
-        the numeric refactorizations — whose factors genuinely differ
-        per variant — run per variant against the shared symbolic
-        pattern.
-        """
-        t0 = perf_counter() if timers is not None else 0.0
-        batch = x.shape[0]
-        data = np.repeat(self._base[None, :], batch, axis=0)
-        self._mna.stamp_mosfets_data(data, rhs, x, self._maps)
-        t0 = _lap(timers, "device_eval", t0)
-        out = np.empty_like(rhs)
-        for b in range(batch):
-            out[b] = self._lu.refactor(data[b]).solve(rhs[b])
-        _lap(timers, "solve", t0)
-        return out
-
-
 class BorderedNewtonStep:
     """Block-bordered Newton linear operator (banded core + device border).
 
@@ -705,8 +538,13 @@ class BorderedNewtonStep:
     coupling solve and constant Schur part are built once per step size —
     with the border-local device scatter: each Newton iteration only
     assembles the ``(nb, nb)`` device delta and refactorises the
-    border-sized Schur complement.  Phase timing as in
-    :class:`SparseNewtonStep`.
+    border-sized Schur complement.
+
+    :meth:`solve` takes the caller's optional phase-timer dict and
+    charges the device linearisation and stamping to ``device_eval``, the
+    Schur factorization and substitutions to ``solve``.  A singular Schur
+    complement raises :class:`numpy.linalg.LinAlgError`; the Newton loop
+    responds by finishing the solve on the dense path.
     """
 
     def __init__(self, mna: "MnaSystem", partition: NewtonPartition,
@@ -757,7 +595,7 @@ def stacked_newton(
     require_unlimited: bool = False,
     catch_singular: bool = False,
     stats: dict | None = None,
-    kernel: "SparseNewtonStep | BorderedNewtonStep | None" = None,
+    kernel: "BorderedNewtonStep | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton over ``B ≥ 1`` stacked operating points;
     ``(x, converged)``.
@@ -792,10 +630,9 @@ def stacked_newton(
         per iteration (and ``"newton_fallbacks"`` when a structured
         kernel degrades to dense mid-solve).
     kernel:
-        Optional pattern-frozen Newton operator (one of the step
-        objects above) replacing the dense stamp-and-solve.  A singular
-        structured refactorization drops back to the dense path for the
-        remainder of the solve.
+        Optional bordered Newton operator replacing the dense
+        stamp-and-solve.  A singular Schur factorization drops back to
+        the dense path for the remainder of the solve.
     """
     x = x0.copy()
     m = x.shape[0]

@@ -12,9 +12,7 @@ Three backends cover the workloads of this reproduction:
 
 ``dense``
     LAPACK LU (``getrf``/``getrs`` via :func:`scipy.linalg.lu_factor`).
-    O(n³) factor, O(n²) per solve.  Right for small systems and the only
-    choice for MOSFET circuits, whose Newton iterations re-stamp dense
-    stacked Jacobians every pass.
+    O(n³) factor, O(n²) per solve.  Right for small systems.
 
 ``banded``
     The structured path for the RC-line topologies emitted by
@@ -35,23 +33,14 @@ Three backends cover the workloads of this reproduction:
     lines.
 
 MOSFET circuits — whose Jacobian *values* change every Newton iteration
-but whose sparsity *pattern* is fixed per topology (linear stamps plus
-device fill) — take the pattern-frozen Newton kernels instead of the
-factor-once contract:
-
-:class:`PatternFrozenLu`
-    The ``"sparse"`` Newton path.  The CSC pattern of the union fill is
-    frozen once; every Newton iteration supplies a fresh numeric ``data``
-    vector (updated in O(nnz) via the scatter maps on
-    :class:`~repro.circuit.mna.MnaSystem`) and pays one numeric SuperLU
-    factorization — never a dense O(n²) re-stamp or O(n³) dense LU.
-
-:class:`BorderedBanded`
-    The ``"banded"`` Newton path for gate-plus-interconnect topologies:
-    the device fill is confined to a small dense *border* while the
-    interconnect core permutes to a narrow band.  The banded core is
-    factored once per step size; each Newton iteration refactorises only
-    the border-sized Schur complement.
+— have two Newton kernels instead of the factor-once contract: dense
+Newton (re-stamp the stacked Jacobians and LU them every pass) and
+:class:`BorderedBanded`, the ``"banded"`` kernel for
+gate-plus-interconnect topologies.  There the device fill is confined
+to a small dense *border* while the interconnect core permutes to a
+narrow band; the banded core is factored once per base matrix (per step
+size, per DC gmin stage) and each Newton iteration refactorises only the
+border-sized Schur complement.
 
 Backend selection (:func:`select_backend`) is driven by a structural
 analysis of the matrix sparsity pattern (:func:`analyze_pattern`) —
@@ -83,7 +72,6 @@ __all__ = [
     "select_backend",
     "factorize",
     "sparse_csr",
-    "PatternFrozenLu",
     "BorderedBanded",
 ]
 
@@ -101,7 +89,7 @@ _BANDED_MAX_BANDWIDTH = 12
 _SPARSE_MAX_DENSITY = 0.25
 #: MOSFET systems below this size keep the dense Newton path: stacked
 #: dense LU on a paper-scale testbench (~20–30 unknowns) beats the
-#: per-iteration overhead of a structured refactorization, and keeping
+#: per-iteration overhead of the bordered kernel, and keeping
 #: the paper-scale experiments on the historical path pins their
 #: waveforms bit for bit.
 _MIN_NEWTON_SIZE = 64
@@ -197,17 +185,16 @@ def select_backend(structure: MatrixStructure | None, n_mosfets: int = 0,
         whenever the resolution does not consult it (non-``"auto"``
         requests).
     n_mosfets:
-        With MOSFETs present the names resolve to the *pattern-frozen
-        Newton* kernels instead of the factor-once linear solvers:
-        ``"sparse"`` is the frozen-pattern SuperLU refactorization
-        (:class:`PatternFrozenLu`), ``"banded"`` the block-bordered
-        kernel (:class:`BorderedBanded`, needs a viable ``partition``;
-        degrades to ``"sparse"`` without one).
+        With MOSFETs present the result names a Newton kernel instead of
+        a factor-once linear solver, and only two exist: ``"banded"``,
+        the block-bordered kernel (:class:`BorderedBanded`), wherever a
+        viable ``partition`` exists and the request is ``"banded"`` or
+        an ``"auto"`` request on at least ``_MIN_NEWTON_SIZE`` unknowns;
+        ``"dense"`` in every other case, a ``"sparse"`` request included.
     requested:
-        One of :data:`BACKENDS`.  Non-``"auto"`` requests are honoured
-        verbatim (benchmarks and tests force specific paths), except
-        that a ``"banded"`` Newton request without a viable partition
-        degrades to ``"sparse"``.
+        One of :data:`BACKENDS`.  On linear systems non-``"auto"``
+        requests are honoured verbatim (benchmarks and tests force
+        specific paths).
     partition:
         The circuit's core/border split
         (:meth:`~repro.circuit.mna.MnaSystem.newton_partition`), or
@@ -217,19 +204,13 @@ def select_backend(structure: MatrixStructure | None, n_mosfets: int = 0,
     require(requested in BACKENDS,
             f"unknown solver backend {requested!r}; expected one of {BACKENDS}")
     if n_mosfets > 0:
+        if partition is None or requested in ("dense", "sparse"):
+            return "dense"
         if requested == "banded":
-            return "banded" if partition is not None else "sparse"
-        if requested != "auto":
-            return requested
+            return "banded"
         require(structure is not None,
                 "auto backend selection needs a structure")
-        if structure.size < _MIN_NEWTON_SIZE:
-            return "dense"
-        if partition is not None:
-            return "banded"
-        if structure.density <= _SPARSE_MAX_DENSITY:
-            return "sparse"
-        return "dense"
+        return "banded" if structure.size >= _MIN_NEWTON_SIZE else "dense"
     if requested != "auto":
         return requested
     require(structure is not None, "auto backend selection needs a structure")
@@ -308,14 +289,19 @@ class BandedThomas:
         if structure is None or structure.size != a.shape[0]:
             structure = analyze_pattern(a != 0.0)
         self._perm = structure.perm
-        ap = a if self._perm is None else a[np.ix_(self._perm, self._perm)]
-        n = ap.shape[0]
+        n = a.shape[0]
         kl = ku = max(1, structure.bandwidth)
         # LAPACK banded storage: row kl+ku+i-j holds entry (i, j); the top
-        # kl rows are workspace for the pivoting fill-in.
+        # kl rows are workspace for the pivoting fill-in.  Every position
+        # of the band is gathered straight from ``a`` through the
+        # permutation — O(n·b), no permuted dense copy to scan.
+        rows = np.arange(n) + np.arange(-kl, kl + 1)[:, None]
+        cols = np.broadcast_to(np.arange(n), rows.shape)
+        inside = (rows >= 0) & (rows < n)
+        rows, cols = rows[inside], cols[inside]
+        p = np.arange(n) if self._perm is None else self._perm
         ab = np.zeros((2 * kl + ku + 1, n))
-        rows, cols = np.nonzero(ap)
-        ab[kl + ku + rows - cols, cols] = ap[rows, cols]
+        ab[kl + ku + rows - cols, cols] = a[p[rows], p[cols]]
         lapack = _scipy().linalg.lapack
         lu, ipiv, info = lapack.dgbtrf(ab, kl=kl, ku=ku)
         if info != 0:
@@ -391,44 +377,6 @@ def sparse_csr(m: np.ndarray):
     return _scipy().sparse.csr_matrix(m)
 
 
-class PatternFrozenLu:
-    """Numeric refactorisation over a frozen CSC sparsity pattern.
-
-    The linear engine of the sparse-Jacobian Newton path: the symbolic
-    pattern — the union of linear MNA stamps, capacitor companion
-    positions and MOSFET device fill, fixed per topology — is frozen at
-    construction; each :meth:`refactor` call takes only a fresh numeric
-    ``data`` vector (the caller updates it in O(nnz) through the scatter
-    maps of :class:`~repro.circuit.mna.SparseStampMaps`) and pays one
-    numeric SuperLU factorization.  No dense matrix is ever assembled.
-    """
-
-    def __init__(self, size: int, indptr: np.ndarray, indices: np.ndarray):
-        self._sparse = _scipy().sparse
-        self._shape = (int(size), int(size))
-        self._indptr = np.asarray(indptr)
-        self._indices = np.asarray(indices)
-
-    def refactor(self, data: np.ndarray):
-        """Factor the matrix whose CSC data vector is ``data``.
-
-        Returns a SuperLU object (``.solve(rhs)``); raises
-        :class:`numpy.linalg.LinAlgError` on a singular matrix (SuperLU
-        signals it as ``RuntimeError``).  The ``solver.refactor``
-        injection point forces that singular path, driving the stacked
-        Newton engine down its backend ladder exactly as a numerically
-        singular iterate would.
-        """
-        if maybe_fault("solver.refactor") is not None:
-            raise np.linalg.LinAlgError("injected singular refactorization")
-        a = self._sparse.csc_matrix((data, self._indices, self._indptr),
-                                    shape=self._shape)
-        try:
-            return self._sparse.linalg.splu(a)
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-
-
 class BorderedBanded:
     """Block-bordered solve: banded core plus a small dense device border.
 
@@ -451,6 +399,9 @@ class BorderedBanded:
 
     Raises :class:`numpy.linalg.LinAlgError` at construction when the
     core is singular, and from :meth:`solve` when a Schur complement is.
+    The ``solver.refactor`` injection point forces that singular Schur
+    path, driving the stacked Newton engine down its backend ladder
+    exactly as a numerically singular iterate would.
     """
 
     def __init__(self, a: np.ndarray, border: np.ndarray, core: np.ndarray,
@@ -474,6 +425,8 @@ class BorderedBanded:
         rhs = np.asarray(rhs, dtype=np.float64)
         w1 = self._core_solver.solve(rhs[:, self._core])
         t = rhs[:, self._border] - w1 @ self._f.T
+        if maybe_fault("solver.refactor") is not None:
+            raise np.linalg.LinAlgError("injected singular Schur factorization")
         z2 = np.linalg.solve(self._s0[None, :, :] + delta_c,
                              t[..., None])[..., 0]
         x = np.empty_like(rhs)

@@ -115,30 +115,28 @@ the backend when ``TransientOptions.backend`` is ``"auto"``:
 * ``sparse`` — SuperLU factor reuse; large low-density systems that do
   not flatten to a narrow band (meshes, many-line bundles).
 
-MOSFET circuits take the *pattern-frozen Newton* interpretation of the
-same names: the Jacobian's sparsity pattern — linear stamps plus device
-fill — is fixed per topology, so each Newton iteration updates a
-preallocated nnz vector through precomputed scatter maps
-(O(nnz), :meth:`~repro.circuit.mna.MnaSystem.sparse_maps`) and pays only
-a *numeric* refactorization.  ``sparse`` refactorises with SuperLU
-against the frozen symbolic pattern; ``banded`` is the block-bordered
-kernel for gate-plus-interconnect topologies — the banded interconnect
-core is factored once per step size and each iteration refactorises only
-the border-sized Schur complement of the device block
-(:meth:`~repro.circuit.mna.MnaSystem.newton_partition`).  ``auto``
-engages them past ~64 unknowns; singular structured refactorizations
-fall back to the dense Newton path mid-solve (counted in
-``stats["newton_fallbacks"]``).  This is what extends the node-count
-ceiling to gate-plus-interconnect netlists, not just passive lines.
+MOSFET circuits have two Newton kernels
+(:meth:`~repro.circuit.mna.MnaSystem.newton_backend`).  ``banded`` is the
+block-bordered kernel for gate-plus-interconnect topologies: the banded
+interconnect core is factored once per step size and each iteration
+refactorises only the border-sized Schur complement of the device block
+(:meth:`~repro.circuit.mna.MnaSystem.newton_partition`).  It runs for
+``auto`` past ~64 unknowns and for ``banded`` whenever a viable
+core/border partition exists; every other request, ``sparse`` included,
+runs dense Newton.  A failed core factorization runs the step size on
+dense Newton, and a singular Schur complement falls back to dense
+mid-solve (counted in ``stats["newton_fallbacks"]``).  This is what
+extends the node-count ceiling to gate-plus-interconnect netlists, not
+just passive lines.
 
 DC operating points take the same treatment:
 :func:`~repro.circuit.dc.dc_operating_point_batch` solves every
-variant's initial state in one stacked pass, sharing this backend
-selection.  Linear (MOSFET-free) groups additionally thread their
-trapezoidal capacitor history in node space — ``r' = 2·S·x' − r`` with
-``S`` the sparse companion-conductance matrix — so the whole per-step
-cost outside the solve is one sparse matvec, independent of the
-capacitor count.
+variant's initial state in one stacked pass, on the backend and Newton
+kernel this engine selects.  Linear (MOSFET-free) groups additionally
+thread their trapezoidal capacitor history in node space — ``r' =
+2·S·x' − r`` with ``S`` the sparse companion-conductance matrix — so the
+whole per-step cost outside the solve is one sparse matvec, independent
+of the capacitor count.
 """
 
 from __future__ import annotations
@@ -159,7 +157,7 @@ from .._util import require
 from ..core.waveform import Waveform
 # Both DC entry points stay bound here: perfbench/tracing.py wraps them by attribute.
 from .dc import dc_operating_point, dc_operating_point_batch
-from .mna import MnaSystem, _lap, stacked_newton
+from .mna import BorderedNewtonStep, MnaSystem, _lap, stacked_newton
 from .netlist import Circuit
 from .solvers import BACKENDS, factorize, select_backend, sparse_csr
 from .sources import as_source
@@ -214,9 +212,10 @@ class TransientOptions:
         Linear-solver backend for the per-step solves: ``"auto"``
         (default — selected from the topology's sparsity pattern, see
         the module docstring), or force ``"dense"`` / ``"sparse"`` /
-        ``"banded"``.  On MOSFET circuits the structured names select
-        the pattern-frozen Newton kernels (sparse refactorization /
-        block-bordered banded).
+        ``"banded"``.  On MOSFET circuits ``"banded"`` selects the
+        block-bordered Newton kernel where a core/border partition
+        exists; every other case, ``"sparse"`` included, runs dense
+        Newton.
     adaptive:
         ``True`` enables LTE-controlled adaptive time stepping (see the
         module docstring).  The result then lives on a non-uniform
@@ -455,21 +454,15 @@ class _StepMatrixCache:
         self._factorize = mna.n_mosfets == 0
         # The pattern/RCM analysis is only consulted where selection (or
         # the banded factorization) needs it — forced dense/sparse runs
-        # (e.g. the benchmark baselines) skip it.  MOSFET circuits
-        # additionally consult the core/border partition: "auto" and
-        # "banded" requests resolve to the block-bordered Newton kernel
-        # when a viable one exists.
-        need_structure = (backend in ("auto", "banded") if self._factorize
-                          else backend == "auto")
+        # (e.g. the benchmark baselines) skip it.
         self._structure = mna.structure(include_caps=True) \
-            if need_structure else None
-        self._partition = mna.newton_partition() \
-            if mna.n_mosfets and backend in ("auto", "banded") else None
-        self.backend = select_backend(self._structure, mna.n_mosfets, backend,
-                                      partition=self._partition)
+            if self._factorize and backend in ("auto", "banded") else None
+        self.backend = select_backend(self._structure, 0, backend) \
+            if self._factorize else mna.newton_backend(backend)
         self._entries: "OrderedDict[float, tuple[np.ndarray, object | None, float]]" \
             = OrderedDict()
-        self._kernels: "OrderedDict[float, object]" = OrderedDict()
+        self._kernels: "OrderedDict[float, BorderedNewtonStep | None]" \
+            = OrderedDict()
         self.builds = 0
         # Padded-gather indices: ground terminals read the zero pad column.
         self._gi = np.where(mna.cap_i >= 0, mna.cap_i, mna.size)
@@ -523,36 +516,27 @@ class _StepMatrixCache:
             self._entries.move_to_end(h)
         return entry
 
-    def newton_kernel(self, h: float):
-        """The pattern-frozen Newton operator for step value ``h``.
+    def newton_kernel(self, h: float) -> "BorderedNewtonStep | None":
+        """The bordered Newton operator for step value ``h``.
 
-        ``None`` for linear systems and for the dense Newton backend.
-        The per-``h`` operators (the bordered kernel re-factors its
-        banded core per step size, the sparse kernel re-scatters its
-        companion conductances) are LRU-bounded alongside the matrix
-        entries.  A bordered kernel whose core factorization fails at
-        this step size degrades to the sparse kernel.
+        ``None`` for linear systems, for the dense Newton backend, and
+        for a step size whose banded core factorization fails (that step
+        size runs dense Newton).  The per-``h`` operators — each
+        re-factors its banded core — are LRU-bounded alongside the
+        matrix entries.
         """
-        mna = self.mna
-        if mna.n_mosfets == 0 or self.backend == "dense":
+        if self._factorize or self.backend != "banded":
             return None
-        kernel = self._kernels.get(h)
-        if kernel is None:
-            a_base = self.get_h(h)[0] if self.backend == "banded" else None
-            t0 = perf_counter() if self.timers is not None else 0.0
-            if self.backend == "banded":
-                try:
-                    kernel = mna.bordered_newton_step(a_base)
-                except np.linalg.LinAlgError:
-                    kernel = mna.sparse_newton_step(h)
-            else:
-                kernel = mna.sparse_newton_step(h)
-            _lap(self.timers, "factor", t0)
-            self._kernels[h] = kernel
-            while len(self._kernels) > _STEP_CACHE_ENTRIES:
-                self._kernels.popitem(last=False)
-        else:
+        if h in self._kernels:
             self._kernels.move_to_end(h)
+            return self._kernels[h]
+        a_base = self.get_h(h)[0]
+        t0 = perf_counter() if self.timers is not None else 0.0
+        kernel = self.mna.bordered_newton_step(a_base)
+        _lap(self.timers, "factor", t0)
+        self._kernels[h] = kernel
+        while len(self._kernels) > _STEP_CACHE_ENTRIES:
+            self._kernels.popitem(last=False)
         return kernel
 
     def cap_gather(self, x: np.ndarray) -> np.ndarray:

@@ -87,10 +87,11 @@ __all__ = [
 #:                     ``slow`` stalls the write.
 #: ``service.frame``   :func:`repro.service.protocol.encode` — ``truncate``
 #:                     emits half a frame with no newline terminator.
-#: ``solver.refactor`` sparse Newton refactorisation in
-#:                     :class:`~repro.circuit.solvers.PatternFrozenLu` —
+#: ``solver.refactor`` the bordered Newton kernel's per-iteration Schur
+#:                     factorization in
+#:                     :meth:`~repro.circuit.solvers.BorderedBanded.solve` —
 #:                     ``singular`` forces ``LinAlgError``, exercising
-#:                     the backend-ladder degradation.
+#:                     the banded → dense backend-ladder degradation.
 POINTS: dict[str, tuple[str, ...]] = {
     "pool.worker": ("crash", "wedge", "slow"),
     "pool.indexed": ("crash", "slow"),

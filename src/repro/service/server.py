@@ -420,16 +420,22 @@ def serve_in_thread(settings: "ServiceSettings | None" = None):
     thread.start()
     started.wait(timeout=30.0)
 
+    def stop_in_loop() -> None:
+        # Runs on the loop thread, so the stop() coroutine is created
+        # only when the live loop will run it; a service that is already
+        # stopping needs nothing more.
+        if not service._stopping:
+            loop.create_task(service.stop())
+
     def shutdown(timeout: float = 30.0) -> None:
-        # Don't wait on the scheduled coroutine's future: if the service
-        # already stopped (a client's ``shutdown`` op), the loop may be
-        # exiting run_until_complete right now and never run the
-        # callback — the future would simply never resolve.  The loop
+        # Don't wait on the scheduled callback: if the service already
+        # stopped (a client's ``shutdown`` op), the loop may be exiting
+        # run_until_complete right now and never run it.  The loop
         # thread exits exactly when the service has stopped, so joining
         # it is the race-free wait in both cases.
         if thread.is_alive() and not loop.is_closed():
             try:
-                asyncio.run_coroutine_threadsafe(service.stop(), loop)
+                loop.call_soon_threadsafe(stop_in_loop)
             except RuntimeError:
                 pass  # loop closed between the check and the call
         thread.join(timeout=timeout)

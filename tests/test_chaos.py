@@ -21,7 +21,7 @@ from repro.circuit.transient import (TransientJob, TransientOptions,
                                      simulate_transient_many)
 from repro.exec import ExecutionConfig, ResultStore, run_jobs
 from repro.faults import FaultPlan, install_plan, injected, would_fire
-from repro.library.cells import make_inverter
+from repro.experiments.setup import CrosstalkConfig, build_testbench
 from repro.service import ServiceClient, ServiceSettings, serve_in_thread
 from repro.service.protocol import encode
 
@@ -212,32 +212,28 @@ class TestServiceChaos:
 # ----------------------------------------------------------------------
 # solver seam
 # ----------------------------------------------------------------------
-def _inverter() -> Circuit:
-    c = Circuit("inv")
-    c.vsource("Vdd", "vdd", "0", 1.2)
-    c.vsource("Vin", "in", "0", RampSource(0.1e-9, 100e-12, 0.0, 1.2))
-    make_inverter(4).instantiate(c, "u0", "in", "out", "vdd")
-    c.capacitor("cl", "out", "0", 20e-15)
-    return c
-
-
-INV_INITIAL = {"in": 0.0, "out": 1.2, "vdd": 1.2}
-
-
 class TestSolverChaos:
     def test_singular_refactorization_rides_the_backend_ladder(self):
+        # A gate driving a 48-segment line: forced "banded" runs the
+        # bordered kernel, whose Schur factorization the fault hits.
+        tb = build_testbench(
+            CrosstalkConfig(name="deep48", n_aggressors=1,
+                            line_length_um=1000.0,
+                            coupling_per_aggressor=100e-15, n_segments=48),
+            0.05e-9, (0.06e-9,))
         ref = simulate_transient(
-            _inverter(), t_stop=0.3e-9, dt=5e-12,
-            initial_voltages=dict(INV_INITIAL),
+            tb.circuit, t_stop=0.3e-9, dt=5e-12,
+            initial_voltages=dict(tb.initial_voltages),
             options=TransientOptions(backend="dense"))
         # Unlimited storm: the DC operating-point solve has its own
         # (uncounted) dense fallback and would eat a one-shot fault
         # before the transient Newton loop ever saw it.
         with injected("solver.refactor=singular"):
             res = simulate_transient(
-                _inverter(), t_stop=0.3e-9, dt=5e-12,
-                initial_voltages=dict(INV_INITIAL),
-                options=TransientOptions(backend="sparse"))
+                tb.circuit, t_stop=0.3e-9, dt=5e-12,
+                initial_voltages=dict(tb.initial_voltages),
+                options=TransientOptions(backend="banded"))
+        assert res.stats["backend"] == "banded"
         assert res.stats["newton_fallbacks"] >= 1
         worst = max(float(np.max(np.abs(res.voltages_at(n, ref.times)
                                         - ref.voltage_samples(n))))

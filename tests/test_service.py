@@ -528,6 +528,46 @@ class TestShutdown:
         assert svc._stopped.is_set(), "service must stop after shutdown op"
         shutdown()  # idempotent
 
+    def test_shutdown_after_shutdown_op_leaves_no_coroutine(
+            self, monkeypatch):
+        """``shutdown()`` landing after a client's shutdown op, while the
+        loop thread sits between the service stopping and the loop
+        closing, must not leave a never-awaited ``stop()`` coroutine."""
+        import asyncio
+        import gc
+        import warnings
+
+        closing, release = threading.Event(), threading.Event()
+        new_event_loop = asyncio.new_event_loop
+
+        def held_loop():
+            loop = new_event_loop()
+            close = loop.close
+
+            def held_close():
+                closing.set()
+                release.wait(10.0)
+                close()
+
+            loop.close = held_close
+            return loop
+
+        monkeypatch.setattr(asyncio, "new_event_loop", held_loop)
+        svc, shutdown = serve_in_thread(ServiceSettings(port=0))
+        with ServiceClient(port=svc.port) as client:
+            client.shutdown()
+        assert closing.wait(10.0), "the loop never left the service"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            timer = threading.Timer(0.2, release.set)
+            timer.start()
+            shutdown()
+            timer.join()
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
+
     def test_submit_after_shutdown_is_rejected(self, gate_kind):
         svc, shutdown = serve_in_thread(ServiceSettings(port=0))
         try:

@@ -5,9 +5,9 @@ drop-in replacement for the dense stacked LU: identical waveforms (to
 <1e-9 V) from the transient engine regardless of the backend, with the
 ``auto`` selection picking the structured path for the line topologies
 emitted by :mod:`repro.interconnect.rcline` and falling back to dense
-for small systems.  MOSFET circuits resolve structured names to the
-pattern-frozen Newton kernels (see ``tests/test_sparse_newton.py`` for
-their full equivalence matrix); at paper scale ``auto`` keeps them
+for small systems.  MOSFET circuits have two Newton kernels, bordered
+banded and dense (see ``tests/test_sparse_newton.py`` for their full
+equivalence matrix); without a core/border partition every request runs
 dense.
 """
 
@@ -161,17 +161,19 @@ class TestSelection:
 
     def test_small_mosfet_circuit_stays_dense(self):
         # Auto keeps paper-scale gate circuits on the historical dense
-        # Newton path; a structured *request* engages the pattern-frozen
-        # kernels — "banded" without a viable core/border partition
-        # degrades to the sparse refactorization.
+        # Newton path, and so does every structured *request*: "banded"
+        # needs a viable core/border partition, and "sparse" has no
+        # Newton kernel of its own.
         mna = MnaSystem(_inverter())
         assert mna.newton_partition() is None
         assert select_backend(mna.structure(), mna.n_mosfets) == "dense"
         assert select_backend(mna.structure(), mna.n_mosfets,
-                              requested="sparse") == "sparse"
+                              requested="sparse") == "dense"
         assert select_backend(mna.structure(), mna.n_mosfets,
                               requested="banded",
-                              partition=mna.newton_partition()) == "sparse"
+                              partition=mna.newton_partition()) == "dense"
+        for requested in ("auto", "dense", "sparse", "banded"):
+            assert mna.newton_backend(requested) == "dense"
 
     def test_explicit_request_honoured(self):
         mna = MnaSystem(_rc_line(48))
@@ -213,15 +215,14 @@ class TestTransientEquivalence:
     def test_small_mosfet_circuit_auto_stays_dense(self):
         ref = simulate_transient(_inverter(), t_stop=0.5e-9, dt=5e-12,
                                  initial_voltages=INV_INITIAL)
-        # A structured request on a MOSFET circuit engages the
-        # pattern-frozen Newton kernel ("banded" degrades to sparse when
-        # no core/border partition exists) and must agree with dense.
+        # A "banded" request on a MOSFET circuit with no core/border
+        # partition runs dense Newton: the very same solve.
         forced = simulate_transient(_inverter(), t_stop=0.5e-9, dt=5e-12,
                                     initial_voltages=INV_INITIAL,
                                     options=TransientOptions(backend="banded"))
         assert ref.stats["backend"] == "dense"
-        assert forced.stats["backend"] == "sparse"
-        assert _worst_dv(ref, forced) < VOLTAGE_TOL
+        assert forced.stats["backend"] == "dense"
+        assert _worst_dv(ref, forced) == 0.0
 
     def test_batched_auto_matches_batched_dense(self):
         base = _bundle(48)

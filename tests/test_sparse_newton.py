@@ -1,15 +1,16 @@
-"""Pattern-frozen sparse Newton for MOSFET circuits: equivalence + plumbing.
+"""Newton kernels for MOSFET circuits: equivalence + plumbing.
 
-The contract of the Newton backends (PR 5) is that the structured
-kernels — the frozen-pattern SuperLU refactorization and the
-block-bordered banded/Schur kernel — are drop-in replacements for the
-dense Newton path: <1e-9 V waveforms on every node for single and
-stacked jobs, fixed-grid and adaptive stepping, and DC, over the
-Table-1 gate testbenches, the receiver fixtures, and a
-gate-driving-deep-interconnect netlist.
-Singular structured refactorizations must degrade to dense mid-solve,
-and the per-topology analysis (pattern/RCM/partition) must be computed
-once per topology signature, not once per compiled system.
+A MOSFET system has two Newton kernels, dense and the block-bordered
+banded/Schur kernel.  The contract is that the bordered kernel is a
+drop-in replacement for dense Newton: <1e-9 V waveforms on every node
+for single and stacked jobs, fixed-grid and adaptive stepping, and DC,
+on gate-driving-deep-interconnect netlists.  Every request without a
+core/border partition — the Table-1 gate testbenches, the receiver
+fixture — and every ``"sparse"`` request runs dense Newton, and DC runs
+on the kernel the transient picks.  Singular Schur factorizations must
+degrade to dense mid-solve, and the per-topology analysis
+(pattern/RCM/partition) must be computed once per topology signature,
+not once per compiled system.
 """
 
 import numpy as np
@@ -17,23 +18,20 @@ import pytest
 
 from repro.circuit import mna as mna_mod
 from repro.circuit.dc import dc_operating_point, dc_operating_point_batch
-from repro.circuit.mna import (MnaSystem, SparseNewtonStep,
+from repro.circuit.mna import (BorderedNewtonStep, MnaSystem,
                                clear_analysis_cache)
-from repro.circuit.netlist import Circuit
-from repro.circuit.solvers import (BorderedBanded, PatternFrozenLu,
-                                   analyze_pattern, select_backend)
+from repro.circuit.solvers import (BorderedBanded, analyze_pattern,
+                                   select_backend)
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (BatchStimulus, TransientOptions,
                                      simulate_transient,
                                      simulate_transient_batch)
 from repro.experiments.setup import (CONFIG_I, CONFIG_II, CrosstalkConfig,
                                      build_testbench, receiver_fixture)
-from repro.library.cells import make_inverter
 
 from helpers import sigmoid_edge
 
 VOLTAGE_TOL = 1e-9
-NEWTON_BACKENDS = ("sparse", "banded")
 
 
 def _deep_config(n_segments: int) -> CrosstalkConfig:
@@ -60,7 +58,7 @@ def _worst_dv(ref, other):
 class TestScalarEquivalence:
     @pytest.mark.parametrize("config", [CONFIG_I, CONFIG_II],
                              ids=["config_I", "config_II"])
-    @pytest.mark.parametrize("backend", NEWTON_BACKENDS)
+    @pytest.mark.parametrize("backend", ("sparse", "banded"))
     def test_table1_testbenches(self, config, backend):
         tb = build_testbench(config, 0.2e-9,
                              tuple([0.25e-9] * config.n_aggressors))
@@ -69,15 +67,16 @@ class TestScalarEquivalence:
         res = _simulate(tb.circuit, tb.initial_voltages, backend,
                         t_stop=1.1e-9)
         # Paper-scale testbenches have no viable core/border partition,
-        # so both structured names resolve to the sparse kernel.
-        assert res.stats["backend"] == "sparse"
+        # so both structured names resolve to dense Newton: the very same
+        # solve.
+        assert res.stats["backend"] == "dense"
         assert res.stats["newton_fallbacks"] == 0
-        assert _worst_dv(ref, res) < VOLTAGE_TOL
+        assert _worst_dv(ref, res) == 0.0
         # The victim output actually switches — not a vacuous comparison.
         assert abs(ref.voltage_samples("out_u")[-1]
                    - ref.voltage_samples("out_u")[0]) > 0.5
 
-    @pytest.mark.parametrize("backend", NEWTON_BACKENDS)
+    @pytest.mark.parametrize("backend", ["banded"])
     def test_gate_drives_192_segment_line(self, backend):
         tb = build_testbench(_deep_config(192), 0.05e-9, (0.06e-9,))
         ref = _simulate(tb.circuit, tb.initial_voltages, "dense",
@@ -106,7 +105,7 @@ class TestBatchedEquivalence:
                                                         150e-12, 1.2, 0.0)})
                 for k in range(3)]
 
-    @pytest.mark.parametrize("backend", NEWTON_BACKENDS)
+    @pytest.mark.parametrize("backend", ["banded"])
     def test_batched_matches_dense_batched(self, backend):
         tb = build_testbench(_deep_config(64), 0.05e-9, (0.06e-9,))
         kw = dict(t_stop=0.25e-9, dt=2e-12)
@@ -127,7 +126,7 @@ class TestBatchedEquivalence:
         for d, r in zip(dense, res):
             assert _worst_dv(d, r) < VOLTAGE_TOL
 
-    @pytest.mark.parametrize("backend", NEWTON_BACKENDS)
+    @pytest.mark.parametrize("backend", ["banded"])
     def test_adaptive_matches_dense_adaptive(self, backend):
         tb = build_testbench(_deep_config(64), 0.05e-9, (0.06e-9,))
         kw = dict(t_stop=1.5e-9, dt=2e-12, adaptive=True)
@@ -146,6 +145,8 @@ class TestBatchedEquivalence:
 class TestReceiverFixture:
     @pytest.mark.parametrize("backend", ["sparse"])
     def test_fixture_response_matches_dense(self, backend):
+        # The receiver fixture has no core/border partition, so a
+        # forced structured request runs the dense Newton solve itself.
         edge = sigmoid_edge(0.3e-9, 150e-12)
         outs = {}
         for b in ("dense", backend):
@@ -153,10 +154,9 @@ class TestReceiverFixture:
                                        adaptive=False)
             outs[b] = fixture.response(edge)
         ref, res = outs["dense"], outs[backend]
-        dv = np.abs(res.v_out.resampled(times=ref.v_out.times).values
-                    - ref.v_out.values)
-        assert float(dv.max()) < VOLTAGE_TOL
-        assert abs(res.gate_delay - ref.gate_delay) < 1e-13
+        assert np.array_equal(res.v_out.times, ref.v_out.times)
+        assert np.array_equal(res.v_out.values, ref.v_out.values)
+        assert res.gate_delay == ref.gate_delay
 
 
 class TestDcEquivalence:
@@ -175,23 +175,52 @@ class TestDcEquivalence:
             < VOLTAGE_TOL
 
     def test_deep_line_dc_all_requests(self):
-        tb = build_testbench(_deep_config(192), 0.05e-9, (0.06e-9,))
-        ref = dc_operating_point(tb.circuit,
-                                 initial_voltages=dict(tb.initial_voltages),
-                                 backend="dense")
-        for backend in ("sparse", "banded", "auto"):
-            res = dc_operating_point(
-                tb.circuit, initial_voltages=dict(tb.initial_voltages),
-                backend=backend)
-            assert float(np.max(np.abs(res.solution - ref.solution))) \
+        # "sparse" runs dense Newton and "auto" the bordered kernel, so
+        # each matches its kernel bit for bit.  The two kernels agree to
+        # ~1e-11 V, not better: this DC matrix has a condition number of
+        # ~1e10, and both answers satisfy KCL to the rounding floor.
+        for n_segments in (96, 192):
+            tb = build_testbench(_deep_config(n_segments), 0.05e-9,
+                                 (0.06e-9,))
+            res = {backend: dc_operating_point(
+                       tb.circuit, initial_voltages=dict(tb.initial_voltages),
+                       backend=backend).solution
+                   for backend in ("dense", "sparse", "banded", "auto")}
+            assert np.array_equal(res["sparse"], res["dense"])
+            assert np.array_equal(res["auto"], res["banded"])
+            assert float(np.max(np.abs(res["banded"] - res["dense"]))) \
                 < VOLTAGE_TOL
+
+    def test_auto_dc_runs_the_transient_kernel(self, monkeypatch):
+        """DC resolves its Newton kernel like the transient does: on a
+        deep line ``auto`` builds one bordered kernel and converges on
+        it, with no gmin stage."""
+        built = []
+        real = MnaSystem.bordered_newton_step
+
+        def spy(self, a_base):
+            built.append(real(self, a_base))
+            return built[-1]
+
+        monkeypatch.setattr(MnaSystem, "bordered_newton_step", spy)
+        for n_segments in (96, 192):
+            built.clear()
+            tb = build_testbench(_deep_config(n_segments), 0.05e-9,
+                                 (0.06e-9,))
+            mna = MnaSystem(tb.circuit)
+            assert mna.newton_backend("auto") == "banded"
+            dc_operating_point(tb.circuit,
+                               initial_voltages=dict(tb.initial_voltages),
+                               mna=mna)
+            assert len(built) == 1
+            assert isinstance(built[0], BorderedNewtonStep)
 
     def test_batched_dc_matches_scalar(self):
         tb = build_testbench(_deep_config(48), 0.05e-9, (0.06e-9,))
         circuits = [tb.circuit] * 3
         seeds = [dict(tb.initial_voltages)] * 3
         batch = dc_operating_point_batch(circuits, initial_voltages=seeds,
-                                         backend="sparse")
+                                         backend="banded")
         for res in batch:
             ref = dc_operating_point(tb.circuit,
                                      initial_voltages=dict(
@@ -201,40 +230,40 @@ class TestDcEquivalence:
                 < VOLTAGE_TOL
 
 
-def _inverter() -> Circuit:
-    c = Circuit("inv")
-    c.vsource("Vdd", "vdd", "0", 1.2)
-    c.vsource("Vin", "in", "0", RampSource(0.1e-9, 100e-12, 0.0, 1.2))
-    make_inverter(4).instantiate(c, "u0", "in", "out", "vdd")
-    c.capacitor("cl", "out", "0", 20e-15)
-    return c
-
-
-INV_INITIAL = {"in": 0.0, "out": 1.2, "vdd": 1.2}
-
-
 class TestFallbacks:
     def test_singular_refactorization_falls_back_to_dense(self, monkeypatch):
-        """A kernel whose refactorization goes singular mid-run must
+        """A kernel whose Schur factorization goes singular mid-run must
         degrade to the dense path — bitwise, since the fallback happens
         before any structured solve succeeded."""
         def boom(self, rhs, x, timers=None):
             raise np.linalg.LinAlgError("synthetic singular refactorization")
 
-        ref = _simulate(_inverter(), INV_INITIAL, "dense", t_stop=0.3e-9,
-                        dt=5e-12)
-        monkeypatch.setattr(SparseNewtonStep, "solve", boom)
-        res = _simulate(_inverter(), INV_INITIAL, "sparse", t_stop=0.3e-9,
-                        dt=5e-12)
+        tb = build_testbench(_deep_config(48), 0.05e-9, (0.06e-9,))
+        ref = _simulate(tb.circuit, tb.initial_voltages, "dense",
+                        t_stop=0.3e-9, dt=5e-12)
+        monkeypatch.setattr(BorderedNewtonStep, "solve", boom)
+        res = _simulate(tb.circuit, tb.initial_voltages, "banded",
+                        t_stop=0.3e-9, dt=5e-12)
+        assert res.stats["backend"] == "banded"
         assert res.stats["newton_fallbacks"] >= 1
         assert _worst_dv(ref, res) == 0.0
 
-    def test_pattern_frozen_lu_raises_on_singular(self):
-        # 2x2 with an empty second column: SuperLU's RuntimeError is
-        # normalised to the LinAlgError contract every backend honours.
-        lu = PatternFrozenLu(2, np.array([0, 1, 1]), np.array([0]))
-        with pytest.raises(np.linalg.LinAlgError):
-            lu.refactor(np.array([1.0]))
+    def test_singular_core_runs_dense_newton(self, monkeypatch):
+        """A banded core that fails to factor leaves no kernel for that
+        base matrix: the DC solve and every step run dense Newton, with
+        no mid-solve fallback to count."""
+        def singular(self, *args):
+            raise np.linalg.LinAlgError("synthetic singular core")
+
+        tb = build_testbench(_deep_config(48), 0.05e-9, (0.06e-9,))
+        ref = _simulate(tb.circuit, tb.initial_voltages, "dense",
+                        t_stop=0.3e-9, dt=5e-12)
+        monkeypatch.setattr(BorderedBanded, "__init__", singular)
+        res = _simulate(tb.circuit, tb.initial_voltages, "banded",
+                        t_stop=0.3e-9, dt=5e-12)
+        assert res.stats["backend"] == "banded"
+        assert res.stats["newton_fallbacks"] == 0
+        assert _worst_dv(ref, res) == 0.0
 
     def test_bordered_banded_raises_on_singular_core(self):
         n = 40
@@ -254,7 +283,7 @@ class TestFallbacks:
         """The recursive step-halving fallback stays intact under the
         structured kernels (forced by a tiny Newton iteration budget)."""
         tb = build_testbench(_deep_config(48), 0.05e-9, (0.06e-9,))
-        res = _simulate(tb.circuit, tb.initial_voltages, "sparse",
+        res = _simulate(tb.circuit, tb.initial_voltages, "banded",
                         t_stop=0.15e-9, dt=4e-12, max_newton=2)
         ref = _simulate(tb.circuit, tb.initial_voltages, "dense",
                         t_stop=0.15e-9, dt=4e-12, max_newton=2)
@@ -264,8 +293,8 @@ class TestFallbacks:
 
 class TestTopologyAnalysisCache:
     def test_analysis_shared_across_instances(self, monkeypatch):
-        """structure()/sparse_maps()/newton_partition() are computed once
-        per topology signature, not once per compiled MnaSystem."""
+        """structure()/newton_partition() are computed once per topology
+        signature, not once per compiled MnaSystem."""
         clear_analysis_cache()
         calls = {"n": 0}
         real = mna_mod.analyze_pattern
@@ -280,12 +309,10 @@ class TestTopologyAnalysisCache:
         for m in systems:
             m.structure(include_caps=True)
             m.newton_partition()
-            m.sparse_maps()
         # One union-pattern analysis + one core-pattern analysis, total,
         # across all four instances.
         assert calls["n"] == 2
         assert systems[0].structure() is systems[1].structure()
-        assert systems[0].sparse_maps() is systems[2].sparse_maps()
         assert systems[0].newton_partition() is systems[3].newton_partition()
         clear_analysis_cache()
 
