@@ -1,10 +1,10 @@
 """Ablations of this reproduction's documented design choices.
 
-* **Causal ρ_eff mask** (DESIGN.md §5): SGDP with the output-activity
-  weight versus the paper-literal quasi-static remap.  In the
-  strong-glitch regime of this testbench the literal remap lets
-  post-switch crosstalk sags dominate Eq. 3; the ablation quantifies how
-  much the mask buys.
+* **Causal ρ_eff mask** (README "Deviations from the paper"): SGDP with
+  the output-activity weight versus the paper-literal quasi-static
+  remap.  In the strong-glitch regime of this testbench the literal
+  remap lets post-switch crosstalk sags dominate Eq. 3; the ablation
+  quantifies how much the mask buys.
 * **Alignment granularity**: how dense the aggressor-alignment sweep must
   be before the worst-case delay push-out stops growing — the
   experimental-design question behind the paper's "200 cases in 1 ns".

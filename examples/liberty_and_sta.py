@@ -20,7 +20,7 @@ from repro.library.cells import standard_cell
 from repro.library.characterize import characterize_cell
 from repro.library.liberty import parse_liberty, write_liberty
 from repro.sta.analysis import InputSpec, StaEngine
-from repro.sta.netlist import parse_structural_verilog
+from repro.sta.verilog import read_verilog
 
 NETLIST = """
 module fanout_chain (a, y);
@@ -59,7 +59,7 @@ def main() -> None:
           f"{len(library)} cells round-tripped")
 
     print("\nRunning STA on a geometrically-sized inverter chain...")
-    netlist = parse_structural_verilog(NETLIST)
+    netlist = read_verilog(NETLIST)
     wire = RcLineSpec.from_length(300.0)
     engine = StaEngine(library, wire_specs={"n2": wire})
     result = engine.analyze(

@@ -24,7 +24,7 @@ engine picks for the same backend request
 kernel on gate-plus-interconnect topologies, its banded core factored
 once per solve (once per gmin stage), and dense Newton everywhere else.
 A singular core or Schur factorization finishes the solve on dense
-Newton.
+Newton, counted in the caller's ``stats["newton_fallbacks"]``.
 
 Operating points are not memoised: one costs well under 1% of the
 transient solve it seeds, and a warm transient store hit skips DC
@@ -98,6 +98,7 @@ def _newton_dc(
     rhs: np.ndarray,
     x0: np.ndarray,
     banded: bool = False,
+    counts: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton for ``B`` stacked resistive networks; ``(x, converged)``.
 
@@ -109,8 +110,9 @@ def _newton_dc(
     MOSFET networks run :func:`~repro.circuit.mna.stacked_newton`;
     ``banded`` routes its iterations through the bordered kernel of the
     leaked system (dense Newton when its core factorization fails; a
-    singular Schur factorization falls back to dense mid-solve).
-    A singular dense solve marks every still-active variant unconverged.
+    singular Schur factorization falls back to dense mid-solve), both
+    counted in ``counts``.  A singular dense solve marks every
+    still-active variant unconverged.
     """
     a_base = mna.g_lin.copy()
     nodes = np.arange(mna.n_nodes)
@@ -122,12 +124,15 @@ def _newton_dc(
             return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
         return x, np.isfinite(x).all(axis=1)
     kernel = mna.bordered_newton_step(a_base) if banded else None
+    if banded and kernel is None and counts is not None:
+        counts["newton_fallbacks"] += 1
     return stacked_newton(mna, a_base, rhs, x0, abstol=1e-9, max_iter=200,
-                          v_limit=0.4, catch_singular=True, kernel=kernel)
+                          v_limit=0.4, catch_singular=True, stats=counts,
+                          kernel=kernel)
 
 
 def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
-                   circuit_name: str, banded: bool = False) -> np.ndarray:
+                   circuit_name: str, banded: bool, counts: dict) -> np.ndarray:
     """Walk the gmin schedule for one variant (``(1, size)`` stacks),
     solving each stage exactly once.
 
@@ -139,7 +144,7 @@ def _gmin_stepping(sys_: MnaSystem, rhs: np.ndarray, x0: np.ndarray,
     :class:`DcConvergenceError` naming the stage that failed.
     """
     def solve(gmin: float, seed: np.ndarray) -> "np.ndarray | None":
-        x, converged = _newton_dc(sys_, gmin, rhs, seed, banded)
+        x, converged = _newton_dc(sys_, gmin, rhs, seed, banded, counts)
         return x if converged.all() else None
 
     n_stages = len(GMIN_STAGES)
@@ -216,6 +221,7 @@ def dc_operating_point_batch(
     initial_voltages: Sequence[Mapping[str, float] | None] | None = None,
     mnas: Sequence[MnaSystem] | None = None,
     backend: str = "auto",
+    stats: dict | None = None,
 ) -> list[DcResult]:
     """Solve the operating points of ``B`` topology-sharing variants at once.
 
@@ -244,6 +250,9 @@ def dc_operating_point_batch(
         MOSFET-free stacks, and the Newton kernel of MOSFET stacks
         (:meth:`~repro.circuit.mna.MnaSystem.newton_backend`, shared
         with the transient engine).
+    stats:
+        Optional counter dict; its ``"newton_fallbacks"`` entry counts
+        every failed banded core and Schur factorization (not iterations).
 
     Returns
     -------
@@ -276,6 +285,7 @@ def dc_operating_point_batch(
         mna0.seed_vector(seed, out=x0[b])
 
     banded = mna0.n_mosfets > 0 and mna0.newton_backend(backend) == "banded"
+    counts = {"newton_iters": 0, "newton_fallbacks": 0}
     if mna0.n_mosfets == 0:
         # Linear network: one structured factorization, B exact solves.
         structure = mna0.structure(include_caps=False)
@@ -291,13 +301,15 @@ def dc_operating_point_batch(
             x = x0
             converged = np.zeros(len(circuits), dtype=bool)
     else:
-        x, converged = _newton_dc(mna0, 0.0, rhs, x0, banded)
+        x, converged = _newton_dc(mna0, 0.0, rhs, x0, banded, counts)
 
     node_names = tuple(mna0.node_names)
     results = []
     for b, circuit in enumerate(circuits):
         solution = x[b] if converged[b] else _gmin_stepping(
             systems[b], rhs[b:b + 1], x0[b:b + 1], circuit.name,
-            banded=banded)[0]
+            banded, counts)[0]
         results.append(DcResult(solution=solution, node_names=node_names))
+    if stats is not None:
+        stats["newton_fallbacks"] += counts["newton_fallbacks"]
     return results

@@ -125,7 +125,8 @@ refactorises only the border-sized Schur complement of the device block
 core/border partition exists; every other request, ``sparse`` included,
 runs dense Newton.  A failed core factorization runs the step size on
 dense Newton, and a singular Schur complement falls back to dense
-mid-solve (counted in ``stats["newton_fallbacks"]``).  This is what
+mid-solve; both count in ``stats["newton_fallbacks"]`` (DC's included),
+and ``stats["backend"]`` names the kernel that ran.  This is what
 extends the node-count ceiling to gate-plus-interconnect netlists, not
 just passive lines.
 
@@ -464,6 +465,8 @@ class _StepMatrixCache:
         self._kernels: "OrderedDict[float, BorderedNewtonStep | None]" \
             = OrderedDict()
         self.builds = 0
+        self.core_failures = 0  # step sizes whose banded core failed
+        self._bordered = False  # any step size got a bordered kernel
         # Padded-gather indices: ground terminals read the zero pad column.
         self._gi = np.where(mna.cap_i >= 0, mna.cap_i, mna.size)
         self._gj = np.where(mna.cap_j >= 0, mna.cap_j, mna.size)
@@ -521,9 +524,9 @@ class _StepMatrixCache:
 
         ``None`` for linear systems, for the dense Newton backend, and
         for a step size whose banded core factorization fails (that step
-        size runs dense Newton).  The per-``h`` operators — each
-        re-factors its banded core — are LRU-bounded alongside the
-        matrix entries.
+        size runs dense Newton and counts in :attr:`core_failures`).  The
+        per-``h`` operators — each re-factors its banded core — are
+        LRU-bounded alongside the matrix entries.
         """
         if self._factorize or self.backend != "banded":
             return None
@@ -534,10 +537,20 @@ class _StepMatrixCache:
         t0 = perf_counter() if self.timers is not None else 0.0
         kernel = self.mna.bordered_newton_step(a_base)
         _lap(self.timers, "factor", t0)
+        self.core_failures += kernel is None
+        self._bordered = self._bordered or kernel is not None
         self._kernels[h] = kernel
         while len(self._kernels) > _STEP_CACHE_ENTRIES:
             self._kernels.popitem(last=False)
         return kernel
+
+    def close(self, stats: dict) -> None:
+        """Fold matrix builds, failed cores and the backend that ran
+        (dense when no step size got a bordered kernel) into ``stats``."""
+        stats["matrix_builds"] = self.builds
+        stats["newton_fallbacks"] += self.core_failures
+        stats["backend"] = "dense" if self.backend == "banded" \
+            and not self._factorize and not self._bordered else self.backend
 
     def cap_gather(self, x: np.ndarray) -> np.ndarray:
         """Voltage across every capacitor for stacked solutions ``(B, size)``.
@@ -728,16 +741,17 @@ def _advance_batch(
     return x_new, ieq_new
 
 
-def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
+def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem],
+                 stats: dict):
     """Shared preamble of the fixed-grid and adaptive group engines.
 
     Validates every job's window, solves the group's initial states in
-    one stacked DC pass (or applies UIC seeds — grouping guarantees a
-    uniform ``use_ic`` flag), and precomputes the compact source series
-    for every full base step — on the structurally nonzero rhs rows only
-    (the full ``(B, T, size)`` series would be O(T · size) mostly-zero
-    memory).  Returns ``(opts, steps_arr, times, x, src_cols,
-    src_vals)``.
+    one stacked DC pass, its Newton fallbacks counted in ``stats`` (or
+    applies UIC seeds — grouping guarantees a uniform ``use_ic`` flag),
+    and precomputes the compact source series for every full base step —
+    on the structurally nonzero rhs rows only (the full ``(B, T, size)``
+    series would be O(T · size) mostly-zero memory).  Returns ``(opts,
+    steps_arr, times, x, src_cols, src_vals)``.
     """
     job0 = jobs[0]
     mna0 = mnas[0]
@@ -765,7 +779,7 @@ def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
         dc = dc_operating_point_batch(
             [job.circuit for job in jobs], at_time=t_start,
             initial_voltages=[job.initial_voltages for job in jobs],
-            mnas=mnas, backend=opts.backend)
+            mnas=mnas, backend=opts.backend, stats=stats)
         x = np.stack([r.solution for r in dc])
 
     src_cols = mna0.source_rhs_columns()
@@ -785,17 +799,18 @@ def _simulate_group(jobs: Sequence[TransientJob],
     if opts0.adaptive:
         return _simulate_adaptive(jobs, mnas)
     dt = job0.dt
-    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(jobs, mnas)
+    batch = len(jobs)
+    stats = _new_stats(batch_size=batch)
+    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(
+        jobs, mnas, stats)
     n_steps = steps_arr.tolist()
     n_max = int(steps_arr.max())
 
-    batch = len(jobs)
     solutions = np.empty((batch, n_max + 1, mna0.size))
     solutions[:, 0] = x
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
     cache = _StepMatrixCache(mna0, dt, backend=opts.backend, timers=timers)
-    stats = _new_stats(batch_size=batch, backend=cache.backend)
     if timers is not None:
         stats["phase_seconds"] = timers
 
@@ -850,7 +865,7 @@ def _simulate_group(jobs: Sequence[TransientJob],
             state[alive] = state_new
             solutions[alive, step + 1] = x_new
 
-    stats["matrix_builds"] = cache.builds
+    cache.close(stats)
     _phase_close(timers, stats, t_engine)
     return [
         TransientResult(mnas[b], times[: n_steps[b] + 1],
@@ -939,15 +954,16 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
     # Shared preamble (validation, stacked initial states, compact source
     # series on the full base grid — the engine only ever lands on
     # base-grid points, so accepted strides index into that series).
-    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(jobs, mnas)
+    stats = _new_stats(batch_size=batch, adaptive=True, lte_rejects=0,
+                       newton_rejects=0)
+    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(
+        jobs, mnas, stats)
     n_steps = steps_arr.tolist()
     n_max = int(steps_arr.max())
 
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
     cache = _StepMatrixCache(mna0, dt, backend=opts.backend, timers=timers)
-    stats = _new_stats(batch_size=batch, backend=cache.backend,
-                       adaptive=True, lte_rejects=0, newton_rejects=0)
     if timers is not None:
         stats["phase_seconds"] = timers
 
@@ -1099,7 +1115,7 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
         else:
             calm = 0
 
-    stats["matrix_builds"] = cache.builds
+    cache.close(stats)
     stats["steps_accepted"] = len(accepted) - 1
     _phase_close(timers, stats, t_engine)
     acc = np.asarray(accepted)

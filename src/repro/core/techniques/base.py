@@ -112,7 +112,7 @@ class PropagationInputs:
         first 0.9·Vdd crossing after the arrival anchor so post-settling
         crosstalk dips do not drown the transition samples (see
         :meth:`repro.core.waveform.Waveform.principal_critical_region`
-        and DESIGN.md §5).
+        and README "Deviations from the paper").
         """
         return self.v_in_noisy.principal_critical_region(self.vdd)
 

@@ -25,7 +25,7 @@ runs steps 1–3, and finally shifts the equivalent waveform forward by δ
 (``nonoverlap_mode="paper"``).  A literal forward shift makes Γ_eff late
 by δ if it is then re-simulated through the *real* gate, so
 ``nonoverlap_mode="input-frame"`` (the default) omits the final shift;
-see DESIGN.md §5.2 for the discussion.
+see README "Deviations from the paper".
 """
 
 from __future__ import annotations

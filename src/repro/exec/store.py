@@ -43,9 +43,8 @@ job's compiled system; an unreadable or mis-shaped entry is counted in
 ``corrupt``, deleted, and treated as a miss, so the store self-heals.
 Hits touch the file's mtime, and inserts evict least-recently-used
 entries until the store fits ``max_bytes``.  ``hits`` / ``misses`` /
-``corrupt`` / ``evictions`` counters double as the test spy, surfaced
-alongside the quiet-reference cache by
-:func:`repro.sta.noise_aware.quiet_cache_stats`.
+``corrupt`` / ``evictions`` counters double as the test spy, reported
+by :meth:`ResultStore.stats`.
 """
 
 from __future__ import annotations

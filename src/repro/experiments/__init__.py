@@ -9,11 +9,6 @@ from .ablation import (
 )
 from .figure2 import Figure2Data, ascii_plot, generate_figure2
 from .glitch import GlitchMeasurement, glitch_sweep, measure_glitch, worst_glitch
-from .montecarlo import (
-    build_chain_design,
-    run_chain_monte_carlo,
-    run_noise_alignment_monte_carlo,
-)
 from .noise_injection import (
     NoiseCase,
     NoiselessReference,
@@ -85,7 +80,4 @@ __all__ = [
     "measure_glitch",
     "glitch_sweep",
     "worst_glitch",
-    "build_chain_design",
-    "run_chain_monte_carlo",
-    "run_noise_alignment_monte_carlo",
 ]

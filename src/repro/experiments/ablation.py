@@ -2,8 +2,9 @@
 
 * **Sampling count P** (§4.2): "small P tends to result in lower timing
   analysis accuracy" — sweep SGDP's accuracy against P.
-* **Causal mask** (this reproduction's documented deviation, DESIGN.md
-  §5): quantify SGDP with and without the output-settling mask.
+* **Causal mask** (this reproduction's documented deviation, README
+  "Deviations from the paper"): quantify SGDP with and without the
+  output-settling mask.
 * **Alignment granularity**: how coarse an aggressor-alignment sweep may
   be before the worst-case delay push-out is underestimated — the
   implicit experimental-design question behind "200 cases in 1 ns".
@@ -116,7 +117,8 @@ def causal_mask_ablation(
     """SGDP with the causal ρ_eff mask versus the paper-literal remap.
 
     The mask matters in the strong-glitch regime this testbench produces
-    (crosstalk sags after the output has switched); see DESIGN.md §5.
+    (crosstalk sags after the output has switched); see README
+    "Deviations from the paper".
     Both variants score the same simulated sweep (computed once).
     """
     timing = timing or SweepTiming()

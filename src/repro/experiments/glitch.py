@@ -4,8 +4,8 @@ The paper's techniques handle crosstalk on a *switching* victim.  The
 complementary SI question — how large a noise pulse the same aggressors
 inject into a *quiet* victim, and whether the receiver propagates it — is
 what noise-analysis tools check first, and it characterises the strength
-of the coupling regime the timing experiments run in (EXPERIMENTS.md
-relates our glitch heights to the paper's).
+of the coupling regime the timing experiments run in.  The paper reports
+no glitch heights, so these numbers have no paper counterpart.
 
 :func:`measure_glitch` holds the victim input at its rail, fires the
 aggressors, and measures the victim far-end noise pulse and the

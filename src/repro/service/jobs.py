@@ -329,7 +329,8 @@ class StaMonteCarloServiceJob(ServiceJob):
         # Import at build time, not module import: the service core
         # must not drag the STA stack in for netlist-only use.
         from ..library.liberty import LibertyParseError, parse_liberty
-        from ..sta.netlist import NetlistError, parse_structural_verilog
+        from ..sta.netlist import NetlistError
+        from ..sta.verilog import read_verilog
 
         verilog = spec.get("verilog")
         liberty = spec.get("liberty")
@@ -338,7 +339,7 @@ class StaMonteCarloServiceJob(ServiceJob):
         _require_spec(isinstance(liberty, str) and bool(liberty),
                       "field 'liberty' must be Liberty library text")
         try:
-            self.netlist = parse_structural_verilog(verilog)
+            self.netlist = read_verilog(verilog)
         except NetlistError as exc:
             raise JobSpecError(f"bad verilog: {exc}") from exc
         try:

@@ -6,7 +6,7 @@ door."""
 
 from .analysis import ArcRecord, EdgeTiming, InputSpec, StaEngine, StaResult
 from .graph import TimingGraph, TimingGraphError
-from .netlist import GateInstance, GateNetlist, NetlistError, parse_structural_verilog
+from .netlist import GateInstance, GateNetlist, NetlistError
 from .sdf import SdfDelays, SdfEngine, SdfError, SdfTriple, read_sdf
 from .statistical import (
     McResult,
@@ -31,7 +31,6 @@ __all__ = [
     "GateNetlist",
     "GateInstance",
     "NetlistError",
-    "parse_structural_verilog",
     "read_verilog",
     "TimingGraph",
     "TimingGraphError",

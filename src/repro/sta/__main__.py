@@ -26,9 +26,9 @@ import sys
 from ..exec import ExecutionConfig, default_execution
 from ..library.liberty import parse_liberty
 from .analysis import InputSpec, StaEngine
-from .netlist import parse_structural_verilog
 from .sdf import SdfEngine, read_sdf
 from .statistical import McVariation, run_sta_monte_carlo
+from .verilog import read_verilog
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +77,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
 
     with open(args.verilog) as fh:
-        netlist = parse_structural_verilog(fh.read())
+        netlist = read_verilog(fh.read())
     library = {}
     if args.liberty:
         with open(args.liberty) as fh:

@@ -8,11 +8,10 @@ model: every (related input pin → output) pair is a separate timing arc,
 and the engine propagates per arc rather than assuming one fanin.
 
 Netlists are built programmatically (:meth:`GateNetlist.add_instance`)
-or read from text: :func:`parse_structural_verilog` accepts the
-structural-Verilog subset (it delegates to the tokenizer-based reader in
-:mod:`repro.sta.verilog`, which rejects vector and escaped identifiers
-with clear :class:`NetlistError`\\ s instead of registering garbage
-nets).
+or read from text with :func:`repro.sta.verilog.read_verilog`, which
+accepts the structural-Verilog subset and rejects vector and escaped
+identifiers with clear :class:`NetlistError`\\ s instead of registering
+garbage nets.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .._util import require
 
-__all__ = ["GateInstance", "GateNetlist", "parse_structural_verilog", "NetlistError"]
+__all__ = ["GateInstance", "GateNetlist", "NetlistError"]
 
 
 class NetlistError(ValueError):
@@ -86,7 +85,7 @@ class GateNetlist:
     """A combinational gate-level netlist.
 
     Use :meth:`add_instance` to build programmatically, or
-    :func:`parse_structural_verilog` to read the text form.
+    :func:`repro.sta.verilog.read_verilog` to read the text form.
     """
 
     name: str = "top"
@@ -197,15 +196,3 @@ class GateNetlist:
             net.add_instance(f"u{k}", f"INVX{drive}", f"n{k}", f"n{k + 1}")
         net.add_output(f"n{len(drives)}")
         return net
-
-
-def parse_structural_verilog(text: str) -> GateNetlist:
-    """Parse a structural-Verilog subset into a :class:`GateNetlist`.
-
-    Delegates to :func:`repro.sta.verilog.read_verilog` — the
-    tokenizer-based reader that supports multi-port instances with named
-    connections and rejects vector declarations, escaped identifiers and
-    unsupported statements with clear :class:`NetlistError`\\ s.
-    """
-    from .verilog import read_verilog
-    return read_verilog(text)

@@ -33,8 +33,10 @@ a :class:`QuietReferenceCache` keyed on ``(quiet stage, stimulus record,
 window end, dt)``.  Re-propagating the same path (for another technique,
 another aggressor alignment, or a reference run) re-simulates each
 distinct quiet reference exactly once; the cache is shared module-wide by
-default, can be passed explicitly, and :func:`clear_quiet_cache` resets
-it (its ``hits``/``misses`` counters double as a test spy).
+default and can be passed explicitly.  :func:`quiet_cache_stats` reports
+its ``hits``/``misses``/``size`` and :func:`clear_quiet_cache` empties it;
+both cover this cache only, since the result store and the solver totals
+report through :mod:`repro.exec`.
 
 Slew fallback policy
 --------------------
@@ -58,8 +60,7 @@ from ..circuit.netlist import Circuit
 from ..circuit.sources import RampSource
 from ..circuit.transient import TransientJob, TransientOptions, resolve_adaptive
 from ..core.ramp import SaturatedRamp
-from ..exec import (ExecutionConfig, default_execution, fleet_stats,
-                    reset_fleet_stats, run_jobs)
+from ..exec import ExecutionConfig, run_jobs
 from ..core.techniques import PropagationInputs, Technique
 from ..core.techniques.sgdp import Sgdp
 from ..core.waveform import Waveform
@@ -200,46 +201,17 @@ class QuietReferenceCache:
 _QUIET_CACHE = QuietReferenceCache()
 
 
-def clear_quiet_cache(drop_store_entries: bool = False) -> None:
-    """Reset every memoisation layer behind noise-aware propagation.
-
-    Clears the module-wide quiet-reference cache and, when the default
-    :class:`~repro.exec.ExecutionConfig` carries a result store
-    (``REPRO_STORE`` or :func:`repro.exec.set_default_execution`), zeroes
-    that store's counters.  The store's *on-disk entries* survive by
-    default — a warmed store may represent hours of simulation, and a
-    stats reset (the common reason to call this in tests and sweeps)
-    must not destroy it; pass ``drop_store_entries=True`` to wipe the
-    entries too.
-    """
+def clear_quiet_cache() -> None:
+    """Empty the module-wide quiet-reference cache and zero its counters
+    (this cache only: the store and solver totals live in :mod:`repro.exec`)."""
     _QUIET_CACHE.clear()
-    reset_fleet_stats()
-    store = default_execution().store
-    if store is not None:
-        if drop_store_entries:
-            store.clear()
-        else:
-            store.reset_counters()
 
 
 def quiet_cache_stats() -> dict:
-    """One stats surface over both memoisation layers.
-
-    ``hits``/``misses``/``size`` describe the in-memory quiet-reference
-    cache; ``store`` holds the default execution configuration's
-    result-store stats (:meth:`repro.exec.ResultStore.stats` — hits,
-    misses, corrupt entries, evictions, entry count and bytes), or
-    ``None`` when no store is configured; ``fleet`` is the
-    execution layer's cross-worker solver totals
-    (:func:`repro.exec.fleet_stats` — newton iterations, halvings,
-    matrix builds … summed over every ``run_jobs`` call, sharded or
-    serial).  :func:`clear_quiet_cache` resets all three.
-    """
-    store = default_execution().store
+    """``hits``/``misses``/``size`` of the module-wide quiet-reference cache
+    (store and solver totals report through :mod:`repro.exec`)."""
     return {"hits": _QUIET_CACHE.hits, "misses": _QUIET_CACHE.misses,
-            "size": len(_QUIET_CACHE),
-            "store": store.stats() if store is not None else None,
-            "fleet": fleet_stats()}
+            "size": len(_QUIET_CACHE)}
 
 
 def _build_stage_circuit(stage: NoisyStage, vdd: float) -> tuple[Circuit, dict[str, float], str, str]:

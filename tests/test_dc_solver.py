@@ -48,12 +48,12 @@ class _NewtonSpy:
         self._real = dc_mod._newton_dc
         self._fail_when = fail_when or (lambda idx, gmin: False)
 
-    def __call__(self, mna, extra_gmin, rhs, x0, kernel=None):
+    def __call__(self, mna, extra_gmin, rhs, x0, *args):
         idx = len(self.gmins)
         self.gmins.append(extra_gmin)
         if self._fail_when(idx, extra_gmin):
             return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
-        return self._real(mna, extra_gmin, rhs, x0, kernel)
+        return self._real(mna, extra_gmin, rhs, x0, *args)
 
 
 class TestGminControlFlow:

@@ -85,12 +85,7 @@ class TestQuietReferenceCache:
         propagate_path([noisy_stage], input_ramp, dt=8e-12)
         assert quiet_cache_stats()["hits"] == 1
         clear_quiet_cache()
-        stats = quiet_cache_stats()
-        # The surface also reports the result store (None unless the
-        # default ExecutionConfig carries one — see repro.exec).
-        assert {k: stats[k] for k in ("hits", "misses", "size")} == \
-            {"hits": 0, "misses": 0, "size": 0}
-        assert "store" in stats
+        assert quiet_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
     def test_eviction_bounds_memory(self):
         cache = QuietReferenceCache(maxsize=2)

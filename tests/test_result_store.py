@@ -20,7 +20,6 @@ from repro.core.techniques.sgdp import Sgdp
 from repro.exec import (ExecutionConfig, ResultStore, job_key, run_jobs,
                         set_default_execution)
 from repro.exec import pool as pool_mod
-from repro.sta.noise_aware import clear_quiet_cache, quiet_cache_stats
 from repro.experiments.noise_injection import SweepTiming, iter_noise_cases
 from repro.experiments.setup import CONFIG_I
 from repro.experiments.table1 import run_table1
@@ -106,22 +105,6 @@ class TestAccounting:
         assert store.hits == 3 and store.stores == 0
         for r, w in zip(mixed, warm):
             np.testing.assert_array_equal(r._x, w._x)
-
-    def test_one_stats_surface_over_cache_and_store(self, store):
-        """quiet_cache_stats/clear_quiet_cache cover the default store;
-        the reset zeroes counters but preserves warmed entries."""
-        previous = set_default_execution(ExecutionConfig(store=store))
-        try:
-            run_jobs([rc_job()])  # default execution → the store
-            assert quiet_cache_stats()["store"]["misses"] == 1
-            clear_quiet_cache()
-            stats = quiet_cache_stats()["store"]
-            assert stats["misses"] == 0
-            assert stats["entries"] == 1, "entries must survive a stats reset"
-            clear_quiet_cache(drop_store_entries=True)
-            assert quiet_cache_stats()["store"]["entries"] == 0
-        finally:
-            set_default_execution(previous)
 
 
 class TestKeySensitivity:

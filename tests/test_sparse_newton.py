@@ -250,8 +250,9 @@ class TestFallbacks:
 
     def test_singular_core_runs_dense_newton(self, monkeypatch):
         """A banded core that fails to factor leaves no kernel for that
-        base matrix: the DC solve and every step run dense Newton, with
-        no mid-solve fallback to count."""
+        base matrix: the DC solve and every step run dense Newton, each
+        failed core counts as a fallback, and the stats report the dense
+        backend that actually ran."""
         def singular(self, *args):
             raise np.linalg.LinAlgError("synthetic singular core")
 
@@ -261,9 +262,26 @@ class TestFallbacks:
         monkeypatch.setattr(BorderedBanded, "__init__", singular)
         res = _simulate(tb.circuit, tb.initial_voltages, "banded",
                         t_stop=0.3e-9, dt=5e-12)
-        assert res.stats["backend"] == "banded"
-        assert res.stats["newton_fallbacks"] == 0
+        assert res.stats["backend"] == "dense"
+        assert res.stats["newton_fallbacks"] >= 1
         assert _worst_dv(ref, res) == 0.0
+
+    def test_dc_counts_its_schur_fallbacks(self, monkeypatch):
+        """DC's own mid-solve fallbacks reach the caller's counter: one
+        per bordered Newton pass that drops to dense."""
+        def boom(self, rhs, x, timers=None):
+            raise np.linalg.LinAlgError("synthetic singular refactorization")
+
+        tb = build_testbench(_deep_config(48), 0.05e-9, (0.06e-9,))
+        ref = dc_operating_point(tb.circuit, backend="dense",
+                                 initial_voltages=dict(tb.initial_voltages))
+        monkeypatch.setattr(BorderedNewtonStep, "solve", boom)
+        stats = {"newton_fallbacks": 0}
+        res = dc_operating_point_batch(
+            [tb.circuit], initial_voltages=[dict(tb.initial_voltages)],
+            backend="banded", stats=stats)[0]
+        assert stats["newton_fallbacks"] >= 1
+        np.testing.assert_array_equal(res.solution, ref.solution)
 
     def test_bordered_banded_raises_on_singular_core(self):
         n = 40

@@ -9,7 +9,8 @@ from repro.library.characterize import CharacterizedCell
 from repro.library.nldm import NldmTable, TimingArc
 from repro.sta.analysis import InputSpec, StaEngine
 from repro.sta.graph import TimingGraph, TimingGraphError
-from repro.sta.netlist import GateNetlist, NetlistError, parse_structural_verilog
+from repro.sta.netlist import GateNetlist, NetlistError
+from repro.sta.verilog import read_verilog
 
 VDD = 1.2
 
@@ -118,7 +119,7 @@ class TestVerilogParser:
     """
 
     def test_parses_structure(self):
-        net = parse_structural_verilog(self.SOURCE)
+        net = read_verilog(self.SOURCE)
         assert net.name == "chain"
         assert net.primary_inputs == ["a"]
         assert net.primary_outputs == ["y"]
@@ -126,16 +127,16 @@ class TestVerilogParser:
 
     def test_missing_module_rejected(self):
         with pytest.raises(NetlistError):
-            parse_structural_verilog("wire x;")
+            read_verilog("wire x;")
 
     def test_missing_endmodule_rejected(self):
         with pytest.raises(NetlistError):
-            parse_structural_verilog("module m (a); input a;")
+            read_verilog("module m (a); input a;")
 
     def test_positional_ports_rejected(self):
         src = "module m (a, y); input a; output y; INVX1 u0 (a, y); endmodule"
         with pytest.raises(NetlistError, match="named ports"):
-            parse_structural_verilog(src)
+            read_verilog(src)
 
     def test_decl_keyword_not_matched_inside_identifier(self):
         # Regression: the old decl regex had no word boundary, so the
@@ -147,14 +148,14 @@ class TestVerilogParser:
           winput u0 (.A(a), .Y(y));
         endmodule
         """
-        net = parse_structural_verilog(src)
+        net = read_verilog(src)
         assert net.primary_inputs == ["a"]
         assert [i.cell for i in net.instances] == ["winput"]
 
     def test_vector_declarations_rejected(self):
         src = "module m (a, y); input [3:0] a; output y; endmodule"
         with pytest.raises(NetlistError, match="[Vv]ector"):
-            parse_structural_verilog(src)
+            read_verilog(src)
 
     def test_multi_port_instance(self):
         src = """
@@ -164,7 +165,7 @@ class TestVerilogParser:
           INVX1 u1 (.A(w), .Y(y));
         endmodule
         """
-        net = parse_structural_verilog(src)
+        net = read_verilog(src)
         u0 = net.instances[0]
         assert dict(u0.inputs) == {"A": "a", "B": "b"}
         assert u0.output_net == "w"
