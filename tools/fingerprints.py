@@ -1,18 +1,21 @@
 #!/usr/bin/env python
-"""Behaviour fingerprints of the transient and DC engines.
+"""Behaviour fingerprints of the transient, DC and static-timing engines.
 
 Runs a fixed set of canonical workloads and reduces each result to
 statistics that survive a change of CPU or LAPACK build: per-node RMS,
 50%-of-Vdd crossing times, Newton iteration counts, the solver backend
-that ran, and the result-store key digest of every transient job.  Raw solution
+that ran, and the result-store key digest of every transient job; for
+the c17 corpus, every net's nominal NLDM arrival and slew, the slacks,
+the SDF arrivals at each corner, and the quantiles of a seeded
+Monte-Carlo SSTA sweep.  Raw solution
 bytes are deliberately not hashed — LAPACK rounding differs across
 CPUs, so a byte hash would pin the machine, not the behaviour.
 
 ``tests/test_fingerprints.py`` recomputes every workload and compares it
 with the checked-in ``tests/data/fingerprints.json``:
 
-* RMS and DC node voltages to 1e-9 relative (1e-12 V absolute floor,
-  for nodes that sit at 0 V);
+* RMS and DC node voltages, and the static-timing values, to 1e-9
+  relative (1e-12 absolute floor, for nodes that sit at 0 V);
 * crossing times to 1e-15 s, with the crossing count exact;
 * Newton iteration and step-halving counts, backends, batch sizes and
   key digests exact.
@@ -41,14 +44,19 @@ from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
                                      simulate_transient_many)
 from repro.core.ramp import SaturatedRamp
+from repro.exec import ExecutionConfig
 from repro.exec.store import job_key
 from repro.experiments.setup import CONFIG_I, build_testbench, receiver_fixture
 from repro.interconnect.coupling import CouplingSpec, add_coupled_lines
 from repro.interconnect.rcline import RcLineSpec
 from repro.library.cells import make_inverter
+from repro.library.liberty import parse_liberty
+from repro.sta import (InputSpec, SdfEngine, StaEngine, read_sdf,
+                       read_verilog, run_sta_monte_carlo)
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_PATH = REPO / "tests" / "data" / "fingerprints.json"
+CORPUS = REPO / "tests" / "data"
 
 RMS_RTOL = 1e-9
 VOLT_ATOL = 1e-12
@@ -79,6 +87,12 @@ BUNDLE_SEGMENTS = 48
 BUNDLE_OPTIONS = (TransientOptions(backend="sparse", adaptive=False),
                   TransientOptions(backend="banded", adaptive=False))
 
+#: Monte-Carlo SSTA over c17: sample count, base seed, and the wires
+#: the sweep adds on two internal nets so both σ axes (cell and R/C)
+#: draw.
+STA_MC = (512, 1234, {"N11": RcLineSpec(total_r=200.0, total_c=4e-15),
+                      "N16": RcLineSpec(total_r=350.0, total_c=6e-15,
+                                        n_segments=3)})
 
 
 def _bench(config, victim_start, aggressor_starts, batch=3) -> list:
@@ -202,6 +216,41 @@ def _dc_entry(bench, batch: int = 3, seeded: bool = True) -> dict:
         {"voltages": r.voltages()} for r in results]}
 
 
+def _timing(result) -> dict:
+    """``{edge: {net: {"arrival", "slew"}}}`` of an STA result."""
+    return {edge: {net: {"arrival": t.arrival, "slew": t.slew}
+                   for net, t in timing.items()}
+            for edge, timing in (("rise", result.rise), ("fall", result.fall))}
+
+
+def _sta_entry() -> dict:
+    """c17: nominal NLDM and SDF timing of every net, then MC quantiles."""
+    netlist = read_verilog((CORPUS / "c17.v").read_text(encoding="utf-8"))
+    library = parse_liberty((CORPUS / "c17.lib").read_text(encoding="utf-8"))
+    delays = read_sdf((CORPUS / "c17.sdf").read_text(encoding="utf-8"))
+    golden = json.loads((CORPUS / "golden.json").read_text(encoding="utf-8"))
+    inputs = {net: InputSpec(slew=50e-12) for net in netlist.primary_inputs}
+    required = {net: golden["required_time"]
+                for net in netlist.primary_outputs}
+    nominal = StaEngine(library).analyze(netlist, inputs=inputs,
+                                         required_times=required)
+    samples, seed, wires = STA_MC
+    mc = run_sta_monte_carlo(netlist, library, wire_specs=wires,
+                             inputs=inputs, required_times=required,
+                             samples=samples, seed=seed, journal=False,
+                             execution=ExecutionConfig(workers=1))
+    return {"kind": "sta", "variants": [
+        {"nominal": _timing(nominal),
+         "slack": {net: nominal.slack(net) for net in nominal.required}},
+        {"sdf": {corner: _timing(SdfEngine(delays, corner=corner,
+                                           library=library)
+                                 .analyze(netlist, inputs=inputs))
+                 for corner in ("min", "typ", "max")}},
+        {"mc": {"samples": samples, "seed": seed,
+                "quantiles": mc.quantiles}},
+    ]}
+
+
 def compute() -> dict:
     """Every canonical workload, fingerprinted (keyed by workload name)."""
     out = {name: _transient_entry(*spec) for name, spec in TRANSIENT.items()}
@@ -210,6 +259,7 @@ def compute() -> dict:
     out["dc_I_batch3"] = _dc_entry(TABLE1)
     out["dc_I_scalar"] = _dc_entry(TABLE1, batch=1, seeded=False)
     out["dc_deep96_batch3"] = _dc_entry(DEEP_LINE)
+    out["sta_c17"] = _sta_entry()
     return out
 
 
