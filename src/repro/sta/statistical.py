@@ -20,7 +20,13 @@ lookup on the scaled table.  Every row is therefore *bit-identical* to
 Determinism is the load-bearing property: sample ``i`` draws from the
 dedicated stream ``default_rng([salt, tag, seed, i])`` — no shared
 sequential RNG — so the value of a sample depends neither on its block
-nor on which worker computes it.  Blocks fan out through
+nor on which worker computes it.  Building that generator per sample
+costs more than the sample's timing does, so :func:`_block_normals`
+derives a whole block's streams in one array pass (SeedSequence's hash
+of every sample's entropy words, then the PCG64 state each seeds) and
+resets one reused generator to each state: the same draws bit for bit,
+at about 7 µs a sample on c17 against 16–27 µs for ``default_rng``.
+Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
 quantiles are bit-for-bit identical (asserted by the corpus smoke in CI).
 
@@ -66,10 +72,10 @@ __all__ = [
 _STREAM_SALT = 0x55A57A
 
 #: Samples per block, the unit :func:`run_indexed` hands a worker.  A
-#: sample costs about 40 µs, nearly all of it constructing its RNG
-#: stream, so 256 samples (~10 ms) cost about what a pool shard's fixed
-#: overhead does: smaller blocks would make sharding pay more overhead
-#: than it saves, larger ones would keep mid-sized sweeps off the pool.
+#: c17 sample costs about 14 µs, half of it its draws, so a block of 256
+#: takes ~3.5 ms while forking a 2-worker pool adds ~15–20 ms: c17 sweeps
+#: of 1–8 blocks run faster serially.  The block stays at 256 because a
+#: sample's work grows with the design and the pool's overhead does not.
 _BLOCK = 256
 
 #: ln(9) — converts an RC time constant into a 10–90% transition time
@@ -78,14 +84,129 @@ _LN9 = math.log(9.0)
 
 
 def _rng_for(tag: str, seed: int, index: int) -> np.random.Generator:
-    """The dedicated RNG stream of sample ``index``.
+    """The dedicated RNG stream of sample ``index`` (reference definition).
 
     The tag is hashed with :func:`zlib.crc32` (stable across processes
     and Python runs, unlike ``hash``) so differently-tagged sweeps with
-    the same seed draw independent streams.
+    the same seed draw independent streams.  The sweeps draw these
+    streams through :func:`_block_normals`, which yields the same values.
     """
     return np.random.default_rng(
         [_STREAM_SALT, zlib.crc32(tag.encode()), int(seed), int(index)])
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator); its pool
+# holds four 32-bit words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+#: PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n >= 0`` as SeedSequence reads an integer: 32-bit words, low first."""
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _generate_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row.
+
+    ``entropy`` is ``(m, L)`` ``uint32``, one stream's ``L >= 4`` entropy
+    words per row; every step of SeedSequence's ``mix_entropy`` and
+    ``generate_state`` runs once over all rows.  Returns ``(m, 4)``.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, j]) for j in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const, words = _INIT_B, []
+    for j in range(2 * _POOL):
+        value = pool[j % _POOL] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _M32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # Eight uint32 words read back as four little-endian uint64 words.
+    return np.stack([words[2 * k] | (words[2 * k + 1] << 32)
+                     for k in range(_POOL)], axis=1)
+
+
+def _pcg64_states(tag: str, seed: int,
+                  indices: Sequence[int]) -> list[tuple[int, int]]:
+    """``(state, inc)`` that :func:`_rng_for`'s PCG64 starts from, per index.
+
+    PCG64 takes ``initstate = w0·2⁶⁴ + w1`` and ``initseq = w2·2⁶⁴ + w3``
+    from its SeedSequence's four words, and ``pcg64_srandom_r`` turns
+    them into the generator's state.  Indices are grouped by word count
+    (an index ``≥ 2³²`` adds entropy words).
+    """
+    head = [_STREAM_SALT, zlib.crc32(tag.encode()), *_uint32_words(int(seed))]
+    words = [_uint32_words(int(i)) for i in indices]
+    states: list = [None] * len(words)
+    for width in set(map(len, words)):
+        rows = [r for r, w in enumerate(words) if len(w) == width]
+        entropy = np.empty((len(rows), len(head) + width), np.uint32)
+        entropy[:, :len(head)] = head
+        entropy[:, len(head):] = [words[r] for r in rows]
+        for r, (w0, w1, w2, w3) in zip(rows,
+                                       _generate_state(entropy).tolist()):
+            inc = ((((w2 << 64) | w3) << 1) | 1) & _M128
+            states[r] = ((((inc + ((w0 << 64) | w1)) * _PCG_MULT) + inc)
+                         & _M128, inc)
+    return states
+
+
+def _block_normals(tag: str, seed: int, indices: Sequence[int],
+                   sigmas: np.ndarray) -> np.ndarray:
+    """``N(0, σ_j)`` draws of samples ``indices``, shape ``(n, len(sigmas))``.
+
+    Row ``k`` equals what ``_rng_for(tag, seed, indices[k])`` yields for
+    ``normal(0.0, σ_j)`` called on each column with ``σ_j > 0`` in column
+    order, bit for bit; a column with ``σ_j <= 0`` draws nothing and
+    holds ``+0.0``.  One reused PCG64 is reset to each sample's state and
+    draws the sample's normals in one call; scaling is ``0.0 + σ·z`` as
+    in ``normal``, which keeps ``+0.0`` where ``σ·z`` is ``-0.0``.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    drawn = sigmas > 0
+    z = np.zeros((len(indices), len(sigmas)))
+    if drawn.any():
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        draws = np.empty((len(indices), int(drawn.sum())))
+        for row, (state, inc) in zip(draws,
+                                     _pcg64_states(tag, seed, indices)):
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=row)
+        z[:, drawn] = draws
+    return 0.0 + sigmas * z
 
 
 def _lognormal(rng: np.random.Generator, sigma: float,
@@ -179,18 +300,18 @@ class _McSpec:
 def _draw_block(spec: _McSpec, indices: Sequence[int]):
     """Per-sample factors of ``indices``: cell → ``(n,)``, net → R, C.
 
-    Each sample draws from its own stream in :func:`_lognormal`'s order,
-    exactly as :func:`sample_library` then :func:`sample_wire_specs`
-    would, so a sample's factors do not depend on its block.
+    Each sample draws from its own stream (:func:`_block_normals`) in
+    :func:`_lognormal`'s order, exactly as :func:`sample_library` then
+    :func:`sample_wire_specs` would, so a sample's factors do not depend
+    on its block.
     """
     cells, nets = sorted(spec.library), sorted(spec.wire_specs)
-    cell_f = np.empty((len(indices), len(cells)))
-    wire_f = np.empty((len(indices), len(nets), 2))
     var = spec.variation
-    for k, i in enumerate(indices):
-        rng = _rng_for("ssta", spec.seed, i)
-        cell_f[k] = _lognormal(rng, var.sigma_cell, (len(cells),))
-        wire_f[k] = _lognormal(rng, var.sigma_wire, (len(nets), 2))
+    sigmas = np.repeat([var.sigma_cell, var.sigma_wire],
+                       [len(cells), 2 * len(nets)])
+    factors = np.exp(_block_normals("ssta", spec.seed, indices, sigmas))
+    cell_f = factors[:, :len(cells)]
+    wire_f = factors[:, len(cells):].reshape(len(indices), len(nets), 2)
     scale = {name: cell_f[:, c] for c, name in enumerate(cells)}
     wires = {net: (spec.wire_specs[net].total_r * wire_f[:, w, 0],
                    spec.wire_specs[net].total_c * wire_f[:, w, 1])
@@ -505,11 +626,10 @@ def run_noise_monte_carlo(
 
     # Pre-draw every sample's offsets so the common window end covers the
     # whole sweep (the draw order is fixed: stage-major, aggressor-minor).
-    offsets: list[list[float]] = []
-    for i in range(n):
-        rng = _rng_for("noise-mc", base_seed, i)
-        offsets.append([float(rng.normal(0.0, sigma_align))
-                        for stage in stages for _ in stage.aggressors])
+    n_aggressors = sum(len(stage.aggressors) for stage in stages)
+    offsets: list[list[float]] = _block_normals(
+        "noise-mc", base_seed, range(n),
+        np.full(n_aggressors, float(sigma_align))).tolist()
     window_end = 0.0
     for per_sample in offsets:
         k = 0

@@ -1,7 +1,9 @@
 """Monte-Carlo statistical STA: determinism, sharding, cache reuse."""
 
 import json
+import math
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -89,6 +91,56 @@ class TestDeterminism:
         _rng_for("ssta", 3, 4).normal()
         assert _rng_for("ssta", 3, 5).normal() == a
         assert _rng_for("other", 3, 5).normal() != a
+
+
+class TestBlockSampler:
+    """:func:`_block_normals` draws what per-sample ``default_rng`` does."""
+
+    # Seeds and indices on both sides of 2**32 and 2**64: SeedSequence
+    # reads an integer as one 32-bit word per 32 bits, low first.
+    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+    INDICES = (0, 1, 255, 2**32 - 1, 2**32, 2**32 + 9, 2**64 + 3)
+
+    @staticmethod
+    def _reference(tag, seed, indices, sigmas):
+        rows = []
+        for i in indices:
+            rng = np.random.default_rng(
+                [statistical._STREAM_SALT, zlib.crc32(tag.encode()), seed, i])
+            rows.append([rng.normal(0.0, s) if s > 0 else 0.0
+                         for s in sigmas])
+        return np.array(rows, dtype=float).reshape(len(indices), len(sigmas))
+
+    @pytest.mark.parametrize("tag", ["ssta", "noise-mc"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("sigma_cell,sigma_wire", [
+        (0.05, 0.1), (0.0, 0.1), (0.05, 0.0), (0.0, 0.0)])
+    def test_matches_per_sample_streams(self, tag, seed, sigma_cell,
+                                        sigma_wire):
+        # Three cells, then (R, C) of two nets: the SSTA column layout.
+        sigmas = np.array([sigma_cell] * 3 + [sigma_wire] * 4)
+        got = statistical._block_normals(tag, seed, self.INDICES, sigmas)
+        want = self._reference(tag, seed, self.INDICES, sigmas)
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_split_does_not_matter(self):
+        sigmas = np.array([0.05, 0.1])
+        whole = statistical._block_normals("ssta", 3, range(10), sigmas)
+        parts = [statistical._block_normals("ssta", 3, range(k, k + 3),
+                                            sigmas) for k in (0, 3, 6, 9)]
+        assert whole.tobytes() == np.concatenate(parts)[:10].tobytes()
+
+    def test_subnormal_sigma_keeps_positive_zero(self):
+        # normal(0, σ) computes 0.0 + σ·z: where σ·z rounds to -0.0 the
+        # draw is still +0.0, and so must the block sampler's be.
+        sigma, indices = 5e-324, range(64)
+        got = statistical._block_normals("ssta", 0, indices, [sigma])
+        want = self._reference("ssta", 0, indices, [sigma])
+        assert got.tobytes() == want.tobytes()
+        z = np.array([_rng_for("ssta", 0, i).standard_normal()
+                      for i in indices])
+        assert np.signbit(sigma * z[(z < 0) & (z > -0.5)]).any()
+        assert not np.signbit(got[got == 0.0]).any()
 
 
 def _oracle_rows(net, lib, wires, inputs, required, variation, seed, n,
@@ -391,6 +443,14 @@ class TestNoiseMonteCarlo:
         arrivals = [r["arrival"]["out"] for r in res.rows]
         assert arrivals[0] == arrivals[1]
         assert all(o == 0.0 for r in res.rows for o in r["offsets"])
+
+    def test_zero_sigma_offsets_are_positive_zero(self, path):
+        # Offsets are journaled; σ = 0 must leave them +0.0, never -0.0.
+        stages, ramp = path
+        res = run_noise_monte_carlo(stages, ramp, sigma_align=0.0,
+                                    samples=3, seed=0, dt=4e-12)
+        assert [math.copysign(1.0, o) for r in res.rows
+                for o in r["offsets"]] == [1.0] * 3
 
 
 class TestServiceJobKind:
