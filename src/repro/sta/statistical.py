@@ -25,7 +25,8 @@ costs more than the sample's timing does, so :func:`_block_normals`
 derives a whole block's streams in one array pass (SeedSequence's hash
 of every sample's entropy words, then the PCG64 state each seeds) and
 resets one reused generator to each state: the same draws bit for bit,
-at about 7 µs a sample on c17 against 16–27 µs for ``default_rng``.
+at about 7 µs a sample on c17 against 16–27 µs for ``default_rng``
+(2-core x86-64 host).
 Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
 quantiles are bit-for-bit identical (asserted by the corpus smoke in CI).
@@ -72,10 +73,11 @@ __all__ = [
 _STREAM_SALT = 0x55A57A
 
 #: Samples per block, the unit :func:`run_indexed` hands a worker.  A
-#: c17 sample costs about 14 µs, half of it its draws, so a block of 256
-#: takes ~3.5 ms while forking a 2-worker pool adds ~15–20 ms: c17 sweeps
-#: of 1–8 blocks run faster serially.  The block stays at 256 because a
-#: sample's work grows with the design and the pool's overhead does not.
+#: c17 sample costs about 14 µs on a 2-core x86-64 host, half of it its
+#: draws, so a block of 256 takes ~3.5 ms while forking a 2-worker pool
+#: adds ~15–20 ms: c17 sweeps of 1–8 blocks run faster serially.  The
+#: block stays at 256 because a sample's work grows with the design and
+#: the pool's overhead does not.
 _BLOCK = 256
 
 #: ln(9) — converts an RC time constant into a 10–90% transition time

@@ -109,7 +109,7 @@ class TestBlockSampler:
                 [statistical._STREAM_SALT, zlib.crc32(tag.encode()), seed, i])
             rows.append([rng.normal(0.0, s) if s > 0 else 0.0
                          for s in sigmas])
-        return np.array(rows, dtype=float).reshape(len(indices), len(sigmas))
+        return np.array(rows, dtype=float)
 
     @pytest.mark.parametrize("tag", ["ssta", "noise-mc"])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -122,13 +122,6 @@ class TestBlockSampler:
         got = statistical._block_normals(tag, seed, self.INDICES, sigmas)
         want = self._reference(tag, seed, self.INDICES, sigmas)
         assert got.tobytes() == want.tobytes()
-
-    def test_block_split_does_not_matter(self):
-        sigmas = np.array([0.05, 0.1])
-        whole = statistical._block_normals("ssta", 3, range(10), sigmas)
-        parts = [statistical._block_normals("ssta", 3, range(k, k + 3),
-                                            sigmas) for k in (0, 3, 6, 9)]
-        assert whole.tobytes() == np.concatenate(parts)[:10].tobytes()
 
     def test_subnormal_sigma_keeps_positive_zero(self):
         # normal(0, σ) computes 0.0 + σ·z: where σ·z rounds to -0.0 the
@@ -445,12 +438,14 @@ class TestNoiseMonteCarlo:
         assert all(o == 0.0 for r in res.rows for o in r["offsets"])
 
     def test_zero_sigma_offsets_are_positive_zero(self, path):
-        # Offsets are journaled; σ = 0 must leave them +0.0, never -0.0.
+        # Offsets are journaled: σ = 0 leaves them +0.0, never -0.0.
+        # Sample 0's stream starts below zero, where a bare σ·z is -0.0.
         stages, ramp = path
+        assert _rng_for("noise-mc", 1, 0).standard_normal() < 0
         res = run_noise_monte_carlo(stages, ramp, sigma_align=0.0,
-                                    samples=3, seed=0, dt=4e-12)
+                                    samples=2, seed=1, dt=4e-12)
         assert [math.copysign(1.0, o) for r in res.rows
-                for o in r["offsets"]] == [1.0] * 3
+                for o in r["offsets"]] == [1.0, 1.0]
 
 
 class TestServiceJobKind:
