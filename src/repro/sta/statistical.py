@@ -25,11 +25,16 @@ costs more than the sample's timing does, so :func:`_block_normals`
 derives a whole block's streams in one array pass (SeedSequence's hash
 of every sample's entropy words, then the PCG64 state each seeds) and
 resets one reused generator to each state: the same draws bit for bit,
-at about 7 µs a sample on c17 against 16–27 µs for ``default_rng``
+at 4–7 µs a sample on c17 against 16–27 µs for ``default_rng``
 (2-core x86-64 host).
 Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
 quantiles are bit-for-bit identical (asserted by the corpus smoke in CI).
+
+The sweep stays columnar: blocks return one array per metric, merged
+with any journal-resumed rows into index-ordered arrays; the quantiles
+take one :func:`numpy.quantile` call, and :attr:`McResult.rows` is
+derived from the columns only when read.
 
 :func:`run_noise_monte_carlo` adds the same statistical axis to the
 paper's noise-aware propagation: aggressor alignments jitter per sample,
@@ -45,7 +50,7 @@ import math
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -73,11 +78,11 @@ __all__ = [
 _STREAM_SALT = 0x55A57A
 
 #: Samples per block, the unit :func:`run_indexed` hands a worker.  A
-#: c17 sample costs about 14 µs on a 2-core x86-64 host, half of it its
-#: draws, so a block of 256 takes ~3.5 ms while forking a 2-worker pool
-#: adds ~15–20 ms: c17 sweeps of 1–8 blocks run faster serially.  The
-#: block stays at 256 because a sample's work grows with the design and
-#: the pool's overhead does not.
+#: c17 sample costs 6–10 µs on a 2-core x86-64 host, about two thirds of
+#: it its draws, so a block of 256 takes ~1.6–2.6 ms while forking a
+#: 2-worker pool adds ~15–20 ms: c17 sweeps of 1–8 blocks run faster
+#: serially.  The block stays at 256 because a sample's work grows with
+#: the design and the pool's overhead does not.
 _BLOCK = 256
 
 #: ln(9) — converts an RC time constant into a 10–90% transition time
@@ -211,19 +216,6 @@ def _block_normals(tag: str, seed: int, indices: Sequence[int],
     return 0.0 + sigmas * z
 
 
-def _lognormal(rng: np.random.Generator, sigma: float,
-               shape: tuple[int, ...]) -> np.ndarray:
-    """Lognormal factors ``exp(N(0, σ))``, drawn in row-major order.
-
-    The one definition of a sample's draw order: one factor per library
-    cell in sorted-name order, then one ``(R, C)`` row per wire in
-    sorted-net order.  ``σ ≤ 0`` draws nothing and returns ones.
-    """
-    if sigma <= 0:
-        return np.ones(shape)
-    return np.exp(rng.normal(0.0, sigma, size=shape))
-
-
 @dataclass(frozen=True)
 class McVariation:
     """Variation model: lognormal σ per knob (0 disables that axis).
@@ -258,7 +250,7 @@ def sample_library(library: dict[str, CharacterizedCell],
     if sigma <= 0:
         return dict(library)
     names = sorted(library)
-    factors = _lognormal(rng, sigma, (len(names),)).tolist()
+    factors = np.exp(rng.normal(0.0, sigma, size=len(names))).tolist()
     out: dict[str, CharacterizedCell] = {}
     for name, factor in zip(names, factors):
         entry = library[name]
@@ -275,7 +267,7 @@ def sample_wire_specs(wire_specs: dict[str, RcLineSpec],
     if sigma <= 0 or not wire_specs:
         return dict(wire_specs)
     nets = sorted(wire_specs)
-    factors = _lognormal(rng, sigma, (len(nets), 2)).tolist()
+    factors = np.exp(rng.normal(0.0, sigma, size=(len(nets), 2))).tolist()
     out: dict[str, RcLineSpec] = {}
     for net, (f_r, f_c) in zip(nets, factors):
         spec = wire_specs[net]
@@ -302,10 +294,11 @@ class _McSpec:
 def _draw_block(spec: _McSpec, indices: Sequence[int]):
     """Per-sample factors of ``indices``: cell → ``(n,)``, net → R, C.
 
-    Each sample draws from its own stream (:func:`_block_normals`) in
-    :func:`_lognormal`'s order, exactly as :func:`sample_library` then
-    :func:`sample_wire_specs` would, so a sample's factors do not depend
-    on its block.
+    Each sample draws ``exp(N(0, σ))`` factors from its own stream
+    (:func:`_block_normals`) in the order :func:`sample_library` then
+    :func:`sample_wire_specs` draw them — one per cell in sorted-name
+    order, then ``(R, C)`` per wire in sorted-net order — so a sample's
+    factors do not depend on its block.
     """
     cells, nets = sorted(spec.library), sorted(spec.wire_specs)
     var = spec.variation
@@ -334,13 +327,15 @@ def _min(a, b):
     return b if a is None else np.where(b < a, b, a)
 
 
-def _evaluate(spec: _McSpec, indices: Sequence[int]) -> list[dict]:
-    """Rows of samples ``indices``: one level-order pass over the block.
+def _evaluate(spec: _McSpec, indices: Sequence[int]) -> dict:
+    """Columns of samples ``indices``: one level-order pass over the block.
 
     Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
     per-edge backward required pass) with ``(len(indices),)`` arrays in
-    place of floats, operation for operation, so each row equals the
-    scalar engine's bit for bit.
+    place of floats, operation for operation, so each sample equals the
+    scalar engine's bit for bit.  Nested as :attr:`McResult.quantiles`:
+    ``arrival`` (and with required times ``slack``) ``{net: arr}``,
+    ``worst_slack`` an array.
     """
     n = len(indices)
     netlist, library = spec.netlist, spec.library
@@ -395,7 +390,7 @@ def _evaluate(spec: _McSpec, indices: Sequence[int]) -> list[dict]:
         r, f = edges["rise"][net][0], edges["fall"][net][0]
         return np.where(r >= f, r, f)
 
-    columns = {"arrival": {net: arrival(net).tolist() for net in spec.watch}}
+    columns: dict = {"arrival": {net: arrival(net) for net in spec.watch}}
     if spec.required_times:
         req = {"rise": dict(spec.required_times),
                "fall": dict(spec.required_times)}
@@ -413,87 +408,102 @@ def _evaluate(spec: _McSpec, indices: Sequence[int]) -> list[dict]:
                 if net in req[edge]:
                     slack[net] = _min(slack.get(net),
                                       req[edge][net] - edges[edge][net][0])
-        worst_slack = None
-        for value in slack.values():
-            worst_slack = _min(worst_slack, value)
-        columns["slack"] = {net: slack[net].tolist()
+        columns["slack"] = {net: slack[net]
                             for net in spec.watch if net in slack}
-        columns["worst_slack"] = worst_slack.tolist()
-
-    rows = []
-    for k, i in enumerate(indices):
-        row: dict = {"index": i, "arrival": {
-            net: v[k] for net, v in columns["arrival"].items()}}
-        if spec.required_times:
-            row["slack"] = {net: v[k] for net, v in columns["slack"].items()}
-            row["worst_slack"] = columns["worst_slack"][k]
-        rows.append(row)
-    return rows
+        columns["worst_slack"] = reduce(_min, slack.values(), None)
+    return columns
 
 
 def _solve_block(b: int, spec: _McSpec,
                  blocks: tuple[tuple[int, ...], ...],
-                 journal=None) -> list[dict]:
-    """Solve ``blocks[b]`` and journal its rows if asked.
+                 journal=None) -> dict:
+    """Solve ``blocks[b]`` into columns and journal its rows if asked.
 
     The caller cuts the blocks, so their composition never depends on
     module state in a worker process.  Module-level (not a closure) so
     :func:`repro.exec.run_indexed` can pickle it to worker processes;
-    the journal pickles without its file handle, so pool workers append
-    through their own descriptors.  The write-ahead ordering (journal first, merge after) is what makes a
-    ``kill -9`` mid-sweep safe: a sample is either fully recorded or
-    recomputed from scratch on resume — never half-counted.
+    the journal pickles without its file handle.  Journal first, merge
+    after: a ``kill -9`` mid-sweep leaves a sample either fully recorded
+    or recomputed on resume — never half-counted.
     """
-    rows = _evaluate(spec, blocks[b])
+    columns = _evaluate(spec, blocks[b])
     if journal is not None:
-        for row in rows:
+        for row in _rows(columns, blocks[b]):
             journal.record(row["index"], row)
+    return columns
+
+
+def _rows(columns: dict, indices: Sequence[int]) -> list[dict]:
+    """Row dicts of ``columns``' samples ``indices``: ``"index"``, then
+    each column's Python float (``{net: float}``, or a list for 2-D)."""
+    lists = {key: ({net: v.tolist() for net, v in col.items()}
+                   if isinstance(col, dict) else col.tolist())
+             for key, col in columns.items()}
+    rows = []
+    for k, i in enumerate(indices):
+        row: dict = {"index": i}
+        for key, col in lists.items():
+            row[key] = ({net: v[k] for net, v in col.items()}
+                        if isinstance(col, dict) else col[k])
+        rows.append(row)
     return rows
 
 
-def _quantiles(values, qs=(0.05, 0.5, 0.95)) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    return {f"q{int(round(q * 100)):02d}": float(np.quantile(arr, q))
-            for q in qs}
+def _put(columns: dict, at, values: dict) -> None:
+    """Write ``values`` (a row or block columns) into ``columns`` at ``at``."""
+    for key, col in columns.items():
+        if isinstance(col, dict):
+            for net, arr in col.items():
+                arr[at] = values[key][net]
+        else:
+            col[at] = values[key]
 
 
-@dataclass
+def _summarise(columns: dict) -> dict:
+    """5/50/95 quantiles of every column, in ``columns``' nesting: one
+    :func:`numpy.quantile` call over the stacked columns, bit for bit the
+    values of a per-column, per-quantile call."""
+    leaves = [(key, net) for key, col in columns.items()
+              for net in (col if isinstance(col, dict) else (None,))]
+    matrix = np.stack([columns[key] if net is None else columns[key][net]
+                       for key, net in leaves])
+    table = np.quantile(matrix, (0.05, 0.5, 0.95), axis=1).T.tolist()
+    out: dict = {key: {} for key in columns}
+    for (key, net), values in zip(leaves, table):
+        q = dict(zip(("q05", "q50", "q95"), values))
+        if net is None:
+            out[key] = q
+        else:
+            out[key][net] = q
+    return out
+
+
+@dataclass(eq=False)
 class McResult:
-    """A Monte-Carlo sweep: per-sample rows plus quantile summaries.
+    """A Monte-Carlo sweep: per-sample columns plus quantile summaries.
 
     ``quantiles`` maps metric name (``"arrival"``, ``"slack"``) to
     ``{net: {"q05": ..., "q50": ..., "q95": ...}}``; scalar metrics
     (``"worst_slack"``) map straight to their quantile dict.
+    ``columns`` nests the same way, with index-ordered sample arrays.
     """
 
     samples: int
     seed: int
-    rows: list[dict]
+    columns: dict
     quantiles: dict
     diag: dict = field(default_factory=dict)
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        """Per-sample dicts built from :attr:`columns` on first access."""
+        return _rows(self.columns, range(self.samples))
 
     def to_dict(self) -> dict:
         """JSON-ready payload (CLI ``--json``, service results)."""
         return {"samples": self.samples, "seed": self.seed,
                 "quantiles": self.quantiles, "rows": self.rows,
                 "diag": dict(self.diag)}
-
-
-def _summarise(rows: list[dict], watch: tuple[str, ...],
-               with_slack: bool) -> dict:
-    quantiles: dict = {
-        "arrival": {net: _quantiles([r["arrival"][net] for r in rows])
-                    for net in watch},
-    }
-    if with_slack:
-        slack_nets = [net for net in watch
-                      if all(net in r.get("slack", {}) for r in rows)]
-        quantiles["slack"] = {
-            net: _quantiles([r["slack"][net] for r in rows])
-            for net in slack_nets}
-        quantiles["worst_slack"] = _quantiles(
-            [r["worst_slack"] for r in rows])
-    return quantiles
 
 
 def run_sta_monte_carlo(
@@ -566,23 +576,29 @@ def run_sta_monte_carlo(
     jr = journal_for("ssta-mc", (spec, n), n,
                      execution=execution, enabled=journal)
     done = jr.completed() if jr is not None else {}
-    todo = tuple(i for i in range(n) if i not in done)
+    todo = tuple(sorted(set(range(n)).difference(done)))
     blocks = tuple(todo[k:k + _BLOCK] for k in range(0, len(todo), _BLOCK))
     solved = run_indexed(
         partial(_solve_block, spec=spec, blocks=blocks, journal=jr),
         len(blocks), execution=execution, diag=diag)
-    by_index = dict(done)
-    by_index.update((row["index"], row) for block in solved for row in block)
-    rows = [by_index[i] for i in range(n)]
+    # Index-ordered columns, laid out like any block's (or resumed row's).
+    like = solved[0] if solved else next(iter(done.values()))
+    columns = {key: ({net: np.empty(n) for net in like[key]}
+                     if isinstance(like[key], dict) else np.empty(n))
+               for key in like if key != "index"}
+    for block, block_columns in zip(blocks, solved):
+        _put(columns, list(block), block_columns)
+    for i, row in done.items():
+        _put(columns, i, row)
     if jr is not None:
         diag["journal"] = {"resumed": len(done), "computed": len(todo)}
         jr.finish()
+    result = McResult(samples=n, seed=base_seed, columns=columns,
+                      quantiles=_summarise(columns), diag=diag)
     if on_sample is not None:
-        for row in rows:
+        for row in result.rows:
             on_sample(row)
-    quantiles = _summarise(rows, watch_nets, bool(spec.required_times))
-    return McResult(samples=n, seed=base_seed, rows=rows,
-                    quantiles=quantiles, diag=diag)
+    return result
 
 
 def run_noise_monte_carlo(
@@ -616,7 +632,7 @@ def run_noise_monte_carlo(
     Returns an :class:`McResult` whose rows carry the path-output
     ``arrival`` (keyed ``"out"``) per sample.
     """
-    from .noise_aware import NoisyStage, propagate_path  # cycle-free import
+    from .noise_aware import propagate_path  # cycle-free import
 
     n = int(knob("REPRO_MC_SAMPLES") if samples is None else samples)
     base_seed = int(knob("REPRO_MC_SEED") if seed is None else seed)
@@ -628,20 +644,15 @@ def run_noise_monte_carlo(
 
     # Pre-draw every sample's offsets so the common window end covers the
     # whole sweep (the draw order is fixed: stage-major, aggressor-minor).
-    n_aggressors = sum(len(stage.aggressors) for stage in stages)
-    offsets: list[list[float]] = _block_normals(
-        "noise-mc", base_seed, range(n),
-        np.full(n_aggressors, float(sigma_align))).tolist()
+    aggressors = [agg for stage in stages for agg in stage.aggressors]
+    offsets = _block_normals("noise-mc", base_seed, range(n),
+                             np.full(len(aggressors), float(sigma_align)))
+    offset_rows: list[list[float]] = offsets.tolist()
     window_end = 0.0
-    for per_sample in offsets:
-        k = 0
-        for stage in stages:
-            for agg in stage.aggressors:
-                window_end = max(
-                    window_end,
-                    agg.transition_start + per_sample[k]
-                    + agg.slew / 0.8 + settle_margin)
-                k += 1
+    for per_sample in offset_rows:
+        for agg, offset in zip(aggressors, per_sample):
+            window_end = max(window_end, agg.transition_start + offset
+                             + agg.slew / 0.8 + settle_margin)
 
     jr = journal_for(
         "noise-mc",
@@ -650,44 +661,33 @@ def run_noise_monte_carlo(
         n, execution=execution, enabled=journal)
     done = jr.completed() if jr is not None else {}
 
-    rows: list[dict] = []
+    arrival = np.empty(n)
     for i in range(n):
-        if i in done:
-            row = done[i]
-            rows.append(row)
-            if on_sample is not None:
-                on_sample(row)
-            continue
-        per_sample = offsets[i]
-        k = 0
-        jittered: list[NoisyStage] = []
-        for stage in stages:
-            aggs = []
-            for agg in stage.aggressors:
-                aggs.append(dataclasses.replace(
-                    agg,
-                    transition_start=agg.transition_start + per_sample[k]))
-                k += 1
-            jittered.append(dataclasses.replace(stage, aggressors=tuple(aggs)))
-        timings = propagate_path(
-            jittered, input_ramp, technique=technique, dt=dt,
-            settle_margin=settle_margin, execution=execution,
-            window_end=window_end if sigma_align > 0 else None)
-        row = {"index": i,
-               "arrival": {"out": timings[-1].output_arrival},
-               "offsets": list(per_sample)}
-        if jr is not None:
-            jr.record(i, row)
-        rows.append(row)
+        row = done.get(i)
+        if row is None:
+            shifts = iter(offset_rows[i])
+            jittered = [dataclasses.replace(stage, aggressors=tuple(
+                dataclasses.replace(agg, transition_start=agg.transition_start
+                                    + next(shifts))
+                for agg in stage.aggressors)) for stage in stages]
+            timings = propagate_path(
+                jittered, input_ramp, technique=technique, dt=dt,
+                settle_margin=settle_margin, execution=execution,
+                window_end=window_end if sigma_align > 0 else None)
+            row = {"index": i,
+                   "arrival": {"out": timings[-1].output_arrival},
+                   "offsets": offset_rows[i]}
+            if jr is not None:
+                jr.record(i, row)
+        arrival[i] = row["arrival"]["out"]
         if on_sample is not None:
             on_sample(row)
 
     diag: dict = {"window_end": window_end}
     if jr is not None:
-        diag["journal"] = {"resumed": len(done),
-                           "computed": n - len(done)}
+        diag["journal"] = {"resumed": len(done), "computed": n - len(done)}
         jr.finish()
-    quantiles = {"arrival": {"out": _quantiles(
-        [r["arrival"]["out"] for r in rows])}}
-    return McResult(samples=n, seed=base_seed, rows=rows,
-                    quantiles=quantiles, diag=diag)
+    columns = {"arrival": {"out": arrival}, "offsets": offsets}
+    return McResult(samples=n, seed=base_seed, columns=columns,
+                    quantiles=_summarise({"arrival": columns["arrival"]}),
+                    diag=diag)

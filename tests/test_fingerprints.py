@@ -47,3 +47,23 @@ def test_compare_flags_drift():
     assert any("newton_iters" in e for e in errors)
     assert any(f".{node}.rms" in e for e in errors)
     assert any(f".{node}.crossings" in e for e in errors)
+
+
+def test_named_update_rewrites_only_those_entries(tmp_path, monkeypatch):
+    # ``--update NAME`` recomputes NAME alone and keeps every other
+    # line as pinned.
+    pinned = fingerprints.load()
+    path = tmp_path / "fingerprints.json"
+    path.write_text(fingerprints.dump(pinned), encoding="utf-8")
+    monkeypatch.setattr(fingerprints, "DATA_PATH", path)
+    fresh = {"kind": "sta", "variants": [{"marker": 1}]}
+    for name in pinned:
+        monkeypatch.setitem(fingerprints.WORKLOADS, name, _not_recomputed)
+    monkeypatch.setitem(fingerprints.WORKLOADS, "sta_c17", lambda: fresh)
+    assert fingerprints.main(["--update", "sta_c17"]) == 0
+    assert path.read_text(encoding="utf-8") == \
+        fingerprints.dump({**pinned, "sta_c17": fresh})
+
+
+def _not_recomputed():
+    raise AssertionError("an unnamed workload was recomputed")

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+import repro.sta.statistical as statistical
 from repro.exec import (ExecutionConfig, ResultStore, RunJournal,
                         journal_for, set_default_execution)
 from repro.exec.journal import JOURNAL_VERSION
@@ -193,6 +194,44 @@ class TestMonteCarloResume:
         assert res.diag["journal"] == {"resumed": 5, "computed": 3}
         assert res.rows == base.rows
         # Byte-identity, not closeness: the acceptance bar for resume.
+        assert json.dumps(res.quantiles) == json.dumps(base.quantiles)
+        assert not list((tmp_path / "journal").glob("*.jsonl"))
+
+    def test_resumed_rows_interleave_with_fresh_blocks(
+            self, design, tmp_path, monkeypatch):
+        # A pool killed mid-sweep leaves every block partly journalled:
+        # here samples 1, 3, 4 and 6 never reach the journal, so the
+        # resume solves blocks (1, 3, 4) and (6,) and merges their
+        # columns between the replayed rows 0, 2, 5 and 7.
+        monkeypatch.setattr(statistical, "_BLOCK", 3)
+        cfg = ExecutionConfig(workers=1, store=ResultStore(tmp_path))
+        base = _mc(design, cfg, journal=False)
+
+        orig = RunJournal.record
+
+        def lossy_record(self, i, row):
+            if i not in (1, 3, 4, 6):
+                orig(self, i, row)
+            if i == 7:
+                raise KeyboardInterrupt  # stand-in for kill -9
+
+        monkeypatch.setattr(RunJournal, "record", lossy_record)
+        with pytest.raises(KeyboardInterrupt):
+            _mc(design, cfg, journal=True)
+        monkeypatch.setattr(RunJournal, "record", orig)
+
+        seen = []
+        net, lib, wires = design
+        res = run_sta_monte_carlo(
+            net, lib, wire_specs=wires,
+            inputs={"n0": InputSpec(slew=50e-12)},
+            required_times={"n2": 400e-12}, variation=McVariation(),
+            samples=8, seed=7, execution=cfg, journal=True,
+            on_sample=seen.append)
+        assert res.diag["journal"] == {"resumed": 4, "computed": 4}
+        assert res.diag["jobs"] == 2
+        assert res.rows == base.rows
+        assert json.dumps(seen) == json.dumps(base.rows)
         assert json.dumps(res.quantiles) == json.dumps(base.quantiles)
         assert not list((tmp_path / "journal").glob("*.jsonl"))
 

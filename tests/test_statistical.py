@@ -160,6 +160,12 @@ def _bits(rows):
     return json.dumps(rows, sort_keys=True)
 
 
+def _per_q(values):
+    """5/50/95 quantiles, one ``np.quantile`` call per q (the reference)."""
+    return {key: float(np.quantile(np.asarray(values), q))
+            for key, q in zip(("q05", "q50", "q95"), (0.05, 0.5, 0.95))}
+
+
 def _table(rng, slews, loads):
     values = rng.uniform(5e-12, 80e-12, (len(slews), len(loads)))
     return NldmTable(np.array(slews), np.array(loads), values)
@@ -233,6 +239,36 @@ class TestBlockOracle:
                             1001, 500, tuple(net.primary_outputs))
         assert _bits(res.rows) == _bits(want)
 
+    def test_c17_payload_and_stream_match_oracle_bytes(self):
+        # Rows are derived from the sweep's columns: the JSON payload
+        # and the streamed rows must equal the oracle's byte for byte,
+        # key order included (no sort_keys).
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "c17.v")) as fh:
+            net = read_verilog(fh.read())
+        with open(os.path.join(data, "c17.lib")) as fh:
+            lib = parse_liberty(fh.read())
+        inputs = {pi: InputSpec(slew=50e-12) for pi in net.primary_inputs}
+        required = {po: 100e-12 for po in net.primary_outputs}
+        seen = []
+        res = run_sta_monte_carlo(net, lib, inputs=inputs,
+                                  required_times=required, samples=300,
+                                  seed=77, journal=False,
+                                  on_sample=seen.append,
+                                  execution=ExecutionConfig(workers=1))
+        want = _oracle_rows(net, lib, {}, inputs, required, McVariation(),
+                            77, 300, tuple(net.primary_outputs))
+        assert json.dumps(res.to_dict()["rows"]) == json.dumps(want)
+        assert json.dumps(seen) == json.dumps(want)
+        assert all(type(r["worst_slack"]) is float for r in seen)
+        watch = tuple(net.primary_outputs)
+        assert json.dumps(res.quantiles) == json.dumps({
+            "arrival": {w: _per_q([r["arrival"][w] for r in want])
+                        for w in watch},
+            "slack": {w: _per_q([r["slack"][w] for r in want])
+                      for w in watch},
+            "worst_slack": _per_q([r["worst_slack"] for r in want])})
+
     @pytest.mark.parametrize("variation", [
         McVariation(), McVariation(sigma_cell=0.2, sigma_wire=0.0),
         McVariation(sigma_cell=0.0, sigma_wire=0.3)])
@@ -292,6 +328,42 @@ class TestBlockOracle:
             sharded.diag["fallback_shards"] >= 1
         assert _bits(sharded.rows) == _bits(serial.rows)
         assert sharded.quantiles == serial.quantiles
+
+
+class TestColumnarSummary:
+    """One stacked ``np.quantile`` call equals per-column, per-q calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 500, 513])
+    def test_bitwise_equal_to_per_quantile_calls(self, n):
+        rng = np.random.default_rng(n)
+        ties = rng.choice([1e-10, 2e-10, 2e-10, 3e-10], n)
+        nan = rng.normal(size=n)
+        nan[n // 2] = np.nan
+        columns = {
+            "arrival": {"a": rng.normal(1e-10, 1e-11, n),
+                        "ties": ties,
+                        "const": np.full(n, 7e-11)},
+            "slack": {"nan": nan, "neg": -rng.exponential(1e-11, n)},
+            "worst_slack": rng.uniform(-1.0, 1.0, n),
+        }
+        got = statistical._summarise(columns)
+        want = {
+            "arrival": {net: _per_q(v)
+                        for net, v in columns["arrival"].items()},
+            "slack": {net: _per_q(v)
+                      for net, v in columns["slack"].items()},
+            "worst_slack": _per_q(columns["worst_slack"]),
+        }
+        assert json.dumps(got) == json.dumps(want)
+        assert math.isnan(got["slack"]["nan"]["q50"])
+        assert not math.isnan(got["slack"]["neg"]["q50"])
+
+    def test_empty_metric_keeps_its_key(self):
+        got = statistical._summarise({"arrival": {"y": np.ones(3)},
+                                      "slack": {},
+                                      "worst_slack": np.zeros(3)})
+        assert list(got) == ["arrival", "slack", "worst_slack"]
+        assert got["slack"] == {}
 
 
 class TestSeedValidation:

@@ -20,9 +20,11 @@ with the checked-in ``tests/data/fingerprints.json``:
 * Newton iteration and step-halving counts, backends, batch sizes and
   key digests exact.
 
-Only an explicit ``--update`` rewrites the file::
+Only an explicit ``--update`` rewrites the file; naming workloads
+recomputes only those entries and keeps every other line as it is::
 
     PYTHONPATH=src python tools/fingerprints.py --update   # regenerate
+    PYTHONPATH=src python tools/fingerprints.py --update sta_c17
     PYTHONPATH=src python tools/fingerprints.py --check    # compare, exit 1 on drift
 """
 
@@ -32,7 +34,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -251,16 +255,22 @@ def _sta_entry() -> dict:
     ]}
 
 
-def compute() -> dict:
-    """Every canonical workload, fingerprinted (keyed by workload name)."""
-    out = {name: _transient_entry(*spec) for name, spec in TRANSIENT.items()}
-    out["rc_bundle3_sparse_banded"] = _jobs_entry(_bundle_jobs())
-    out["receiver_I_batch2"] = _jobs_entry(_receiver_jobs())
-    out["dc_I_batch3"] = _dc_entry(TABLE1)
-    out["dc_I_scalar"] = _dc_entry(TABLE1, batch=1, seeded=False)
-    out["dc_deep96_batch3"] = _dc_entry(DEEP_LINE)
-    out["sta_c17"] = _sta_entry()
-    return out
+#: Every canonical workload: name → function computing its fingerprint.
+WORKLOADS = {
+    **{name: partial(_transient_entry, *spec)
+       for name, spec in TRANSIENT.items()},
+    "rc_bundle3_sparse_banded": lambda: _jobs_entry(_bundle_jobs()),
+    "receiver_I_batch2": lambda: _jobs_entry(_receiver_jobs()),
+    "dc_I_batch3": partial(_dc_entry, TABLE1),
+    "dc_I_scalar": partial(_dc_entry, TABLE1, batch=1, seeded=False),
+    "dc_deep96_batch3": partial(_dc_entry, DEEP_LINE),
+    "sta_c17": _sta_entry,
+}
+
+
+def compute(names=None) -> dict:
+    """The named workloads (default: all), fingerprinted, keyed by name."""
+    return {name: WORKLOADS[name]() for name in (names or WORKLOADS)}
 
 
 def _flatten(obj, path: str = ""):
@@ -307,26 +317,32 @@ def dump(fingerprints: dict) -> str:
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
-def load(path: Path = DATA_PATH) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def load(path: "Path | None" = None) -> dict:
+    return json.loads((path or DATA_PATH).read_text(encoding="utf-8"))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--update", action="store_true",
-                      help=f"rewrite {DATA_PATH.relative_to(REPO)}")
+    mode.add_argument("--update", nargs="*", metavar="NAME",
+                      help=f"rewrite {os.path.relpath(DATA_PATH, REPO)}; with "
+                           "NAMEs, recompute only those entries")
     mode.add_argument("--check", action="store_true",
                       help="exit 1 if any workload drifted")
     args = parser.parse_args(argv)
 
-    actual = compute()
-    if args.update:
-        DATA_PATH.write_text(dump(actual), encoding="utf-8")
-        print(f"wrote {DATA_PATH.relative_to(REPO)} "
-              f"({len(actual)} workloads)")
+    if args.update is not None:
+        unknown = sorted(set(args.update) - WORKLOADS.keys())
+        if unknown:
+            parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"choose from {', '.join(WORKLOADS)}")
+        actual = compute(args.update)
+        merged = {**load(), **actual} if args.update else actual
+        DATA_PATH.write_text(dump(merged), encoding="utf-8")
+        print(f"wrote {os.path.relpath(DATA_PATH, REPO)} "
+              f"({len(actual)} of {len(merged)} workloads recomputed)")
         return 0
-    errors = compare(load(), actual)
+    errors = compare(load(), compute())
     for line in errors:
         print(line, file=sys.stderr)
     print("fingerprints " + ("DRIFTED" if errors else "unchanged"))
