@@ -7,7 +7,8 @@ statistics that survive a change of CPU or LAPACK build: per-node RMS,
 that ran, and the result-store key digest of every transient job; for
 the c17 corpus, every net's nominal NLDM arrival and slew, the slacks,
 the SDF arrivals at each corner, and the quantiles of a seeded
-Monte-Carlo SSTA sweep.  Raw solution
+Monte-Carlo SSTA sweep; the Table-1 Config-II error statistics of every
+technique; and the RMS and crossings of every Figure-2 series.  Raw solution
 bytes are deliberately not hashed — LAPACK rounding differs across
 CPUs, so a byte hash would pin the machine, not the behaviour.
 
@@ -50,7 +51,11 @@ from repro.circuit.transient import (TransientJob, TransientOptions,
 from repro.core.ramp import SaturatedRamp
 from repro.exec import ExecutionConfig
 from repro.exec.store import job_key
-from repro.experiments.setup import CONFIG_I, build_testbench, receiver_fixture
+from repro.experiments.figure2 import generate_figure2
+from repro.experiments.noise_injection import SweepTiming
+from repro.experiments.setup import (CONFIG_I, CONFIG_II, build_testbench,
+                                     receiver_fixture)
+from repro.experiments.table1 import run_table1
 from repro.interconnect.coupling import CouplingSpec, add_coupled_lines
 from repro.interconnect.rcline import RcLineSpec
 from repro.library.cells import make_inverter
@@ -97,6 +102,12 @@ BUNDLE_OPTIONS = (TransientOptions(backend="sparse", adaptive=False),
 STA_MC = (512, 1234, {"N11": RcLineSpec(total_r=200.0, total_c=4e-15),
                       "N16": RcLineSpec(total_r=350.0, total_c=6e-15,
                                         n_segments=3)})
+
+
+#: Table-1 Config II: case count of the sweep and its time step (the
+#: benchmark's 2 ps).  Four cases keep the entry near 2.5 s; six already
+#: reach the WLS5 fit whose 113 ns "ramp" costs a 57,604-step re-simulation.
+TABLE1_II = (4, 2e-12)
 
 
 def _bench(config, victim_start, aggressor_starts, batch=3) -> list:
@@ -255,6 +266,33 @@ def _sta_entry() -> dict:
     ]}
 
 
+def _table1_entry(config, n_cases: int, dt: float) -> dict:
+    """Every technique's delay and arrival error statistics, in ps."""
+    result = run_table1(config, n_cases=n_cases, timing=SweepTiming(dt=dt),
+                        adaptive=False, journal=False,
+                        execution=ExecutionConfig(workers=1))
+    def stats(s) -> dict:
+        return {"count": s.count, "failures": s.failures,
+                "max_ps": s.max_abs * 1e12, "mean_ps": s.mean_abs * 1e12,
+                "rms_ps": s.rms * 1e12, "bias_ps": s.mean_signed * 1e12}
+    return {"kind": "table1", "variants": [
+        {"n_cases": n_cases, "polarity": result.polarity,
+         "rows": {r.technique: {"delay": stats(r.delay),
+                                "arrival": stats(r.arrival)}
+                  for r in result.rows}}]}
+
+
+def _figure2_entry() -> dict:
+    """RMS and 50%-of-Vdd crossings of every Figure-2 series."""
+    data = generate_figure2(adaptive=False,
+                            execution=ExecutionConfig(workers=1))
+    return {"kind": "figure2", "variants": [{"series": {
+        f.name: {"rms": float(np.sqrt(np.mean(getattr(data, f.name) ** 2))),
+                 "crossings": _crossings(data.times, getattr(data, f.name),
+                                         0.5 * VDD)}
+        for f in dataclasses.fields(data) if f.name != "times"}}]}
+
+
 #: Every canonical workload: name → function computing its fingerprint.
 WORKLOADS = {
     **{name: partial(_transient_entry, *spec)
@@ -265,6 +303,8 @@ WORKLOADS = {
     "dc_I_scalar": partial(_dc_entry, TABLE1, batch=1, seeded=False),
     "dc_deep96_batch3": partial(_dc_entry, DEEP_LINE),
     "sta_c17": _sta_entry,
+    "table1_II": partial(_table1_entry, CONFIG_II, *TABLE1_II),
+    "figure2_I": _figure2_entry,
 }
 
 
