@@ -81,8 +81,8 @@ class ExecutionConfig:
         one stuck process can no longer hang the whole run.  ``0.0``
         (default) waits forever.  Results are bit-identical either
         way: the inline re-solve runs the same whole groups on the
-        serial path the crash fallback uses.  Applies to
-        :func:`~repro.exec.run_jobs` only; ``run_indexed`` waits.
+        serial path the crash fallback uses.  :func:`~repro.exec.run_indexed`
+        gives each of its equal chunks the unscaled budget.
     """
 
     workers: int = 1

@@ -39,7 +39,8 @@ the shard's estimated cost (:func:`job_cost`); a future past its
 deadline is abandoned (its worker process terminated so pool teardown
 cannot hang either) and the shard re-solves inline exactly like the
 crash path, counted in both ``fallback_shards`` and the dedicated
-``timeout_shards`` diagnostic.
+``timeout_shards`` diagnostic.  :func:`run_indexed` chunks get the same
+deadline, unscaled.
 
 Workers receive their shard by pickling the jobs (circuits, sources and
 options are plain data) and return ``(times, solutions, stats)`` arrays;
@@ -218,9 +219,8 @@ def _run_indexed_chunk(fn, indices: list[int]) -> list:
     """Worker entry point for :func:`run_indexed`: evaluate one chunk.
 
     The fault token is the chunk's first index — stable for a given
-    ``(count, workers)``, so injected crashes land on predictable
-    chunks.  ``wedge`` is not a declared kind here: ``run_indexed`` has
-    no deadline, so a wedge would hang the run rather than test it.
+    ``(count, workers)``, so injected crashes and wedges land on
+    predictable chunks.
     """
     rule = maybe_fault("pool.indexed", indices[0])
     if rule is not None:
@@ -256,14 +256,17 @@ def run_indexed(
     Failure handling mirrors :func:`run_jobs`: pool-creation failure and
     per-chunk worker crashes fall back to evaluating the chunk inline,
     counted in ``diag["fallback_shards"]``; a crash costs time, never
-    results or determinism.
+    results or determinism.  With a ``shard_timeout``, every chunk gets
+    that budget (chunks are equal slices of interchangeable indices), and
+    a chunk past it is abandoned and evaluated inline, counted in
+    ``diag["timeout_shards"]`` as well.
     """
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     cfg = execution if execution is not None else default_execution()
     info = {"mode": "serial", "jobs": count, "shards": 0,
-            "fallback_shards": 0}
+            "fallback_shards": 0, "timeout_shards": 0}
     if diag is not None:
         diag.update(info)
 
@@ -282,7 +285,7 @@ def run_indexed(
 
     _fan_out(_run_indexed_chunk, chunks, [(fn, c) for c in chunks],
              lambda chunk: accept(chunk, [fn(i) for i in chunk]), accept,
-             info)
+             info, [cfg.shard_timeout or None] * len(chunks))
     if diag is not None:
         diag.update(info)
     return results

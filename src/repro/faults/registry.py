@@ -70,9 +70,8 @@ __all__ = [
 #:                     the worker, ``wedge``/``slow`` sleep — exercising
 #:                     the crash-fallback and shard-deadline paths.
 #: ``pool.indexed``    worker entry of a :func:`~repro.exec.pool.run_indexed`
-#:                     chunk (token = first index).  No ``wedge``:
-#:                     ``run_indexed`` carries no deadline, so a wedge
-#:                     there would hang the run rather than test it.
+#:                     chunk (token = first index), with the kinds and
+#:                     fallback paths of ``pool.worker``.
 #: ``store.read``      entry decode in :class:`~repro.exec.store.ResultStore`
 #:                     — ``corrupt`` makes a present entry unreadable,
 #:                     exercising the count/delete/self-heal path.
@@ -94,7 +93,7 @@ __all__ = [
 #:                     the banded → dense backend-ladder degradation.
 POINTS: dict[str, tuple[str, ...]] = {
     "pool.worker": ("crash", "wedge", "slow"),
-    "pool.indexed": ("crash", "slow"),
+    "pool.indexed": ("crash", "wedge", "slow"),
     "store.read": ("corrupt",),
     "store.write": ("fail", "partial", "enospc"),
     "store.unlink": ("fail",),

@@ -187,10 +187,10 @@ class StaEngine:
             raise KeyError(f"cell {name!r} not in library (have {sorted(self.library)})")
         return self.library[name]
 
-    def net_load(self, netlist: GateNetlist, net: str) -> float:
+    def net_load(self, graph: TimingGraph, net: str) -> float:
         """Capacitive load on ``net``: fanout pin caps plus wire capacitance."""
         load = sum(self._cell(inst.cell).input_capacitance
-                   for inst, _pin in netlist.load_pins(net))
+                   for inst, _pin in graph.fanout.get(net, ()))
         if net in self.wire_specs:
             load += self.wire_specs[net].total_c
         return load
@@ -204,7 +204,7 @@ class StaEngine:
                                    load_c=load_cap)
         return (delay, delay)
 
-    def _arc_delay(self, netlist: GateNetlist, inst: GateInstance, pin: str,
+    def _arc_delay(self, graph: TimingGraph, inst: GateInstance, pin: str,
                    in_net: str, input_rising: bool, in_slew: float,
                    load: float) -> tuple[float, float, bool]:
         """Evaluate one cell arc: ``(delay, output_slew, output_rising)``.
@@ -228,7 +228,8 @@ class StaEngine:
         Parameters
         ----------
         netlist:
-            The gate-level design (validated internally).
+            The gate-level design, compiled (and validated) into its
+            :class:`~repro.sta.graph.TimingGraph` once per call.
         inputs:
             Primary input specs; unspecified inputs get ``InputSpec()``.
         required_times:
@@ -244,14 +245,13 @@ class StaEngine:
         result = StaResult()
 
         for net in graph.levels():
-            if net in netlist.primary_inputs:
+            inst = graph.fanin.get(net)
+            if inst is None:  # a validated netlist's undriven nets are its inputs
                 spec = inputs.get(net, InputSpec())
                 result.rise[net] = EdgeTiming(spec.arrival, spec.slew)
                 result.fall[net] = EdgeTiming(spec.arrival, spec.slew)
                 continue
-            inst = graph.fanin.get(net)
-            require(inst is not None, f"net {net!r} neither input nor driven")
-            load = self.net_load(netlist, net)
+            load = self.net_load(graph, net)
             wire_delay, wire_tau = self._wire_arc(net, load)
 
             candidates: dict[str, EdgeTiming] = {}
@@ -260,7 +260,7 @@ class StaEngine:
                 for in_edge_name in ("rise", "fall"):
                     in_edge = result.edge(in_net, in_edge_name)
                     delay, out_slew, out_rising = self._arc_delay(
-                        netlist, inst, pin, in_net,
+                        graph, inst, pin, in_net,
                         input_rising=(in_edge_name == "rise"),
                         in_slew=in_edge.slew, load=load)
                     total_delay = delay + wire_delay

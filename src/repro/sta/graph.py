@@ -6,78 +6,76 @@ or net arcs (driver output → load input, carrying wire delay).  A
 multi-input cell contributes one cell arc per input pin; nets fan out to
 any number of load pins.
 
-Levelisation is Kahn's algorithm; cycles raise immediately (combinational
-timing graphs must be acyclic).
+:meth:`TimingGraph.build` is the one compile step of a netlist: it
+validates the netlist, indexes every net's driver and load pins, and
+levelises the nets once (Kahn's algorithm, O(nets + pins); cycles raise
+at build time, since combinational timing graphs must be acyclic).
+Every STA pass — :meth:`~repro.sta.analysis.StaEngine.analyze`, its SDF
+subclass and each Monte-Carlo block — reads connectivity and order from
+the compiled graph, so a sweep compiles its design once and shares the
+graph across all of its blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
-from .._util import require
 from .netlist import GateInstance, GateNetlist
 
 __all__ = ["TimingGraph", "TimingGraphError"]
 
 
 class TimingGraphError(ValueError):
-    """Raised on cyclic or malformed timing graphs."""
+    """Raised on cyclic timing graphs."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingGraph:
-    """Net-level timing DAG of a gate netlist.
+    """Net-level timing DAG of a gate netlist, compiled by :meth:`build`.
 
-    Vertices are net names.  ``fanin[net]`` is the driving instance (if
-    any); ``fanout[net]`` lists ``(instance, pin)`` pairs the net feeds —
-    one entry per connected input pin, so a cell listening on two pins of
-    the same net appears twice.  Use :meth:`levels` for a topological
-    ordering of nets.
+    Vertices are net names.  ``fanin[net]`` is the driving instance
+    (primary inputs have none); ``fanout[net]`` lists ``(instance, pin)``
+    pairs the net feeds in instance-then-pin order — one entry per
+    connected input pin, so a cell listening on two pins of the same net
+    appears twice.  ``order`` holds every net in topological order.
     """
 
     netlist: GateNetlist
-    fanin: dict[str, GateInstance] = field(default_factory=dict)
-    fanout: dict[str, list[tuple[GateInstance, str]]] = field(default_factory=dict)
+    fanin: dict[str, GateInstance]
+    fanout: dict[str, list[tuple[GateInstance, str]]]
+    order: tuple[str, ...]
 
     @classmethod
     def build(cls, netlist: GateNetlist) -> "TimingGraph":
-        """Compile a validated netlist into its timing graph."""
-        netlist.validate()
-        graph = cls(netlist=netlist)
-        for inst in netlist.instances:
-            require(inst.output_net not in graph.fanin,
-                    f"net {inst.output_net!r} multiply driven")
-            graph.fanin[inst.output_net] = inst
-            for pin, in_net in inst.inputs:
-                graph.fanout.setdefault(in_net, []).append((inst, pin))
-        return graph
-
-    # ------------------------------------------------------------------
-    def levels(self) -> list[str]:
-        """Nets in topological order (primary inputs first).
+        """Validate, index and levelise ``netlist``.
 
         Raises
         ------
+        NetlistError
+            On multiply-driven or undriven nets
+            (:meth:`GateNetlist.validate`).
         TimingGraphError
             If the graph contains a combinational cycle.
         """
+        netlist.validate()
+        fanin: dict[str, GateInstance] = {}
+        fanout: dict[str, list[tuple[GateInstance, str]]] = {}
+        for inst in netlist.instances:
+            fanin[inst.output_net] = inst
+            for pin, in_net in inst.inputs:
+                fanout.setdefault(in_net, []).append((inst, pin))
         # A driven net becomes ready once ALL of its driver's input nets
         # are ordered; count distinct predecessor nets, not pins.
-        indeg: dict[str, int] = {}
-        for net in self.netlist.nets:
-            inst = self.fanin.get(net)
-            indeg[net] = len(set(inst.input_nets)) if inst is not None else 0
-        ready = [net for net, d in indeg.items() if d == 0]
-        for net in ready:
-            if net not in self.netlist.primary_inputs and self.fanout.get(net):
-                raise TimingGraphError(f"undriven internal net {net!r}")
+        indeg = {net: len(set(fanin[net].input_nets)) if net in fanin else 0
+                 for net in netlist.nets}
+        queue = deque(net for net, d in indeg.items() if d == 0)
         order: list[str] = []
-        queue = list(ready)
         while queue:
-            net = queue.pop(0)
+            net = queue.popleft()
             order.append(net)
             released: set[str] = set()
-            for inst, _pin in self.fanout.get(net, []):
+            for inst, _pin in fanout.get(net, ()):
                 if inst.output_net in released:
                     continue  # same net on several pins: release once
                 released.add(inst.output_net)
@@ -87,31 +85,9 @@ class TimingGraph:
         if len(order) != len(indeg):
             missing = sorted(set(indeg) - set(order))
             raise TimingGraphError(f"combinational cycle involving nets {missing}")
-        return order
+        return cls(netlist=netlist, fanin=fanin, fanout=fanout,
+                   order=tuple(order))
 
-    def depth_of(self, net: str) -> int:
-        """Logic depth (max gate stages) from primary inputs to ``net``."""
-        depth: dict[str, int] = {}
-        for n in self.levels():
-            inst = self.fanin.get(n)
-            if inst is not None:
-                depth[n] = 1 + max(depth.get(in_net, 0)
-                                   for in_net in inst.input_nets)
-            else:
-                depth[n] = 0
-        require(net in depth, f"unknown net {net!r}")
-        return depth[net]
-
-    def transitive_fanin_nets(self, net: str) -> list[str]:
-        """All nets upstream of ``net`` (inclusive), topological order."""
-        keep: set[str] = set()
-        stack = [net]
-        while stack:
-            n = stack.pop()
-            if n in keep:
-                continue
-            keep.add(n)
-            inst = self.fanin.get(n)
-            if inst is not None:
-                stack.extend(inst.input_nets)
-        return [n for n in self.levels() if n in keep]
+    def levels(self) -> tuple[str, ...]:
+        """Nets in topological order (primary inputs first), as compiled."""
+        return self.order

@@ -93,6 +93,11 @@ class GateNetlist:
     primary_outputs: list[str] = field(default_factory=list)
     instances: list[GateInstance] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Instance names seen by add_instance: a plain attribute, not a
+        # field, so run keys and equality still see only the netlist.
+        self._names = {inst.name for inst in self.instances}
+
     def add_instance(self, name: str, cell: str, inputs, output_net: str,
                      output_pin: str = "Y") -> GateInstance:
         """Add a gate instance and return it.
@@ -100,12 +105,13 @@ class GateNetlist:
         ``inputs`` is a net name (single-input cells, pin ``A``), a
         ``{pin: net}`` mapping, or ``(pin, net)`` pairs.
         """
-        if any(i.name == name for i in self.instances):
+        if name in self._names:
             raise NetlistError(f"duplicate instance name {name!r}")
         inst = GateInstance(name=name, cell=cell,
                             inputs=_normalize_inputs(inputs),
                             output_net=output_net, output_pin=output_pin)
         self.instances.append(inst)
+        self._names.add(name)
         return inst
 
     def add_input(self, net: str) -> None:
@@ -135,30 +141,6 @@ class GateNetlist:
                     seen_set.add(net)
         return seen
 
-    def driver_of(self, net: str) -> GateInstance | None:
-        """The instance driving ``net`` (None for primary inputs)."""
-        for inst in self.instances:
-            if inst.output_net == net:
-                return inst
-        return None
-
-    def loads_of(self, net: str) -> list[GateInstance]:
-        """Instances with an input on ``net`` (once per connected pin)."""
-        return [inst for inst, _ in self.load_pins(net)]
-
-    def load_pins(self, net: str) -> list[tuple[GateInstance, str]]:
-        """``(instance, pin)`` pairs of every gate input on ``net``."""
-        pairs: list[tuple[GateInstance, str]] = []
-        for inst in self.instances:
-            for pin, in_net in inst.inputs:
-                if in_net == net:
-                    pairs.append((inst, pin))
-        return pairs
-
-    def fanout_count(self, net: str) -> int:
-        """Number of gate input pins on ``net``."""
-        return len(self.load_pins(net))
-
     def validate(self) -> None:
         """Check structural sanity.
 
@@ -168,22 +150,23 @@ class GateNetlist:
             On multiply-driven nets, undriven internal nets, or outputs
             that no instance drives.
         """
+        inputs = set(self.primary_inputs)
         drivers: dict[str, list[str]] = {}
         for inst in self.instances:
             drivers.setdefault(inst.output_net, []).append(inst.name)
         for net, who in drivers.items():
             if len(who) > 1:
                 raise NetlistError(f"net {net!r} driven by multiple instances: {who}")
-            if net in self.primary_inputs:
+            if net in inputs:
                 raise NetlistError(f"primary input {net!r} is also driven by {who[0]}")
         for inst in self.instances:
             for pin, in_net in inst.inputs:
-                if in_net not in self.primary_inputs and in_net not in drivers:
+                if in_net not in inputs and in_net not in drivers:
                     raise NetlistError(
                         f"instance {inst.name!r} input {pin}({in_net!r}) is undriven"
                     )
         for net in self.primary_outputs:
-            if net not in drivers and net not in self.primary_inputs:
+            if net not in drivers and net not in inputs:
                 raise NetlistError(f"primary output {net!r} is undriven")
 
     @classmethod

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from .._util import require
 from ..library.characterize import CharacterizedCell
 from .analysis import StaEngine
-from .netlist import GateInstance, GateNetlist
+from .graph import TimingGraph
+from .netlist import GateInstance
 
 __all__ = ["SdfTriple", "SdfDelays", "SdfError", "read_sdf", "SdfEngine"]
 
@@ -279,7 +280,7 @@ class SdfEngine(StaEngine):
         self.inverting_default = inverting_default
         self.input_slew = input_slew
 
-    def net_load(self, netlist: GateNetlist, net: str) -> float:
+    def net_load(self, graph: TimingGraph, net: str) -> float:
         """Loads are irrelevant — delays come from the annotation."""
         return 0.0
 
@@ -296,14 +297,14 @@ class SdfEngine(StaEngine):
                 pass  # library lacks this arc; fall through to the default
         return self.inverting_default
 
-    def _arc_delay(self, netlist: GateNetlist, inst: GateInstance, pin: str,
+    def _arc_delay(self, graph: TimingGraph, inst: GateInstance, pin: str,
                    in_net: str, input_rising: bool, in_slew: float,
                    load: float) -> tuple[float, float, bool]:
         output_rising = ((not input_rising)
                          if self._inverting(inst.cell, pin) else input_rising)
         rise, fall = self.delays.iopath(inst.name, pin, inst.output_pin)
         delay = (rise if output_rising else fall).pick(self.corner)
-        driver = netlist.driver_of(in_net)
+        driver = graph.fanin.get(in_net)
         if driver is not None:
             key = (f"{driver.name}/{driver.output_pin}", f"{inst.name}/{pin}")
             wire = self.interconnect_for(key)

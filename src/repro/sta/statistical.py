@@ -6,14 +6,16 @@ lognormal cell-speed factor and every wire's R and C by lognormal
 interconnect factors.  Arrival and slack *distributions* come out of
 the sample sweep; the drivers report the 5/50/95 quantiles.
 
-The sweep is sample-parallel.  Samples run in fixed blocks of
-:data:`_BLOCK`; a block walks the timing graph's levels once with every
-arrival, slew, load and required time held as a ``(block,)`` array (the
-level-by-level, all-patterns-in-one-array evaluation of a logic
-simulator).  No scaled library is built: NLDM lookups multiply the
-nominal table entries by each sample's cell factor before interpolating
-(:meth:`NldmTable.lookup`'s ``scale``), the same IEEE operations as a
-lookup on the scaled table.  Every row is therefore *bit-identical* to
+The sweep is sample-parallel.  The design is compiled into its
+:class:`~repro.sta.graph.TimingGraph` once per sweep, and every block
+reads connectivity and level order from that one graph.  Samples run
+in fixed blocks of :data:`_BLOCK`; a block walks the graph's levels
+once with every arrival, slew, load and required time held as a
+``(block,)`` array (the level-by-level, all-patterns-in-one-array
+evaluation of a logic simulator).  No scaled library is built: NLDM
+lookups multiply the nominal table entries by each sample's cell factor
+before interpolating (:meth:`NldmTable.lookup`'s ``scale``), the same
+IEEE operations as a lookup on the scaled table.  Every row is therefore *bit-identical* to
 :meth:`StaEngine.analyze` on that sample's :func:`sample_library` /
 :func:`sample_wire_specs` draw, which the tests use as the oracle.
 
@@ -327,7 +329,8 @@ def _min(a, b):
     return b if a is None else np.where(b < a, b, a)
 
 
-def _evaluate(spec: _McSpec, indices: Sequence[int]) -> dict:
+def _evaluate(spec: _McSpec, graph: TimingGraph,
+              indices: Sequence[int]) -> dict:
     """Columns of samples ``indices``: one level-order pass over the block.
 
     Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
@@ -338,21 +341,20 @@ def _evaluate(spec: _McSpec, indices: Sequence[int]) -> dict:
     ``worst_slack`` an array.
     """
     n = len(indices)
-    netlist, library = spec.netlist, spec.library
+    library = spec.library
     scale, wires = _draw_block(spec, indices)
-    graph = TimingGraph.build(netlist)
     order = graph.levels()
     edges: dict[str, dict] = {"rise": {}, "fall": {}}
     arcs: dict[str, list] = {}
     for net in order:
-        if net in netlist.primary_inputs:
+        inst = graph.fanin.get(net)
+        if inst is None:
             pi = spec.inputs.get(net, InputSpec())
             at = (np.full(n, pi.arrival), np.full(n, pi.slew))
             edges["rise"][net] = edges["fall"][net] = at
             continue
-        inst = graph.fanin[net]
         load = sum(library[load_inst.cell].input_capacitance
-                   for load_inst, _pin in netlist.load_pins(net))
+                   for load_inst, _pin in graph.fanout.get(net, ()))
         wire_delay, wire_slew = 0.0, None
         if net in wires:
             total_r, total_c = wires[net]
@@ -414,19 +416,20 @@ def _evaluate(spec: _McSpec, indices: Sequence[int]) -> dict:
     return columns
 
 
-def _solve_block(b: int, spec: _McSpec,
+def _solve_block(b: int, spec: _McSpec, graph: TimingGraph,
                  blocks: tuple[tuple[int, ...], ...],
                  journal=None) -> dict:
     """Solve ``blocks[b]`` into columns and journal its rows if asked.
 
-    The caller cuts the blocks, so their composition never depends on
-    module state in a worker process.  Module-level (not a closure) so
-    :func:`repro.exec.run_indexed` can pickle it to worker processes;
-    the journal pickles without its file handle.  Journal first, merge
+    The caller cuts the blocks and compiles ``spec.netlist`` into
+    ``graph`` once per sweep, so neither depends on module state in a
+    worker process.  Module-level (not a closure) so
+    :func:`repro.exec.run_indexed` can pickle it, the graph included, to
+    worker processes; the journal pickles without its file handle.  Journal first, merge
     after: a ``kill -9`` mid-sweep leaves a sample either fully recorded
     or recomputed on resume — never half-counted.
     """
-    columns = _evaluate(spec, blocks[b])
+    columns = _evaluate(spec, graph, blocks[b])
     if journal is not None:
         for row in _rows(columns, blocks[b]):
             journal.record(row["index"], row)
@@ -579,7 +582,8 @@ def run_sta_monte_carlo(
     todo = tuple(sorted(set(range(n)).difference(done)))
     blocks = tuple(todo[k:k + _BLOCK] for k in range(0, len(todo), _BLOCK))
     solved = run_indexed(
-        partial(_solve_block, spec=spec, blocks=blocks, journal=jr),
+        partial(_solve_block, spec=spec, graph=TimingGraph.build(netlist),
+                blocks=blocks, journal=jr),
         len(blocks), execution=execution, diag=diag)
     # Index-ordered columns, laid out like any block's (or resumed row's).
     like = solved[0] if solved else next(iter(done.values()))

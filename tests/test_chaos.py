@@ -9,7 +9,9 @@ via :func:`repro.faults.would_fire`, the prediction half of the
 replayability contract.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from repro.circuit.transient import (TransientJob, TransientOptions,
 from repro.exec import ExecutionConfig, ResultStore, run_jobs
 from repro.faults import FaultPlan, install_plan, injected, would_fire
 from repro.experiments.setup import CrosstalkConfig, build_testbench
+from repro.library.liberty import parse_liberty
+from repro.sta import InputSpec, read_verilog, run_sta_monte_carlo
 from repro.service import ServiceClient, ServiceSettings, serve_in_thread
 from repro.service.protocol import encode
 
@@ -46,6 +50,18 @@ def _jobs(n: int) -> list:
     and a one-group list would run inline without reaching the pool."""
     return [rc_job(start=20e-12 + 10e-12 * k,
                    r_ohm=1e3 if k % 2 == 0 else 2e3) for k in range(n)]
+
+
+def _c17_sweep(execution):
+    """A 512-sample c17 Monte-Carlo sweep: two blocks, so two chunks."""
+    data = Path(__file__).parent / "data"
+    net = read_verilog((data / "c17.v").read_text(encoding="utf-8"))
+    lib = parse_liberty((data / "c17.lib").read_text(encoding="utf-8"))
+    return run_sta_monte_carlo(
+        net, lib, inputs={pi: InputSpec(slew=50e-12)
+                          for pi in net.primary_inputs},
+        required_times={po: 100e-12 for po in net.primary_outputs},
+        samples=512, seed=11, journal=False, execution=execution)
 
 
 def _assert_identical(results, baseline):
@@ -109,6 +125,35 @@ class TestPoolChaos:
         if diag["mode"] == "sharded":
             assert diag["timeout_shards"] == diag["shards"]
             assert diag["fallback_shards"] == diag["shards"]
+
+    def test_indexed_crashes_reconcile_with_plan(self):
+        # The token of a run_indexed chunk is its first index; seed 1
+        # crashes the second of the sweep's two chunks and spares the first.
+        spec = "seed=1; pool.indexed=crash:p=0.5"
+        serial = _c17_sweep(ExecutionConfig(workers=1))
+        with injected(spec):
+            res = _c17_sweep(ExecutionConfig(workers=2, min_pool_jobs=2))
+        assert json.dumps(res.rows) == json.dumps(serial.rows)
+        assert json.dumps(res.quantiles) == json.dumps(serial.quantiles)
+        if res.diag["mode"] == "sharded":
+            plan = FaultPlan.parse(spec)
+            predicted = sum(
+                1 for first in (0, 1)
+                if would_fire(plan, "pool.indexed", first) is not None)
+            assert predicted == 1
+            assert res.diag["shards"] == 2
+            assert res.diag["fallback_shards"] == predicted
+
+    def test_wedged_indexed_chunks_hit_the_deadline(self):
+        serial = _c17_sweep(ExecutionConfig(workers=1))
+        with injected("pool.indexed=wedge:arg=30"):
+            res = _c17_sweep(ExecutionConfig(workers=2, min_pool_jobs=2,
+                                             shard_timeout=0.3))
+        assert json.dumps(res.quantiles) == json.dumps(serial.quantiles)
+        if res.diag["mode"] == "sharded":
+            assert res.diag["shards"] == 2
+            assert res.diag["timeout_shards"] == 2
+            assert res.diag["fallback_shards"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ line on the bordered Newton kernel and, forced ``sparse``, on dense
 Newton; the 3-line RC bundle on the linear sparse and banded solvers;
 the Config-I receiver fixture; a step-halving inverter pair; DC alone
 and 3-stacked, and the deep line's DC 3-stacked on the bordered kernel;
-c17's nominal NLDM timing and a seeded 512-sample Monte-Carlo SSTA sweep)
+c17's nominal NLDM timing and a seeded 512-sample Monte-Carlo SSTA sweep;
+the error statistics of a 4-case Table-1 Config-II sweep; the Figure-2
+series)
 and compares them with the checked-in
 ``tests/data/fingerprints.json``.  Regenerate the file only
 on a deliberate behaviour change, with

@@ -1,11 +1,15 @@
 """Tests for the STA engine: netlists, timing graph, analysis, noise-aware."""
 
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.interconnect.rcline import RcLineSpec
 from repro.library.cells import make_inverter
 from repro.library.characterize import CharacterizedCell
+from repro.library.liberty import parse_liberty
 from repro.library.nldm import NldmTable, TimingArc
 from repro.sta.analysis import InputSpec, StaEngine
 from repro.sta.graph import TimingGraph, TimingGraphError
@@ -98,11 +102,27 @@ class TestGateNetlist:
             net.validate()
 
     def test_driver_and_loads_queries(self):
-        net = GateNetlist.inverter_chain([1, 4])
-        assert net.driver_of("n1").name == "u0"
-        assert net.driver_of("n0") is None
-        assert [i.name for i in net.loads_of("n1")] == ["u1"]
-        assert net.fanout_count("n2") == 0
+        g = TimingGraph.build(GateNetlist.inverter_chain([1, 4]))
+        assert g.fanin["n1"].name == "u0"
+        assert "n0" not in g.fanin
+        assert [(i.name, pin) for i, pin in g.fanout["n1"]] == [("u1", "A")]
+        assert "n2" not in g.fanout  # no load pins
+
+    def test_fanout_in_instance_then_pin_order(self):
+        # Load sums add pin capacitances in this order, so it is pinned.
+        net = GateNetlist()
+        net.add_input("a")
+        net.add_instance("u0", "NAND2", {"B": "a", "A": "a"}, "x")
+        net.add_instance("u1", "INV", "a", "y")
+        g = TimingGraph.build(net)
+        assert [(i.name, pin) for i, pin in g.fanout["a"]] == \
+            [("u0", "B"), ("u0", "A"), ("u1", "A")]
+
+    def test_add_instance_keeps_names_unique_after_construction(self):
+        inst = GateNetlist.inverter_chain([1]).instances[0]
+        net = GateNetlist(instances=[inst])
+        with pytest.raises(NetlistError, match="duplicate"):
+            net.add_instance(inst.name, "INVX1", "a", "b")
 
 
 class TestVerilogParser:
@@ -186,18 +206,13 @@ class TestTimingGraph:
         net.add_instance("u2", "INVX1", "z", "y")
         net.primary_outputs.append("x")
         with pytest.raises(TimingGraphError, match="cycle"):
-            TimingGraph.build(net).levels()
+            TimingGraph.build(net)
 
-    def test_depth(self):
-        net = GateNetlist.inverter_chain([1, 4, 16, 64])
-        g = TimingGraph.build(net)
-        assert g.depth_of("n0") == 0
-        assert g.depth_of("n4") == 4
-
-    def test_transitive_fanin(self):
-        net = GateNetlist.inverter_chain([1, 4, 16])
-        g = TimingGraph.build(net)
-        assert g.transitive_fanin_nets("n2") == ["n0", "n1", "n2"]
+    def test_levels_are_compiled_once(self):
+        g = TimingGraph.build(GateNetlist.inverter_chain([1, 4, 16]))
+        g.netlist.instances.clear()  # levels() must not look again
+        assert g.levels() == ("n0", "n1", "n2", "n3")
+        assert g.levels() is g.levels()
 
 
 class TestStaAnalysis:
@@ -268,6 +283,51 @@ class TestStaAnalysis:
         net.add_output("y")
         with pytest.raises(KeyError, match="NAND2X1"):
             StaEngine(stub_library).analyze(net)
+
+
+def _nand_netlist(n_gates: int, seed: int = 2005,
+                  n_inputs: int = 16) -> GateNetlist:
+    """A seeded acyclic NAND2X1 netlist: each gate reads two of the 64
+    most recent nets; the last 16 nets are the primary outputs."""
+    rng = random.Random(seed)
+    net = GateNetlist(name=f"nand{n_gates}")
+    nets = [f"i{k}" for k in range(n_inputs)]
+    for pi in nets:
+        net.add_input(pi)
+    for g in range(n_gates):
+        a, b = rng.sample(range(max(0, len(nets) - 64), len(nets)), 2)
+        net.add_instance(f"u{g}", "NAND2X1", {"A": nets[a], "B": nets[b]},
+                         f"n{g}")
+        nets.append(f"n{g}")
+    for po in nets[-16:]:
+        net.add_output(po)
+    return net
+
+
+class _CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestCompiledGraph:
+    """Every pass reads the compiled graph, never the netlist per net."""
+
+    def test_analyze_scans_instances_a_constant_number_of_times(self):
+        lib = parse_liberty((Path(__file__).parent / "data" / "c17.lib")
+                            .read_text(encoding="utf-8"))
+        scans = []
+        for n_gates in (200, 400):
+            net = _nand_netlist(n_gates)
+            net.instances = _CountingList(net.instances)
+            StaEngine(lib).analyze(
+                net, required_times={po: 1e-9 for po in net.primary_outputs})
+            scans.append(net.instances.iterations)
+        assert scans[0] == scans[1] <= 8, scans
 
 
 class TestRequiredTimePropagation:
@@ -426,8 +486,9 @@ class TestMultiInputCells:
         g = TimingGraph.build(net)
         order = g.levels()
         assert order.index("a") < order.index("x") < order.index("y")
-        assert g.depth_of("y") == 2
-        assert g.transitive_fanin_nets("y") == ["a", "x", "y"]
+        assert [(i.name, pin) for i, pin in g.fanout["a"]] == \
+            [("u0", "A"), ("u1", "A")]
+        assert g.fanin["y"].name == "u1"
         res = StaEngine(library).analyze(net, inputs={"a": InputSpec()})
         # Path through the inverter dominates: x rises at 50ps, the B-pin
         # fall arc adds 35ps.

@@ -25,6 +25,7 @@ from repro.sta import (
     sample_library,
     sample_wire_specs,
 )
+from repro.sta.graph import TimingGraph
 from repro.sta.netlist import GateNetlist
 from repro.sta.statistical import _rng_for
 
@@ -291,8 +292,9 @@ class TestBlockOracle:
         net, lib, wires, inputs, _ = grid_design
         engine = StaEngine(lib, wire_specs=wires)
         res = engine.analyze(net, inputs=inputs)
-        assert engine.net_load(net, "n1") > 50e-15
-        assert engine.net_load(net, "n3") < 50e-15
+        graph = TimingGraph.build(net)
+        assert engine.net_load(graph, "n1") > 50e-15
+        assert engine.net_load(graph, "n3") < 50e-15
         slews = [res.rise[n].slew for n in res.rise]
         assert min(slews) < 10e-12 and max(slews) > 400e-12
 
@@ -328,6 +330,34 @@ class TestBlockOracle:
             sharded.diag["fallback_shards"] >= 1
         assert _bits(sharded.rows) == _bits(serial.rows)
         assert sharded.quantiles == serial.quantiles
+
+
+class TestCompiledGraphReuse:
+    def test_sweep_compiles_its_graph_at_most_twice(self, monkeypatch):
+        # Once for the nominal fail-fast analysis, once for every block.
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "c17.v")) as fh:
+            net = read_verilog(fh.read())
+        with open(os.path.join(data, "c17.lib")) as fh:
+            lib = parse_liberty(fh.read())
+        build = TimingGraph.build.__func__
+        builds = []
+
+        def counting(cls, netlist):
+            builds.append(netlist)
+            return build(cls, netlist)
+
+        monkeypatch.setattr(TimingGraph, "build", classmethod(counting))
+        monkeypatch.setattr(statistical, "_BLOCK", 4)
+        for samples in (12, 40):  # 3 and 10 blocks
+            builds.clear()
+            res = run_sta_monte_carlo(
+                net, lib, required_times={po: 100e-12
+                                          for po in net.primary_outputs},
+                samples=samples, seed=3, journal=False,
+                execution=ExecutionConfig(workers=1))
+            assert res.diag["jobs"] == samples // 4
+            assert len(builds) <= 2, len(builds)
 
 
 class TestColumnarSummary:

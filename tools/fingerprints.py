@@ -266,19 +266,22 @@ def _sta_entry() -> dict:
     ]}
 
 
+def _stats_ps(s) -> dict:
+    """An :class:`~repro.core.metrics.ErrorStats` with its times in ps."""
+    return {"count": s.count, "failures": s.failures,
+            "max_ps": s.max_abs * 1e12, "mean_ps": s.mean_abs * 1e12,
+            "rms_ps": s.rms * 1e12, "bias_ps": s.mean_signed * 1e12}
+
+
 def _table1_entry(config, n_cases: int, dt: float) -> dict:
     """Every technique's delay and arrival error statistics, in ps."""
     result = run_table1(config, n_cases=n_cases, timing=SweepTiming(dt=dt),
                         adaptive=False, journal=False,
                         execution=ExecutionConfig(workers=1))
-    def stats(s) -> dict:
-        return {"count": s.count, "failures": s.failures,
-                "max_ps": s.max_abs * 1e12, "mean_ps": s.mean_abs * 1e12,
-                "rms_ps": s.rms * 1e12, "bias_ps": s.mean_signed * 1e12}
     return {"kind": "table1", "variants": [
         {"n_cases": n_cases, "polarity": result.polarity,
-         "rows": {r.technique: {"delay": stats(r.delay),
-                                "arrival": stats(r.arrival)}
+         "rows": {r.technique: {"delay": _stats_ps(r.delay),
+                                "arrival": _stats_ps(r.arrival)}
                   for r in result.rows}}]}
 
 
