@@ -17,6 +17,8 @@ on a deliberate behaviour change, with
 
 from __future__ import annotations
 
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +51,29 @@ def test_compare_flags_drift():
     assert any("newton_iters" in e for e in errors)
     assert any(f".{node}.rms" in e for e in errors)
     assert any(f".{node}.crossings" in e for e in errors)
+
+
+def test_compare_flags_ppm_drift_of_a_timing_value():
+    # Times are pinned in ps: a 1e-6 relative drift of one c17 arrival
+    # or MC quantile sits far above the 1e-12 absolute floor.
+    expected = {"sta_c17": fingerprints.load()["sta_c17"]}
+    for path, value in fingerprints._flatten(expected):
+        if not isinstance(value, float) or value == 0.0:
+            continue
+        drifted = json.loads(json.dumps(expected))
+        _scale_leaf(drifted, path, 1 + 1e-6)
+        errors = fingerprints.compare(expected, drifted)
+        assert len(errors) == 1 and errors[0].startswith(path + ":"), path
+
+
+def _scale_leaf(tree, path: str, factor: float) -> None:
+    """Multiply the leaf at ``path`` (as :func:`_flatten` names it)."""
+    keys = re.findall(r"\[(\d+)\]|([^.\[\]]+)", path)
+    node = tree
+    for index, key in keys[:-1]:
+        node = node[int(index)] if index else node[key]
+    index, key = keys[-1]
+    node[key] *= factor
 
 
 def test_named_update_rewrites_only_those_entries(tmp_path, monkeypatch):

@@ -15,8 +15,9 @@ CPUs, so a byte hash would pin the machine, not the behaviour.
 ``tests/test_fingerprints.py`` recomputes every workload and compares it
 with the checked-in ``tests/data/fingerprints.json``:
 
-* RMS and DC node voltages, and the static-timing values, to 1e-9
-  relative (1e-12 absolute floor, for nodes that sit at 0 V);
+* RMS and DC node voltages, and the static-timing values (stored in
+  ps), to 1e-9 relative (1e-12 absolute floor, for nodes that sit at
+  0 V);
 * crossing times to 1e-15 s, with the crossing count exact;
 * Newton iteration and step-halving counts, backends, batch sizes and
   key digests exact.
@@ -231,15 +232,27 @@ def _dc_entry(bench, batch: int = 3, seeded: bool = True) -> dict:
         {"voltages": r.voltages()} for r in results]}
 
 
+def _ps(tree):
+    """``tree`` with every float leaf converted from seconds to ps."""
+    if isinstance(tree, dict):
+        return {key: _ps(value) for key, value in tree.items()}
+    return tree * 1e12
+
+
 def _timing(result) -> dict:
-    """``{edge: {net: {"arrival", "slew"}}}`` of an STA result."""
-    return {edge: {net: {"arrival": t.arrival, "slew": t.slew}
+    """``{edge: {net: {"arrival_ps", "slew_ps"}}}`` of an STA result."""
+    return {edge: {net: {"arrival_ps": t.arrival * 1e12,
+                         "slew_ps": t.slew * 1e12}
                    for net, t in timing.items()}
             for edge, timing in (("rise", result.rise), ("fall", result.fall))}
 
 
 def _sta_entry() -> dict:
-    """c17: nominal NLDM and SDF timing of every net, then MC quantiles."""
+    """c17: nominal NLDM and SDF timing of every net, then MC quantiles.
+
+    Every time is stored in ps, so :data:`VOLT_ATOL` (a floor meant for
+    volts) cannot hide a relative drift of a picosecond-scale value.
+    """
     netlist = read_verilog((CORPUS / "c17.v").read_text(encoding="utf-8"))
     library = parse_liberty((CORPUS / "c17.lib").read_text(encoding="utf-8"))
     delays = read_sdf((CORPUS / "c17.sdf").read_text(encoding="utf-8"))
@@ -256,13 +269,14 @@ def _sta_entry() -> dict:
                              execution=ExecutionConfig(workers=1))
     return {"kind": "sta", "variants": [
         {"nominal": _timing(nominal),
-         "slack": {net: nominal.slack(net) for net in nominal.required}},
+         "slack_ps": {net: nominal.slack(net) * 1e12
+                      for net in nominal.required}},
         {"sdf": {corner: _timing(SdfEngine(delays, corner=corner,
                                            library=library)
                                  .analyze(netlist, inputs=inputs))
                  for corner in ("min", "typ", "max")}},
         {"mc": {"samples": samples, "seed": seed,
-                "quantiles": mc.quantiles}},
+                "quantiles_ps": _ps(mc.quantiles)}},
     ]}
 
 
