@@ -216,6 +216,25 @@ class StaEngine:
         arc = self._cell(inst.cell).arc_for(pin)
         return arc.delay_and_slew(in_slew, load, input_rising=input_rising)
 
+    def check(self, graph: TimingGraph) -> None:
+        """Raise what :meth:`analyze` would raise on ``graph``'s cells and
+        pins, without timing anything.
+
+        Visits the nets in :meth:`analyze`'s order — each driven net's
+        load cells, then its driver's cell and the arc of every input
+        pin — so a bad design raises the same first error: ``KeyError``
+        for a cell missing from the library or a pin with no arc.
+        """
+        for net in graph.levels():
+            inst = graph.fanin.get(net)
+            if inst is None:
+                continue
+            for load, _pin in graph.fanout.get(net, ()):
+                self._cell(load.cell)
+            cell = self._cell(inst.cell)
+            for pin, _in_net in inst.inputs:
+                cell.arc_for(pin)
+
     # ------------------------------------------------------------------
     def analyze(
         self,

@@ -24,10 +24,13 @@ dedicated stream ``default_rng([salt, tag, seed, i])`` — no shared
 sequential RNG — so the value of a sample depends neither on its block
 nor on which worker computes it.  Building that generator per sample
 costs more than the sample's timing does, so :func:`_block_normals`
-derives a whole block's streams in one array pass (SeedSequence's hash
-of every sample's entropy words, then the PCG64 state each seeds) and
-resets one reused generator to each state: the same draws bit for bit,
-at 4–7 µs a sample on c17 against 16–27 µs for ``default_rng``
+draws a whole block in array passes: SeedSequence's hash of every
+sample's entropy words, the PCG64 seeding and stepping on ``uint64``
+halves of the 128-bit state, and NumPy's ziggurat fast path with its
+tables read from the running NumPy (:func:`_ziggurat`).  Only a row
+with a rejected draw (~1.8% of c17's one-column rows) is reset into a
+NumPy generator and drawn there.  The same draws bit for bit, at
+1.5–2.5 µs a sample on c17 against 18–40 µs for ``default_rng``
 (2-core x86-64 host).
 Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
@@ -52,7 +55,7 @@ import math
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -80,8 +83,8 @@ __all__ = [
 _STREAM_SALT = 0x55A57A
 
 #: Samples per block, the unit :func:`run_indexed` hands a worker.  A
-#: c17 sample costs 6–10 µs on a 2-core x86-64 host, about two thirds of
-#: it its draws, so a block of 256 takes ~1.6–2.6 ms while forking a
+#: c17 sample costs 4–6 µs on a 2-core x86-64 host, about a third of it
+#: its draws, so a block of 256 takes ~1.1–1.6 ms while forking a
 #: 2-worker pool adds ~15–20 ms: c17 sweeps of 1–8 blocks run faster
 #: serially.  The block stays at 256 because a sample's work grows with
 #: the design and the pool's overhead does not.
@@ -110,9 +113,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-#: PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), its
+#: inverse mod 2¹²⁸, and its low word's 32-bit halves.
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64)
+_MULT_LO0, _MULT_LO1 = (np.uint64(_PCG_MULT & _M32),
+                        np.uint64((_PCG_MULT >> 32) & _M32))
+#: The 52 magnitude bits of a ziggurat draw.
+_M52 = (1 << 52) - 1
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -125,12 +135,19 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _generate_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row.
+def _u32(value):
+    """``value`` mod 2³²: Python ints are reduced, ``uint32`` arrays wrap."""
+    return value & _M32 if isinstance(value, int) else value
 
-    ``entropy`` is ``(m, L)`` ``uint32``, one stream's ``L >= 4`` entropy
-    words per row; every step of SeedSequence's ``mix_entropy`` and
-    ``generate_state`` runs once over all rows.  Returns ``(m, 4)``.
+
+def _generate_state(entropy: list) -> list[np.ndarray]:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` of every row.
+
+    ``entropy`` holds ``L >= 4`` words, each a Python int shared by every
+    row or a ``(m,)`` ``uint32`` array with one word per row (at least
+    one is); each step of SeedSequence's ``mix_entropy`` and
+    ``generate_state`` runs once, on ints until an array enters it.
+    Returns the four ``(m,)`` ``uint64`` words.
     """
     hash_const = _INIT_A
 
@@ -138,21 +155,21 @@ def _generate_state(entropy: np.ndarray) -> np.ndarray:
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = (hash_const * _MULT_A) & _M32
-        value = value * hash_const
+        value = _u32(value * hash_const)
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = x * _MIX_L - y * _MIX_R
+        result = _u32(_u32(x * _MIX_L) - _u32(y * _MIX_R))
         return result ^ (result >> 16)
 
-    pool = [hashmix(entropy[:, j]) for j in range(_POOL)]
+    pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[1]):
+    for word in entropy[_POOL:]:
         for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = mix(pool[dst], hashmix(word))
 
     hash_const, words = _INIT_B, []
     for j in range(2 * _POOL):
@@ -161,33 +178,140 @@ def _generate_state(entropy: np.ndarray) -> np.ndarray:
         value = value * hash_const
         words.append((value ^ (value >> 16)).astype(np.uint64))
     # Eight uint32 words read back as four little-endian uint64 words.
-    return np.stack([words[2 * k] | (words[2 * k + 1] << 32)
-                     for k in range(_POOL)], axis=1)
+    return [words[2 * k] | (words[2 * k + 1] << 32) for k in range(_POOL)]
 
 
-def _pcg64_states(tag: str, seed: int,
-                  indices: Sequence[int]) -> list[tuple[int, int]]:
-    """``(state, inc)`` that :func:`_rng_for`'s PCG64 starts from, per index.
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, ``s·MULT + inc mod 2¹²⁸``, of ``uint64`` halves.
 
-    PCG64 takes ``initstate = w0·2⁶⁴ + w1`` and ``initseq = w2·2⁶⁴ + w3``
-    from its SeedSequence's four words, and ``pcg64_srandom_r`` turns
-    them into the generator's state.  Indices are grouped by word count
-    (an index ``≥ 2³²`` adds entropy words).
+    The low word's 64×64-bit product is carried through 32-bit halves;
+    every other product only needs its low 64 bits, which ``uint64``
+    arithmetic wraps to.
+    """
+    a0, a1 = lo & _M32, lo >> 32
+    p01, p10 = a0 * _MULT_LO1, a1 * _MULT_LO0
+    mid = ((a0 * _MULT_LO0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = (a1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + hi * _MULT_LO + lo * _MULT_HI)
+    prod = lo * _MULT_LO
+    lo = prod + inc_lo
+    return hi + inc_hi + (lo < prod), lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of states ``(hi, lo)``: ``hi ^ lo`` rotated right
+    by the state's top six bits."""
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _pcg64_states(tag: str, seed: int, indices: Sequence[int]):
+    """The PCG64 state :func:`_rng_for` starts from, for every index.
+
+    Returns ``(state_hi, state_lo, inc_hi, inc_lo)``, ``uint64`` arrays
+    of the 128-bit state and increment.  PCG64 takes ``initstate =
+    w0·2⁶⁴ + w1`` and ``initseq = w2·2⁶⁴ + w3`` from its SeedSequence's
+    four words; ``pcg64_srandom_r`` sets ``inc = 2·initseq + 1`` and
+    ``state = (inc + initstate)·MULT + inc``.  Indices are grouped by
+    word count (an index ``≥ 2³²`` adds entropy words).
     """
     head = [_STREAM_SALT, zlib.crc32(tag.encode()), *_uint32_words(int(seed))]
-    words = [_uint32_words(int(i)) for i in indices]
-    states: list = [None] * len(words)
-    for width in set(map(len, words)):
-        rows = [r for r, w in enumerate(words) if len(w) == width]
-        entropy = np.empty((len(rows), len(head) + width), np.uint32)
-        entropy[:, :len(head)] = head
-        entropy[:, len(head):] = [words[r] for r in rows]
-        for r, (w0, w1, w2, w3) in zip(rows,
-                                       _generate_state(entropy).tolist()):
-            inc = ((((w2 << 64) | w3) << 1) | 1) & _M128
-            states[r] = ((((inc + ((w0 << 64) | w1)) * _PCG_MULT) + inc)
-                         & _M128, inc)
-    return states
+    n = len(indices)
+    rest = np.fromiter(indices, np.uint64 if n == 0 or max(indices) <= _M64
+                       else object, n)
+    words, width = [], np.ones(n, np.intp)
+    while True:
+        words.append((rest & _M32).astype(np.uint32))
+        rest = rest >> 32
+        if not rest.any():
+            break
+        width += rest != 0
+    w0, w1, w2, w3 = seeded = [np.empty(n, np.uint64) for _ in range(_POOL)]
+    for w in range(1, len(words) + 1):
+        rows = np.flatnonzero(width == w)
+        generated = _generate_state(head + [words[k][rows] for k in range(w)])
+        for out, word in zip(seeded, generated):
+            out[rows] = word
+    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    lo = inc_lo + w1
+    return (*_pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo),
+            inc_hi, inc_lo)
+
+
+def _reset(bitgen: np.random.PCG64, state: int, inc: int) -> None:
+    """Put ``bitgen`` at 128-bit ``state`` with increment ``inc``."""
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+
+
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's ziggurat tables ``(wi, ki)``, read from the running NumPy.
+
+    ``standard_normal`` splits a raw ``r`` into ``idx = r & 0xff``, a
+    sign bit and ``rabs = (r >> 9) & (2⁵²−1)``, and returns
+    ``±rabs·wi[idx]`` at once where ``rabs < ki[idx]``.  NumPy does not
+    export the tables, so each entry is probed: a PCG64 set to state
+    ``(r − 1)·MULT⁻¹`` with ``inc = 1`` yields ``r`` next, and a draw
+    took the fast path exactly when the state moved one step.  ``rabs =
+    1`` gives ``wi[idx]``, and ``ki[idx]``, the least rejected ``rabs``,
+    is searched next to ``2⁵²·wi[idx−1]/wi[idx]`` (``ki`` or ``ki − 1``
+    for every idx above 2 in current NumPy: two probes), then by
+    bisection.  Runs once per process, on first use (~870 draws).
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+
+    def probe(idx: int, rabs: int) -> tuple[float, bool]:
+        r = (rabs << 9) | idx
+        _reset(bitgen, ((r - 1) * _PCG_MULT_INV) & _M128, 1)
+        x = gen.standard_normal()
+        return x, bitgen.state["state"]["state"] == r
+
+    def edge(idx: int, guess: int) -> int:
+        # The least rabs rejected at idx: the first two probes go next
+        # to the guess (enough when it is ki or ki − 1), then bisection.
+        lo, hi, probes = 0, 1 << 52, 0
+        while lo < hi:
+            mid = min(max(guess, lo), hi - 1) if probes < 2 else (lo + hi) // 2
+            probes += 1
+            if probe(idx, mid)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    wi = np.zeros(256)
+    for idx in range(256):
+        x, fast = probe(idx, 1)
+        wi[idx] = x if fast else 0.0
+    ki = np.array([edge(idx, int(wi[idx - 1] / wi[idx] * 2**52)
+                        if idx and wi[idx - 1] and wi[idx] else 0)
+                   for idx in range(256)], np.uint64)
+    wi.flags.writeable = ki.flags.writeable = False
+    return wi, ki
+
+
+def _ziggurat_fast(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``standard_normal``'s fast path on raw ``uint64`` outputs ``r``:
+    the draws, and where each was accepted (elsewhere NumPy rejects)."""
+    wi, ki = _ziggurat()
+    idx = (r & 0xFF).astype(np.intp)
+    rabs = (r >> 9) & _M52
+    x = rabs.astype(float) * wi[idx]
+    return np.where((r >> 8) & 1 == 1, -x, x), rabs < ki[idx]
+
+
+def _scalar_normals(draws: np.ndarray,
+                    restarts: list[tuple[int, int, int, int]]) -> None:
+    """The rejection path: for each ``(row, column, state, inc)``, NumPy
+    itself draws ``draws[row, column:]`` from that PCG64 state."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, column, state, inc in restarts:
+        _reset(bitgen, state, inc)
+        gen.standard_normal(out=draws[row, column:])
 
 
 def _block_normals(tag: str, seed: int, indices: Sequence[int],
@@ -197,23 +321,38 @@ def _block_normals(tag: str, seed: int, indices: Sequence[int],
     Row ``k`` equals what ``_rng_for(tag, seed, indices[k])`` yields for
     ``normal(0.0, σ_j)`` called on each column with ``σ_j > 0`` in column
     order, bit for bit; a column with ``σ_j <= 0`` draws nothing and
-    holds ``+0.0``.  One reused PCG64 is reset to each sample's state and
-    draws the sample's normals in one call; scaling is ``0.0 + σ·z`` as
-    in ``normal``, which keeps ``+0.0`` where ``σ·z`` is ``-0.0``.
+    holds ``+0.0``.  Every stream steps as ``uint64`` array math and its
+    draws take the ziggurat fast path (:func:`_ziggurat_fast`) until one
+    is rejected; from that draw on, the row is drawn by
+    :func:`_scalar_normals` from the state before it.  Scaling is
+    ``0.0 + σ·z`` as in ``normal``, which keeps ``+0.0`` where ``σ·z`` is
+    ``-0.0``.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     drawn = sigmas > 0
     z = np.zeros((len(indices), len(sigmas)))
-    if drawn.any():
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        draws = np.empty((len(indices), int(drawn.sum())))
-        for row, (state, inc) in zip(draws,
-                                     _pcg64_states(tag, seed, indices)):
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal(out=row)
+    width = int(drawn.sum())
+    if width:
+        draws = np.empty((len(indices), width))
+        rows = np.arange(len(indices))
+        hi, lo, inc_hi, inc_lo = _pcg64_states(tag, seed, indices)
+        restarts: list = []
+        for j in range(width):
+            if not rows.size:
+                break
+            step = _pcg_step(hi, lo, inc_hi, inc_lo)
+            draws[rows, j], fast = _ziggurat_fast(_xsl_rr(*step))
+            if not fast.all():
+                out = ~fast
+                restarts += [(row, j, (s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
+                             for row, s_hi, s_lo, i_hi, i_lo in zip(*(
+                                 a[out].tolist()
+                                 for a in (rows, hi, lo, inc_hi, inc_lo)))]
+                rows, inc_hi, inc_lo = rows[fast], inc_hi[fast], inc_lo[fast]
+                step = (step[0][fast], step[1][fast])
+            hi, lo = step
+        if restarts:
+            _scalar_normals(draws, restarts)
         z[:, drawn] = draws
     return 0.0 + sigmas * z
 
@@ -570,10 +709,9 @@ def run_sta_monte_carlo(
                    inputs=dict(inputs or {}),
                    required_times=dict(required_times or {}),
                    variation=variation, seed=base_seed, watch=watch_nets)
-    # Nominal run first: fail fast (and in-process) on bad designs.
-    StaEngine(spec.library, wire_specs=spec.wire_specs).analyze(
-        netlist, inputs=spec.inputs,
-        required_times=spec.required_times or None)
+    # Compile once and fail fast, in-process, on a bad design.
+    graph = TimingGraph.build(netlist)
+    StaEngine(spec.library, wire_specs=spec.wire_specs).check(graph)
 
     diag: dict = {}
     jr = journal_for("ssta-mc", (spec, n), n,
@@ -582,8 +720,8 @@ def run_sta_monte_carlo(
     todo = tuple(sorted(set(range(n)).difference(done)))
     blocks = tuple(todo[k:k + _BLOCK] for k in range(0, len(todo), _BLOCK))
     solved = run_indexed(
-        partial(_solve_block, spec=spec, graph=TimingGraph.build(netlist),
-                blocks=blocks, journal=jr),
+        partial(_solve_block, spec=spec, graph=graph, blocks=blocks,
+                journal=jr),
         len(blocks), execution=execution, diag=diag)
     # Index-ordered columns, laid out like any block's (or resumed row's).
     like = solved[0] if solved else next(iter(done.values()))

@@ -1,5 +1,6 @@
 """Monte-Carlo statistical STA: determinism, sharding, cache reuse."""
 
+import functools
 import json
 import math
 import os
@@ -135,6 +136,119 @@ class TestBlockSampler:
                       for i in indices])
         assert np.signbit(sigma * z[(z < 0) & (z > -0.5)]).any()
         assert not np.signbit(got[got == 0.0]).any()
+
+    def test_ziggurat_tables_match_numpy_at_every_edge(self):
+        # The fast path accepts ``rabs < ki[idx]`` and returns
+        # ``±rabs·wi[idx]``: at rabs = 1 (the bare ``wi``), ki − 1 and ki,
+        # both signs, for every idx, NumPy itself must agree bit for bit.
+        wi, ki = statistical._ziggurat()
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        inverse = pow(statistical._PCG_MULT, -1, 2**128)
+        raws, want_x, want_fast = [], [], []
+        for idx in range(256):
+            edge = int(ki[idx])
+            for rabs in sorted(r for r in {1, edge - 1, edge}
+                               if 0 <= r < 2**52):
+                for sign in (0, 1):
+                    r = (rabs << 9) | (sign << 8) | idx
+                    bitgen.state = {"bit_generator": "PCG64",
+                                    "state": {"state": (r - 1) * inverse
+                                              % 2**128, "inc": 1},
+                                    "has_uint32": 0, "uinteger": 0}
+                    want_x.append(gen.standard_normal())
+                    want_fast.append(bitgen.state["state"]["state"] == r)
+                    raws.append(r)
+        got_x, got_fast = statistical._ziggurat_fast(
+            np.array(raws, dtype=np.uint64))
+        want_x, want_fast = np.array(want_x), np.array(want_fast)
+        assert got_fast.tolist() == want_fast.tolist()
+        assert got_x[want_fast].tobytes() == want_x[want_fast].tobytes()
+        assert ki[1] == 0 and (ki[2:] > 2**51).all()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejection_rows_match_per_sample_streams(self, width,
+                                                     monkeypatch):
+        # Streams whose first draw hits the tail (idx byte 0), idx byte 1
+        # (ki = 0) or rabs >= ki, and whose 2nd or 3rd draw alone
+        # rejects, found with the per-sample oracle, among plain rows.
+        found = _rejection_indices("ssta", 8)
+        indices = [i for i in range(40) if i not in found.values()]
+        for key in ("tail", "idx1", "rabs_ge_ki", "second", "third"):
+            indices.insert(len(indices) // 2, found[key])
+        restarts = []
+        scalar = statistical._scalar_normals
+
+        def spy(draws, rows):
+            restarts.extend(rows)
+            return scalar(draws, rows)
+
+        monkeypatch.setattr(statistical, "_scalar_normals", spy)
+        sigmas = np.array([0.05, 0.1, 0.2][:width])
+        got = statistical._block_normals("ssta", 8, indices, sigmas)
+        want = self._reference("ssta", 8, indices, sigmas)
+        assert got.tobytes() == want.tobytes()
+        # Each rejecting row restarts at its first rejected draw.
+        column = {indices[row]: col for row, col, _s, _i in restarts}
+        assert column[found["tail"]] == column[found["idx1"]] == \
+            column[found["rabs_ge_ki"]] == 0
+        if width == 3:
+            assert column[found["second"]] == 1
+            assert column[found["third"]] == 2
+
+    def test_c17_block_mostly_on_the_fast_path(self, monkeypatch):
+        # A 256-sample c17 block (one column) sends at most 4% of its
+        # rows to the per-row scalar path.
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "c17.v")) as fh:
+            net = read_verilog(fh.read())
+        with open(os.path.join(data, "c17.lib")) as fh:
+            lib = parse_liberty(fh.read())
+        rows = []
+        scalar = statistical._scalar_normals
+
+        def spy(draws, restarts):
+            rows.append(len(restarts))
+            return scalar(draws, restarts)
+
+        monkeypatch.setattr(statistical, "_scalar_normals", spy)
+        res = run_sta_monte_carlo(net, lib, samples=statistical._BLOCK,
+                                  seed=1234, journal=False,
+                                  execution=ExecutionConfig(workers=1))
+        assert res.diag["jobs"] == 1
+        assert 1 <= sum(rows) <= 0.04 * statistical._BLOCK, rows
+
+
+@functools.cache
+def _rejection_indices(tag: str, seed: int) -> dict:
+    """The first index of each rejection kind, scanned with ``default_rng``.
+
+    A draw is on the ziggurat fast path when NumPy's PCG64 moved exactly
+    one step for it.  Kinds: the first draw rejects with idx byte 0 (the
+    tail), idx byte 1, or another idx (``rabs >= ki``); only the 2nd or
+    only the 3rd of three draws rejects.
+    """
+    found: dict = {}
+    for i in range(200_000):
+        gen = _rng_for(tag, seed, i)
+        bitgen = gen.bit_generator
+        start = bitgen.state
+        first = int(bitgen.random_raw()) & 0xFF
+        bitgen.state = start
+        s, inc = start["state"]["state"], start["state"]["inc"]
+        fast = []
+        while len(fast) < 3 and all(fast):
+            s = (s * statistical._PCG_MULT + inc) % 2**128
+            gen.standard_normal()
+            fast.append(bitgen.state["state"]["state"] == s)
+        kind = {(False,): {0: "tail", 1: "idx1"}.get(first, "rabs_ge_ki"),
+                (True, False): "second",
+                (True, True, False): "third"}.get(tuple(fast))
+        if kind is not None:
+            found.setdefault(kind, i)
+            if len(found) == 5:
+                return found
+    raise AssertionError(f"only found {found}")
 
 
 def _oracle_rows(net, lib, wires, inputs, required, variation, seed, n,
@@ -333,8 +447,8 @@ class TestBlockOracle:
 
 
 class TestCompiledGraphReuse:
-    def test_sweep_compiles_its_graph_at_most_twice(self, monkeypatch):
-        # Once for the nominal fail-fast analysis, once for every block.
+    def test_sweep_compiles_its_graph_once(self, monkeypatch):
+        # One graph serves the fail-fast check and every block.
         data = os.path.join(os.path.dirname(__file__), "data")
         with open(os.path.join(data, "c17.v")) as fh:
             net = read_verilog(fh.read())
@@ -357,7 +471,49 @@ class TestCompiledGraphReuse:
                 samples=samples, seed=3, journal=False,
                 execution=ExecutionConfig(workers=1))
             assert res.diag["jobs"] == samples // 4
-            assert len(builds) <= 2, len(builds)
+            assert len(builds) == 1, len(builds)
+
+
+def _bad_design(kind):
+    """A two-inverter netlist broken in one way, and its library."""
+    lib = {"INV_A": _const_cell(50e-12, 10e-12),
+           "INV_B": _const_cell(100e-12, 10e-12)}
+    net = GateNetlist()
+    net.add_input("n0")
+    net.add_output("n2")
+    second = {"missing_cell": ("NOPE", "n1", "n2"),
+              "missing_arc": ("INV_B", {"Z": "n1"}, "n2"),
+              "multiply_driven": ("INV_B", "n0", "n1"),
+              "cycle": ("INV_B", {"A": "n1", "B": "n2"}, "n2")}[kind]
+    net.add_instance("u0", "INV_A", "n0", "n1")
+    net.add_instance("u1", *second)
+    return net, lib
+
+
+class TestFailFast:
+    """A bad design raises what :meth:`StaEngine.analyze` raises, in
+    process, before any block is handed to :func:`run_indexed`."""
+
+    @pytest.mark.parametrize("kind", ["missing_cell", "missing_arc",
+                                      "multiply_driven", "cycle"])
+    def test_raises_before_any_block(self, kind, monkeypatch):
+        net, lib = _bad_design(kind)
+        with pytest.raises(Exception) as want:
+            StaEngine(lib).analyze(net, required_times={"n2": 1e-10})
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_indexed reached")
+
+        monkeypatch.setattr(statistical, "run_indexed", unreachable)
+        with pytest.raises(type(want.value)) as got:
+            run_sta_monte_carlo(net, lib, required_times={"n2": 1e-10},
+                                samples=8, seed=0, journal=False)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert type(want.value).__name__ == {
+            "missing_cell": "KeyError", "missing_arc": "KeyError",
+            "multiply_driven": "NetlistError",
+            "cycle": "TimingGraphError"}[kind]
 
 
 class TestColumnarSummary:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Smoke test of the design-taking STA front door over the golden corpus.
 
-Three gates, run from the repo root::
+Four gates, run from the repo root::
 
     PYTHONPATH=src python tools/sta_corpus_smoke.py
 
@@ -16,7 +16,12 @@ Three gates, run from the repo root::
    every finite value, so any deviation means the sharded merge changed
    the arithmetic.  The 2-worker leg must really reach the pool (mode
    ``sharded``) or count the shards it fell back on.
-3. **Benchmark artifact** — timings and quantiles land in
+3. **Sampler** — the sweep's per-sample factors (``_draw_block``,
+   NumPy's PCG64 stepping and ziggurat fast path redone as array math)
+   must equal ``exp`` of each sample's own ``_rng_for`` stream bit for
+   bit, so a NumPy release that changes either fails here as a sampler
+   mismatch, not as a quantile drift.
+4. **Benchmark artifact** — timings and quantiles land in
    ``BENCH_ssta.json`` (``--out`` to rename) for CI to upload.
 
 Used by CI's ``sta-corpus`` job.  Exits non-zero on any violation.
@@ -123,6 +128,31 @@ def run_mc(netlist, library, workers: int):
     return result, time.perf_counter() - t0
 
 
+def check_sampler(result, netlist, library) -> None:
+    """The sweep's factors against each sample's ``default_rng`` stream."""
+    import numpy as np
+
+    from repro.sta.statistical import McVariation, _draw_block, _McSpec, \
+        _rng_for
+
+    spec = _McSpec(netlist=netlist, library=dict(library), wire_specs={},
+                   inputs={}, required_times={}, variation=McVariation(),
+                   seed=result.seed, watch=())
+    cells = sorted(spec.library)
+    scale, _wires = _draw_block(spec, range(result.samples))
+    got = np.stack([scale[name] for name in cells], axis=1)
+    sigma = spec.variation.sigma_cell
+    for i, row in enumerate(got):
+        want = np.exp(_rng_for("ssta", result.seed, i).normal(
+            0.0, sigma, size=len(cells)))
+        if row.tobytes() != want.tobytes():
+            fail(f"sampler mismatch at sample {i}: block factors "
+                 f"{row.tolist()} != per-sample stream {want.tolist()} "
+                 f"(NumPy {np.__version__} changed PCG64 or the ziggurat?)")
+    print(f"sta-corpus-smoke: {result.samples}-sample factors equal the "
+          f"per-sample streams bit for bit")
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_ssta.json",
@@ -144,6 +174,7 @@ def main(argv: "list[str] | None" = None) -> int:
     fallbacks = sharded.diag.get("fallback_shards", 0)
     if sharded.diag.get("mode") != "sharded" and fallbacks < 1:
         fail(f"2-worker run never reached the pool: diag {sharded.diag}")
+    check_sampler(serial, netlist, library)
     if fallbacks:
         print(f"sta-corpus-smoke: note: sharded run fell back on "
               f"{fallbacks} shard(s)")
