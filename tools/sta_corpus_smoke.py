@@ -9,18 +9,19 @@ Four gates, run from the repo root::
    NLDM engine (``tests/data/c17.lib``) reproduces every hand-computed
    arrival/slack in ``tests/data/golden.json`` to float tolerance, and
    the SDF engine (``tests/data/c17.sdf``) matches at all three corners.
-2. **Determinism** — a seeded Monte-Carlo statistical sweep of
+2. **Sampler** — the sweep's per-sample factors (``_draw_block``,
+   NumPy's PCG64 stepping and ziggurat fast path redone as array math)
+   must equal ``exp`` of each sample's own ``_rng_for`` stream bit for
+   bit, so a NumPy release that changes either fails here as a sampler
+   mismatch, not as a quantile drift.  Checked before the timed sweeps,
+   so neither pays the sampler's one-time table probe.
+3. **Determinism** — a seeded Monte-Carlo statistical sweep of
    ``MIN_POOL_JOBS`` sample blocks is run serially (1 worker) and
    sharded (2 workers) and the quantiles must be **bit-for-bit
    identical**: JSON serialises doubles via ``repr``, which round-trips
    every finite value, so any deviation means the sharded merge changed
    the arithmetic.  The 2-worker leg must really reach the pool (mode
    ``sharded``) or count the shards it fell back on.
-3. **Sampler** — the sweep's per-sample factors (``_draw_block``,
-   NumPy's PCG64 stepping and ziggurat fast path redone as array math)
-   must equal ``exp`` of each sample's own ``_rng_for`` stream bit for
-   bit, so a NumPy release that changes either fails here as a sampler
-   mismatch, not as a quantile drift.
 4. **Benchmark artifact** — timings and quantiles land in
    ``BENCH_ssta.json`` (``--out`` to rename) for CI to upload.
 
@@ -128,8 +129,12 @@ def run_mc(netlist, library, workers: int):
     return result, time.perf_counter() - t0
 
 
-def check_sampler(result, netlist, library) -> None:
-    """The sweep's factors against each sample's ``default_rng`` stream."""
+def check_sampler(netlist, library) -> None:
+    """The sweep's factors against each sample's ``default_rng`` stream.
+
+    Runs before the timed sweeps, so neither pays the sampler's one-time
+    table probe.
+    """
     import numpy as np
 
     from repro.sta.statistical import McVariation, _draw_block, _McSpec, \
@@ -137,19 +142,19 @@ def check_sampler(result, netlist, library) -> None:
 
     spec = _McSpec(netlist=netlist, library=dict(library), wire_specs={},
                    inputs={}, required_times={}, variation=McVariation(),
-                   seed=result.seed, watch=())
+                   seed=MC_SEED, watch=())
     cells = sorted(spec.library)
-    scale, _wires = _draw_block(spec, range(result.samples))
+    scale, _wires = _draw_block(spec, range(mc_samples()))
     got = np.stack([scale[name] for name in cells], axis=1)
     sigma = spec.variation.sigma_cell
     for i, row in enumerate(got):
-        want = np.exp(_rng_for("ssta", result.seed, i).normal(
+        want = np.exp(_rng_for("ssta", MC_SEED, i).normal(
             0.0, sigma, size=len(cells)))
         if row.tobytes() != want.tobytes():
             fail(f"sampler mismatch at sample {i}: block factors "
                  f"{row.tolist()} != per-sample stream {want.tolist()} "
                  f"(NumPy {np.__version__} changed PCG64 or the ziggurat?)")
-    print(f"sta-corpus-smoke: {result.samples}-sample factors equal the "
+    print(f"sta-corpus-smoke: {mc_samples()}-sample factors equal the "
           f"per-sample streams bit for bit")
 
 
@@ -162,6 +167,7 @@ def main(argv: "list[str] | None" = None) -> int:
     netlist, library, delays, golden = load_corpus()
     check_golden(netlist, library, delays, golden)
 
+    check_sampler(netlist, library)
     serial, t_serial = run_mc(netlist, library, workers=1)
     sharded, t_sharded = run_mc(netlist, library, workers=2)
     blob_serial = json.dumps(serial.quantiles, sort_keys=True)
@@ -174,7 +180,6 @@ def main(argv: "list[str] | None" = None) -> int:
     fallbacks = sharded.diag.get("fallback_shards", 0)
     if sharded.diag.get("mode") != "sharded" and fallbacks < 1:
         fail(f"2-worker run never reached the pool: diag {sharded.diag}")
-    check_sampler(serial, netlist, library)
     if fallbacks:
         print(f"sta-corpus-smoke: note: sharded run fell back on "
               f"{fallbacks} shard(s)")
