@@ -219,17 +219,18 @@ def _pcg64_states(tag: str, seed: int, indices: Sequence[int]):
     n = len(indices)
     rest = np.fromiter(indices, np.uint64 if n == 0 or max(indices) <= _M64
                        else object, n)
-    words, width = [], np.ones(n, np.intp)
+    words, nwords = [], np.ones(n, np.intp)
     while True:
         words.append((rest & _M32).astype(np.uint32))
         rest = rest >> 32
         if not rest.any():
             break
-        width += rest != 0
+        nwords += rest != 0
     w0, w1, w2, w3 = seeded = [np.empty(n, np.uint64) for _ in range(_POOL)]
-    for w in range(1, len(words) + 1):
-        rows = np.flatnonzero(width == w)
-        generated = _generate_state(head + [words[k][rows] for k in range(w)])
+    for count in range(1, len(words) + 1):
+        rows = np.flatnonzero(nwords == count)
+        generated = _generate_state(head + [word[rows]
+                                            for word in words[:count]])
         for out, word in zip(seeded, generated):
             out[rows] = word
     inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
