@@ -9,9 +9,11 @@ the sample sweep; the drivers report the 5/50/95 quantiles.
 The sweep is sample-parallel.  The design is compiled into its
 :class:`~repro.sta.graph.TimingGraph` once per sweep, and every block
 reads connectivity and level order from that one graph.  Samples run
-in fixed blocks of :data:`_BLOCK`; a block walks the graph's levels
-once with every arrival, slew, load and required time held as a
-``(block,)`` array (the level-by-level, all-patterns-in-one-array
+in blocks sized to the design (:func:`_block_size`): as many as fit
+:data:`_BLOCK_BYTES` of arrays and at least :data:`_BLOCK`, so a
+c17 sweep of a few thousand samples is one block.  A block walks the
+graph's levels once with every arrival, slew, load and required time
+held as a ``(block,)`` array (the level-by-level, all-patterns-in-one-array
 evaluation of a logic simulator).  No scaled library is built: NLDM
 lookups multiply the nominal table entries by each sample's cell factor
 before interpolating (:meth:`NldmTable.lookup`'s ``scale``), the same
@@ -82,12 +84,16 @@ __all__ = [
 #: of the same base seed.
 _STREAM_SALT = 0x55A57A
 
-#: Samples per block, the unit :func:`run_indexed` hands a worker.  A
-#: c17 sample costs 4–6 µs on a 2-core x86-64 host, about a third of it
-#: its draws, so a block of 256 takes ~1.1–1.6 ms while forking a
-#: 2-worker pool adds ~15–20 ms: c17 sweeps of 1–8 blocks run faster
-#: serially.  The block stays at 256 because a sample's work grows with
-#: the design and the pool's overhead does not.
+#: Bytes of arrays one block may keep live; a block holds as many
+#: samples as fit (:func:`_block_size`).  A block's graph walk and draw
+#: set-up cost the same at any width, so on c17 (2-core x86-64 host) a
+#: sample costs 4–5 µs in a block of 256 and 1.2–1.8 µs in one of a few
+#: thousand; the budget bounds the arrays a long sweep builds at once.
+_BLOCK_BYTES = 4 << 20
+
+#: The fewest samples a block holds, however large the design: a block
+#: pays Python work per net and pin at any width, which a design whose
+#: sample outgrows the budget still spreads over this many samples.
 _BLOCK = 256
 
 #: ln(9) — converts an RC time constant into a 10–90% transition time
@@ -556,6 +562,23 @@ def _evaluate(spec: _McSpec, graph: TimingGraph,
     return columns
 
 
+def _block_size(spec: _McSpec, graph: TimingGraph) -> int:
+    """Samples per block: as many as :data:`_BLOCK_BYTES` holds at the
+    floats :func:`_evaluate` keeps live per sample, and at least
+    :data:`_BLOCK`.
+
+    Per sample: arrival and slew of both edges, both edges' required
+    times and the slack (7 per net), one delay per arc edge (2 per input
+    pin), the factors (one per cell, and R, C and their scaled values
+    per wire), the watched arrivals, the worst slack, and one arc's
+    temporaries (8, a wired net's ``hypot`` lists).
+    """
+    floats = (7 * len(graph.order) + 2 * sum(map(len, graph.fanout.values()))
+              + len(spec.library) + 4 * len(spec.wire_specs)
+              + len(spec.watch) + 9)
+    return max(_BLOCK, _BLOCK_BYTES // (8 * floats))
+
+
 def _solve_block(b: int, spec: _McSpec, graph: TimingGraph,
                  blocks: tuple[tuple[int, ...], ...],
                  journal=None) -> dict:
@@ -680,9 +703,9 @@ def run_sta_monte_carlo(
         the primary outputs).
     execution:
         Worker configuration for :func:`repro.exec.run_indexed`, which
-        receives one index per block of :data:`_BLOCK` samples (so
+        receives one index per block of :func:`_block_size` samples (so
         ``diag["jobs"]`` counts blocks); results are bit-identical
-        across worker counts.
+        across worker counts and block sizes.
     on_sample:
         Optional streaming callback, called with each per-sample row in
         index order after the sweep completes (the service job uses this
@@ -719,7 +742,8 @@ def run_sta_monte_carlo(
                      execution=execution, enabled=journal)
     done = jr.completed() if jr is not None else {}
     todo = tuple(sorted(set(range(n)).difference(done)))
-    blocks = tuple(todo[k:k + _BLOCK] for k in range(0, len(todo), _BLOCK))
+    size = _block_size(spec, graph)
+    blocks = tuple(todo[k:k + size] for k in range(0, len(todo), size))
     solved = run_indexed(
         partial(_solve_block, spec=spec, graph=graph, blocks=blocks,
                 journal=jr),

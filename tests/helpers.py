@@ -1,5 +1,5 @@
-"""Synthetic-waveform builders and golden-grid comparison utilities
-shared across the test suite."""
+"""Synthetic-waveform builders, golden-grid comparison utilities and the
+Monte-Carlo block seam shared across the test suite."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 
+import repro.sta.statistical as statistical
 from repro.core.waveform import Waveform
 
 VDD = 1.2
@@ -98,3 +99,11 @@ def seeded_mutations(text: str, seed: int, punct: str, count: int = 2000):
         for _ in range(rng.randint(1, 3)):
             mutant = mutate(mutant)
         yield mutant
+
+
+def pin_block(monkeypatch, size: int) -> None:
+    """Cut Monte-Carlo SSTA sweeps into blocks of ``size`` samples for the
+    rest of the test: with a zero byte budget the ``_BLOCK`` floor is
+    every block's size, whatever the design."""
+    monkeypatch.setattr(statistical, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(statistical, "_BLOCK", size)

@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-import repro.sta.statistical as statistical
 from repro.exec import (ExecutionConfig, ResultStore, RunJournal,
                         journal_for, set_default_execution)
 from repro.exec.journal import JOURNAL_VERSION
@@ -20,6 +19,7 @@ from repro.interconnect.rcline import RcLineSpec
 from repro.sta import InputSpec, McVariation, run_sta_monte_carlo
 from repro.sta.netlist import GateNetlist
 
+from tests.helpers import pin_block
 from tests.test_sta import _const_cell
 
 KEY = "ab" * 32  # a plausible 64-hex run key
@@ -203,7 +203,7 @@ class TestMonteCarloResume:
         # here samples 1, 3, 4 and 6 never reach the journal, so the
         # resume solves blocks (1, 3, 4) and (6,) and merges their
         # columns between the replayed rows 0, 2, 5 and 7.
-        monkeypatch.setattr(statistical, "_BLOCK", 3)
+        pin_block(monkeypatch, 3)
         cfg = ExecutionConfig(workers=1, store=ResultStore(tmp_path))
         base = _mc(design, cfg, journal=False)
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -30,7 +31,8 @@ from repro.sta.graph import TimingGraph
 from repro.sta.netlist import GateNetlist
 from repro.sta.statistical import _rng_for
 
-from tests.test_sta import _const_cell
+from tests.helpers import pin_block
+from tests.test_sta import _const_cell, _nand_netlist
 
 
 @pytest.fixture()
@@ -54,6 +56,15 @@ def _run(design, seed=7, samples=16, execution=None, sigma_cell=0.05,
         required_times={"n2": 400e-12},
         variation=McVariation(sigma_cell=sigma_cell, sigma_wire=sigma_wire),
         samples=samples, seed=seed, execution=execution)
+
+
+def _c17():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "c17.v")) as fh:
+        net = read_verilog(fh.read())
+    with open(os.path.join(data, "c17.lib")) as fh:
+        lib = parse_liberty(fh.read())
+    return net, lib
 
 
 class TestDeterminism:
@@ -199,11 +210,7 @@ class TestBlockSampler:
     def test_c17_block_mostly_on_the_fast_path(self, monkeypatch):
         # A 256-sample c17 block (one column) sends at most 4% of its
         # rows to the per-row scalar path.
-        data = os.path.join(os.path.dirname(__file__), "data")
-        with open(os.path.join(data, "c17.v")) as fh:
-            net = read_verilog(fh.read())
-        with open(os.path.join(data, "c17.lib")) as fh:
-            lib = parse_liberty(fh.read())
+        net, lib = _c17()
         rows = []
         scalar = statistical._scalar_normals
 
@@ -270,9 +277,20 @@ def _oracle_rows(net, lib, wires, inputs, required, variation, seed, n,
     return rows
 
 
-def _bits(rows):
-    """Rows as text that tells every double apart (``repr`` round-trips)."""
-    return json.dumps(rows, sort_keys=True)
+def _bits(row):
+    """A row as text that tells every double apart (``repr`` round-trips)."""
+    return json.dumps(row, sort_keys=True)
+
+
+def _assert_rows(got, want, text=_bits):
+    """``text(got) == text(want)``, checked and reported row by row: a
+    failure names the first differing row instead of diffing two whole
+    sweeps' text."""
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        if text(g) != text(w):
+            pytest.fail(f"row {k} differs:\n  got  {text(g)}\n"
+                        f"  want {text(w)}", pytrace=False)
 
 
 def _per_q(values):
@@ -339,11 +357,7 @@ class TestBlockOracle:
     """Every row equals the scalar engine on that sample's scaled copy."""
 
     def test_c17_rows_bitwise(self):
-        data = os.path.join(os.path.dirname(__file__), "data")
-        with open(os.path.join(data, "c17.v")) as fh:
-            net = read_verilog(fh.read())
-        with open(os.path.join(data, "c17.lib")) as fh:
-            lib = parse_liberty(fh.read())
+        net, lib = _c17()
         inputs = {pi: InputSpec(slew=50e-12) for pi in net.primary_inputs}
         required = {po: 100e-12 for po in net.primary_outputs}
         res = run_sta_monte_carlo(net, lib, inputs=inputs,
@@ -352,17 +366,13 @@ class TestBlockOracle:
                                   execution=ExecutionConfig(workers=1))
         want = _oracle_rows(net, lib, {}, inputs, required, McVariation(),
                             1001, 500, tuple(net.primary_outputs))
-        assert _bits(res.rows) == _bits(want)
+        _assert_rows(res.rows, want)
 
     def test_c17_payload_and_stream_match_oracle_bytes(self):
         # Rows are derived from the sweep's columns: the JSON payload
         # and the streamed rows must equal the oracle's byte for byte,
         # key order included (no sort_keys).
-        data = os.path.join(os.path.dirname(__file__), "data")
-        with open(os.path.join(data, "c17.v")) as fh:
-            net = read_verilog(fh.read())
-        with open(os.path.join(data, "c17.lib")) as fh:
-            lib = parse_liberty(fh.read())
+        net, lib = _c17()
         inputs = {pi: InputSpec(slew=50e-12) for pi in net.primary_inputs}
         required = {po: 100e-12 for po in net.primary_outputs}
         seen = []
@@ -373,8 +383,8 @@ class TestBlockOracle:
                                   execution=ExecutionConfig(workers=1))
         want = _oracle_rows(net, lib, {}, inputs, required, McVariation(),
                             77, 300, tuple(net.primary_outputs))
-        assert json.dumps(res.to_dict()["rows"]) == json.dumps(want)
-        assert json.dumps(seen) == json.dumps(want)
+        _assert_rows(res.to_dict()["rows"], want, json.dumps)
+        _assert_rows(seen, want, json.dumps)
         assert all(type(r["worst_slack"]) is float for r in seen)
         watch = tuple(net.primary_outputs)
         assert json.dumps(res.quantiles) == json.dumps({
@@ -397,7 +407,7 @@ class TestBlockOracle:
                                   execution=ExecutionConfig(workers=1))
         want = _oracle_rows(net, lib, wires, inputs, required, variation,
                             5, 40, watch)
-        assert _bits(res.rows) == _bits(want)
+        _assert_rows(res.rows, want)
         assert len({r["arrival"]["y"] for r in res.rows}) > 1
 
     def test_grid_design_leaves_the_grid(self, grid_design):
@@ -417,19 +427,20 @@ class TestBlockOracle:
         net, lib, wires, inputs, required = grid_design
         runs = []
         for block in (1, 7, statistical._BLOCK):
-            monkeypatch.setattr(statistical, "_BLOCK", block)
+            pin_block(monkeypatch, block)
             res = run_sta_monte_carlo(
                 net, lib, wire_specs=wires, inputs=inputs,
                 required_times=required, samples=23, seed=9, journal=False,
                 execution=ExecutionConfig(workers=1))
             assert res.diag["jobs"] == -(-23 // block)
-            runs.append(_bits(res.rows))
-        assert runs[0] == runs[1] == runs[2]
+            runs.append(res.rows)
+        _assert_rows(runs[1], runs[0])
+        _assert_rows(runs[2], runs[0])
 
     def test_small_blocks_shard_bit_identical(self, grid_design,
                                               monkeypatch):
         net, lib, wires, inputs, required = grid_design
-        monkeypatch.setattr(statistical, "_BLOCK", 4)
+        pin_block(monkeypatch, 4)
 
         def run(execution):
             return run_sta_monte_carlo(
@@ -442,18 +453,14 @@ class TestBlockOracle:
         assert sharded.diag["jobs"] == 8
         assert sharded.diag["mode"] == "sharded" or \
             sharded.diag["fallback_shards"] >= 1
-        assert _bits(sharded.rows) == _bits(serial.rows)
+        _assert_rows(sharded.rows, serial.rows)
         assert sharded.quantiles == serial.quantiles
 
 
 class TestCompiledGraphReuse:
     def test_sweep_compiles_its_graph_once(self, monkeypatch):
         # One graph serves the fail-fast check and every block.
-        data = os.path.join(os.path.dirname(__file__), "data")
-        with open(os.path.join(data, "c17.v")) as fh:
-            net = read_verilog(fh.read())
-        with open(os.path.join(data, "c17.lib")) as fh:
-            lib = parse_liberty(fh.read())
+        net, lib = _c17()
         build = TimingGraph.build.__func__
         builds = []
 
@@ -462,7 +469,7 @@ class TestCompiledGraphReuse:
             return build(cls, netlist)
 
         monkeypatch.setattr(TimingGraph, "build", classmethod(counting))
-        monkeypatch.setattr(statistical, "_BLOCK", 4)
+        pin_block(monkeypatch, 4)
         for samples in (12, 40):  # 3 and 10 blocks
             builds.clear()
             res = run_sta_monte_carlo(
@@ -472,6 +479,91 @@ class TestCompiledGraphReuse:
                 execution=ExecutionConfig(workers=1))
             assert res.diag["jobs"] == samples // 4
             assert len(builds) == 1, len(builds)
+
+
+def _budgeted(net, lib, wires=None):
+    """A sweep's spec, compiled graph and budgeted block size, with
+    required times on and every primary output watched."""
+    spec = statistical._McSpec(
+        netlist=net, library=dict(lib), wire_specs=dict(wires or {}),
+        inputs={}, required_times={po: 1e-9 for po in net.primary_outputs},
+        variation=McVariation(), seed=0, watch=tuple(net.primary_outputs))
+    graph = TimingGraph.build(net)
+    return spec, graph, statistical._block_size(spec, graph)
+
+
+class TestBlockBudget:
+    """A block holds as many samples as fit the byte budget, never fewer
+    than the ``_BLOCK`` floor, and its size never changes a row."""
+
+    def test_c17_500_sample_sweep_is_one_block(self):
+        net, lib = _c17()
+        res = run_sta_monte_carlo(net, lib, samples=500, seed=1,
+                                  journal=False,
+                                  execution=ExecutionConfig(workers=2))
+        assert res.diag["jobs"] == 1
+        assert res.diag["mode"] == "serial"
+
+    def test_large_design_keeps_the_floor(self):
+        _net, lib = _c17()
+        net = _nand_netlist(2000)
+        assert _budgeted(net, lib)[2] == statistical._BLOCK == 256
+        res = run_sta_monte_carlo(net, lib, samples=257, seed=1,
+                                  journal=False,
+                                  execution=ExecutionConfig(workers=1))
+        assert res.diag["jobs"] == 2
+
+    @pytest.mark.parametrize("gates,wired", [
+        (0, False), (0, True), (60, False), (60, True)])
+    def test_block_arrays_fit_the_budget(self, gates, wired):
+        # Above the floor, the block's arrays, temporaries included,
+        # stay within the budget and fill at least half of it.
+        net, lib = _c17()
+        if gates:
+            net = _nand_netlist(gates)
+        wires = {n: RcLineSpec(total_r=200.0, total_c=5e-15, n_segments=3)
+                 for n in net.nets if n not in net.primary_inputs} \
+            if wired else {}
+        spec, graph, size = _budgeted(net, lib, wires)
+        assert size > statistical._BLOCK
+        statistical._evaluate(spec, graph, range(8))  # one-time tables
+        tracemalloc.start()
+        try:
+            statistical._evaluate(spec, graph, range(size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert statistical._BLOCK_BYTES / 2 <= peak \
+            <= statistical._BLOCK_BYTES, (size, peak)
+
+    @pytest.mark.parametrize("workers,min_pool_jobs", [(1, 4), (2, 2)],
+                             ids=["serial", "pool"])
+    def test_budgeted_blocks_match_floor_blocks(self, workers,
+                                                min_pool_jobs, monkeypatch):
+        net, lib = _c17()
+        inputs = {pi: InputSpec(slew=50e-12) for pi in net.primary_inputs}
+        required = {po: 100e-12 for po in net.primary_outputs}
+        samples = _budgeted(net, lib)[2] + 300  # two budgeted blocks
+        execution = ExecutionConfig(workers=workers,
+                                    min_pool_jobs=min_pool_jobs)
+
+        def run():
+            res = run_sta_monte_carlo(
+                net, lib, inputs=inputs, required_times=required,
+                samples=samples, seed=21, journal=False,
+                execution=execution)
+            assert res.diag["mode"] == ("serial" if workers == 1 else
+                                        "sharded") or \
+                res.diag["fallback_shards"] >= 1
+            return res
+
+        budgeted = run()
+        pin_block(monkeypatch, 256)
+        floor = run()
+        assert budgeted.diag["jobs"] == 2
+        assert floor.diag["jobs"] == -(-samples // 256)
+        _assert_rows(budgeted.rows, floor.rows)
+        assert json.dumps(budgeted.quantiles) == json.dumps(floor.quantiles)
 
 
 def _bad_design(kind):

@@ -109,12 +109,18 @@ def check_golden(netlist, library, delays, golden) -> None:
           f"3 SDF corners)")
 
 
-def mc_samples() -> int:
-    from repro.sta.statistical import _BLOCK
-    return MIN_POOL_JOBS * _BLOCK
+def mc_samples(netlist, library) -> int:
+    """``MIN_POOL_JOBS`` of the sweep's blocks, as sized for c17."""
+    from repro.sta.graph import TimingGraph
+    from repro.sta.statistical import McVariation, _block_size, _McSpec
+
+    spec = _McSpec(netlist=netlist, library=dict(library), wire_specs={},
+                   inputs={}, required_times={}, variation=McVariation(),
+                   seed=MC_SEED, watch=tuple(netlist.primary_outputs))
+    return MIN_POOL_JOBS * _block_size(spec, TimingGraph.build(netlist))
 
 
-def run_mc(netlist, library, workers: int):
+def run_mc(netlist, library, workers: int, samples: int):
     from repro.exec import ExecutionConfig
     from repro.sta import InputSpec, run_sta_monte_carlo
 
@@ -124,12 +130,12 @@ def run_mc(netlist, library, workers: int):
     t0 = time.perf_counter()
     result = run_sta_monte_carlo(netlist, library, inputs=inputs,
                                  required_times=required,
-                                 samples=mc_samples(), seed=MC_SEED,
+                                 samples=samples, seed=MC_SEED,
                                  execution=execution)
     return result, time.perf_counter() - t0
 
 
-def check_sampler(netlist, library) -> None:
+def check_sampler(netlist, library, samples: int) -> None:
     """The sweep's factors against each sample's ``default_rng`` stream.
 
     Runs before the timed sweeps, so neither pays the sampler's one-time
@@ -144,7 +150,7 @@ def check_sampler(netlist, library) -> None:
                    inputs={}, required_times={}, variation=McVariation(),
                    seed=MC_SEED, watch=())
     cells = sorted(spec.library)
-    scale, _wires = _draw_block(spec, range(mc_samples()))
+    scale, _wires = _draw_block(spec, range(samples))
     got = np.stack([scale[name] for name in cells], axis=1)
     sigma = spec.variation.sigma_cell
     for i, row in enumerate(got):
@@ -154,7 +160,7 @@ def check_sampler(netlist, library) -> None:
             fail(f"sampler mismatch at sample {i}: block factors "
                  f"{row.tolist()} != per-sample stream {want.tolist()} "
                  f"(NumPy {np.__version__} changed PCG64 or the ziggurat?)")
-    print(f"sta-corpus-smoke: {mc_samples()}-sample factors equal the "
+    print(f"sta-corpus-smoke: {samples}-sample factors equal the "
           f"per-sample streams bit for bit")
 
 
@@ -167,9 +173,10 @@ def main(argv: "list[str] | None" = None) -> int:
     netlist, library, delays, golden = load_corpus()
     check_golden(netlist, library, delays, golden)
 
-    check_sampler(netlist, library)
-    serial, t_serial = run_mc(netlist, library, workers=1)
-    sharded, t_sharded = run_mc(netlist, library, workers=2)
+    samples = mc_samples(netlist, library)
+    check_sampler(netlist, library, samples)
+    serial, t_serial = run_mc(netlist, library, workers=1, samples=samples)
+    sharded, t_sharded = run_mc(netlist, library, workers=2, samples=samples)
     blob_serial = json.dumps(serial.quantiles, sort_keys=True)
     blob_sharded = json.dumps(sharded.quantiles, sort_keys=True)
     if blob_serial != blob_sharded:
@@ -183,13 +190,13 @@ def main(argv: "list[str] | None" = None) -> int:
     if fallbacks:
         print(f"sta-corpus-smoke: note: sharded run fell back on "
               f"{fallbacks} shard(s)")
-    print(f"sta-corpus-smoke: {mc_samples()}-sample MC quantiles bit-identical "
+    print(f"sta-corpus-smoke: {samples}-sample MC quantiles bit-identical "
           f"across 1 and 2 workers (serial {t_serial:.2f}s, "
           f"sharded {t_sharded:.2f}s, mode {sharded.diag.get('mode')})")
 
     payload = {
         "design": netlist.name,
-        "samples": mc_samples(),
+        "samples": samples,
         "seed": MC_SEED,
         "quantiles": serial.quantiles,
         "seconds": {"serial": t_serial, "sharded": t_sharded},
