@@ -28,6 +28,7 @@ from repro.library.liberty import parse_liberty
 from repro.sta import InputSpec, read_verilog, run_sta_monte_carlo
 from repro.service import ServiceClient, ServiceSettings, serve_in_thread
 from repro.service.protocol import encode
+from tests.helpers import pin_block
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +54,8 @@ def _jobs(n: int) -> list:
 
 
 def _c17_sweep(execution):
-    """A 512-sample c17 Monte-Carlo sweep: two blocks, so two chunks."""
+    """A 512-sample c17 Monte-Carlo sweep.  Under ``pin_block(monkeypatch,
+    256)`` that is two blocks, so two chunks at ``workers=2``."""
     data = Path(__file__).parent / "data"
     net = read_verilog((data / "c17.v").read_text(encoding="utf-8"))
     lib = parse_liberty((data / "c17.lib").read_text(encoding="utf-8"))
@@ -126,34 +128,41 @@ class TestPoolChaos:
             assert diag["timeout_shards"] == diag["shards"]
             assert diag["fallback_shards"] == diag["shards"]
 
-    def test_indexed_crashes_reconcile_with_plan(self):
+    def test_indexed_crashes_reconcile_with_plan(self, monkeypatch):
         # The token of a run_indexed chunk is its first index; seed 1
         # crashes the second of the sweep's two chunks and spares the first.
         spec = "seed=1; pool.indexed=crash:p=0.5"
+        pin_block(monkeypatch, 256)
         serial = _c17_sweep(ExecutionConfig(workers=1))
         with injected(spec):
             res = _c17_sweep(ExecutionConfig(workers=2, min_pool_jobs=2))
         assert json.dumps(res.rows) == json.dumps(serial.rows)
         assert json.dumps(res.quantiles) == json.dumps(serial.quantiles)
-        if res.diag["mode"] == "sharded":
-            plan = FaultPlan.parse(spec)
-            predicted = sum(
-                1 for first in (0, 1)
-                if would_fire(plan, "pool.indexed", first) is not None)
-            assert predicted == 1
-            assert res.diag["shards"] == 2
-            assert res.diag["fallback_shards"] == predicted
+        assert res.diag["jobs"] == 2
+        if res.diag["mode"] != "sharded":
+            # No pool could be made: both chunks fell back inline.
+            assert res.diag["fallback_shards"] == 2
+            return
+        plan = FaultPlan.parse(spec)
+        predicted = sum(
+            1 for first in (0, 1)
+            if would_fire(plan, "pool.indexed", first) is not None)
+        assert predicted == 1
+        assert res.diag["shards"] == 2
+        assert res.diag["fallback_shards"] == predicted
 
-    def test_wedged_indexed_chunks_hit_the_deadline(self):
+    def test_wedged_indexed_chunks_hit_the_deadline(self, monkeypatch):
+        pin_block(monkeypatch, 256)
         serial = _c17_sweep(ExecutionConfig(workers=1))
         with injected("pool.indexed=wedge:arg=30"):
             res = _c17_sweep(ExecutionConfig(workers=2, min_pool_jobs=2,
                                              shard_timeout=0.3))
         assert json.dumps(res.quantiles) == json.dumps(serial.quantiles)
+        assert res.diag["jobs"] == 2
+        assert res.diag["fallback_shards"] == 2
         if res.diag["mode"] == "sharded":
             assert res.diag["shards"] == 2
             assert res.diag["timeout_shards"] == 2
-            assert res.diag["fallback_shards"] == 2
 
 
 # ----------------------------------------------------------------------

