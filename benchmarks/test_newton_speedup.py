@@ -63,9 +63,11 @@ def _stimuli(tb) -> list[BatchStimulus]:
 
 
 def _run(tb, backend: str):
+    # The fixed grid (max_step = DT): the work counts assume every step
+    # is one base step.
     return simulate_transient_batch(
         tb.circuit, _stimuli(tb), t_stop=T_STOP, dt=DT,
-        options=TransientOptions(backend=backend))
+        options=TransientOptions(backend=backend, max_step=DT))
 
 
 def test_sparse_newton_lifts_the_gate_netlist_ceiling():

@@ -36,8 +36,8 @@ def timing():
 
 
 def _table1(n_cases, timing, execution):
-    # Fixed-grid stepping pinned so the sweep is the same workload
-    # regardless of REPRO_ADAPTIVE.
+    # Pinned to the fixed grid (max_step = dt): every variant's rows are
+    # independent of its stack mates there.
     return run_table1(CONFIG_I, n_cases=n_cases, timing=timing,
                       execution=execution, adaptive=False)
 

@@ -68,9 +68,11 @@ def _stimuli() -> list[BatchStimulus]:
 
 
 def _run(circuit: Circuit, backend: str):
+    # The fixed grid (max_step = DT): the work counts assume every step
+    # is one base step.
     return simulate_transient_batch(
         circuit, _stimuli(), t_stop=T_STOP, dt=DT,
-        options=TransientOptions(backend=backend))
+        options=TransientOptions(backend=backend, max_step=DT))
 
 
 def test_structured_solves_lift_the_node_count_ceiling():

@@ -103,9 +103,6 @@ KNOBS: dict[str, Knob] = {k.name: k for k in (
          "store size budget (LRU eviction)", "512 MiB"),
     Knob("REPRO_CASES", _int_at_least(2), None,
          "sweep density of the experiment harnesses", "`24`"),
-    Knob("REPRO_ADAPTIVE", _flag, False,
-         "LTE-controlled adaptive stepping for drivers that don't pin a mode",
-         "unset (off)"),
     Knob("REPRO_PHASE_TIMERS", _flag, False,
          "per-phase wall-clock breakdown in `stats[\"phase_seconds\"]`",
          "unset (off)"),

@@ -249,10 +249,20 @@ class DenseLu:
             raise np.linalg.LinAlgError(
                 "dense LU factorization hit an exactly zero pivot "
                 "(singular matrix)")
-        self._lu_solve = linalg.lu_solve
+        # LAPACK's getrs straight, as lu_solve calls it: the same bits
+        # without its per-call finiteness scans and batch dispatch, which
+        # cost ten times the solve of a paper-scale RC network.
+        self._dgetrs = linalg.lapack.dgetrs
+
+    def _sweep(self, cols: np.ndarray) -> np.ndarray:
+        x, info = self._dgetrs(*self._lu, cols)
+        if info != 0:  # pragma: no cover - getrs only fails on bad args
+            raise np.linalg.LinAlgError(
+                f"dense LU solve failed (getrs info={info})")
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _solve_columns(lambda cols: self._lu_solve(self._lu, cols), rhs)
+        return _solve_columns(self._sweep, rhs)
 
 
 class SparseLu:

@@ -1,15 +1,17 @@
 """Nonlinear transient analysis.
 
-Fixed-step trapezoidal integration with Newton–Raphson at every step, the
-workhorse of this reproduction: it plays the role Hspice plays in the
-paper.  Capacitors use trapezoidal companion models (second-order
-accurate); MOSFETs are linearised per Newton iteration via
-:meth:`~repro.circuit.mna.MnaSystem.stamp_mosfets`.  When a step fails to
-converge it is retried with recursive step halving.
+Trapezoidal integration with Newton–Raphson at every step, the workhorse
+of this reproduction: it plays the role Hspice plays in the paper.
+Capacitors use trapezoidal companion models (second-order accurate);
+MOSFETs are linearised per Newton iteration via
+:meth:`~repro.circuit.mna.MnaSystem.stamp_mosfets`.  Steps are chosen by
+local-truncation-error control on the caller's base grid; a base step
+that fails to converge is retried with recursive step halving.
 
-The step size is chosen by the caller; the experiments use 1–2 ps, which
-resolves 150 ps slews and crosstalk pulses comfortably (validated against
-analytic RC responses and ``scipy`` reference integrations in the tests).
+The base step ``dt`` is chosen by the caller; the experiments use 1–2
+ps, which resolves 150 ps slews and crosstalk pulses comfortably
+(validated against analytic RC responses and ``scipy`` reference
+integrations in the tests).
 
 Stacked simulation
 ------------------
@@ -29,22 +31,17 @@ together so the per-step Python cost is paid once per stack:
   and solver options); each group is one stack.
 * :func:`simulate_transient` — one circuit, a stack of one.
 
-In fixed-grid mode a variant's result does not depend on its stack
-mates (to <1e-9 V): the Newton loop freezes converged variants and
-applies the convergence and voltage-limiting tests per variant, and the
-variants whose step fails to converge are recovered by recursive step
-halving as a sub-stack of their own.  Variants may have different
-``t_stop`` values (sharing ``t_start``/``dt``); each result is truncated
-to its own window.  (For the adaptive mode's grouping contract see
-*Adaptive time stepping* below.)
+The Newton loop freezes converged variants and applies the convergence
+and voltage-limiting tests per variant, and the variants whose base step
+fails to converge are recovered by recursive step halving as a
+sub-stack of their own.  Variants may have different ``t_stop`` values
+(sharing ``t_start``/``dt``); each result is truncated to its own
+window.
 
-Adaptive time stepping
-----------------------
-``TransientOptions(adaptive=True)`` switches both engines to
-local-truncation-error-controlled step selection.  The solver still
-*lives on* the caller's base grid — every accepted time point is
-``t_start + k·dt`` for an integer ``k``, so adaptive results are a
-sub-grid of the fixed-grid reference — but in quiet stretches it takes
+Time stepping
+-------------
+The solver *lives on* the caller's base grid — every accepted time point
+is ``t_start + k·dt`` for an integer ``k`` — and in quiet stretches takes
 strides of ``2**level`` base steps at a time.  Acceptance is governed by
 a predictor/corrector difference: the trapezoidal solution of each trial
 step is compared against the linear extrapolation of the two previous
@@ -55,44 +52,63 @@ rung at a time only after ``_GROW_AFTER`` consecutive accepted steps
 whose estimate stayed below ``_GROW_FRACTION`` of the tolerance — a
 PI-flavoured controller: proportional shrink, integrating growth.
 
-Base-``dt`` steps are always accepted (the fixed grid is the accuracy
-reference; adaptive mode must never be *worse* than it): up to the
-first grown stride the adaptive run is bit-identical to the fixed grid,
-and later base-stepped stretches apply the identical per-step Newton
-recursion from a state within the LTE tolerance of the fixed-grid one.  Growth is additionally fenced by *source barriers* —
-base-grid indices of every significant stimulus corner (PWL/ramp
-corners, the active span of sampled-waveform sources) — which a stride
-may never cross: landing on a barrier resets the ladder, so a late
-aggressor can never be stepped over and sharp activity onsets always
-restart at base resolution.  Between corners the LTE tests alone govern
-the stride — a long, gentle slew whose response passes them may be
-strided over (still within tolerance) — while the fast transitions of
+``TransientOptions.max_step`` caps the ladder at ``dt·2**rungs`` (see
+:attr:`TransientJob.stride_rungs`).  ``max_step = dt`` leaves no rung to
+climb: that is the *fixed grid*, the accuracy reference.  It takes every
+base step, forms no LTE estimate and keeps no history, so its results
+live on ``t_start + dt·arange(n + 1)`` and a variant's result does not
+depend on its stack mates (to <1e-9 V).
+
+Base-``dt`` steps are always accepted (a grown run must never be
+*worse* than the fixed grid): up to the first grown stride a run is
+bit-identical to the fixed grid, and later base-stepped stretches apply
+the identical per-step Newton recursion from a state within the LTE
+tolerance of the fixed-grid one.  Growth is additionally fenced by
+*source barriers* — base-grid indices of every significant stimulus
+corner (PWL/ramp corners, the active span of sampled-waveform sources) —
+which a stride may never cross: landing on a barrier resets the ladder,
+so a late aggressor can never be stepped over and sharp activity onsets
+always restart at base resolution.  Between corners the LTE tests alone
+govern the stride — a long, gentle slew whose response passes them may
+be strided over (still within tolerance) — while the fast transitions of
 the experiments hold the engine at base ``dt``, and the grown strides
 concentrate in the settled tails that dominate ``t_stop ≫ transition``
 windows.
 
 A stack advances in lockstep on the minimum accepted stride (one
 variant's rejection shrinks the step for all), which keeps the stacked
-solves and the step-matrix cache shared.  Consequence: a job's accepted
-grid depends on its group membership, so the adaptive contract between
-a job run alone and the same job inside a group is "both within the LTE
-tolerance of the golden fixed grid" (pinned by the golden-grid harness
-in ``tests/test_adaptive_stepping.py``) rather than the fixed-grid
-engine's <1e-9 V contract.  The shard scheduler keeps adaptive groups
-whole for the same reason, which preserves the sharded ≡ serial
-equivalence bit for bit.
+solves and the step-matrix cache shared.  Consequence: where strides can
+grow, a job's accepted grid depends on its group membership, so the
+contract between a job run alone and the same job inside a group is
+"both within the LTE tolerance of the fixed grid" (pinned by the
+golden-grid harness in ``tests/test_adaptive_stepping.py``) rather than
+the fixed grid's <1e-9 V contract.  The shard scheduler keeps groups
+whole, which preserves the sharded ≡ serial equivalence bit for bit.
+
+Capacitor history
+-----------------
+The trapezoidal history is threaded in base-step form ``s = G·v_cap +
+i_cap`` (``G = 2C/dt``; ``i_cap = 0`` at DC or UIC).  A stride of ``m``
+base steps injects the companion current ``ieq = s − (1 − 1/m)·G·v_cap``
+and leaves ``s' = (1 + 1/m)·G·v_cap' − ieq``; a base step is the plain
+identity ``s' = 2·G·v_cap' − s`` — one gather and one fused
+multiply-add per step.  Linear (MOSFET-free) groups thread it in node
+space, ``r' = 2·S·x' − r`` with ``S`` the sparse companion-conductance
+matrix, so the whole per-step cost outside the solve is one sparse
+matvec, independent of the capacitor count.  Step halving recovers
+``i_cap`` from ``s`` and threads it through the half steps.
 
 Matrix caching
 --------------
 The linear system matrix with capacitor companion conductances is constant
 per step size.  It is cached keyed on the *quantised step value*: every
-step the engines take is ``dt·m`` for a small integer or ``dt/2**depth``
+step the engine takes is ``dt·m`` for a small integer or ``dt/2**depth``
 from halving — exact binary/ladder scalings of the base step, so equal
 steps produce bit-identical keys and repeated halvings (or repeated
 strides at one ladder rung) hit the cache deterministically.  The cache
-is a bounded LRU (``_STEP_CACHE_ENTRIES``), since the adaptive ladder
+is a bounded LRU (``_STEP_CACHE_ENTRIES``), since the stride ladder
 plus barrier-clamped strides can visit more step sizes than the
-fixed-grid engine's halving depths.  For MOSFET-free circuits
+halving depths.  For MOSFET-free circuits
 (RC/interconnect networks) the cached entry also carries a factorisation
 that is reused across all steps and variants.
 
@@ -133,11 +149,7 @@ just passive lines.
 DC operating points take the same treatment:
 :func:`~repro.circuit.dc.dc_operating_point_batch` solves every
 variant's initial state in one stacked pass, on the backend and Newton
-kernel this engine selects.  Linear (MOSFET-free) groups additionally
-thread their trapezoidal capacitor history in node space — ``r' =
-2·S·x' − r`` with ``S`` the sparse companion-conductance matrix — so the
-whole per-step cost outside the solve is one sparse matvec, independent
-of the capacitor count.
+kernel this engine selects.
 """
 
 from __future__ import annotations
@@ -173,26 +185,11 @@ __all__ = [
     "simulate_transient_batch",
     "simulate_transient_many",
     "job_group_key",
-    "resolve_adaptive",
 ]
 
 
 class ConvergenceError(RuntimeError):
     """Raised when Newton iteration fails even after step halving."""
-
-
-def resolve_adaptive(flag: "bool | None" = None) -> bool:
-    """Resolve an adaptive-stepping request against the environment.
-
-    ``True``/``False`` pass through; ``None`` means "let the environment
-    decide": the ``REPRO_ADAPTIVE`` knob (``1``/``true``/``yes``/``on``;
-    declared in :mod:`repro._knobs`) enables LTE-controlled stepping for
-    every driver that did not pin a mode explicitly.  Read per call so
-    tests can monkeypatch the environment.
-    """
-    if flag is not None:
-        return bool(flag)
-    return knob("REPRO_ADAPTIVE")
 
 
 @dataclass(frozen=True)
@@ -217,20 +214,17 @@ class TransientOptions:
         block-bordered Newton kernel where a core/border partition
         exists; every other case, ``"sparse"`` included, runs dense
         Newton.
-    adaptive:
-        ``True`` enables LTE-controlled adaptive time stepping (see the
-        module docstring).  The result then lives on a non-uniform
-        sub-grid of the base ``dt`` grid.
     lte_rtol, lte_atol:
         Per-node weight of the local-truncation-error test: a trial
         stride is accepted when the predictor/corrector difference stays
         below ``lte_atol + lte_rtol·|v|`` everywhere.  The defaults keep
-        adaptive runs within ~1e-6·Vdd of the fixed grid.
+        grown strides within ~1e-6·Vdd of the fixed grid.
     max_step:
         Upper bound on a grown step (seconds); ``0.0`` (default) means
-        ``dt · 2**_DEFAULT_GROWTH_RUNGS``.  The base ``dt`` is the floor
-        of every step, so a positive value below ``dt`` is rejected at
-        simulation time.
+        ``dt · 2**_DEFAULT_GROWTH_RUNGS``.  ``max_step = dt`` is the
+        fixed grid (see the module docstring).  The base ``dt`` is the
+        floor of every step, so a positive value below ``dt`` is
+        rejected at simulation time.
     min_step:
         Lower bound on Newton-failure step halving (seconds); ``0.0``
         (default) leaves ``max_halvings`` as the only floor.
@@ -241,7 +235,6 @@ class TransientOptions:
     max_halvings: int = 10
     v_limit: float = 0.6
     backend: str = "auto"
-    adaptive: bool = False
     lte_rtol: float = 5e-7
     lte_atol: float = 2e-7
     max_step: float = 0.0
@@ -263,14 +256,14 @@ class TransientResult:
     Access node waveforms with :meth:`waveform` or dictionary-style with
     :meth:`voltage_samples`.  ``stats`` carries solver diagnostics of the
     stack the result was solved in (``newton_iters``, ``halvings``,
-    ``matrix_builds``, ``batch_size``; adaptive runs add
-    ``adaptive``/``lte_rejects``).  ``newton_iters`` counts passes of the
+    ``matrix_builds``, ``batch_size``, ``steps_accepted``,
+    ``lte_rejects``, ``newton_rejects``).  ``newton_iters`` counts passes of the
     stacked Newton loop — one pass advances every still-active variant of
     the stack — and ``halvings`` counts once per variant per halving.
 
-    The time axis is *not* necessarily uniform: LTE-controlled runs
-    (``TransientOptions.adaptive``) report the accepted non-uniform
-    sub-grid of the base step.  Every accessor is grid-agnostic —
+    The time axis is *not* necessarily uniform: a run whose strides grow
+    (any ``TransientOptions.max_step`` but ``dt``) reports the accepted
+    non-uniform sub-grid of the base step.  Every accessor is grid-agnostic —
     :meth:`waveform` returns a piecewise-linear record over the actual
     sample times, :meth:`final_voltages` and :meth:`branch_current` read
     rows directly, and :meth:`voltages_at` resamples a node onto any
@@ -326,7 +319,7 @@ class TransientResult:
     def voltages_at(self, node: str, times: np.ndarray) -> np.ndarray:
         """Node voltages linearly resampled onto an arbitrary time axis.
 
-        The common-axis accessor of the golden-grid comparisons: adaptive
+        The common-axis accessor of the golden-grid comparisons: strided
         and fixed-grid results of the same circuit can be differenced on
         any shared grid regardless of their native sampling.
         """
@@ -355,6 +348,24 @@ class TransientJob:
         """Run this job alone: a stack of one through
         :func:`simulate_transient_many`."""
         return simulate_transient_many([self])[0]
+
+    @property
+    def stride_rungs(self) -> int:
+        """Rungs the stride ladder may climb: strides reach ``dt·2**rungs``.
+
+        A ``max_step`` below ``2·dt`` (``max_step = dt``) leaves none:
+        the fixed grid.  Unset, the ladder has ``_DEFAULT_GROWTH_RUNGS``.
+        A positive ``max_step`` below ``dt`` cannot bound anything (the
+        base grid is the floor of every step) and is rejected.
+        """
+        max_step = (self.options or TransientOptions()).max_step
+        if max_step == 0.0:
+            return _DEFAULT_GROWTH_RUNGS
+        require(max_step >= self.dt,
+                f"max_step ({max_step:.3e}s) below the base step "
+                f"({self.dt:.3e}s) cannot bound anything: the base grid is "
+                f"the floor of every step")
+        return int(math.floor(math.log2(max_step / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -399,18 +410,21 @@ def _cap_stamp_matrix(mna: MnaSystem, a: np.ndarray, h: float) -> np.ndarray:
 _SPARSE_CAP_CELLS = 32768
 
 
-#: Bound on live `_StepMatrixCache` entries.  The fixed-grid engine only
-#: ever visits `max_halvings + 1` step sizes; the adaptive ladder plus
+#: Bound on live `_StepMatrixCache` entries.  The fixed grid only ever
+#: visits `max_halvings + 1` step sizes; the stride ladder plus
 #: barrier-clamped strides can visit more, so entries are LRU-evicted
 #: past this count (factorisations for revisited rungs rebuild cheaply).
 _STEP_CACHE_ENTRIES = 16
+
+#: The empty row selection: no variant failed its Newton step.
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _phase_timers() -> "dict | None":
     """A fresh phase-timer dict, or ``None`` when timing is disabled.
 
     ``REPRO_PHASE_TIMERS=1`` (declared in :mod:`repro._knobs`) turns it
-    on; the engines then publish ``stats["phase_seconds"]`` with
+    on; the engine then publishes ``stats["phase_seconds"]`` with
     ``factor`` (matrix builds and factorizations), ``stamp``
     (companion/rhs assembly), ``device_eval`` (MOSFET linearisation and
     stamping, on every Newton path), ``solve`` (linear solves),
@@ -435,12 +449,10 @@ def _phase_close(timers: "dict | None", stats: dict, t_start: float) -> None:
 class _StepMatrixCache:
     """Companion-stamped matrices keyed on the quantised step value.
 
-    Every step either engine takes is an exact scaling of the base step
-    — ``dt·m`` for an integer stride of the adaptive ladder, ``dt/2**k``
-    from Newton-failure halving — so equal steps reproduce bit-identical
-    ``h`` floats and the float key is deterministic (the pre-adaptive
-    cache keyed on the integer halving depth, which the growth ladder
-    cannot express).  Entries are LRU-bounded at
+    Every step the engine takes is an exact scaling of the base step
+    — ``dt·m`` for an integer stride of the ladder, ``dt/2**k`` from
+    Newton-failure halving — so equal steps reproduce bit-identical
+    ``h`` floats and the float key is deterministic.  Entries are LRU-bounded at
     :data:`_STEP_CACHE_ENTRIES`.  For MOSFET-free circuits each entry
     carries a factorisation — dense, banded or sparse LU, resolved once
     per topology from the sparsity pattern (see the module docstring) —
@@ -478,7 +490,7 @@ class _StepMatrixCache:
         """``(B, size) → (B, size)`` product with the full-step companion
         conductance matrix ``S = Incᵀ·diag(2C/dt)·Inc``.
 
-        The linear (MOSFET-free) engine threads its capacitor history
+        Linear (MOSFET-free) groups thread their capacitor history
         entirely in node space — ``r' = 2·S·x' − r`` — so the per-step
         cost is one sparse matvec regardless of the capacitor count,
         instead of a gather + scale + scatter over every capacitor.
@@ -569,7 +581,7 @@ class _StepMatrixCache:
     def cap_scatter(self, ieq: np.ndarray) -> np.ndarray:
         """Companion currents ``(B, n_caps)`` scattered onto ``(B, size)``."""
         if self._scatter is None:
-            # Built on first use only (the linear engine never scatters —
+            # Built on first use only (linear groups never scatter —
             # it threads node-space state through cap_s_matvec instead).
             # Large RC bundles get a pre-transposed CSR of the incidence,
             # since `.T` per step would rebuild it and the dense matmul
@@ -608,8 +620,11 @@ def simulate_transient(
     t_stop:
         End time (seconds); must exceed ``t_start``.
     dt:
-        Output/base time step.  The solver subdivides internally when
-        Newton struggles, but reports results on this uniform grid.
+        Base time step: every reported time is ``t_start + k·dt``.  The
+        solver strides over several base steps where the LTE test allows
+        (``options.max_step`` caps the stride; ``max_step = dt`` reports
+        every base step) and subdivides a base step internally when
+        Newton struggles.
     t_start:
         Start time of the analysis window.
     initial_voltages:
@@ -686,198 +701,6 @@ def _halve(
     return x, i_cap
 
 
-def _advance_batch(
-    mnas: Sequence[MnaSystem],
-    cache: _StepMatrixCache,
-    x_prev: np.ndarray,
-    ieq_prev: np.ndarray,
-    t_prev: float,
-    rhs: np.ndarray,
-    opts: TransientOptions,
-    stats: dict,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stacked trapezoidal Newton step for every variant in ``mnas``.
-
-    The *nonlinear* (MOSFET) step of the fixed-grid engine — linear
-    groups take the node-space recursion inside :func:`_simulate_group`
-    instead.  ``rhs`` carries the source right-hand sides at the step's
-    end time (one row per variant); it is owned by this call and
-    overwritten with the capacitor companion currents.  ``ieq_prev`` is
-    the threaded companion-current state ``geq·v_cap + i_cap`` at
-    ``x_prev``: the trapezoidal identity ``ieq_new = 2·geq·v_cap_new −
-    ieq_prev`` makes it the only capacitor history the full-step
-    recursion needs (one gather and one fused multiply-add per step,
-    instead of maintaining ``i_cap`` and ``v_cap`` separately).  The
-    variants whose Newton iteration fails are recovered together by
-    :func:`_halve`; the rest advance at the full step.  Returns
-    ``(x_new, ieq_new)``.
-    """
-    mna0 = cache.mna
-    a_base, _, h = cache.get_h(cache.base_dt)
-    geq = 2.0 * mna0.cap_c / h
-    timers = cache.timers
-    t0 = perf_counter() if timers is not None else 0.0
-    if mna0.n_caps:
-        rhs += cache.cap_scatter(ieq_prev)
-    _lap(timers, "stamp", t0)
-
-    x_new, ok = stacked_newton(
-        mna0, a_base, rhs, x_prev, abstol=opts.abstol,
-        max_iter=opts.max_newton, v_limit=opts.v_limit,
-        require_unlimited=True, stats=stats, kernel=cache.newton_kernel(h))
-    t0 = perf_counter() if timers is not None else 0.0
-    ieq_new = 2.0 * geq * cache.cap_gather(x_new) - ieq_prev
-    _lap(timers, "stamp", t0)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        # Halving threads i_cap: recover it from the threaded ieq, and
-        # rebuild ieq from the half-step history it returns.
-        i_cap = ieq_prev[bad] - geq * cache.cap_gather(x_prev[bad])
-        x_bad, i_bad = _halve([mnas[k] for k in bad], cache, x_prev[bad],
-                              i_cap, t_prev, h, opts, stats,
-                              opts.max_halvings)
-        x_new[bad] = x_bad
-        ieq_new[bad] = geq * cache.cap_gather(x_bad) + i_bad
-    return x_new, ieq_new
-
-
-def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem],
-                 stats: dict):
-    """Shared preamble of the fixed-grid and adaptive group engines.
-
-    Validates every job's window, solves the group's initial states in
-    one stacked DC pass, its Newton fallbacks counted in ``stats`` (or
-    applies UIC seeds — grouping guarantees a uniform ``use_ic`` flag),
-    and precomputes the compact source series for every full base step —
-    on the structurally nonzero rhs rows only (the full ``(B, T, size)``
-    series would be O(T · size) mostly-zero memory).  Returns ``(opts,
-    steps_arr, times, x, src_cols, src_vals)``.
-    """
-    job0 = jobs[0]
-    mna0 = mnas[0]
-    dt = job0.dt
-    t_start = job0.t_start
-    opts = job0.options or TransientOptions()
-    require(dt > 0.0, "dt must be positive")
-
-    n_steps = []
-    for job in jobs:
-        require(job.t_stop > t_start, "t_stop must exceed t_start")
-        n = int(round((job.t_stop - t_start) / dt))
-        require(n >= 1, "simulation window shorter than one step")
-        n_steps.append(n)
-    steps_arr = np.asarray(n_steps)
-    n_max = int(steps_arr.max())
-    times = t_start + dt * np.arange(n_max + 1)
-
-    batch = len(jobs)
-    if job0.use_ic:
-        x = np.zeros((batch, mna0.size))
-        for b, job in enumerate(jobs):
-            mna0.seed_vector(job.initial_voltages, out=x[b])
-    else:
-        dc = dc_operating_point_batch(
-            [job.circuit for job in jobs], at_time=t_start,
-            initial_voltages=[job.initial_voltages for job in jobs],
-            mnas=mnas, backend=opts.backend, stats=stats)
-        x = np.stack([r.solution for r in dc])
-
-    src_cols = mna0.source_rhs_columns()
-    src_vals = np.empty((batch, n_max, src_cols.size))
-    for b, mna in enumerate(mnas):
-        src_vals[b] = mna.source_rhs_series_compact(times[1:], src_cols)[1]
-    return opts, steps_arr, times, x, src_cols, src_vals
-
-
-def _simulate_group(jobs: Sequence[TransientJob],
-                    mnas: Sequence[MnaSystem]) -> list[TransientResult]:
-    """The engine: one stack of ``B ≥ 1`` topology-compatible jobs (shared
-    t_start/dt/options), fixed-grid or adaptive."""
-    job0 = jobs[0]
-    mna0 = mnas[0]
-    opts0 = job0.options or TransientOptions()
-    if opts0.adaptive:
-        return _simulate_adaptive(jobs, mnas)
-    dt = job0.dt
-    batch = len(jobs)
-    stats = _new_stats(batch_size=batch)
-    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(
-        jobs, mnas, stats)
-    n_steps = steps_arr.tolist()
-    n_max = int(steps_arr.max())
-
-    solutions = np.empty((batch, n_max + 1, mna0.size))
-    solutions[:, 0] = x
-    timers = _phase_timers()
-    t_engine = perf_counter() if timers is not None else 0.0
-    cache = _StepMatrixCache(mna0, dt, backend=opts.backend, timers=timers)
-    if timers is not None:
-        stats["phase_seconds"] = timers
-
-    # Halved substeps (rare) evaluate their intermediate source times on
-    # demand; full steps read the precomputed compact series.
-    def step_rhs(rows: np.ndarray | None, step: int) -> np.ndarray:
-        vals = src_vals[:, step] if rows is None else src_vals[rows, step]
-        rhs = np.zeros((vals.shape[0], mna0.size))
-        rhs[:, src_cols] = vals
-        return rhs
-
-    # Trapezoidal history starts from DC (or UIC): i_cap = 0.  Linear
-    # (MOSFET-free) groups thread it in node space — r₀ = S·x₀, stepped
-    # as r' = 2·S·x' − r — so the per-step cost is one sparse matvec
-    # regardless of the capacitor count.  Nonlinear groups thread the
-    # per-capacitor companion currents ieq₀ = geq·v_cap(x₀) instead,
-    # from which step halving recovers i_cap.
-    _, solver0, h0 = cache.get_h(cache.base_dt)
-    linear = solver0 is not None
-    if linear:
-        state = cache.cap_s_matvec(x)
-    else:
-        state = (2.0 * mna0.cap_c / h0) * cache.cap_gather(x)
-
-    def advance(sub_mnas, x_sub, state_sub, t, rhs):
-        if linear:
-            rhs += state_sub
-            t0 = perf_counter() if timers is not None else 0.0
-            x_new = solver0.solve(rhs)
-            _lap(timers, "solve", t0)
-            return x_new, 2.0 * cache.cap_s_matvec(x_new) - state_sub
-        return _advance_batch(sub_mnas, cache, x_sub, state_sub, t, rhs,
-                              opts, stats)
-
-    if int(steps_arr.min()) == n_max:
-        # Uniform windows (the common case): every variant lives through
-        # every step, so the per-step alive-set gathers (four fancy-index
-        # copies each) are skipped entirely.
-        for step in range(n_max):
-            x, state = advance(mnas, x, state, float(times[step]),
-                               step_rhs(None, step))
-            solutions[:, step + 1] = x
-    else:
-        alive = np.arange(batch)
-        for step in range(n_max):
-            if alive.size and steps_arr[alive].min() <= step:
-                alive = alive[steps_arr[alive] > step]
-            sub_mnas = [mnas[b] for b in alive]
-            x_new, state_new = advance(sub_mnas, x[alive], state[alive],
-                                       float(times[step]), step_rhs(alive, step))
-            x[alive] = x_new
-            state[alive] = state_new
-            solutions[alive, step + 1] = x_new
-
-    cache.close(stats)
-    _phase_close(timers, stats, t_engine)
-    return [
-        TransientResult(mnas[b], times[: n_steps[b] + 1],
-                        solutions[b, : n_steps[b] + 1], stats=stats)
-        for b in range(batch)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Adaptive (LTE-controlled) stepping
-# ----------------------------------------------------------------------
-
 #: Consecutive calm accepted steps before the stride ladder climbs a rung.
 _GROW_AFTER = 2
 #: "Calm" growth margins per estimator order: the curvature (sag) term
@@ -931,35 +754,56 @@ def _source_barrier_steps(
     return marks
 
 
-def _simulate_adaptive(jobs: Sequence[TransientJob],
-                       mnas: Sequence[MnaSystem]) -> list[TransientResult]:
-    """LTE-controlled engine for one batch-compatible group (B ≥ 1).
+def _simulate_group(jobs: Sequence[TransientJob],
+                    mnas: Sequence[MnaSystem]) -> list[TransientResult]:
+    """The engine: one stack of ``B ≥ 1`` topology-compatible jobs (shared
+    t_start/dt/options).
 
-    Accepted time points are a sub-grid of the fixed base grid
-    (``t_start + k·dt``); in lockstep the whole group advances on the
-    minimum accepted stride.  See the module docstring for the
-    controller and barrier rules.
+    Accepted time points are a sub-grid of the base grid ``t_start +
+    k·dt``; the whole stack advances in lockstep on the minimum accepted
+    stride.  See the module docstring for the controller, the barrier
+    rules and the capacitor-history recursion.
     """
     job0 = jobs[0]
     mna0 = mnas[0]
     dt = job0.dt
     t_start = job0.t_start
+    opts = job0.options or TransientOptions()
+    require(dt > 0.0, "dt must be positive")
+    rung_cap = job0.stride_rungs
     batch = len(jobs)
-    opts0 = job0.options or TransientOptions()
-    require(opts0.max_step == 0.0 or opts0.max_step >= dt,
-            f"max_step ({opts0.max_step:.3e}s) below the base step "
-            f"({dt:.3e}s) cannot bound anything: the base grid is the "
-            f"floor of every step")
+    stats = _new_stats(batch_size=batch, lte_rejects=0, newton_rejects=0)
 
-    # Shared preamble (validation, stacked initial states, compact source
-    # series on the full base grid — the engine only ever lands on
-    # base-grid points, so accepted strides index into that series).
-    stats = _new_stats(batch_size=batch, adaptive=True, lte_rejects=0,
-                       newton_rejects=0)
-    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(
-        jobs, mnas, stats)
-    n_steps = steps_arr.tolist()
+    n_steps = []
+    for job in jobs:
+        require(job.t_stop > t_start, "t_stop must exceed t_start")
+        n = int(round((job.t_stop - t_start) / dt))
+        require(n >= 1, "simulation window shorter than one step")
+        n_steps.append(n)
+    steps_arr = np.asarray(n_steps)
     n_max = int(steps_arr.max())
+    times = t_start + dt * np.arange(n_max + 1)
+
+    # Initial states in one stacked DC pass (or UIC seeds — grouping
+    # guarantees a uniform use_ic flag).
+    if job0.use_ic:
+        x = np.zeros((batch, mna0.size))
+        for b, job in enumerate(jobs):
+            mna0.seed_vector(job.initial_voltages, out=x[b])
+    else:
+        dc = dc_operating_point_batch(
+            [job.circuit for job in jobs], at_time=t_start,
+            initial_voltages=[job.initial_voltages for job in jobs],
+            mnas=mnas, backend=opts.backend, stats=stats)
+        x = np.stack([r.solution for r in dc])
+
+    # Compact source series for every base step, on the structurally
+    # nonzero rhs rows only (the full (B, T, size) series would be
+    # O(T · size) mostly-zero memory); a stride reads its end point.
+    src_cols = mna0.source_rhs_columns()
+    src_vals = np.empty((batch, n_max, src_cols.size))
+    for b, mna in enumerate(mnas):
+        src_vals[b] = mna.source_rhs_series_compact(times[1:], src_cols)[1]
 
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
@@ -967,65 +811,83 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
     if timers is not None:
         stats["phase_seconds"] = timers
 
-    if opts.max_step > 0.0:
-        rung_cap = 0 if opts.max_step < 2.0 * dt else \
-            int(math.floor(math.log2(opts.max_step / dt)))
-    else:
-        rung_cap = _DEFAULT_GROWTH_RUNGS
+    source_marks = _source_barrier_steps(jobs, t_start, dt, n_max, opts) \
+        if rung_cap else set()
+    barriers = sorted(source_marks | set(n_steps))
 
-    source_marks = _source_barrier_steps(jobs, t_start, dt, n_max, opts)
-    barrier_arr = np.array(sorted(source_marks | set(n_steps) | {n_max}),
-                           dtype=np.int64)
+    # Capacitor history in base-step form s = G·v_cap + i_cap (i_cap = 0
+    # at DC or UIC); linear groups keep r = Incᵀ·s in node space.
+    _, solver, _ = cache.get_h(dt)
+    linear = solver is not None
+    geq = 2.0 * mna0.cap_c / dt
+    state = cache.cap_s_matvec(x) if linear else geq * cache.cap_gather(x)
 
-    n_nodes = mna0.n_nodes
-    i_cap = np.zeros((batch, mna0.n_caps))
+    def back(x_old: np.ndarray) -> np.ndarray:
+        """``G·v_cap`` of ``x_old``, in the state's space."""
+        return cache.cap_s_matvec(x_old) if linear \
+            else geq * cache.cap_gather(x_old)
+
+    solutions = np.empty((batch, n_max + 1, mna0.size))
+    solutions[:, 0] = x
     accepted = [0]
-    sols = [x.copy()]
+    n_nodes = mna0.n_nodes
     alive = np.arange(batch)
+    alive_end = int(steps_arr.min())  # first window end among the alive
     idx = 0          # current base-grid position
     level = 0        # stride ladder rung: stride target is 2**level steps
     calm = 0         # consecutive calm accepted steps (growth integrator)
-    # Two accepted history points back the third-order LTE estimate:
-    # (solution before the last stride, its length) and the pair before.
-    hist1: "tuple[np.ndarray, float] | None" = None
-    hist2: "tuple[np.ndarray, float] | None" = None
+    # The last two accepted node-voltage increments back the third-order
+    # LTE estimate: incs[1] (stride h1) and incs[2] (stride h2) before
+    # it; incs[0] takes the trial step's.  n_hist counts the valid ones;
+    # the fixed grid (rung_cap 0) keeps none.
+    incs = np.empty((3, batch, n_nodes))
+    n_hist = 0
+    h1 = h2 = 0.0
     bpos = 0
 
     while idx < n_max:
-        if steps_arr[alive].min() <= idx:
+        if idx >= alive_end:
             alive = alive[steps_arr[alive] > idx]
-            hist1 = hist2 = None  # membership changed: history invalid
-        while barrier_arr[bpos] <= idx:
+            alive_end = int(steps_arr[alive].min())
+            incs = np.empty((3, alive.size, n_nodes))
+            n_hist = 0  # membership changed: history invalid
+        while barriers[bpos] <= idx:
             bpos += 1
-        nb = int(barrier_arr[bpos])
+        nb = barriers[bpos]
         # Without two history points (start, barrier landing, membership
-        # change) there is no LTE estimate: take base steps to rebuild.
-        m = 1 if hist2 is None else min(1 << level, nb - idx)
+        # change, the fixed grid) there is no LTE estimate: base steps.
+        m = 1 if n_hist < 2 else min(1 << level, nb - idx)
         t_prev = float(times[idx])
         full = alive.size == batch
         x_al = x if full else x[alive]
-        ic_al = i_cap if full else i_cap[alive]
+        st_al = state if full else state[alive]
+        x0 = x_al[:, :n_nodes]
 
         while True:
-            h = dt * m if m > 1 else dt
-            a_base, solver, h = cache.get_h(h)
-            geq = 2.0 * mna0.cap_c / h
-            ieq = geq * cache.cap_gather(x_al) + ic_al
+            a_base, solver, h = cache.get_h(dt * m)
+            t0 = perf_counter() if timers is not None else 0.0
+            # A stride of m base steps injects ieq = s − (1 − 1/m)·G·v_cap.
+            ieq = st_al if m == 1 else st_al - (1.0 - 1.0 / m) * back(x_al)
             rhs = np.zeros((alive.size, mna0.size))
             rhs[:, src_cols] = src_vals[:, idx + m - 1] if full \
                 else src_vals[alive, idx + m - 1]
-            if mna0.n_caps:
+            if linear:
+                rhs += ieq
+            elif mna0.n_caps:
                 rhs += cache.cap_scatter(ieq)
-            if solver is not None:
+            _lap(timers, "stamp", t0)
+            if linear:
+                t0 = perf_counter() if timers is not None else 0.0
                 x_cand = solver.solve(rhs)
-                bad = np.empty(0, dtype=np.intp)
+                _lap(timers, "solve", t0)
+                bad = _NO_ROWS
             else:
                 x_cand, ok = stacked_newton(
                     mna0, a_base, rhs, x_al, abstol=opts.abstol,
                     max_iter=opts.max_newton, v_limit=opts.v_limit,
                     require_unlimited=True, stats=stats,
                     kernel=cache.newton_kernel(h))
-                bad = np.flatnonzero(~ok)
+                bad = _NO_ROWS if ok.all() else np.flatnonzero(~ok)
             if bad.size and m > 1:
                 # Newton trouble on a grown stride: shrink it rather than
                 # recursing below the base grid.  Counted apart from the
@@ -1036,12 +898,16 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
                 level = min(level, max(m.bit_length() - 1, 0))
                 continue
             if bad.size:
-                # A failed base step: the failing variants halve it.
+                # A failed base step: the failing variants halve it,
+                # threading i_cap recovered from the base-form state.
+                i_cap = st_al[bad] - geq * cache.cap_gather(x_al[bad])
                 x_cand[bad], i_bad = _halve(
-                    [mnas[alive[k]] for k in bad], cache, x_al[bad],
-                    ic_al[bad], t_prev, h, opts, stats, opts.max_halvings)
+                    [mnas[alive[k]] for k in bad], cache, x_al[bad], i_cap,
+                    t_prev, h, opts, stats, opts.max_halvings)
 
-            if hist2 is not None:
+            if n_hist < 2:
+                e_sag = e_lte = e = math.inf
+            else:
                 # Two predictor/corrector differences, one per error
                 # mechanism.  (a) Truncation: quadratic extrapolation
                 # through the last three accepted points deviates from
@@ -1052,27 +918,25 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
                 # the solution bows away from the chord between accepted
                 # samples — what piecewise-linear consumers (waveform
                 # resampling, the golden-grid comparison) actually see.
-                x1, h1 = hist1
-                x2, h2 = hist2
-                d1 = (x_al - x1) / h1
-                dd = (d1 - (x1 - x2) / h2) / (h1 + h2)
-                diff_lin = x_cand - (x_al + h * d1)
-                diff_quad = diff_lin - (h * (h + h1)) * dd
+                # Both are linear in the trial increment s and the
+                # accepted a, b: sag = s − (h/h1)·a, and the truncation
+                # difference subtracts c·(a/h1 − b/h2), c = h(h+h1)/(h1+h2).
+                xc = x_cand[:, :n_nodes]
+                np.subtract(xc, x0, out=incs[0])
+                r = h / h1
+                c = h * (h + h1) / (h1 + h2)
                 fac = h * h / (2.0 * (h + h1) * (h + h1 + h2))
-                ref = np.maximum(np.abs(x_cand), np.abs(x_al))[:, :n_nodes]
-                weight = opts.lte_atol + opts.lte_rtol * ref
-                if ref.size:
-                    e_sag = float(np.max(np.abs(diff_lin)[:, :n_nodes] / weight))
-                    e_lte = float(np.max(np.abs(diff_quad)[:, :n_nodes] * fac
-                                         / weight))
-                else:
-                    e_sag = e_lte = 0.0
+                diffs = np.array([[1.0, -r, 0.0],
+                                  [fac, -fac * (r + c / h1), fac * c / h2]]) \
+                    @ incs.reshape(3, -1)
+                weight = opts.lte_atol + opts.lte_rtol * np.maximum(
+                    np.abs(xc), np.abs(x0))
+                e_sag, e_lte = (np.abs(diffs).reshape(2, *weight.shape)
+                                / weight).max(axis=(1, 2), initial=0.0).tolist()
                 e = max(e_sag, e_lte)
-            else:
-                e_sag = e_lte = e = math.inf
             if m == 1 or e <= 1.0:
                 # Base steps are always accepted: the fixed grid is the
-                # accuracy reference, adaptive mode only decides growth.
+                # accuracy reference, the estimate only decides growth.
                 break
             stats["lte_rejects"] += 1
             # Proportional shrink: aim the retried stride at e' ≈ 1/2
@@ -1081,33 +945,37 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
             m = max(1, m >> rungs_down)
             level = min(level, max(m.bit_length() - 1, 0))
 
-        ic_new = geq * cache.cap_gather(x_cand) - ieq
+        # ... and leaves s' = (1 + 1/m)·G·v_cap' − ieq: for m = 1 the
+        # fixed-grid identity s' = 2·G·v_cap' − s.
+        t0 = perf_counter() if timers is not None else 0.0
+        state_new = (1.0 + 1.0 / m) * back(x_cand) - ieq
         if bad.size:
-            # Halved variants (only ever at a base step, which is always
-            # accepted) carry the half-step history, not the full-stride
-            # identity.
-            ic_new[bad] = i_bad
-        hist2 = hist1
-        hist1 = (x_al, h)
+            # Halved variants carry the half-step history.
+            state_new[bad] = geq * cache.cap_gather(x_cand[bad]) + i_bad
+        _lap(timers, "stamp", t0)
+        if rung_cap:
+            if n_hist < 2:
+                np.subtract(x_cand[:, :n_nodes], x0, out=incs[0])
+            incs[2] = incs[1]
+            incs[1] = incs[0]
+            h1, h2 = h, h1
+            n_hist = min(n_hist + 1, 2)
         if full:
-            # Rebind instead of writing in place: ``x_al``/``hist`` still
-            # reference the pre-step array.
             x = x_cand
-            i_cap = ic_new
+            state = state_new
         else:
             x[alive] = x_cand
-            i_cap[alive] = ic_new
+            state[alive] = state_new
         idx += m
+        solutions[:, len(accepted)] = x
         accepted.append(idx)
-        sols.append(x.copy())
         if idx == nb and nb in source_marks:
             # Landed on a stimulus corner: resolve the upcoming activity
             # at base resolution and rebuild the history first.
             level = 0
             calm = 0
-            hist1 = hist2 = None
-        elif math.isfinite(e) and e_sag <= _GROW_FRACTION_SAG \
-                and e_lte <= _GROW_FRACTION_LTE:
+            n_hist = 0
+        elif e_sag <= _GROW_FRACTION_SAG and e_lte <= _GROW_FRACTION_LTE:
             calm += 1
             if calm >= _GROW_AFTER and level < rung_cap:
                 level += 1
@@ -1120,14 +988,18 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
     _phase_close(timers, stats, t_engine)
     acc = np.asarray(accepted)
     t_acc = times[acc]
-    sol_arr = np.stack(sols)  # (n_accepted + 1, batch, size)
+    if acc.size < n_max + 1:
+        # Results view this buffer: keep only the accepted rows alive.
+        solutions = solutions[:, :acc.size].copy()
     results = []
     for b in range(batch):
         # Every job's window end is a barrier, so it was landed exactly.
         pos = int(np.searchsorted(acc, n_steps[b]))
         results.append(TransientResult(mnas[b], t_acc[:pos + 1],
-                                       sol_arr[:pos + 1, b], stats=stats))
+                                       solutions[b, :pos + 1], stats=stats))
     return results
+
+
 
 
 def job_group_key(job: TransientJob, mna: MnaSystem) -> tuple:
@@ -1151,9 +1023,9 @@ def simulate_transient_many(
     Jobs are grouped by circuit topology
     (:meth:`~repro.circuit.mna.MnaSystem.topology_signature`), start time,
     step and solver options, and each group runs as one stack (a lone
-    job is a stack of one).  Results come back in input order; in
-    fixed-grid mode each is numerically equivalent to solving its job
-    alone.
+    job is a stack of one).  Results come back in input order; on the
+    fixed grid (``max_step = dt``) each is numerically equivalent to
+    solving its job alone.
 
     ``mnas`` optionally supplies the jobs' pre-compiled systems (one per
     job, in order) so callers that already compiled them for their own
@@ -1220,9 +1092,9 @@ def simulate_transient_batch(
     Returns
     -------
     list[TransientResult]
-        One result per stimulus, in order; in fixed-grid mode each is
-        numerically equivalent to running :func:`simulate_transient` on
-        its variant alone.
+        One result per stimulus, in order; on the fixed grid
+        (``max_step = dt``) each is numerically equivalent to running
+        :func:`simulate_transient` on its variant alone.
     """
     require(len(stimuli) >= 1, "need at least one stimulus")
     known = {v.name for v in circuit.vsources} | {i.name for i in circuit.isources}

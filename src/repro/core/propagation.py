@@ -26,8 +26,7 @@ from dataclasses import replace as _dc_replace
 from .._util import require
 from ..circuit.netlist import Circuit
 from ..circuit.transient import (TransientJob, TransientOptions,
-                                 TransientResult, resolve_adaptive,
-                                 simulate_transient_many)
+                                 TransientResult, simulate_transient_many)
 from ..library.cells import InverterCell
 from .ramp import SaturatedRamp
 from .techniques.base import PropagationInputs, Technique, TechniqueError
@@ -88,10 +87,9 @@ class GateFixture:
         (``TransientOptions.backend``): ``"auto"``, ``"dense"``,
         ``"sparse"`` or ``"banded"``.
     adaptive:
-        Stepping mode of the fixture simulations: ``True``/``False``
-        pin LTE-controlled adaptive stepping on/off, ``None`` (default)
-        follows the ``REPRO_ADAPTIVE`` environment knob
-        (:func:`~repro.circuit.transient.resolve_adaptive`).
+        ``True`` (default) lets the fixture simulations grow their
+        strides; ``False`` runs them on the fixed grid (``max_step =
+        dt``).
     """
 
     cell: InverterCell
@@ -100,7 +98,7 @@ class GateFixture:
     dt: float = 1e-12
     settle_margin: float = 500e-12
     solver_backend: str = "auto"
-    adaptive: bool | None = None
+    adaptive: bool = True
 
     def _build(self, stimulus: Waveform) -> tuple[Circuit, dict[str, float]]:
         vdd = self.cell.vdd
@@ -157,7 +155,7 @@ class GateFixture:
                             t_start=t_window[0], initial_voltages=initial,
                             options=TransientOptions(
                                 backend=self.solver_backend,
-                                adaptive=resolve_adaptive(self.adaptive)))
+                                max_step=0.0 if self.adaptive else self.dt))
 
     def measure(self, result: TransientResult) -> GateOutput:
         """Extract the :class:`GateOutput` measurements from a simulation."""
@@ -337,7 +335,6 @@ def evaluate_techniques(
     techniques: list[Technique],
     golden: GateOutput | None = None,
     solver_backend: str | None = None,
-    adaptive: bool | None = None,
 ) -> tuple[GateOutput, dict[str, TechniqueEvaluation]]:
     """Score ``techniques`` on one noisy waveform against the golden gate.
 
@@ -367,10 +364,6 @@ def evaluate_techniques(
     solver_backend:
         Overrides the fixture's linear-solver backend request for this
         evaluation (``None`` keeps ``fixture.solver_backend``).
-    adaptive:
-        Overrides the fixture's stepping mode for this evaluation
-        (``None`` keeps ``fixture.adaptive``, which itself defaults to
-        the ``REPRO_ADAPTIVE`` environment knob).
 
     Returns
     -------
@@ -379,7 +372,5 @@ def evaluate_techniques(
     """
     if solver_backend is not None and solver_backend != fixture.solver_backend:
         fixture = _dc_replace(fixture, solver_backend=solver_backend)
-    if adaptive is not None and adaptive != fixture.adaptive:
-        fixture = _dc_replace(fixture, adaptive=adaptive)
     plan = prepare_evaluation(fixture, inputs, techniques, golden=golden)
     return finish_evaluation(plan, simulate_transient_many(plan.jobs))

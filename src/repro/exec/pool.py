@@ -26,7 +26,7 @@ Shard assignment is a pure function of the job list and worker count,
 results are merged back in submission order, and every group solves
 with exactly the membership the serial path gives it, so a sharded run
 returns the same list as ``simulate_transient_many`` bit for bit, on
-fixed and adaptive grids alike.  ``workers=1``, tiny job lists, a plan
+fixed and strided grids alike.  ``workers=1``, tiny job lists, a plan
 of a single shard, pool creation failure, and *per-shard worker
 crashes* all fall back to the deterministic in-process path — a crash
 costs time, never results.
@@ -109,7 +109,7 @@ def _simulate_shard(jobs: list[TransientJob],
 _FLEET: dict = {}
 
 #: Per-result stats entries that are not additive counters.
-_FLEET_SKIP = frozenset({"batch_size", "backend", "adaptive"})
+_FLEET_SKIP = frozenset({"batch_size", "backend"})
 
 
 def reset_fleet_stats() -> None:
@@ -127,7 +127,7 @@ def fleet_stats() -> dict:
     ``runs``/``jobs``/``store_hits``/``store_misses``/``shards``/
     ``fallback_shards`` describe the execution layer; the engine
     counters (``newton_iters``, ``halvings``, ``matrix_builds``,
-    ``newton_fallbacks``, adaptive's ``lte_rejects`` …) are the fleet
+    ``newton_fallbacks``, ``lte_rejects`` …) are the fleet
     sums of the per-group transient stats, merged across workers.
     Per-group counters are recovered exactly from the per-result copies
     (see :func:`_accumulate_fleet`), so integer counters come back as
@@ -315,16 +315,18 @@ def run_jobs(
     membership and a cold run is *bit identical* to
     ``simulate_transient_many(jobs)`` for any worker count; with a warm
     store results are bit identical to the run that populated it.  A
-    *partially*-warm adaptive group discards its store hits and
-    re-solves whole, so every adaptive group this call actually solves
-    uses exactly the serial baseline's lockstep grouping (a partially
-    warm fixed-grid group solves only its misses, on any worker count).
-    A *fully*-warm adaptive hit, however, replays
-    the accepted grid of whatever submission populated the store (the
-    content key deliberately ignores group membership), which may differ
-    from the grid the current submission would produce; both lie within
-    the LTE tolerance of the same fixed-grid golden, which is the
-    adaptive engine's equivalence contract.
+    *partially*-warm group whose strides can grow
+    (:attr:`~repro.circuit.transient.TransientJob.stride_rungs`)
+    discards its store hits and re-solves whole, so every such group
+    this call actually solves uses exactly the serial baseline's
+    lockstep grouping; a partially warm fixed-grid (``max_step = dt``)
+    group solves only its misses, on any worker count.  A *fully*-warm
+    strided hit, however, replays the accepted grid of whatever
+    submission populated the store (the content key deliberately
+    ignores group membership), which may differ from the grid the
+    current submission would produce; both lie within the LTE tolerance
+    of the same fixed-grid golden, which is the engine's equivalence
+    contract for grown strides.
 
     Parameters
     ----------
@@ -369,8 +371,8 @@ def run_jobs(
                     continue
         pending.append(k)
     if store is not None and pending:
-        pending = _coherent_adaptive_pending(jobs, mnas, results, pending,
-                                             keys, store)
+        pending = _coherent_strided_pending(jobs, mnas, results, pending,
+                                            keys, store)
     if store is not None:
         info["store_hits"] = len(jobs) - len(pending)
         info["store_misses"] = len(pending)
@@ -413,7 +415,7 @@ def run_jobs(
     return results  # type: ignore[return-value]
 
 
-def _coherent_adaptive_pending(
+def _coherent_strided_pending(
     jobs: list[TransientJob],
     mnas: list[MnaSystem],
     results: "list[TransientResult | None]",
@@ -421,23 +423,23 @@ def _coherent_adaptive_pending(
     keys: "list[str | None]",
     store,
 ) -> list[int]:
-    """Discard store hits of partially-warm *adaptive* groups.
+    """Discard store hits of partially-warm groups whose strides can grow.
 
-    The LTE-controlled engine advances a batch-compatible group in
-    lockstep, so a job's accepted grid (and waveforms, within the LTE
-    tolerance) depend on which group it solves with.  If only some
-    members of an adaptive group hit the store, re-solving just the
-    misses would run them in a smaller group than the serial baseline
+    The engine advances a batch-compatible group in lockstep, so where
+    strides can grow a job's accepted grid (and waveforms, within the
+    LTE tolerance) depend on which group it solves with.  If only some
+    members of such a group hit the store, re-solving just the misses
+    would run them in a smaller group than the serial baseline
     ``simulate_transient_many(jobs)`` uses — the whole group re-solves
     (and re-stores) instead, keeping ``run_jobs`` equivalent to the
-    baseline for adaptive jobs too.  The discarded lookups are recounted
+    baseline.  Fixed-grid groups (no rung to climb) solve only their
+    misses.  The discarded lookups are recounted
     as misses.  Fully-warm and fully-cold groups are unaffected, so warm
     reruns still perform zero solves.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (job, mna) in enumerate(zip(jobs, mnas)):
-        opts = job.options
-        if opts is not None and opts.adaptive:
+        if job.stride_rungs:
             groups.setdefault(job_group_key(job, mna), []).append(k)
     pending_set = set(pending)
     for members in groups.values():

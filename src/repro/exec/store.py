@@ -24,10 +24,11 @@ nothing positional or environmental:
 * the initial state (``use_ic`` plus the sorted ``initial_voltages``
   items — the DC *seed* steers the Newton path, so it keys the entry),
 * every :class:`~repro.circuit.transient.TransientOptions` field (sorted
-  by field name, so construction order is irrelevant) — including the
-  stepping mode and LTE tolerances, so an adaptive run and a fixed-grid
-  run of the same job can never alias each other's entries (stored
-  adaptive results replay their accepted non-uniform grid), and
+  by field name, so construction order is irrelevant) — including
+  ``max_step`` and the LTE tolerances, so a strided run and a fixed-grid
+  (``max_step = dt``) run of the same job can never alias each other's
+  entries (stored strided results replay their accepted non-uniform
+  grid), and
 * :data:`STORE_VERSION`, bumped whenever the solver's numerics change —
   stale stores invalidate themselves instead of replaying old waveforms.
 
@@ -86,7 +87,11 @@ __all__ = ["STORE_VERSION", "KEYED_FIELDS", "UnkeyableJobError",
 #:     with this version were later removed without a bump: transient
 #:     keys did not change, and the orphaned DC files never match again,
 #:     so LRU eviction drains them.
-STORE_VERSION = 3
+#: 4 — one stepping engine: the ``adaptive`` option field is gone, so
+#:     every key's options items change, and ``TransientOptions()`` now
+#:     grows strides (the fixed grid is ``max_step = dt``), so a default
+#:     job's waveforms change too.
+STORE_VERSION = 4
 
 #: Default size budget of a store (bytes) unless overridden; the value
 #: lives in :mod:`repro._knobs` next to the ``REPRO_STORE_MAX_BYTES``
@@ -101,7 +106,7 @@ DEFAULT_MAX_BYTES = DEFAULT_STORE_MAX_BYTES
 #: means adding it here *and* bumping :data:`STORE_VERSION`.
 KEYED_FIELDS = frozenset({
     "abstol", "max_newton", "max_halvings", "v_limit", "backend",
-    "adaptive", "lte_rtol", "lte_atol", "max_step", "min_step",
+    "lte_rtol", "lte_atol", "max_step", "min_step",
 })
 
 #: Inserts between full directory rescans of the size counter (bounds
@@ -431,8 +436,8 @@ class ResultStore:
         """Recount one successful :meth:`lookup` as a miss.
 
         For callers that fetched an entry and then decided not to use it
-        (the execution layer discards the hits of partially-warm
-        adaptive groups so the whole group re-solves together): keeps
+        (the execution layer discards the hits of partially-warm groups
+        whose strides can grow, so the whole group re-solves together): keeps
         the accounting invariant — effective outcomes, not raw lookups —
         in this module.  ``hits`` never goes negative (a stray discard
         is an accounting bug upstream, not license to report one).

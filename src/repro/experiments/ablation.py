@@ -39,20 +39,17 @@ class SamplingAblationRow:
 
 def _alignment_sweep(config: CrosstalkConfig, n_cases: int,
                      timing: SweepTiming,
-                     execution: ExecutionConfig | None,
-                     adaptive: "bool | None" = None):
+                     execution: ExecutionConfig | None):
     """The shared noise sweep of an ablation: one batched submission."""
     offsets_list = [tuple(base for _ in range(config.n_aggressors))
                     for base in alignment_offsets(n_cases, timing.window)]
     return run_noise_cases(config, offsets_list, timing,
-                           include_noiseless=True, adaptive=adaptive,
-                           execution=execution)
+                           include_noiseless=True, execution=execution)
 
 
 def _sgdp_errors(config: CrosstalkConfig, sgdp: Sgdp, ref, cases,
                  n_samples: int, timing: SweepTiming,
-                 execution: ExecutionConfig | None = None,
-                 adaptive: "bool | None" = None) -> ErrorStats:
+                 execution: ExecutionConfig | None = None) -> ErrorStats:
     """Delay-error statistics of one SGDP variant over precomputed cases.
 
     All cases' golden + SGDP re-simulations form one execution-layer
@@ -60,7 +57,7 @@ def _sgdp_errors(config: CrosstalkConfig, sgdp: Sgdp, ref, cases,
     ``finish_evaluation`` pattern), so they shard with ``workers > 1``
     instead of trickling through 2-job-at-a-time calls.
     """
-    fixture = receiver_fixture(config, dt=timing.dt, adaptive=adaptive)
+    fixture = receiver_fixture(config, dt=timing.dt)
     plans = []
     jobs = []
     for case in cases:
@@ -88,7 +85,6 @@ def sampling_ablation(
     n_cases: int = 9,
     timing: SweepTiming | None = None,
     execution: ExecutionConfig | None = None,
-    adaptive: "bool | None" = None,
 ) -> list[SamplingAblationRow]:
     """SGDP accuracy versus the sampling count P (§4.2's claim).
 
@@ -98,11 +94,10 @@ def sampling_ablation(
     """
     require(len(sample_counts) >= 2, "sweep at least two sample counts")
     timing = timing or SweepTiming()
-    ref, cases = _alignment_sweep(config, n_cases, timing, execution, adaptive)
+    ref, cases = _alignment_sweep(config, n_cases, timing, execution)
     rows = []
     for p in sample_counts:
-        stats = _sgdp_errors(config, Sgdp(), ref, cases, p, timing, execution,
-                             adaptive)
+        stats = _sgdp_errors(config, Sgdp(), ref, cases, p, timing, execution)
         rows.append(SamplingAblationRow(n_samples=p, stats=stats))
     return rows
 
@@ -112,7 +107,6 @@ def causal_mask_ablation(
     n_cases: int = 9,
     timing: SweepTiming | None = None,
     execution: ExecutionConfig | None = None,
-    adaptive: "bool | None" = None,
 ) -> dict[str, ErrorStats]:
     """SGDP with the causal ρ_eff mask versus the paper-literal remap.
 
@@ -122,12 +116,12 @@ def causal_mask_ablation(
     Both variants score the same simulated sweep (computed once).
     """
     timing = timing or SweepTiming()
-    ref, cases = _alignment_sweep(config, n_cases, timing, execution, adaptive)
+    ref, cases = _alignment_sweep(config, n_cases, timing, execution)
     return {
         "causal-mask": _sgdp_errors(config, Sgdp(causal_mask=True), ref, cases,
-                                    35, timing, execution, adaptive),
+                                    35, timing, execution),
         "paper-literal": _sgdp_errors(config, Sgdp(causal_mask=False), ref,
-                                      cases, 35, timing, execution, adaptive),
+                                      cases, 35, timing, execution),
     }
 
 
@@ -136,7 +130,6 @@ def alignment_ablation(
     config: CrosstalkConfig = CONFIG_I,
     timing: SweepTiming | None = None,
     execution: ExecutionConfig | None = None,
-    adaptive: "bool | None" = None,
 ) -> dict[int, float]:
     """Worst-case golden delay push-out found at each sweep density.
 
@@ -164,8 +157,7 @@ def alignment_ablation(
     offsets_list = [tuple(base for _ in range(config.n_aggressors))
                     for base in unique]
     ref, cases = run_noise_cases(config, offsets_list, timing,
-                                 include_noiseless=True, adaptive=adaptive,
-                                 execution=execution)
+                                 include_noiseless=True, execution=execution)
     arrival = {key: case.golden_output_arrival
                for key, case in zip(unique, cases)}
     # Push-outs floor at zero, as in the per-case loop this replaces.

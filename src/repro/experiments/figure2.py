@@ -72,7 +72,7 @@ def generate_figure2(
     n_points: int = 241,
     fixture: GateFixture | None = None,
     solver_backend: str = "auto",
-    adaptive: "bool | None" = None,
+    adaptive: bool = True,
     execution: ExecutionConfig | None = None,
 ) -> Figure2Data:
     """Produce the Figure 2 series for one noise alignment.
@@ -80,8 +80,7 @@ def generate_figure2(
     The default offset places the aggressor glitch mid-transition, the
     situation panel (b) of the paper illustrates.  ``solver_backend``
     is the linear-solver backend request forwarded to every simulation
-    (``adaptive`` likewise pins the stepping mode, defaulting to the
-    ``REPRO_ADAPTIVE`` environment knob);
+    (``adaptive=False`` runs them on the fixed grid, ``max_step = dt``);
     ``execution`` routes all three simulations (noiseless reference,
     noise case, Γ_eff re-simulation) through the shared execution layer,
     so a warm result store regenerates the figure without solving.

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import require
-from ..circuit.transient import (TransientJob, TransientOptions,
-                                 resolve_adaptive)
+from ..circuit.transient import TransientJob, TransientOptions
 from ..core.waveform import Waveform
 from ..exec import ExecutionConfig, run_jobs
 from .setup import CrosstalkConfig, Testbench, build_testbench
@@ -124,7 +123,6 @@ def alignment_offsets(n_cases: int, window: float = 1.0e-9) -> np.ndarray:
 
 def run_noiseless(config: CrosstalkConfig, timing: SweepTiming | None = None,
                   solver_backend: str = "auto",
-                  adaptive: "bool | None" = None,
                   execution: ExecutionConfig | None = None) -> NoiselessReference:
     """Simulate the testbench with quiet aggressors.
 
@@ -132,7 +130,7 @@ def run_noiseless(config: CrosstalkConfig, timing: SweepTiming | None = None,
     no alignment cases); parameters as there.
     """
     ref, _ = run_noise_cases(config, [], timing, include_noiseless=True,
-                             solver_backend=solver_backend, adaptive=adaptive,
+                             solver_backend=solver_backend,
                              execution=execution)
     return ref
 
@@ -140,7 +138,6 @@ def run_noiseless(config: CrosstalkConfig, timing: SweepTiming | None = None,
 def run_noise_case(config: CrosstalkConfig, offsets: tuple[float, ...],
                    timing: SweepTiming | None = None,
                    solver_backend: str = "auto",
-                   adaptive: "bool | None" = None,
                    execution: ExecutionConfig | None = None) -> NoiseCase:
     """Simulate one aggressor alignment.
 
@@ -151,18 +148,18 @@ def run_noise_case(config: CrosstalkConfig, offsets: tuple[float, ...],
     """
     _, cases = run_noise_cases(config, [offsets], timing,
                                solver_backend=solver_backend,
-                               adaptive=adaptive, execution=execution)
+                               execution=execution)
     return cases[0]
 
 
 def _bench_job(bench: Testbench, timing: SweepTiming,
                solver_backend: str = "auto",
-               adaptive: "bool | None" = None) -> TransientJob:
+               adaptive: bool = True) -> TransientJob:
     return TransientJob(bench.circuit, t_stop=timing.t_stop, dt=timing.dt,
                         initial_voltages=bench.initial_voltages,
                         options=TransientOptions(
                             backend=solver_backend,
-                            adaptive=resolve_adaptive(adaptive)))
+                            max_step=0.0 if adaptive else timing.dt))
 
 
 def _probe(bench: Testbench, result, vdd: float):
@@ -204,12 +201,12 @@ def prepare_noise_sweep(
     timing: SweepTiming | None = None,
     include_noiseless: bool = False,
     solver_backend: str = "auto",
-    adaptive: "bool | None" = None,
+    adaptive: bool = True,
 ) -> NoiseSweepPlan:
     """Build the testbenches and jobs of one alignment sweep.
 
-    ``adaptive`` selects the stepping mode of every job (``None``
-    follows the ``REPRO_ADAPTIVE`` environment knob).
+    ``adaptive=False`` runs every job on the fixed grid (``max_step =
+    dt``).
     """
     timing = timing or SweepTiming()
     benches: list[Testbench] = []
@@ -254,7 +251,7 @@ def run_noise_cases(
     timing: SweepTiming | None = None,
     include_noiseless: bool = False,
     solver_backend: str = "auto",
-    adaptive: "bool | None" = None,
+    adaptive: bool = True,
     execution: ExecutionConfig | None = None,
 ) -> tuple[NoiselessReference | None, list[NoiseCase]]:
     """Simulate many aggressor alignments through the execution layer.
@@ -279,8 +276,8 @@ def run_noise_cases(
         Linear-solver backend request (``TransientOptions.backend``)
         applied to every simulation of the sweep.
     adaptive:
-        Stepping mode applied to every simulation of the sweep
-        (``None`` follows the ``REPRO_ADAPTIVE`` environment knob).
+        ``False`` runs every simulation of the sweep on the fixed grid
+        (``max_step = dt``).
     execution:
         Shared execution-layer configuration; ``None`` uses the
         ``REPRO_WORKERS`` / ``REPRO_STORE`` environment defaults.
@@ -302,7 +299,6 @@ def iter_noise_cases(config: CrosstalkConfig, n_cases: int,
                      timing: SweepTiming | None = None,
                      stagger: float = 0.0,
                      solver_backend: str = "auto",
-                     adaptive: "bool | None" = None,
                      execution: ExecutionConfig | None = None):
     """Yield :class:`NoiseCase` objects across the alignment sweep.
 
@@ -323,5 +319,4 @@ def iter_noise_cases(config: CrosstalkConfig, n_cases: int,
         offsets = tuple(base + k * stagger for k in range(config.n_aggressors))
         yield run_noise_case(config, offsets, timing,
                              solver_backend=solver_backend,
-                             adaptive=adaptive,
                              execution=execution)

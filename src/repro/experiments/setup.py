@@ -258,12 +258,12 @@ def build_testbench(
 
 def receiver_fixture(config: CrosstalkConfig, dt: float = 1e-12,
                      solver_backend: str = "auto",
-                     adaptive: "bool | None" = None) -> GateFixture:
+                     adaptive: bool = True) -> GateFixture:
     """The victim receiver with its Figure 1 fanout chain, as a forced-input
     fixture for technique evaluation.
 
-    ``adaptive`` pins the stepping mode of the fixture simulations
-    (``None`` follows the ``REPRO_ADAPTIVE`` environment knob).
+    ``adaptive=False`` runs the fixture simulations on the fixed grid
+    (``max_step = dt``).
     """
     return GateFixture(
         cell=config.receiver_cell(),

@@ -149,7 +149,7 @@ def run_table1(
     noiseless: NoiselessReference | None = None,
     progress: bool = False,
     solver_backend: str = "auto",
-    adaptive: "bool | None" = None,
+    adaptive: bool = True,
     execution: ExecutionConfig | None = None,
     journal: "bool | None" = None,
 ) -> Table1Result:
@@ -182,10 +182,10 @@ def run_table1(
         applied to every simulation of the sweep — the coupled-circuit
         noise cases and the fixture re-simulations alike.
     adaptive:
-        Stepping mode applied to every simulation of the sweep
-        (``None`` follows the ``REPRO_ADAPTIVE`` environment knob;
-        the ``tests/test_adaptive_stepping.py`` harness pins the
-        adaptive sweep to the fixed-grid one within the LTE tolerance).
+        ``False`` runs every simulation of the sweep on the fixed grid
+        (``max_step = dt``); the ``tests/test_adaptive_stepping.py``
+        harness pins the default strided sweep to the fixed-grid one
+        within the LTE tolerance.
     execution:
         Shared execution-layer configuration (workers + result store);
         ``None`` uses the ``REPRO_WORKERS`` / ``REPRO_STORE``
@@ -216,7 +216,7 @@ def run_table1_many(
     noiseless: NoiselessReference | None = None,
     progress: bool = False,
     solver_backend: str = "auto",
-    adaptive: "bool | None" = None,
+    adaptive: bool = True,
     execution: ExecutionConfig | None = None,
     journal: "bool | None" = None,
 ) -> list[Table1Result]:
@@ -246,8 +246,7 @@ def run_table1_many(
         "table1",
         (tuple(configs), int(n_total), timing,
          tuple(t.name for t in techs), polarity, noiseless,
-         str(solver_backend),
-         bool(knob("REPRO_ADAPTIVE") if adaptive is None else adaptive)),
+         str(solver_backend), bool(adaptive)),
         len(configs), execution=execution, enabled=journal)
     if jr is not None:
         # Resumable mode trades the cross-configuration batch front for

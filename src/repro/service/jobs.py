@@ -281,8 +281,8 @@ class Table1ServiceJob(ServiceJob):
                       "'polarity' must be both/opposing/same")
         self.polarity = polarity
         self.solver_backend = str(spec.get("solver_backend", "auto"))
-        adaptive = spec.get("adaptive")
-        _require_spec(adaptive is None or isinstance(adaptive, bool),
+        adaptive = spec.get("adaptive", True)
+        _require_spec(isinstance(adaptive, bool),
                       "'adaptive' must be a boolean when given")
         self.adaptive = adaptive
         dt = spec.get("dt")

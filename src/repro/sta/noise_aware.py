@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from .._util import require
 from ..circuit.netlist import Circuit
 from ..circuit.sources import RampSource
-from ..circuit.transient import TransientJob, TransientOptions, resolve_adaptive
+from ..circuit.transient import TransientJob, TransientOptions
 from ..core.ramp import SaturatedRamp
 from ..exec import ExecutionConfig, run_jobs
 from ..core.techniques import PropagationInputs, Technique
@@ -158,9 +158,8 @@ class StageTiming:
 class QuietReferenceCache:
     """Memoised quiet-aggressor reference simulations.
 
-    Maps ``(quiet stage, stimulus waveform, window end, dt, stepping
-    options)`` to the simulated ``(far-end, receiver-output)`` waveform
-    pair — adaptive and fixed-grid propagation never alias.  A bounded
+    Maps ``(quiet stage, stimulus waveform, window end, dt)`` to the
+    simulated ``(far-end, receiver-output)`` waveform pair.  A bounded
     FIFO keeps memory flat on long sweeps; ``hits``/``misses`` expose the
     behaviour to tests and benchmarks.
     """
@@ -284,7 +283,6 @@ def propagate_path(
     slew_fallback: float | None = 100e-12,
     quiet_cache: QuietReferenceCache | None = None,
     solver_backend: str = "auto",
-    adaptive: bool | None = None,
     execution: ExecutionConfig | None = None,
     window_end: float | None = None,
 ) -> list[StageTiming]:
@@ -321,13 +319,6 @@ def propagate_path(
         (``TransientOptions.backend``); every backend produces
         equivalent waveforms, so cached quiet references remain valid
         across backend choices.
-    adaptive:
-        Stepping mode of the stage simulations: ``True``/``False`` pin
-        LTE-controlled adaptive stepping on/off, ``None`` (default)
-        follows the ``REPRO_ADAPTIVE`` environment knob.  Unlike the
-        backend choice, the stepping options *do* key the quiet cache —
-        adaptive references live on a different grid and carry an
-        LTE-sized deviation, so modes never alias each other's entries.
     execution:
         Execution-layer configuration for the stage simulations; with a
         result store, re-propagating a path (another technique, another
@@ -348,8 +339,7 @@ def propagate_path(
     """
     require(len(stages) >= 1, "need at least one stage")
     tech = technique or Sgdp()
-    sim_opts = TransientOptions(backend=solver_backend,
-                                adaptive=resolve_adaptive(adaptive))
+    sim_opts = TransientOptions(backend=solver_backend)
     cache = quiet_cache if quiet_cache is not None else _QUIET_CACHE
     results: list[StageTiming] = []
     stimulus: "Waveform | SaturatedRamp" = input_ramp
@@ -385,11 +375,8 @@ def propagate_path(
         quiet = NoisyStage(driver=stage.driver, line=stage.line,
                            receiver=stage.receiver, aggressors=(),
                            receiver_load=stage.receiver_load)
-        # The stepping mode keys the entry (an adaptive reference lives
-        # on a different grid); the solver backend deliberately does not.
-        quiet_key = (quiet, wave_in, t1, dt, sim_opts.adaptive,
-                     sim_opts.lte_rtol, sim_opts.lte_atol,
-                     sim_opts.max_step, sim_opts.min_step)
+        # The solver backend deliberately does not key the entry.
+        quiet_key = (quiet, wave_in, t1, dt)
         quiet_pair = cache.lookup(quiet_key)
         if quiet_pair is None:
             qc, _, qfar, qout = _build_stage_circuit(quiet, vdd)

@@ -1,10 +1,13 @@
-"""Golden-grid accuracy harness for LTE-controlled adaptive stepping.
+"""Golden-grid accuracy harness for LTE-controlled stepping.
 
-The adaptive engine's contract: on ``t_stop ≫ transition`` windows it
-takes *strictly fewer* steps than the fixed grid while every node stays
-within ``1e-6·Vdd`` of the fine fixed-grid golden reference on a
-resampled common axis, and the STA metrics (slew, gate delay) move by
-less than 0.1 ps.  Covered workloads: both Table-1 gate configurations
+The engine's contract: with its default options, on ``t_stop ≫
+transition`` windows it takes *strictly fewer* steps than the fixed grid
+(``max_step = dt``) while every node stays within ``1e-6·Vdd`` of that
+golden reference on a resampled common axis, and the STA metrics (slew,
+gate delay) move by less than 0.1 ps.  The fixed grid itself keeps its
+own contract: the uniform axis ``t_start + dt·arange(n + 1)``, and a
+stacked run equal to each variant run alone (same axis, <1e-9 V).
+Covered workloads: both Table-1 gate configurations
 (the full coupled testbench and the receiver fixture), the 3-line RC
 bundle, a late-burst stimulus (the source-barrier fence), and the
 batched lockstep group.  The `_StepMatrixCache` re-key (quantised step
@@ -21,7 +24,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PulseSource, RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
                                      _STEP_CACHE_ENTRIES, _StepMatrixCache,
-                                     resolve_adaptive, simulate_transient,
+                                     simulate_transient,
                                      simulate_transient_many)
 from repro.core.waveform import Waveform
 from repro.experiments.noise_injection import SweepTiming
@@ -37,19 +40,19 @@ VOLTAGE_GATE = 1e-6 * VDD
 #: STA metrics (slew, gate delay) must agree with the golden to 0.1 ps.
 METRIC_GATE = 0.1e-12
 
-ADAPTIVE = TransientOptions(adaptive=True)
+ADAPTIVE = TransientOptions()
 #: Long window: transitions finish ~1.6 ns in, the rest is settled tail.
 LONG = SweepTiming(dt=2e-12, t_stop=8e-9)
 
 
-def rc_bundle(n_segments: int = 12) -> Circuit:
+def rc_bundle(n_segments: int = 12, delay: float = 0.0) -> Circuit:
     """The 3-line coupled RC bundle driven by staggered ramps."""
     c = Circuit("bundle3")
     spec = RcLineSpec.from_length(500.0, n_segments=n_segments)
     terminals = []
     for k in range(3):
         c.vsource(f"V{k}", f"in{k}", "0",
-                  RampSource(0.2e-9 + 0.15e-9 * k, 150e-12, 0.0, VDD))
+                  RampSource(0.2e-9 + 0.15e-9 * k + delay, 150e-12, 0.0, VDD))
         c.capacitor(f"CL{k}", f"far{k}", "0", 10e-15)
         terminals.append((f"in{k}", f"far{k}"))
     add_coupled_lines(c, "b", terminals, [spec] * 3,
@@ -60,7 +63,8 @@ def rc_bundle(n_segments: int = 12) -> Circuit:
 def run_both(circuit, t_stop, dt, initial=None):
     """The fixed-grid golden and the adaptive run of one circuit."""
     golden = simulate_transient(circuit, t_stop=t_stop, dt=dt,
-                                initial_voltages=initial)
+                                initial_voltages=initial,
+                                options=TransientOptions(max_step=dt))
     adaptive = simulate_transient(circuit, t_stop=t_stop, dt=dt,
                                   initial_voltages=initial, options=ADAPTIVE)
     return golden, adaptive
@@ -77,7 +81,6 @@ class TestGoldenGridAccuracy:
             aggressor_starts=[LONG.victim_start + 0.2e-9] * config.n_aggressors)
         golden, adaptive = run_both(bench.circuit, LONG.t_stop, LONG.dt,
                                     bench.initial_voltages)
-        assert adaptive.stats["adaptive"] is True
         assert max_node_deviation(golden, adaptive) < VOLTAGE_GATE
         assert len(adaptive.times) < len(golden.times)
         # STA metrics of the receiver output agree to well under 0.1 ps.
@@ -110,7 +113,7 @@ class TestGoldenGridAccuracy:
         fix_a = receiver_fixture(config, dt=1e-12, adaptive=True)
         job_g = fix_g.transient_job(stim, window)
         job_a = fix_a.transient_job(stim, window)
-        assert job_a.options.adaptive and not job_g.options.adaptive
+        assert job_a.stride_rungs and not job_g.stride_rungs
         res_g, res_a = job_g.run(), job_a.run()
         assert max_node_deviation(res_g, res_a) < VOLTAGE_GATE
         assert len(res_a.times) < len(res_g.times)
@@ -154,6 +157,46 @@ class TestGoldenGridAccuracy:
         golden, adaptive = run_both(circuit(), 8e-9, 2e-12)
         assert max_node_deviation(golden, adaptive) < VOLTAGE_GATE
         assert len(adaptive.times) < len(golden.times) / 2
+
+
+class TestFixedGrid:
+    """``max_step = dt``: the one engine with no rung to climb."""
+
+    def test_times_are_the_uniform_base_grid(self):
+        t_start, dt, n = 0.1e-9, 2e-12, 600
+        res = simulate_transient(rc_bundle(3), t_stop=t_start + n * dt, dt=dt,
+                                 t_start=t_start,
+                                 options=TransientOptions(max_step=dt))
+        np.testing.assert_array_equal(res.times,
+                                      t_start + dt * np.arange(n + 1))
+        assert res.stats["steps_accepted"] == n
+        assert res.stats["lte_rejects"] == 0
+
+    @pytest.mark.parametrize("kind", ["mosfet", "linear"])
+    def test_stacked_run_equals_each_variant_alone(self, kind):
+        dt = 2e-12
+        fixed = TransientOptions(max_step=dt)
+        if kind == "mosfet":
+            # Distinct alignments and windows: the stack shrinks mid-run.
+            jobs = []
+            for off, t_stop in ((-0.1e-9, 1.1e-9), (0.0, 0.8e-9),
+                                (0.15e-9, 1.1e-9)):
+                bench = build_testbench(CONFIG_I, 0.3e-9, (0.3e-9 + off,))
+                jobs.append(TransientJob(bench.circuit, t_stop=t_stop, dt=dt,
+                                         initial_voltages=bench.initial_voltages,
+                                         options=fixed))
+        else:
+            jobs = [TransientJob(rc_bundle(3, delay), t_stop=t_stop, dt=dt,
+                                 options=fixed)
+                    for delay, t_stop in ((0.0, 2e-9), (0.2e-9, 1.5e-9))]
+        stacked = simulate_transient_many(jobs)
+        assert stacked[0].stats["batch_size"] == len(jobs)
+        for job, res in zip(jobs, stacked):
+            alone = job.run()
+            np.testing.assert_array_equal(res.times, alone.times)
+            # Not bitwise: stacked BLAS kernels sum in another order, a
+            # ~1e-14 V difference well inside the <1e-9 V contract.
+            np.testing.assert_allclose(res._x, alone._x, rtol=0, atol=1e-9)
 
 
 class TestAdaptiveGrids:
@@ -210,7 +253,9 @@ class TestAdaptiveGrids:
         assert results[2].times[-1] == pytest.approx(t_stops[2], abs=LONG.dt)
         for b, ts, res in zip(benches, t_stops, results):
             golden = simulate_transient(b.circuit, t_stop=ts, dt=LONG.dt,
-                                        initial_voltages=b.initial_voltages)
+                                        initial_voltages=b.initial_voltages,
+                                        options=TransientOptions(
+                                            max_step=LONG.dt))
             assert max_node_deviation(golden, res) < VOLTAGE_GATE
             assert len(res.times) < len(golden.times)
 
@@ -267,7 +312,7 @@ class TestStepMatrixCacheRekey:
     def test_adaptive_run_builds_stay_bounded(self):
         """An adaptive run visits many strides (plus Newton halvings) but
         never more matrix builds than distinct quantised step values."""
-        opts = TransientOptions(adaptive=True, max_newton=4)
+        opts = TransientOptions(max_newton=4)
         res = simulate_transient(_sharp_inverter(), t_stop=4e-9, dt=4e-12,
                                  initial_voltages={"in": 0.0, "out": VDD,
                                                    "vdd": VDD},
@@ -279,12 +324,13 @@ class TestStepMatrixCacheRekey:
             simulate_transient(_sharp_inverter(), t_stop=4e-9, dt=4e-12,
                                initial_voltages={"in": 0.0, "out": VDD,
                                                  "vdd": VDD},
-                               options=TransientOptions(max_newton=4)),
+                               options=TransientOptions(max_newton=4,
+                                                        max_step=4e-12)),
             res) < VOLTAGE_GATE
 
 
 class TestOptionsAndEnv:
-    """Stepping knobs: validation, REPRO_ADAPTIVE, max_step/min_step."""
+    """Stepping options: validation, max_step/min_step."""
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
@@ -301,32 +347,23 @@ class TestOptionsAndEnv:
         # grid is the floor of every step): fail loudly, not silently.
         with pytest.raises(ValueError, match="max_step"):
             simulate_transient(rc_bundle(3), t_stop=1e-9, dt=2e-12,
-                               options=TransientOptions(adaptive=True,
-                                                        max_step=1e-12))
+                               options=TransientOptions(max_step=1e-12))
+        # A 1 ps RC run capped at 0.5 ps: a whole group is rejected.
+        rc = Circuit("rc")
+        rc.vsource("V", "a", "0", RampSource(1e-12, 3e-12, 0.0, VDD))
+        rc.resistor("R", "a", "b", 1e3)
+        rc.capacitor("C", "b", "0", 1e-15)
+        jobs = [TransientJob(rc, t_stop=t_stop, dt=1e-12,
+                             options=TransientOptions(max_step=0.5e-12))
+                for t_stop in (10e-12, 8e-12)]
+        with pytest.raises(ValueError, match="max_step"):
+            simulate_transient_many(jobs)
 
     def test_max_step_caps_the_ladder(self):
         cap = 8e-12
         res = simulate_transient(rc_bundle(3), t_stop=8e-9, dt=2e-12,
-                                 options=TransientOptions(adaptive=True,
-                                                          max_step=cap))
+                                 options=TransientOptions(max_step=cap))
         assert res.step_sizes().max() <= cap * 1.0001
         free = simulate_transient(rc_bundle(3), t_stop=8e-9, dt=2e-12,
                                   options=ADAPTIVE)
         assert free.step_sizes().max() > cap
-
-    def test_resolve_adaptive_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ADAPTIVE", raising=False)
-        assert resolve_adaptive(None) is False
-        monkeypatch.setenv("REPRO_ADAPTIVE", "1")
-        assert resolve_adaptive(None) is True
-        assert resolve_adaptive(False) is False  # explicit pin wins
-        monkeypatch.setenv("REPRO_ADAPTIVE", "off")
-        assert resolve_adaptive(None) is False
-
-    def test_env_knob_reaches_fixture_jobs(self, monkeypatch):
-        stim = Waveform.ramp(t_start=0.2e-9, slew=150e-12, vdd=VDD)
-        monkeypatch.setenv("REPRO_ADAPTIVE", "1")
-        fixture = receiver_fixture(CONFIG_I, dt=1e-12)
-        assert fixture.transient_job(stim, (0.0, 1e-9)).options.adaptive
-        monkeypatch.delenv("REPRO_ADAPTIVE")
-        assert not fixture.transient_job(stim, (0.0, 1e-9)).options.adaptive

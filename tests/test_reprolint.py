@@ -456,8 +456,8 @@ def test_knob_garbage_falls_back_to_default():
     assert knob("REPRO_SHARD_TIMEOUT", {"REPRO_SHARD_TIMEOUT": "soon"}) == 0.0
     assert knob("REPRO_SHARD_TIMEOUT", {"REPRO_SHARD_TIMEOUT": "-1"}) == 0.0
     assert knob("REPRO_SHARD_TIMEOUT", {"REPRO_SHARD_TIMEOUT": "2.5"}) == 2.5
-    assert knob("REPRO_ADAPTIVE", {"REPRO_ADAPTIVE": "yes"}) is True
-    assert knob("REPRO_ADAPTIVE", {"REPRO_ADAPTIVE": "maybe"}) is False
+    assert knob("REPRO_PHASE_TIMERS", {"REPRO_PHASE_TIMERS": "yes"}) is True
+    assert knob("REPRO_PHASE_TIMERS", {"REPRO_PHASE_TIMERS": "maybe"}) is False
     assert knob("REPRO_CASES", {}) is None
     assert knob("REPRO_CASES", {"REPRO_CASES": "1"}) is None  # min 2
     assert knob("REPRO_CASES", {"REPRO_CASES": "7"}) == 7

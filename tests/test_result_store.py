@@ -67,9 +67,9 @@ class TestAccounting:
         bit for bit, and never aliases the fixed-grid entry of the same
         job."""
         cfg = ExecutionConfig(store=store)
-        base = rc_job(t_stop=4e-9)
-        adaptive = dataclasses.replace(
-            base, options=dataclasses.replace(base.options, adaptive=True))
+        adaptive = rc_job(t_stop=4e-9)
+        base = dataclasses.replace(adaptive, options=dataclasses.replace(
+            adaptive.options, max_step=adaptive.dt))
         cold_f, cold_a = run_jobs([base, adaptive], cfg)
         assert store.stores == 2  # distinct keys: no cross-mode aliasing
         assert not cold_a.uniform_grid
@@ -81,16 +81,14 @@ class TestAccounting:
         assert len(warm_a.times) < len(warm_f.times)
 
     def test_partially_warm_adaptive_group_resolves_whole(self, store):
-        """Adaptive lockstep grids depend on group membership, so a
+        """Where strides can grow (the default options), lockstep grids
+        depend on group membership, so a
         partial set of store hits must not shrink the solve group: the
         hits are discarded (recounted as misses) and the whole group
         re-solves, keeping run_jobs bit-identical to the serial
         baseline."""
         cfg = ExecutionConfig(store=store)
-        adaptive = TransientOptions(adaptive=True)
-        jobs = [dataclasses.replace(rc_job(start=10e-12 * k, t_stop=4e-9),
-                                    options=adaptive)
-                for k in range(3)]
+        jobs = [rc_job(start=10e-12 * k, t_stop=4e-9) for k in range(3)]
         run_jobs([jobs[0]], cfg)  # warm exactly one member (solo grid)
         store.reset_counters()
         mixed = run_jobs(jobs, cfg)
@@ -105,6 +103,25 @@ class TestAccounting:
         assert store.hits == 3 and store.stores == 0
         for r, w in zip(mixed, warm):
             np.testing.assert_array_equal(r._x, w._x)
+
+    def test_partially_warm_fixed_grid_group_solves_only_misses(self, store):
+        """On the fixed grid (max_step = dt) a job's result does not depend
+        on its stack mates, so the hit is kept and only the misses solve."""
+        cfg = ExecutionConfig(store=store)
+        fixed = TransientOptions(max_step=2e-12)
+        jobs = [dataclasses.replace(rc_job(start=10e-12 * k), options=fixed)
+                for k in range(3)]
+        solo = run_jobs([jobs[0]], cfg)[0]
+        store.reset_counters()
+        diag = {}
+        mixed = run_jobs(jobs, cfg, diag=diag)
+        assert store.hits == 1 and store.misses == 2 and store.stores == 2
+        assert (diag["store_hits"], diag["store_misses"]) == (1, 2)
+        np.testing.assert_array_equal(mixed[0]._x, solo._x)
+        assert mixed[1].stats["batch_size"] == 2
+        for r, b in zip(mixed, simulate_transient_many(jobs)):
+            np.testing.assert_array_equal(r.times, b.times)
+            np.testing.assert_allclose(r._x, b._x, rtol=0, atol=1e-9)
 
 
 class TestKeySensitivity:
@@ -386,10 +403,7 @@ class TestDiscardRecency:
         """End to end: the solo-warmed adaptive entry discarded for group
         coherence keeps its pre-lookup recency."""
         cfg = ExecutionConfig(store=store)
-        adaptive = TransientOptions(adaptive=True)
-        jobs = [dataclasses.replace(rc_job(start=10e-12 * k, t_stop=4e-9),
-                                    options=adaptive)
-                for k in range(3)]
+        jobs = [rc_job(start=10e-12 * k, t_stop=4e-9) for k in range(3)]
         run_jobs([jobs[0]], cfg)  # warm exactly one member
         key = store.key_for(jobs[0])
         path = store._path(key)

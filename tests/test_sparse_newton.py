@@ -44,6 +44,7 @@ def _deep_config(n_segments: int) -> CrosstalkConfig:
 
 
 def _simulate(circuit, initial, backend, t_stop=0.4e-9, dt=2e-12, **kw):
+    kw.setdefault("max_step", dt)  # the fixed grid unless a test strides
     return simulate_transient(circuit, t_stop=t_stop, dt=dt,
                               initial_voltages=dict(initial),
                               options=TransientOptions(backend=backend, **kw))
@@ -129,11 +130,10 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("backend", ["banded"])
     def test_adaptive_matches_dense_adaptive(self, backend):
         tb = build_testbench(_deep_config(64), 0.05e-9, (0.06e-9,))
-        kw = dict(t_stop=1.5e-9, dt=2e-12, adaptive=True)
+        kw = dict(t_stop=1.5e-9, dt=2e-12, max_step=0.0)
         dense = _simulate(tb.circuit, tb.initial_voltages, "dense", **kw)
         res = _simulate(tb.circuit, tb.initial_voltages, backend, **kw)
         assert res.stats["backend"] == backend
-        assert res.stats["adaptive"] is True
         # The controller's accept/reject decisions see only ~1e-12 V
         # solver differences, so the accepted grids coincide and the
         # waveforms agree to the fixed-grid tolerance.

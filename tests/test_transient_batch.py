@@ -1,10 +1,11 @@
 """Batched transient engine: equivalence with the sequential path.
 
 The contract of :func:`repro.circuit.transient.simulate_transient_many` /
-``simulate_transient_batch`` is numerical equivalence with running
-:func:`simulate_transient` per variant — these tests pin it to <1e-9 V on
-every node for the Table-1 testbench, a coupled noisy stage, and the
-recursive step-halving path (which previously had no coverage at all).
+``simulate_transient_batch`` on the fixed grid (``max_step = dt``) is
+numerical equivalence with running :func:`simulate_transient` per
+variant — these tests pin it to <1e-9 V on every node for the Table-1
+testbench, a coupled noisy stage, and the recursive step-halving path
+(which previously had no coverage at all).
 """
 
 import numpy as np
@@ -26,6 +27,11 @@ from repro.experiments.setup import CONFIG_I, CrosstalkConfig, build_testbench
 from repro.library.cells import make_inverter
 
 VOLTAGE_TOL = 1e-9
+
+
+def _fixed(dt: float, **kw) -> TransientOptions:
+    """The fixed grid: no stride may exceed the base step."""
+    return TransientOptions(max_step=dt, **kw)
 
 
 def _worst_dv(seq, bat):
@@ -59,10 +65,12 @@ class TestTable1FixtureEquivalence:
             for off in offsets
         ]
         jobs = [TransientJob(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                             initial_voltages=b.initial_voltages)
+                             initial_voltages=b.initial_voltages,
+                             options=_fixed(timing.dt))
                 for b in benches]
         seq = [simulate_transient(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                                  initial_voltages=b.initial_voltages)
+                                  initial_voltages=b.initial_voltages,
+                                  options=_fixed(timing.dt))
                for b in benches]
         bat = simulate_transient_many(jobs)
         assert bat[0].stats["batch_size"] == len(offsets)
@@ -77,12 +85,14 @@ class TestTable1FixtureEquivalence:
                                 aggressor_starts=[timing.victim_start],
                                 aggressor_active=True)
         jobs = [TransientJob(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                             initial_voltages=b.initial_voltages)
+                             initial_voltages=b.initial_voltages,
+                             options=_fixed(timing.dt))
                 for b in (quiet, noisy)]
         bat = simulate_transient_many(jobs)
         assert bat[0].stats["batch_size"] == 2
         seq = [simulate_transient(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                                  initial_voltages=b.initial_voltages)
+                                  initial_voltages=b.initial_voltages,
+                                  options=_fixed(timing.dt))
                for b in (quiet, noisy)]
         _assert_equivalent(seq, bat)
 
@@ -114,7 +124,8 @@ class TestCoupledStageEquivalence:
         stimuli = [BatchStimulus(sources={"Vin": w}, initial_voltages=initial)
                    for w in waves]
         bat = simulate_transient_batch(circuit, stimuli, t_stop=1.4e-9,
-                                       dt=4e-12, t_start=0.1e-9)
+                                       dt=4e-12, t_start=0.1e-9,
+                                       options=_fixed(4e-12))
         assert bat[0].stats["batch_size"] == 2
 
         seq = []
@@ -123,7 +134,8 @@ class TestCoupledStageEquivalence:
             c.vsource("Vin", "in", "0", w)
             seq.append(simulate_transient(c, t_stop=1.4e-9, dt=4e-12,
                                           t_start=0.1e-9,
-                                          initial_voltages=initial))
+                                          initial_voltages=initial,
+                                          options=_fixed(4e-12)))
         _assert_equivalent(seq, bat)
         # Sanity: the two variants actually differ (distinct stimuli).
         assert _worst_dv(bat[0], bat[1]) > 1e-3
@@ -194,7 +206,7 @@ class TestStepHalving:
 
     def test_batched_halving_matches_sequential(self):
         # Two variants: a sharp edge (needs halving) and a gentle one.
-        opts = TransientOptions(max_newton=4)
+        opts = _fixed(20e-12, max_newton=4)
         base = _sharp_inverter()
         stimuli = [
             BatchStimulus(initial_voltages=INITIAL),
@@ -241,10 +253,12 @@ class TestManyMisc:
         base = self._rc()
         stimuli = [BatchStimulus(), BatchStimulus(t_stop=0.5e-9)]
         full, short = simulate_transient_batch(base, stimuli, t_stop=1e-9,
-                                               dt=10e-12)
+                                               dt=10e-12,
+                                               options=_fixed(10e-12))
         assert len(short.times) == 51
         assert len(full.times) == 101
-        ref = simulate_transient(self._rc(), t_stop=0.5e-9, dt=10e-12)
+        ref = simulate_transient(self._rc(), t_stop=0.5e-9, dt=10e-12,
+                                 options=_fixed(10e-12))
         _assert_equivalent([ref], [short])
 
     def test_unknown_source_override_rejected(self):
@@ -256,7 +270,8 @@ class TestManyMisc:
     def test_lu_reuse_matches_plain_solve(self):
         # MOSFET-free circuits take the factored-LU path; results must
         # match the reference integration regardless.
-        res = simulate_transient(self._rc(), t_stop=2e-9, dt=5e-12)
+        res = simulate_transient(self._rc(), t_stop=2e-9, dt=5e-12,
+                                 options=_fixed(5e-12))
         v = res.voltage_samples("out")
         assert v[-1] == pytest.approx(1.0, abs=1e-3)
         assert res.stats["matrix_builds"] == 1
@@ -312,7 +327,7 @@ class TestPhaseTimers:
         # dense Newton, which times its stamping the same way.
         monkeypatch.setenv("REPRO_PHASE_TIMERS", "1")
         tb = _deep_line_bench()
-        opts = TransientOptions(backend=backend, adaptive=False)
+        opts = TransientOptions(backend=backend, max_step=2e-12)
         jobs = [TransientJob(tb.circuit, t_stop=0.1e-9, dt=2e-12,
                              initial_voltages=tb.initial_voltages,
                              options=opts)

@@ -196,7 +196,11 @@ def check_fault_matrix(tmp: str) -> None:
                                            shard_timeout=0.3),
                            diag=diag)
     elapsed = time.monotonic() - t0
-    check("pool-wedge", _identical(results, baseline) and elapsed < 60.0,
+    # Its own baseline: where strides grow, a job's grid depends on the
+    # group it solves with, and this list's groups are smaller.
+    check("pool-wedge", _identical(results,
+                                   simulate_transient_many(_rc_jobs(6)))
+          and elapsed < 60.0,
           f"wedge storm hung ({elapsed:.1f}s) or changed results: {diag}",
           elapsed_seconds=round(elapsed, 2), **diag)
 

@@ -94,8 +94,8 @@ HALVING_DT = 20e-12
 #: straight by ramp sources: MOSFET-free, so the forced ``sparse`` and
 #: ``banded`` requests run the factor-once linear solvers.
 BUNDLE_SEGMENTS = 48
-BUNDLE_OPTIONS = (TransientOptions(backend="sparse", adaptive=False),
-                  TransientOptions(backend="banded", adaptive=False))
+BUNDLE_OPTIONS = (TransientOptions(backend="sparse", max_step=DT),
+                  TransientOptions(backend="banded", max_step=DT))
 
 #: Monte-Carlo SSTA over c17: sample count, base seed, and the wires
 #: the sweep adds on two internal nets so both σ axes (cell and R/C)
@@ -135,24 +135,25 @@ def _halving_bench(slews, initial, batch=2) -> list:
 #: t_stop, dt, options).
 TRANSIENT = {
     "table1_I_scalar": (_bench, TABLE1, 1, 1.1e-9, DT,
-                        TransientOptions(adaptive=False)),
+                        TransientOptions(max_step=DT)),
     "table1_I_batch3": (_bench, TABLE1, 3, 1.1e-9, DT,
-                        TransientOptions(adaptive=False)),
+                        TransientOptions(max_step=DT)),
     "table1_I_adaptive_scalar": (_bench, TABLE1, 1, 1.1e-9, DT,
-                                 TransientOptions(adaptive=True)),
+                                 TransientOptions()),
     "table1_I_adaptive_batch3": (_bench, TABLE1, 3, 1.1e-9, DT,
-                                 TransientOptions(adaptive=True)),
+                                 TransientOptions()),
     "deep96_banded_scalar": (_bench, DEEP_LINE, 1, 0.8e-9, DT,
                              TransientOptions(backend="banded",
-                                              adaptive=False)),
+                                              max_step=DT)),
     "deep96_banded_batch3": (_bench, DEEP_LINE, 3, 0.8e-9, DT,
                              TransientOptions(backend="banded",
-                                              adaptive=False)),
+                                              max_step=DT)),
     "deep96_sparse_batch3": (_bench, DEEP_LINE, 3, 0.8e-9, DT,
                              TransientOptions(backend="sparse",
-                                              adaptive=False)),
+                                              max_step=DT)),
     "inv_halving_batch2": (_halving_bench, HALVING, 2, 1e-9, HALVING_DT,
-                           TransientOptions(max_newton=4, adaptive=False)),
+                           TransientOptions(max_newton=4,
+                                            max_step=HALVING_DT)),
 }
 
 
