@@ -446,7 +446,10 @@ class MnaSystem:
         """
         partition = self.newton_partition() \
             if requested in ("auto", "banded") else None
-        structure = self.structure() if requested == "auto" else None
+        # Without a partition the answer is "dense" whatever the pattern,
+        # so its (scipy RCM) analysis is only run where it is read.
+        structure = self.structure() \
+            if requested == "auto" and partition is not None else None
         return select_backend(structure, self.n_mosfets, requested, partition)
 
     def bordered_newton_step(

@@ -34,6 +34,30 @@ def _bracket(grid: np.ndarray, x):
     return i, f
 
 
+def interpolate(input_slews: np.ndarray, loads: np.ndarray,
+                values: np.ndarray, input_slew, load, scale=1.0, rows=0):
+    """:meth:`NldmTable.lookup` on tables ``values[rows]`` of one grid.
+
+    ``values`` stacks tables ``(k, slews, loads)``; ``rows`` picks the
+    table of each lookup (an index, or index arrays that broadcast
+    against the bracketed slews and loads).  Every entry is multiplied by
+    ``scale`` before it is interpolated.
+    """
+    i, fi = _bracket(input_slews, input_slew)
+    j, fj = _bracket(loads, load)
+    v, r = values, rows
+    if input_slews.size == 1 and loads.size == 1:
+        return v[r, 0, 0] * scale
+    if input_slews.size == 1:
+        return v[r, 0, j] * scale * (1 - fj) + v[r, 0, j + 1] * scale * fj
+    if loads.size == 1:
+        return v[r, i, 0] * scale * (1 - fi) + v[r, i + 1, 0] * scale * fi
+    gi, gj = 1 - fi, 1 - fj
+    return (v[r, i, j] * scale * gi * gj + v[r, i + 1, j] * scale * fi * gj
+            + v[r, i, j + 1] * scale * gi * fj
+            + v[r, i + 1, j + 1] * scale * fi * fj)
+
+
 @dataclass(frozen=True)
 class NldmTable:
     """A 2-D characterisation table ``values[slew_index, load_index]``.
@@ -74,20 +98,8 @@ class NldmTable:
         may be arrays of one shape (one lookup per element, e.g. per
         Monte-Carlo sample); all-scalar arguments return a ``float``.
         """
-        i, fi = _bracket(self.input_slews, input_slew)
-        j, fj = _bracket(self.loads, load)
-        v = self.values
-        if self.input_slews.size == 1 and self.loads.size == 1:
-            out = v[0, 0] * scale
-        elif self.input_slews.size == 1:
-            out = v[0, j] * scale * (1 - fj) + v[0, j + 1] * scale * fj
-        elif self.loads.size == 1:
-            out = v[i, 0] * scale * (1 - fi) + v[i + 1, 0] * scale * fi
-        else:
-            out = (v[i, j] * scale * (1 - fi) * (1 - fj)
-                   + v[i + 1, j] * scale * fi * (1 - fj)
-                   + v[i, j + 1] * scale * (1 - fi) * fj
-                   + v[i + 1, j + 1] * scale * fi * fj)
+        out = interpolate(self.input_slews, self.loads, self.values[None],
+                          input_slew, load, scale)
         return float(out) if np.ndim(out) == 0 else out
 
     def map_values(self, func) -> "NldmTable":

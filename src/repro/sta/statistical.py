@@ -11,13 +11,19 @@ The sweep is sample-parallel.  The design is compiled into its
 reads connectivity and level order from that one graph.  Samples run
 in blocks sized to the design (:func:`_block_size`): as many as fit
 :data:`_BLOCK_BYTES` of arrays and at least :data:`_BLOCK`, so a
-c17 sweep of a few thousand samples is one block.  A block walks the
-graph's levels once with every arrival, slew, load and required time
-held as a ``(block,)`` array (the level-by-level, all-patterns-in-one-array
-evaluation of a logic simulator).  No scaled library is built: NLDM
-lookups multiply the nominal table entries by each sample's cell factor
-before interpolating (:meth:`NldmTable.lookup`'s ``scale``), the same
-IEEE operations as a lookup on the scaled table.  Every row is therefore *bit-identical* to
+c17 sweep of a few thousand samples is one block.  The sweep compiles
+its per-net constants once (:func:`_compile`: loads, each arc's tables
+paired by input edge, inverting flags, input values, the nets that get
+required times), and a block walks the graph's levels once with each
+net's arrival, slew and required time held as one ``(2, block)``
+array, row 0 rising and row 1 falling (the level-by-level,
+all-patterns-in-one-array evaluation of a logic simulator).  An arc
+then costs one delay and one slew lookup for both input edges, and an
+inverting arc swaps the rows with a ``[::-1]`` view.  No scaled library
+is built: NLDM lookups multiply the nominal table entries by each
+sample's cell factor before interpolating (as :meth:`NldmTable.lookup`
+does with ``scale``), the same IEEE operations as a lookup on the
+scaled table.  Every row is therefore *bit-identical* to
 :meth:`StaEngine.analyze` on that sample's :func:`sample_library` /
 :func:`sample_wire_specs` draw, which the tests use as the oracle.
 
@@ -38,10 +44,11 @@ Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
 quantiles are bit-for-bit identical (asserted by the corpus smoke in CI).
 
-The sweep stays columnar: blocks return one array per metric, merged
-with any journal-resumed rows into index-ordered arrays; the quantiles
-take one :func:`numpy.quantile` call, and :attr:`McResult.rows` is
-derived from the columns only when read.
+The sweep stays columnar: blocks return one array per metric.  A sweep
+that is one block and resumed nothing keeps that block's arrays; others
+are merged with any journal-resumed rows into index-ordered arrays.  The
+quantiles take one sort of the stacked columns (:func:`_summarise`),
+and :attr:`McResult.rows` is derived from the columns only when read.
 
 :func:`run_noise_monte_carlo` adds the same statistical axis to the
 paper's noise-aware propagation: aggressor alignments jitter per sample,
@@ -67,6 +74,7 @@ from ..exec import ExecutionConfig, journal_for, run_indexed
 from ..interconnect.elmore import elmore_delays_line
 from ..interconnect.rcline import RcLineSpec
 from ..library.characterize import CharacterizedCell
+from ..library.nldm import NldmTable, interpolate
 from .analysis import InputSpec, StaEngine
 from .graph import TimingGraph
 from .netlist import GateNetlist
@@ -467,7 +475,7 @@ def _draw_block(spec: _McSpec, indices: Sequence[int]):
 
 
 def _later(cur, new):
-    """:meth:`EdgeTiming.later_of` per sample: ``new`` wins ties."""
+    """:meth:`EdgeTiming.later_of` per sample and edge: ``new`` wins ties."""
     if cur is None:
         return new
     take = new[0] >= cur[0]
@@ -476,93 +484,188 @@ def _later(cur, new):
 
 def _min(a, b):
     """Python's ``min(a, b)`` per sample: ``b`` only where ``b < a``."""
-    return b if a is None else np.where(b < a, b, a)
+    return np.where(b < a, b, a)
 
 
-def _evaluate(spec: _McSpec, graph: TimingGraph,
-              indices: Sequence[int]) -> dict:
-    """Columns of samples ``indices``: one level-order pass over the block.
+#: Each edge's row of a net's ``(2, n)`` arrays (0 rise, 1 fall), as a
+#: column that broadcasts against a lookup's indices.
+_EDGE_ROWS = np.array([[0], [1]])
 
-    Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
-    per-edge backward required pass) with ``(len(indices),)`` arrays in
-    place of floats, operation for operation, so each sample equals the
-    scalar engine's bit for bit.  Nested as :attr:`McResult.quantiles`:
-    ``arrival`` (and with required times ``slack``) ``{net: arr}``,
-    ``worst_slack`` an array.
+
+@dataclass(frozen=True)
+class _TablePair:
+    """Two NLDM tables looked up as one: row 0 of a ``(2, n)`` slew on
+    ``tables[0]``, row 1 on ``tables[1]``.
+
+    Tables on one grid (the usual case) stack their entries into
+    ``values`` ``(2, S, L)``, and one :func:`interpolate` call, the body
+    of :meth:`NldmTable.lookup`, serves both rows; tables on different
+    grids are looked up one row each.  ``signed`` is false
+    when every lookup is ``+0.0`` or above: constant (1×1) tables of
+    positive entries, whose lookup is an entry times a factor ``>= 0``.
     """
-    n = len(indices)
+
+    tables: tuple[NldmTable, NldmTable]
+    values: np.ndarray | None
+    signed: bool
+
+    @classmethod
+    def of(cls, first: NldmTable, second: NldmTable) -> "_TablePair":
+        shared = (first.input_slews.tobytes() == second.input_slews.tobytes()
+                  and first.loads.tobytes() == second.loads.tobytes())
+        values = np.array((first.values, second.values)) if shared else None
+        return cls((first, second), values, not (
+            values is not None and values.shape[1:] == (1, 1)
+            and bool((values > 0).all())))
+
+    def lookup(self, slew: np.ndarray, load, scale: np.ndarray) -> np.ndarray:
+        """Both rows' lookups, ``(2, n)``, at one ``load`` (a float, or
+        one per sample) and cell factor ``scale`` per sample."""
+        first, second = self.tables
+        if self.values is None:
+            return np.stack([first.lookup(slew[0], load, scale),
+                             second.lookup(slew[1], load, scale)])
+        if self.values.shape[1:] == (1, 1):
+            # interpolate's constant case, by a view (not a fancy index).
+            return self.values[:, 0, :1] * scale
+        return interpolate(first.input_slews, first.loads, self.values, slew,
+                           load, scale, _EDGE_ROWS)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A sweep's per-net constants, compiled once (:func:`_compile`) and
+    shared by every block.
+
+    ``inputs`` holds each primary input's ``(net, arrival, slew)``.
+    ``gates`` holds each driven net in level order as ``(net, cell, load,
+    n_segments, arcs)``: the fanout pins' capacitance summed as
+    :meth:`StaEngine.net_load` sums it, the wire's segment count (0 for
+    an ideal net), and per input pin ``(in_net, inverting, delay, slew)``
+    with the delay and slew table pairs (:class:`_TablePair`) ordered by
+    input edge.  ``required`` names the nets the backward pass reaches: the
+    constrained nets and their transitive fanin.
+    """
+
+    inputs: tuple[tuple[str, float, float], ...]
+    gates: tuple[tuple, ...]
+    required: frozenset[str]
+
+
+def _compile(spec: _McSpec, graph: TimingGraph) -> _Plan:
+    """The :class:`_Plan` of ``spec``'s design on its compiled ``graph``."""
     library = spec.library
-    scale, wires = _draw_block(spec, indices)
-    order = graph.levels()
-    edges: dict[str, dict] = {"rise": {}, "fall": {}}
-    arcs: dict[str, list] = {}
-    for net in order:
+    inputs, gates, pairs = [], [], {}
+    for net in graph.levels():
         inst = graph.fanin.get(net)
         if inst is None:
             pi = spec.inputs.get(net, InputSpec())
-            at = (np.full(n, pi.arrival), np.full(n, pi.slew))
-            edges["rise"][net] = edges["fall"][net] = at
+            inputs.append((net, pi.arrival, pi.slew))
             continue
         load = sum(library[load_inst.cell].input_capacitance
                    for load_inst, _pin in graph.fanout.get(net, ()))
-        wire_delay, wire_slew = 0.0, None
-        if net in wires:
+        wire = spec.wire_specs.get(net)
+        arcs = []
+        for pin, in_net in inst.inputs:
+            arc = library[inst.cell].arc_for(pin)
+            if id(arc) not in pairs:
+                # Row 0 is the rising input, whose output falls if
+                # the arc inverts.
+                delay = (arc.cell_rise, arc.cell_fall)
+                slew = (arc.rise_transition, arc.fall_transition)
+                if arc.inverting:
+                    delay, slew = delay[::-1], slew[::-1]
+                pairs[id(arc)] = (_TablePair.of(*delay), _TablePair.of(*slew))
+            arcs.append((in_net, arc.inverting, *pairs[id(arc)]))
+        gates.append((net, inst.cell, load,
+                      wire.n_segments if wire is not None else 0,
+                      tuple(arcs)))
+    required = set(spec.required_times)
+    for net, *_, arcs in reversed(gates):
+        if net in required:
+            required.update(in_net for in_net, *_ in arcs)
+    return _Plan(tuple(inputs), tuple(gates), frozenset(required))
+
+
+def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
+    """Columns of samples ``indices``: one level-order pass over the block.
+
+    Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
+    per-edge backward required pass) operation for operation, with each
+    net's arrival, slew and required time one ``(2, len(indices))``
+    array — row 0 the rising edge, row 1 the falling — in place of a
+    float per edge, so each sample equals the scalar engine's bit for
+    bit.  An arc computes both input edges at once, in input-edge order;
+    an inverting arc's rows reach the output, and its required times
+    the input, through a ``[::-1]`` view.  Nested as
+    :attr:`McResult.quantiles`: ``arrival`` (and with required times
+    ``slack``) ``{net: arr}``, ``worst_slack`` an array.
+    """
+    n = len(indices)
+    scale, wires = _draw_block(spec, indices)
+    arrival = {net: np.full((2, n), at) for net, at, _sl in plan.inputs}
+    slew = {net: np.full((2, n), sl) for net, _at, sl in plan.inputs}
+    delays = []  # (net, ((in_net, inverting, delay), ...)) on required paths
+    for net, cell, load, n_segments, arcs in plan.gates:
+        factor = scale[cell]
+        wire_delay = 0.0
+        if n_segments:
             total_r, total_c = wires[net]
             load = load + total_c
-            wire_delay = elmore_delays_line(
-                total_r, total_c, spec.wire_specs[net].n_segments,
-                load_c=load)
-            wire_slew = _LN9 * wire_delay
-        cell = library[inst.cell]
-        best: dict[str, tuple] = {}
-        records = []
-        for pin, in_net in inst.inputs:
-            arc = cell.arc_for(pin)
-            for in_edge in ("rise", "fall"):
-                in_arrival, in_slew = edges[in_edge][in_net]
-                delay, out_slew, out_rising = arc.delay_and_slew(
-                    in_slew, load, input_rising=(in_edge == "rise"),
-                    scale=scale[inst.cell])
-                total_delay = delay + wire_delay
-                if wire_slew is None:
-                    slew = np.abs(out_slew)  # == math.hypot(x, 0.0), bitwise
-                else:
-                    # np.hypot and math.hypot differ in the last bit.
-                    slew = np.fromiter(
-                        map(math.hypot, out_slew.tolist(), wire_slew.tolist()),
-                        float, count=n)
-                out_edge = "rise" if out_rising else "fall"
-                best[out_edge] = _later(best.get(out_edge),
-                                        (in_arrival + total_delay, slew))
-                records.append((in_net, in_edge, out_edge, total_delay))
-        edges["rise"][net], edges["fall"][net] = best["rise"], best["fall"]
-        arcs[net] = records
+            wire_delay = elmore_delays_line(total_r, total_c, n_segments,
+                                            load_c=load)
+            wire_slew = (_LN9 * wire_delay).tolist() * 2
+        best, kept = None, []
+        for in_net, inverting, delay_pair, slew_pair in arcs:
+            in_slew = slew[in_net]
+            # An ideal net adds 0.0 to the delay and takes hypot(x, 0.0)
+            # = |x| of the slew; on a value >= +0.0 neither moves a bit.
+            delay = delay_pair.lookup(in_slew, load, factor)
+            if n_segments or delay_pair.signed:
+                delay += wire_delay
+            out_slew = slew_pair.lookup(in_slew, load, factor)
+            if n_segments:
+                # np.hypot and math.hypot differ in the last bit.
+                out_slew = np.fromiter(
+                    map(math.hypot, out_slew.ravel().tolist(), wire_slew),
+                    float, count=2 * n).reshape(2, n)
+            elif slew_pair.signed:
+                np.abs(out_slew, out=out_slew)
+            at = arrival[in_net] + delay
+            if inverting:
+                at, out_slew = at[::-1], out_slew[::-1]
+            best = _later(best, (at, out_slew))
+            kept.append((in_net, inverting, delay))
+        arrival[net], slew[net] = best
+        if net in plan.required:
+            delays.append((net, kept))
+    del slew  # only the forward pass reads slews
 
-    def arrival(net):
-        r, f = edges["rise"][net][0], edges["fall"][net][0]
+    def worst(net):
+        r, f = arrival[net]
         return np.where(r >= f, r, f)
 
-    columns: dict = {"arrival": {net: arrival(net) for net in spec.watch}}
+    columns: dict = {"arrival": {net: worst(net) for net in spec.watch}}
     if spec.required_times:
-        req = {"rise": dict(spec.required_times),
-               "fall": dict(spec.required_times)}
-        for net in reversed(order):
-            for in_net, in_edge, out_edge, delay in arcs.get(net, ()):
-                out_req = req[out_edge].get(net)
-                if out_req is None:
-                    continue
-                req[in_edge][in_net] = _min(
-                    req[in_edge].get(in_net, math.inf), out_req - delay)
-        # Constrained nets in the order StaResult.required holds them.
-        slack: dict = {}
-        for net in set(req["rise"]) | set(req["fall"]):
-            for edge in ("rise", "fall"):
-                if net in req[edge]:
-                    slack[net] = _min(slack.get(net),
-                                      req[edge][net] - edges[edge][net][0])
+        req = {net: np.full((2, 1), t)
+               for net, t in spec.required_times.items()}
+        while delays:  # backward, dropping each net's delays once used
+            net, kept = delays.pop()
+            out = req[net]
+            for in_net, inverting, delay in kept:
+                req[in_net] = _min(req.get(in_net, math.inf),
+                                   (out[::-1] if inverting else out) - delay)
+        # Constrained nets in the order StaResult.required holds them:
+        # the union of its two edges' (equal) key sets.
+        nets = list(set(req) | set(req))
+        edge_slack = np.empty((len(nets), 2, n))
+        for row, net in zip(edge_slack, nets):
+            np.subtract(req[net], arrival[net], out=row)
+        slacks = _min(edge_slack[:, 0], edge_slack[:, 1])
+        slack = dict(zip(nets, slacks))
         columns["slack"] = {net: slack[net]
                             for net in spec.watch if net in slack}
-        columns["worst_slack"] = reduce(_min, slack.values(), None)
+        columns["worst_slack"] = reduce(_min, slacks)
     return columns
 
 
@@ -571,11 +674,15 @@ def _block_size(spec: _McSpec, graph: TimingGraph) -> int:
     floats :func:`_evaluate` keeps live per sample, and at least
     :data:`_BLOCK`.
 
-    Per sample: arrival and slew of both edges, both edges' required
-    times and the slack (7 per net), one delay per arc edge (2 per input
-    pin), the factors (one per cell, and R, C and their scaled values
-    per wire), the watched arrivals, the worst slack, and one arc's
-    temporaries (8, a wired net's ``hypot`` lists).
+    Per sample, counting the forward pass and the slack step as if they
+    overlapped (the slews and delays are dropped before the slack step):
+    7 per net (arrival, required time and slack of both edges, and the
+    net's slack; the forward pass holds 4, arrival and slew), 2 per input pin
+    (an arc's delays, both edges, kept for the backward pass), the
+    factors (one per cell, and R, C and their scaled values per wire),
+    the watched arrivals, the worst slack, and 8 for one arc's
+    temporaries.  With NumPy 2.4 a budgeted block peaks at 64–90% of
+    the budget on c17 and a 60-gate netlist, wired or not.
     """
     floats = (7 * len(graph.order) + 2 * sum(map(len, graph.fanout.values()))
               + len(spec.library) + 4 * len(spec.wire_specs)
@@ -583,20 +690,20 @@ def _block_size(spec: _McSpec, graph: TimingGraph) -> int:
     return max(_BLOCK, _BLOCK_BYTES // (8 * floats))
 
 
-def _solve_block(b: int, spec: _McSpec, graph: TimingGraph,
-                 blocks: tuple[tuple[int, ...], ...],
+def _solve_block(b: int, spec: _McSpec, plan: _Plan,
+                 blocks: tuple[Sequence[int], ...],
                  journal=None) -> dict:
     """Solve ``blocks[b]`` into columns and journal its rows if asked.
 
     The caller cuts the blocks and compiles ``spec.netlist`` into
-    ``graph`` once per sweep, so neither depends on module state in a
+    ``plan`` once per sweep, so neither depends on module state in a
     worker process.  Module-level (not a closure) so
-    :func:`repro.exec.run_indexed` can pickle it, the graph included, to
-    worker processes; the journal pickles without its file handle.  Journal first, merge
-    after: a ``kill -9`` mid-sweep leaves a sample either fully recorded
-    or recomputed on resume — never half-counted.
+    :func:`repro.exec.run_indexed` can pickle it, the plan included, to
+    worker processes; the journal pickles without its file handle.
+    Journal first, merge after: a ``kill -9`` mid-sweep leaves a sample
+    either fully recorded or recomputed on resume — never half-counted.
     """
-    columns = _evaluate(spec, graph, blocks[b])
+    columns = _evaluate(spec, plan, blocks[b])
     if journal is not None:
         for row in _rows(columns, blocks[b]):
             journal.record(row["index"], row)
@@ -629,18 +736,42 @@ def _put(columns: dict, at, values: dict) -> None:
             col[at] = values[key]
 
 
+#: The quantiles every sweep reports, as :func:`_summarise` keys them.
+_QUANTILES = {"q05": 0.05, "q50": 0.5, "q95": 0.95}
+
+
 def _summarise(columns: dict) -> dict:
-    """5/50/95 quantiles of every column, in ``columns``' nesting: one
-    :func:`numpy.quantile` call over the stacked columns, bit for bit the
-    values of a per-column, per-quantile call."""
+    """5/50/95 quantiles of every column, in ``columns``' nesting.
+
+    One sort of the stacked columns, then :func:`numpy.quantile`'s
+    'linear' interpolation as NumPy computes it: ``v = (n-1)·q`` lies
+    between the sorted values ``a`` at ``lo = floor(v)`` and ``b`` at
+    ``lo + 1`` (both the last value, with ``lo = -1``, where ``v >=
+    n-1``); with ``g = v - lo`` and ``d = b - a`` the quantile is ``b -
+    d·(1-g)`` where ``g >= 0.5`` and ``a + d·g`` below, and NaN in a
+    column holding NaN.  These are the values of per-column,
+    per-quantile calls bit for bit, except that where a column holds
+    both ``-0.0`` and ``0.0`` the sign of a zero quantile follows the
+    order of the tied zeros, which NumPy's partition leaves open (its
+    own stacked and per-quantile calls disagree there too).
+    """
     leaves = [(key, net) for key, col in columns.items()
               for net in (col if isinstance(col, dict) else (None,))]
-    matrix = np.stack([columns[key] if net is None else columns[key][net]
-                       for key, net in leaves])
-    table = np.quantile(matrix, (0.05, 0.5, 0.95), axis=1).T.tolist()
+    matrix = np.sort([columns[key] if net is None else columns[key][net]
+                      for key, net in leaves], axis=1)
+    n = matrix.shape[1]
+    v = (n - 1) * np.array(list(_QUANTILES.values()))
+    lo = np.floor(v).astype(np.intp)
+    lo[v >= n - 1] = -1
+    hi = np.where(lo == -1, -1, lo + 1)
+    g = v - lo
+    a, b = matrix[:, lo], matrix[:, hi]
+    d = b - a
+    table = np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+    table[np.isnan(matrix[:, -1])] = np.nan
     out: dict = {key: {} for key in columns}
-    for (key, net), values in zip(leaves, table):
-        q = dict(zip(("q05", "q50", "q95"), values))
+    for (key, net), values in zip(leaves, table.tolist()):
+        q = dict(zip(_QUANTILES, values))
         if net is None:
             out[key] = q
         else:
@@ -745,22 +876,27 @@ def run_sta_monte_carlo(
     jr = journal_for("ssta-mc", (spec, n), n,
                      execution=execution, enabled=journal)
     done = jr.completed() if jr is not None else {}
-    todo = tuple(sorted(set(range(n)).difference(done)))
+    # A fresh sweep's blocks are ranges: cheap to cut and to pickle.
+    todo = tuple(sorted(set(range(n)).difference(done))) if done else range(n)
     size = _block_size(spec, graph)
     blocks = tuple(todo[k:k + size] for k in range(0, len(todo), size))
     solved = run_indexed(
-        partial(_solve_block, spec=spec, graph=graph, blocks=blocks,
-                journal=jr),
+        partial(_solve_block, spec=spec, plan=_compile(spec, graph),
+                blocks=blocks, journal=jr),
         len(blocks), execution=execution, diag=diag)
-    # Index-ordered columns, laid out like any block's (or resumed row's).
-    like = solved[0] if solved else next(iter(done.values()))
-    columns = {key: ({net: np.empty(n) for net in like[key]}
-                     if isinstance(like[key], dict) else np.empty(n))
-               for key in like if key != "index"}
-    for block, block_columns in zip(blocks, solved):
-        _put(columns, list(block), block_columns)
-    for i, row in done.items():
-        _put(columns, i, row)
+    if len(solved) == 1 and not done:
+        columns = solved[0]  # the one block holds samples 0..n-1 in order
+    else:
+        # Index-ordered columns, laid out like any block's (or resumed
+        # row's).
+        like = solved[0] if solved else next(iter(done.values()))
+        columns = {key: ({net: np.empty(n) for net in like[key]}
+                         if isinstance(like[key], dict) else np.empty(n))
+                   for key in like if key != "index"}
+        for block, block_columns in zip(blocks, solved):
+            _put(columns, list(block), block_columns)
+        for i, row in done.items():
+            _put(columns, i, row)
     if jr is not None:
         diag["journal"] = {"resumed": len(done), "computed": len(todo)}
         jr.finish()

@@ -262,7 +262,8 @@ def _loaded_scipy_modules(code: str) -> list[str]:
 
 
 class TestImportHygiene:
-    """Parsing and SSTA never load SciPy; nothing loads ``scipy.signal``."""
+    """Parsing, SSTA and small MOSFET sweeps never load SciPy; nothing
+    loads ``scipy.signal``."""
 
     def test_sta_and_parsers_load_no_scipy(self):
         loaded = _loaded_scipy_modules("""
@@ -295,6 +296,17 @@ class TestImportHygiene:
         """)
         assert loaded == []
 
+    def test_small_mosfet_table1_loads_no_scipy(self):
+        loaded = _loaded_scipy_modules("""
+            from repro.exec import ExecutionConfig
+            from repro.experiments import CONFIG_I, run_table1
+
+            result = run_table1(CONFIG_I, n_cases=2,
+                                execution=ExecutionConfig(workers=1))
+            assert len(result.rows) == 6
+        """)
+        assert loaded == []
+
     def test_service_and_table1_skip_scipy_signal(self):
         loaded = _loaded_scipy_modules("""
             import repro.experiments.table1
@@ -316,5 +328,6 @@ class TestImportHygiene:
             sens = compute_sensitivity(out.v_in, out.v_out, 1.2)
             assert sens.peak_rho > 0.5
         """)
-        assert "scipy.linalg" in loaded  # the transient engine factored
-        assert "scipy.signal" not in loaded
+        # Dense Newton on a system with no bordered partition reads no
+        # pattern analysis (scipy's RCM), so no scipy module loads.
+        assert loaded == []

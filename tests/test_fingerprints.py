@@ -94,3 +94,40 @@ def test_named_update_rewrites_only_those_entries(tmp_path, monkeypatch):
 
 def _not_recomputed():
     raise AssertionError("an unnamed workload was recomputed")
+
+
+def test_named_update_rewrites_only_failing_values(tmp_path, monkeypatch):
+    # A deliberate digest change (a store-version bump) re-recorded with
+    # ``--update NAME`` on a host whose last digits differ: the job_key
+    # strings move, every value that still matches keeps its recorded
+    # digits.
+    name = "table1_I_batch3"
+    pinned = fingerprints.load()
+    path = tmp_path / "fingerprints.json"
+    path.write_text(fingerprints.dump(pinned), encoding="utf-8")
+    monkeypatch.setattr(fingerprints, "DATA_PATH", path)
+    key = fingerprints.job_key
+    monkeypatch.setattr(fingerprints, "job_key",
+                        lambda job, mna: "bumped-" + key(job, mna))
+    compute = fingerprints.WORKLOADS[name]
+    monkeypatch.setitem(fingerprints.WORKLOADS, name,
+                        lambda: _other_host(compute()))
+    assert fingerprints.main(["--update", name]) == 0
+    before = fingerprints.dump(pinned).splitlines()
+    after = path.read_text(encoding="utf-8").splitlines()
+    changed = [(a, b) for a, b in zip(before, after) if a != b]
+    assert len(before) == len(after) and len(changed) == 3
+    for was, now in changed:
+        assert re.sub(r'"job_key": "bumped-', '"job_key": "', now) == was
+    variants = fingerprints.load(path)[name]["variants"]
+    assert all(v["job_key"].startswith("bumped-") for v in variants)
+
+
+def _other_host(entry):
+    """``entry`` as another CPU's rounding might give it: every RMS 1e-12
+    and every crossing 1e-18 s off, well inside the tolerances."""
+    for variant in entry["variants"]:
+        for node in variant["nodes"].values():
+            node["rms"] *= 1 + 1e-12
+            node["crossings"] = [t + 1e-18 for t in node["crossings"]]
+    return entry

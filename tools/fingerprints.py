@@ -23,7 +23,11 @@ with the checked-in ``tests/data/fingerprints.json``:
   key digests exact.
 
 Only an explicit ``--update`` rewrites the file; naming workloads
-recomputes only those entries and keeps every other line as it is::
+recomputes only those entries and keeps every other line as it is.
+Within a named entry, every recorded value that still passes the
+comparison above stays as recorded and only the failing ones are
+rewritten, so after a deliberate change of, say, ``job_key``'s digest
+only the digests move, not this host's last digits of every RMS::
 
     PYTHONPATH=src python tools/fingerprints.py --update   # regenerate
     PYTHONPATH=src python tools/fingerprints.py --update sta_c17
@@ -352,6 +356,23 @@ def _matches(path: str, want, got) -> bool:
     return want == got
 
 
+def _keep_passing(pinned, fresh, path: str = ""):
+    """``fresh`` with every leaf (as :func:`_flatten` walks it) that
+    still matches ``pinned``'s leaf at its path taken from ``pinned``."""
+    if isinstance(fresh, dict):
+        old = pinned if isinstance(pinned, dict) else {}
+        return {key: _keep_passing(old.get(key), value,
+                                   f"{path}.{key}" if path else key)
+                for key, value in fresh.items()}
+    if isinstance(fresh, list) and fresh and isinstance(fresh[0], dict):
+        old = pinned if isinstance(pinned, list) else []
+        return [_keep_passing(old[k] if k < len(old) else None, value,
+                              f"{path}[{k}]")
+                for k, value in enumerate(fresh)]
+    keep = type(pinned) is type(fresh) and _matches(path, pinned, fresh)
+    return pinned if keep else fresh
+
+
 def compare(expected: dict, actual: dict) -> list[str]:
     """Human-readable mismatches between two fingerprint sets (empty = equal)."""
     want, got = dict(_flatten(expected)), dict(_flatten(actual))
@@ -395,7 +416,13 @@ def main(argv=None) -> int:
             parser.error(f"unknown workload(s) {', '.join(unknown)}; "
                          f"choose from {', '.join(WORKLOADS)}")
         actual = compute(args.update)
-        merged = {**load(), **actual} if args.update else actual
+        if args.update:
+            pinned = load()
+            actual = {name: _keep_passing(pinned.get(name), entry)
+                      for name, entry in actual.items()}
+            merged = {**pinned, **actual}
+        else:
+            merged = actual
         DATA_PATH.write_text(dump(merged), encoding="utf-8")
         print(f"wrote {os.path.relpath(DATA_PATH, REPO)} "
               f"({len(actual)} of {len(merged)} workloads recomputed)")
