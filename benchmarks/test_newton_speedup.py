@@ -24,9 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuit.sources import RampSource
-from repro.circuit.transient import (BatchStimulus, TransientOptions,
-                                     simulate_transient_batch)
+from repro.circuit.transient import (TransientJob, TransientOptions,
+                                     simulate_transient_many)
 from repro.experiments.setup import CrosstalkConfig, build_testbench
 
 VOLTAGE_TOL = 1e-9
@@ -42,39 +41,33 @@ T_STOP = 0.5e-9
 DT = 1e-12
 
 
-def _testbench(n_segments: int):
-    """Figure 1 (Configuration I) with a deepened line discretisation."""
+def _testbench(n_segments: int, aggressor_start: float):
+    """Figure 1 (Configuration I) with a deepened line discretisation and
+    the aggressor switching with the victim (speed-up noise)."""
     config = CrosstalkConfig(name=f"newton{n_segments}", n_aggressors=1,
                              line_length_um=1000.0,
                              coupling_per_aggressor=100e-15,
-                             n_segments=n_segments)
-    return build_testbench(config, 0.1e-9, (0.12e-9,))
+                             n_segments=n_segments,
+                             aggressors_opposing=False)
+    return build_testbench(config, 0.1e-9, (aggressor_start,))
 
 
-def _stimuli(tb) -> list[BatchStimulus]:
+def _run(n_segments: int, backend: str):
     """One aggressor-alignment sweep: variants differ in Vy's start."""
-    return [
-        BatchStimulus(
-            sources={"Vy": RampSource(0.12e-9 + k * 0.01e-9, 150e-12,
-                                      1.2, 0.0)},
-            initial_voltages=tb.initial_voltages)
-        for k in range(BATCH)
-    ]
-
-
-def _run(tb, backend: str):
     # The fixed grid (max_step = DT): the work counts assume every step
     # is one base step.
-    return simulate_transient_batch(
-        tb.circuit, _stimuli(tb), t_stop=T_STOP, dt=DT,
-        options=TransientOptions(backend=backend, max_step=DT))
+    options = TransientOptions(backend=backend, max_step=DT)
+    return simulate_transient_many([
+        TransientJob(tb.circuit, t_stop=T_STOP, dt=DT,
+                     initial_voltages=tb.initial_voltages, options=options)
+        for tb in (_testbench(n_segments, 0.12e-9 + k * 0.01e-9)
+                   for k in range(BATCH))])
 
 
 def test_sparse_newton_lifts_the_gate_netlist_ceiling():
     """Every depth: expected backend, equal work counts, <1e-9 V."""
     for n_segments in SEGMENT_SWEEP:
-        tb = _testbench(n_segments)
-        dense, auto = _run(tb, "dense"), _run(tb, "auto")
+        dense, auto = _run(n_segments, "dense"), _run(n_segments, "auto")
         assert auto[0].stats["backend"] == EXPECTED_BACKEND[n_segments], (
             f"n_segments={n_segments}: auto selected "
             f"{auto[0].stats['backend']}")
@@ -93,13 +86,12 @@ def test_sparse_newton_lifts_the_gate_netlist_ceiling():
 
 def test_paper_scale_gate_circuits_stay_dense():
     """The 3-cell Figure 1 netlist keeps the historical dense path."""
-    tb = _testbench(3)
-    res = _run(tb, "auto")
+    res = _run(3, "auto")
     assert res[0].stats["backend"] == "dense"
     assert res[0].stats["batch_size"] == BATCH
 
 
 @pytest.mark.parametrize("n_segments", [72])
 def test_structured_newton_engages_at_depth(n_segments):
-    res = _run(_testbench(n_segments), "auto")
+    res = _run(n_segments, "auto")
     assert res[0].stats["backend"] == "banded"

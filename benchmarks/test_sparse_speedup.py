@@ -25,8 +25,8 @@ import pytest
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
-from repro.circuit.transient import (BatchStimulus, TransientOptions,
-                                     simulate_transient_batch)
+from repro.circuit.transient import (TransientJob, TransientOptions,
+                                     simulate_transient_many)
 from repro.interconnect.coupling import CouplingSpec, add_coupled_lines
 from repro.interconnect.rcline import RcLineSpec
 
@@ -42,14 +42,16 @@ T_STOP = 1.0e-9
 DT = 1e-12
 
 
-def _bundle(n_segments: int) -> Circuit:
+def _bundle(n_segments: int, aggressor_start: float) -> Circuit:
     """Victim + two aggressors, coupled, MOSFET-free (the linear core of
-    Figure 1, so the structured backends engage)."""
+    Figure 1, so the structured backends engage).  Lines 0 and 2 rise at
+    0.2 ns; line 1 falls from ``aggressor_start``."""
     circuit = Circuit(f"rc_bundle_{n_segments}")
     terminals, specs = [], []
     for k in range(N_LINES):
-        circuit.vsource(f"V{k}", f"in{k}", "0",
-                        RampSource(0.2e-9, 150e-12, 0.0, 1.2))
+        ramp = (RampSource(aggressor_start, 150e-12, 1.2, 0.0) if k == 1
+                else RampSource(0.2e-9, 150e-12, 0.0, 1.2))
+        circuit.vsource(f"V{k}", f"in{k}", "0", ramp)
         circuit.capacitor(f"cl{k}", f"out{k}", "0", 5e-15)
         terminals.append((f"in{k}", f"out{k}"))
         specs.append(RcLineSpec.from_length(1000.0, n_segments=n_segments))
@@ -58,28 +60,21 @@ def _bundle(n_segments: int) -> Circuit:
     return circuit
 
 
-def _stimuli() -> list[BatchStimulus]:
+def _run(n_segments: int, backend: str):
     """One aggressor-alignment sweep: variants differ only in V1's start."""
-    return [
-        BatchStimulus(sources={
-            "V1": RampSource(0.2e-9 + k * 0.01e-9, 150e-12, 1.2, 0.0)})
-        for k in range(BATCH)
-    ]
-
-
-def _run(circuit: Circuit, backend: str):
     # The fixed grid (max_step = DT): the work counts assume every step
     # is one base step.
-    return simulate_transient_batch(
-        circuit, _stimuli(), t_stop=T_STOP, dt=DT,
-        options=TransientOptions(backend=backend, max_step=DT))
+    options = TransientOptions(backend=backend, max_step=DT)
+    return simulate_transient_many([
+        TransientJob(_bundle(n_segments, 0.2e-9 + k * 0.01e-9),
+                     t_stop=T_STOP, dt=DT, options=options)
+        for k in range(BATCH)])
 
 
 def test_structured_solves_lift_the_node_count_ceiling():
     """Every depth: expected backend, equal work counts, <1e-9 V."""
     for n_segments in SEGMENT_SWEEP:
-        circuit = _bundle(n_segments)
-        dense, auto = _run(circuit, "dense"), _run(circuit, "auto")
+        dense, auto = _run(n_segments, "dense"), _run(n_segments, "auto")
         assert auto[0].stats["backend"] == EXPECTED_BACKEND[n_segments], (
             f"n_segments={n_segments}: auto selected "
             f"{auto[0].stats['backend']}")
@@ -99,12 +94,12 @@ def test_structured_solves_lift_the_node_count_ceiling():
 
 def test_small_figure1_scale_unaffected():
     """The paper's own 3-cell lines stay on the dense path and match."""
-    res = _run(_bundle(3), "auto")
+    res = _run(3, "auto")
     assert res[0].stats["backend"] == "dense"
     assert res[0].stats["batch_size"] == BATCH
 
 
 @pytest.mark.parametrize("n_segments", [48])
 def test_structured_backend_engages_at_depth(n_segments):
-    res = _run(_bundle(n_segments), "auto")
+    res = _run(n_segments, "auto")
     assert res[0].stats["backend"] in ("banded", "sparse")

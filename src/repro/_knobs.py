@@ -122,12 +122,6 @@ KNOBS: dict[str, Knob] = {k.name: k for k in (
     Knob("REPRO_SERVICE_QUOTA", _int_at_least(1), 16,
          "admission control: per-client cap on queued+running jobs",
          "`16`"),
-    Knob("REPRO_MC_SAMPLES", _int_at_least(1), 32,
-         "Monte-Carlo sample count of the statistical STA drivers", "`32`"),
-    Knob("REPRO_MC_SEED", _int_at_least(0), 0,
-         "base seed of the statistical STA sample streams "
-         "(per-sample streams are derived, so results are "
-         "worker-count-independent)", "`0`"),
     Knob("REPRO_FAULTS", _string, "",
          "seeded fault-injection plan for the chaos harness "
          "(`seed=S;point=kind[:p=..][:n=..][:after=..][:arg=..];…` — "

@@ -5,9 +5,10 @@ Public surface:
 * :class:`~repro.circuit.netlist.Circuit` — netlist builder
 * :func:`~repro.circuit.transient.simulate_transient` — trapezoidal/Newton
   transient analysis
-* :func:`~repro.circuit.transient.simulate_transient_batch` /
-  :func:`~repro.circuit.transient.simulate_transient_many` — batched
-  transient analysis over stacked matrices (many stimuli, one Newton loop)
+* :func:`~repro.circuit.transient.simulate_transient_many` — batched
+  transient analysis over stacked matrices: a list of
+  :class:`~repro.circuit.transient.TransientJob` (many stimuli, one
+  Newton loop per topology)
 * :func:`~repro.circuit.dc.dc_operating_point` /
   :func:`~repro.circuit.dc.dc_operating_point_batch` — DC solves with gmin
   stepping (stacked over topology-sharing variants in the batch form)
@@ -31,13 +32,11 @@ from .netlist import Circuit, GROUND
 from .solvers import BACKENDS, MatrixStructure, analyze_pattern, select_backend
 from .sources import Dc, Pwl, PulseSource, RampSource, SourceFunction, WaveformSource
 from .transient import (
-    BatchStimulus,
     ConvergenceError,
     TransientJob,
     TransientOptions,
     TransientResult,
     simulate_transient,
-    simulate_transient_batch,
     simulate_transient_many,
 )
 
@@ -61,10 +60,8 @@ __all__ = [
     "WaveformSource",
     "SourceFunction",
     "simulate_transient",
-    "simulate_transient_batch",
     "simulate_transient_many",
     "TransientJob",
-    "BatchStimulus",
     "TransientResult",
     "TransientOptions",
     "ConvergenceError",

@@ -21,15 +21,17 @@ variants of one topology through a single Newton loop over stacked
 experiments run the *same topology* under many stimuli (noise-case
 sweeps, one circuit per aggressor alignment; technique evaluation, one
 receiver fixture per Γ_eff), and the entry points hand them over
-together so the per-step Python cost is paid once per stack:
+together so the per-step Python cost is paid once per stack.  A stack
+is a list with one :class:`TransientJob` per variant, each built by its
+caller's circuit builder:
 
-* :func:`simulate_transient_batch` — B variants of one circuit, given as
-  :class:`BatchStimulus` source/initial-state overrides.
 * :func:`simulate_transient_many` — a list of independent
   :class:`TransientJob` simulations, grouped by
   :meth:`~repro.circuit.mna.MnaSystem.topology_signature` (plus time grid
   and solver options); each group is one stack.
-* :func:`simulate_transient` — one circuit, a stack of one.
+  :func:`repro.exec.run_jobs` adds the result store and process shards.
+* :func:`simulate_transient` (or :meth:`TransientJob.run`) — one
+  circuit, a stack of one.
 
 The Newton loop freezes converged variants and applies the convergence
 and voltage-limiting tests per variant, and the variants whose base step
@@ -154,12 +156,10 @@ kernel this engine selects.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from dataclasses import replace as _dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +173,6 @@ from .dc import dc_operating_point, dc_operating_point_batch
 from .mna import BorderedNewtonStep, MnaSystem, _lap, stacked_newton
 from .netlist import Circuit
 from .solvers import BACKENDS, factorize, select_backend, sparse_csr
-from .sources import as_source
 
 __all__ = [
     "TransientResult",
@@ -181,8 +180,6 @@ __all__ = [
     "TransientOptions",
     "ConvergenceError",
     "TransientJob",
-    "BatchStimulus",
-    "simulate_transient_batch",
     "simulate_transient_many",
     "job_group_key",
 ]
@@ -368,33 +365,6 @@ class TransientJob:
         return int(math.floor(math.log2(max_step / self.dt)))
 
 
-@dataclass(frozen=True)
-class BatchStimulus:
-    """Per-variant overrides for :func:`simulate_transient_batch`.
-
-    Attributes
-    ----------
-    sources:
-        Source-name → stimulus map (anything
-        :func:`~repro.circuit.sources.as_source` accepts).  Named voltage
-        and current sources of the base circuit are replaced; unnamed ones
-        keep their base stimulus.
-    initial_voltages:
-        Node → volts seed for this variant's DC solve (or exact initial
-        state with ``use_ic``).
-    use_ic:
-        Skip the DC solve and start exactly from ``initial_voltages``.
-    t_stop:
-        Optional per-variant end time (defaults to the batch ``t_stop``).
-        Must share the batch ``t_start`` and ``dt`` grid.
-    """
-
-    sources: Mapping[str, object] = field(default_factory=dict)
-    initial_voltages: Mapping[str, float] | None = None
-    use_ic: bool = False
-    t_stop: float | None = None
-
-
 def _cap_stamp_matrix(mna: MnaSystem, a: np.ndarray, h: float) -> np.ndarray:
     """Add trapezoidal capacitor companion conductances ``2C/h`` to ``a``."""
     geq = 2.0 * mna.cap_c / h
@@ -507,11 +477,6 @@ class _StepMatrixCache:
         if isinstance(self._cap_s, np.ndarray):
             return x @ self._cap_s  # S is symmetric
         return (self._cap_s @ x.T).T
-
-    @property
-    def base_dt(self) -> float:
-        """The caller's base step (the quantisation unit of the ladder)."""
-        return self._dt
 
     def get_h(self, h: float) -> tuple[np.ndarray, object | None, float]:
         """Return ``(a_base, solver_or_None, h)`` for a step value."""
@@ -1048,67 +1013,3 @@ def simulate_transient_many(
                                                 [mnas[k] for k in idxs])):
             results[k] = res
     return results  # type: ignore[return-value]
-
-
-def _with_sources(circuit: Circuit, overrides: Mapping[str, object]) -> Circuit:
-    """A shallow variant of ``circuit`` with named sources replaced.
-
-    Topology (nodes, element order) is untouched, so every variant
-    compiles to the same :meth:`~repro.circuit.mna.MnaSystem.topology_signature`.
-    """
-    variant = copy.copy(circuit)
-    variant.vsources = [
-        _dc_replace(v, source=as_source(overrides[v.name])) if v.name in overrides else v
-        for v in circuit.vsources
-    ]
-    variant.isources = [
-        _dc_replace(i, source=as_source(overrides[i.name])) if i.name in overrides else i
-        for i in circuit.isources
-    ]
-    return variant
-
-
-def simulate_transient_batch(
-    circuit: Circuit,
-    stimuli: Sequence[BatchStimulus],
-    t_stop: float,
-    dt: float,
-    t_start: float = 0.0,
-    options: TransientOptions | None = None,
-) -> list[TransientResult]:
-    """Simulate ``B`` variants of one circuit as one stack.
-
-    Parameters
-    ----------
-    circuit:
-        The shared topology.
-    stimuli:
-        One :class:`BatchStimulus` per variant: source overrides plus
-        initial state.  Every variant shares the ``t_start``/``dt`` grid;
-        a variant may end earlier via ``BatchStimulus.t_stop``.
-    t_stop, dt, t_start, options:
-        As in :func:`simulate_transient`.
-
-    Returns
-    -------
-    list[TransientResult]
-        One result per stimulus, in order; on the fixed grid
-        (``max_step = dt``) each is numerically equivalent to running
-        :func:`simulate_transient` on its variant alone.
-    """
-    require(len(stimuli) >= 1, "need at least one stimulus")
-    known = {v.name for v in circuit.vsources} | {i.name for i in circuit.isources}
-    jobs = []
-    for stim in stimuli:
-        unknown = set(stim.sources) - known
-        require(not unknown, f"unknown source override(s): {sorted(unknown)}")
-        jobs.append(TransientJob(
-            circuit=_with_sources(circuit, stim.sources),
-            t_stop=t_stop if stim.t_stop is None else stim.t_stop,
-            dt=dt,
-            t_start=t_start,
-            initial_voltages=stim.initial_voltages,
-            use_ic=stim.use_ic,
-            options=options,
-        ))
-    return simulate_transient_many(jobs)

@@ -37,6 +37,7 @@ from collections.abc import Callable
 
 from .._util import require
 from ..circuit.netlist import Circuit
+from ..circuit.solvers import BACKENDS
 from ..circuit.sources import Dc, Pwl, RampSource, SourceFunction
 from ..circuit.transient import TransientJob, TransientOptions
 from ..exec import ExecutionConfig, run_jobs
@@ -280,13 +281,15 @@ class Table1ServiceJob(ServiceJob):
         _require_spec(polarity in ("both", "opposing", "same"),
                       "'polarity' must be both/opposing/same")
         self.polarity = polarity
-        self.solver_backend = str(spec.get("solver_backend", "auto"))
+        self.solver_backend = spec.get("solver_backend", "auto")
+        _require_spec(self.solver_backend in BACKENDS,
+                      f"'solver_backend' must be one of {list(BACKENDS)}")
         adaptive = spec.get("adaptive", True)
         _require_spec(isinstance(adaptive, bool),
                       "'adaptive' must be a boolean when given")
         self.adaptive = adaptive
-        dt = spec.get("dt")
-        self.dt = None if dt is None else _float_field(spec, "dt")
+        self.dt = None if spec.get("dt") is None else _float_field(spec, "dt")
+        _require_spec(self.dt is None or self.dt > 0, "'dt' must be > 0")
 
     def describe(self) -> str:
         names = ",".join(c.name for c in self.configs)
@@ -374,6 +377,8 @@ class StaMonteCarloServiceJob(ServiceJob):
             _require_spec(isinstance(watch, list)
                           and all(isinstance(w, str) for w in watch),
                           "'watch' must be a list of net names")
+            unknown = sorted(set(watch).difference(self.netlist.nets))
+            _require_spec(not unknown, f"unknown watch net(s) {unknown}")
         self.watch = watch
 
     def describe(self) -> str:
@@ -390,15 +395,18 @@ class StaMonteCarloServiceJob(ServiceJob):
         if self.required is not None:
             required = {net: self.required
                         for net in self.netlist.primary_outputs}
+        given = {name: value for name, value in
+                 (("samples", self.samples), ("seed", self.seed))
+                 if value is not None}
         try:
             result = run_sta_monte_carlo(
                 self.netlist, self.library, inputs=inputs,
                 required_times=required,
                 variation=McVariation(sigma_cell=self.sigma_cell,
                                       sigma_wire=self.sigma_wire),
-                samples=self.samples, seed=self.seed, watch=self.watch,
-                execution=execution,
-                on_sample=lambda row: emit(dict(row, event="sample")))
+                watch=self.watch, execution=execution,
+                on_sample=lambda row: emit(dict(row, event="sample")),
+                **given)
         except (KeyError, ValueError) as exc:
             # Netlist/library mismatches (missing cells or arcs) surface
             # at analysis time; they are client errors, not server bugs.

@@ -20,10 +20,11 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from ..exec import ExecutionConfig, default_execution
+from ..exec import default_execution
 from ..library.liberty import parse_liberty
 from .analysis import InputSpec, StaEngine
 from .sdf import SdfEngine, read_sdf
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run an N-sample Monte-Carlo statistical sweep "
                         "(default: single deterministic run)")
     p.add_argument("--seed", type=int, default=None,
-                   help="Monte-Carlo base seed (default: REPRO_MC_SEED)")
+                   help="Monte-Carlo base seed (default 0)")
     p.add_argument("--sigma-cell", type=float, default=0.05,
                    help="lognormal sigma of the cell-speed factor")
     p.add_argument("--sigma-wire", type=float, default=0.10,
@@ -96,15 +97,14 @@ def main(argv: "list[str] | None" = None) -> int:
             return 2
         execution = None
         if args.workers is not None:
-            base = default_execution()
-            execution = ExecutionConfig(workers=args.workers,
-                                        store=base.store,
-                                        min_pool_jobs=base.min_pool_jobs)
+            execution = dataclasses.replace(default_execution(),
+                                            workers=args.workers)
+        given = {} if args.seed is None else {"seed": args.seed}
         result = run_sta_monte_carlo(
             netlist, library, inputs=inputs, required_times=required,
             variation=McVariation(sigma_cell=args.sigma_cell,
                                   sigma_wire=args.sigma_wire),
-            samples=args.mc, seed=args.seed, execution=execution)
+            samples=args.mc, execution=execution, **given)
         print(f"# {netlist.name}: {result.samples} samples, "
               f"seed {result.seed}, mode {result.diag.get('mode')}")
         for metric, per_net in result.quantiles.items():

@@ -68,7 +68,6 @@ from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
-from .._knobs import knob
 from .._util import require
 from ..exec import ExecutionConfig, journal_for, run_indexed
 from ..interconnect.elmore import elmore_delays_line
@@ -814,8 +813,8 @@ def run_sta_monte_carlo(
     inputs: dict[str, InputSpec] | None = None,
     required_times: dict[str, float] | None = None,
     variation: McVariation = McVariation(),
-    samples: int | None = None,
-    seed: int | None = None,
+    samples: int = 32,
+    seed: int = 0,
     watch: list[str] | None = None,
     execution: ExecutionConfig | None = None,
     on_sample: "Callable[[dict], None] | None" = None,
@@ -831,11 +830,11 @@ def run_sta_monte_carlo(
         The σ model; each sample scales the library and wires by its own
         lognormal draws.
     samples / seed:
-        Sweep size and base seed (``>= 0``); ``None`` reads the
-        ``REPRO_MC_SAMPLES`` / ``REPRO_MC_SEED`` knobs.
+        Sweep size and base seed (``>= 0``).
     watch:
         Nets whose arrival/slack distributions are recorded (default:
-        the primary outputs).
+        the primary outputs); a net the netlist lacks raises
+        ``ValueError`` before any block runs.
     execution:
         Worker configuration for :func:`repro.exec.run_indexed`, which
         receives one index per block of :func:`_block_size` samples (so
@@ -857,8 +856,7 @@ def run_sta_monte_carlo(
     -------
     McResult
     """
-    n = int(knob("REPRO_MC_SAMPLES") if samples is None else samples)
-    base_seed = int(knob("REPRO_MC_SEED") if seed is None else seed)
+    n, base_seed = int(samples), int(seed)
     require(n >= 1, "need at least one sample")
     require(base_seed >= 0, "seed must be >= 0")
     watch_nets = tuple(watch if watch is not None else netlist.primary_outputs)
@@ -868,9 +866,12 @@ def run_sta_monte_carlo(
                    inputs=dict(inputs or {}),
                    required_times=dict(required_times or {}),
                    variation=variation, seed=base_seed, watch=watch_nets)
-    # Compile once and fail fast, in-process, on a bad design.
+    # Compile once and fail fast, in-process, on a bad design or watch
+    # list (a broken design reports its own error first).
     graph = TimingGraph.build(netlist)
     StaEngine(spec.library, wire_specs=spec.wire_specs).check(graph)
+    unknown = sorted(set(watch_nets).difference(graph.order))
+    require(not unknown, f"unknown watch net(s) {unknown}")
 
     diag: dict = {}
     jr = journal_for("ssta-mc", (spec, n), n,
@@ -912,8 +913,8 @@ def run_noise_monte_carlo(
     stages,
     input_ramp,
     sigma_align: float = 20e-12,
-    samples: int | None = None,
-    seed: int | None = None,
+    samples: int = 32,
+    seed: int = 0,
     technique=None,
     dt: float = 2e-12,
     settle_margin: float = 800e-12,
@@ -941,8 +942,7 @@ def run_noise_monte_carlo(
     """
     from .noise_aware import propagate_path  # cycle-free import
 
-    n = int(knob("REPRO_MC_SAMPLES") if samples is None else samples)
-    base_seed = int(knob("REPRO_MC_SEED") if seed is None else seed)
+    n, base_seed = int(samples), int(seed)
     require(n >= 1, "need at least one sample")
     require(base_seed >= 0, "seed must be >= 0")
     require(sigma_align >= 0, "sigma_align must be >= 0")

@@ -49,7 +49,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_KEYWORDS = frozenset(("module", "endmodule", "input", "output", "wire"))
 _UNSUPPORTED = frozenset((
     "assign", "inout", "parameter", "localparam", "reg", "always",
     "initial", "generate", "supply0", "supply1", "tri", "specify",

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ class TestJobSpecs:
             build_job({"kind": "table1", "n_cases": 1})
         with pytest.raises(JobSpecError, match="polarity"):
             build_job({"kind": "table1", "polarity": "sideways"})
+        # Rejected at submit, not in a worker thread.
+        for bad in ({"solver_backend": "bogus"}, {"solver_backend": 5}):
+            with pytest.raises(JobSpecError, match="solver_backend"):
+                build_job(dict(bad, kind="table1"))
+        with pytest.raises(JobSpecError, match="'dt' must be > 0"):
+            build_job({"kind": "table1", "dt": -1e-12})
+
+    def test_sta_mc_rejects_unknown_watch_nets(self):
+        data = Path(__file__).parent / "data"
+        spec = {"kind": "sta_mc", "verilog": (data / "c17.v").read_text(),
+                "liberty": (data / "c17.lib").read_text()}
+        assert build_job(dict(spec, watch=["N22"])).watch == ["N22"]
+        with pytest.raises(JobSpecError,
+                           match=r"unknown watch net\(s\) \['nope'\]"):
+            build_job(dict(spec, watch=["N22", "nope"]))
 
 
 # ----------------------------------------------------------------------

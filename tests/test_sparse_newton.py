@@ -13,6 +13,8 @@ degrade to dense mid-solve, and the per-topology analysis
 not once per compiled system.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,9 @@ from repro.circuit.mna import (BorderedNewtonStep, MnaSystem,
                                clear_analysis_cache)
 from repro.circuit.solvers import (BorderedBanded, analyze_pattern,
                                    select_backend)
-from repro.circuit.sources import RampSource
-from repro.circuit.transient import (BatchStimulus, TransientOptions,
+from repro.circuit.transient import (TransientJob, TransientOptions,
                                      simulate_transient,
-                                     simulate_transient_batch)
+                                     simulate_transient_many)
 from repro.experiments.setup import (CONFIG_I, CONFIG_II, CrosstalkConfig,
                                      build_testbench, receiver_fixture)
 
@@ -101,27 +102,23 @@ class TestScalarEquivalence:
 
 
 class TestBatchedEquivalence:
-    def _stimuli(self, base=0.05e-9):
-        return [BatchStimulus(sources={"Vy": RampSource(base + k * 0.01e-9,
-                                                        150e-12, 1.2, 0.0)})
-                for k in range(3)]
+    def _jobs(self, backend):
+        # An aggressor-alignment sweep: the aggressor switches with the
+        # victim (speed-up noise), 10 ps apart from variant to variant.
+        config = dataclasses.replace(_deep_config(64),
+                                     aggressors_opposing=False)
+        options = TransientOptions(backend=backend)
+        return [TransientJob(tb.circuit, t_stop=0.25e-9, dt=2e-12,
+                             initial_voltages=tb.initial_voltages,
+                             options=options)
+                for tb in (build_testbench(config, 0.05e-9,
+                                           (0.05e-9 + k * 0.01e-9,))
+                           for k in range(3))]
 
     @pytest.mark.parametrize("backend", ["banded"])
     def test_batched_matches_dense_batched(self, backend):
-        tb = build_testbench(_deep_config(64), 0.05e-9, (0.06e-9,))
-        kw = dict(t_stop=0.25e-9, dt=2e-12)
-        dense = simulate_transient_batch(
-            tb.circuit,
-            [BatchStimulus(sources=s.sources,
-                           initial_voltages=tb.initial_voltages)
-             for s in self._stimuli()],
-            options=TransientOptions(backend="dense"), **kw)
-        res = simulate_transient_batch(
-            tb.circuit,
-            [BatchStimulus(sources=s.sources,
-                           initial_voltages=tb.initial_voltages)
-             for s in self._stimuli()],
-            options=TransientOptions(backend=backend), **kw)
+        dense = simulate_transient_many(self._jobs("dense"))
+        res = simulate_transient_many(self._jobs(backend))
         assert res[0].stats["backend"] == backend
         assert res[0].stats["batch_size"] == 3
         for d, r in zip(dense, res):

@@ -758,6 +758,19 @@ class TestFailFast:
             "multiply_driven": "NetlistError",
             "cycle": "TimingGraphError"}[kind]
 
+    def test_unknown_watch_raises_before_any_block(self, design,
+                                                   monkeypatch):
+        net, lib, _ = design
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_indexed reached")
+
+        monkeypatch.setattr(statistical, "run_indexed", unreachable)
+        with pytest.raises(ValueError,
+                           match=r"unknown watch net\(s\) \['nope', 'zz'\]"):
+            run_sta_monte_carlo(net, lib, watch=["n1", "zz", "nope"],
+                                samples=8, seed=0, journal=False)
+
 
 class TestColumnarSummary:
     """The sort-based summary equals per-column, per-q ``np.quantile``."""
@@ -855,6 +868,32 @@ class TestSeedValidation:
                   "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_cli_workers_keep_the_environment_config(self, monkeypatch):
+        import repro.sta.__main__ as cli
+        from repro.exec import set_default_execution
+
+        class Captured(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            raise Captured(kwargs)
+
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "30")
+        monkeypatch.setattr(cli, "run_sta_monte_carlo", capture)
+        data = os.path.join(os.path.dirname(__file__), "data")
+        previous = set_default_execution(None)  # re-read the environment
+        try:
+            with pytest.raises(Captured) as got:
+                cli.main([os.path.join(data, "c17.v"), "--liberty",
+                          os.path.join(data, "c17.lib"), "--mc", "4",
+                          "--workers", "2"])
+        finally:
+            set_default_execution(previous)
+        kwargs = got.value.args[0]
+        assert kwargs["execution"].workers == 2
+        assert kwargs["execution"].shard_timeout == 30.0
+        assert "seed" not in kwargs  # the driver's default applies
 
 
 class TestSampling:

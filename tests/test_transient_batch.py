@@ -1,25 +1,23 @@
 """Batched transient engine: equivalence with the sequential path.
 
-The contract of :func:`repro.circuit.transient.simulate_transient_many` /
-``simulate_transient_batch`` on the fixed grid (``max_step = dt``) is
-numerical equivalence with running :func:`simulate_transient` per
-variant — these tests pin it to <1e-9 V on every node for the Table-1
-testbench, a coupled noisy stage, and the recursive step-halving path
-(which previously had no coverage at all).
+The contract of :func:`repro.circuit.transient.simulate_transient_many`
+on the fixed grid (``max_step = dt``) is numerical equivalence with
+running each :class:`TransientJob` alone — these tests pin it to <1e-9 V
+on every node for the Table-1 testbench, a coupled noisy stage, and the
+recursive step-halving path.  Every variant comes from a circuit
+builder.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.sources import Dc, RampSource
+from repro.circuit.sources import RampSource
 from repro.circuit.transient import (
-    BatchStimulus,
     ConvergenceError,
     TransientJob,
     TransientOptions,
     simulate_transient,
-    simulate_transient_batch,
     simulate_transient_many,
 )
 from repro.experiments.noise_injection import SweepTiming
@@ -112,48 +110,48 @@ class TestCoupledStageEquivalence:
         stage = NoisyStage(driver=make_inverter(1),
                            line=RcLineSpec.from_length(500.0),
                            receiver=make_inverter(4), aggressors=(agg,))
-        circuit, _, far, out = _build_stage_circuit(stage, vdd)
         ramps = [
             SaturatedRamp.from_arrival_slew(0.3e-9, 150e-12, vdd, rising=False),
             SaturatedRamp.from_arrival_slew(0.35e-9, 220e-12, vdd, rising=False),
         ]
-        waves = [r.to_waveform(0.1e-9, 1.4e-9) for r in ramps]
         initial = _stage_initial(stage, vdd, vdd)
-        circuit.vsource("Vin", "in", "0", waves[0])
-
-        stimuli = [BatchStimulus(sources={"Vin": w}, initial_voltages=initial)
-                   for w in waves]
-        bat = simulate_transient_batch(circuit, stimuli, t_stop=1.4e-9,
-                                       dt=4e-12, t_start=0.1e-9,
-                                       options=_fixed(4e-12))
+        jobs = []
+        for ramp in ramps:
+            circuit, _, far, out = _build_stage_circuit(stage, vdd)
+            circuit.vsource("Vin", "in", "0", ramp.to_waveform(0.1e-9, 1.4e-9))
+            jobs.append(TransientJob(circuit, t_stop=1.4e-9, dt=4e-12,
+                                     t_start=0.1e-9, initial_voltages=initial,
+                                     options=_fixed(4e-12)))
+        bat = simulate_transient_many(jobs)
         assert bat[0].stats["batch_size"] == 2
 
-        seq = []
-        for w in waves:
-            c, _, _, _ = _build_stage_circuit(stage, vdd)
-            c.vsource("Vin", "in", "0", w)
-            seq.append(simulate_transient(c, t_stop=1.4e-9, dt=4e-12,
-                                          t_start=0.1e-9,
-                                          initial_voltages=initial,
-                                          options=_fixed(4e-12)))
-        _assert_equivalent(seq, bat)
+        _assert_equivalent([job.run() for job in jobs], bat)
         # Sanity: the two variants actually differ (distinct stimuli).
         assert _worst_dv(bat[0], bat[1]) > 1e-3
         assert bat[0].waveform(far) is not None and bat[0].waveform(out) is not None
 
 
-def _sharp_inverter():
+def _sharp_inverter(rise: float = 20e-12):
     """An inverter hit by a near-step input: Newton needs many iterations
-    at the switching time step, so a small ``max_newton`` forces halving."""
+    at the switching time step, so a small ``max_newton`` forces halving.
+    A ``rise`` of 200 ps gives a gentle edge that needs none."""
     c = Circuit("inv")
     c.vsource("Vdd", "vdd", "0", 1.2)
-    c.vsource("Vin", "in", "0", RampSource(0.2e-9, 20e-12, 0.0, 1.2))
+    c.vsource("Vin", "in", "0", RampSource(0.2e-9, rise, 0.0, 1.2))
     make_inverter(4).instantiate(c, "u0", "in", "out", "vdd")
     c.capacitor("cl", "out", "0", 20e-15)
     return c
 
 
 INITIAL = {"in": 0.0, "out": 1.2, "vdd": 1.2}
+
+
+def _sharp_and_gentle(opts: TransientOptions) -> list[TransientJob]:
+    """One stack of two inverters: a sharp edge (needs halving) and a
+    gentle one."""
+    return [TransientJob(_sharp_inverter(rise), t_stop=1e-9, dt=20e-12,
+                         initial_voltages=INITIAL, options=opts)
+            for rise in (20e-12, 200e-12)]
 
 
 class TestStepHalving:
@@ -195,40 +193,18 @@ class TestStepHalving:
         with pytest.raises(ConvergenceError, match=message):
             simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
                                initial_voltages=INITIAL, options=opts)
-        stimuli = [
-            BatchStimulus(initial_voltages=INITIAL),
-            BatchStimulus(sources={"Vin": RampSource(0.2e-9, 200e-12, 0.0, 1.2)},
-                          initial_voltages=INITIAL),
-        ]
         with pytest.raises(ConvergenceError, match=message):
-            simulate_transient_batch(_sharp_inverter(), stimuli, t_stop=1e-9,
-                                     dt=20e-12, options=opts)
+            simulate_transient_many(_sharp_and_gentle(opts))
 
     def test_batched_halving_matches_sequential(self):
-        # Two variants: a sharp edge (needs halving) and a gentle one.
-        opts = _fixed(20e-12, max_newton=4)
-        base = _sharp_inverter()
-        stimuli = [
-            BatchStimulus(initial_voltages=INITIAL),
-            BatchStimulus(sources={"Vin": RampSource(0.2e-9, 200e-12, 0.0, 1.2)},
-                          initial_voltages=INITIAL),
-        ]
-        bat = simulate_transient_batch(base, stimuli, t_stop=1e-9, dt=20e-12,
-                                       options=opts)
+        jobs = _sharp_and_gentle(_fixed(20e-12, max_newton=4))
+        bat = simulate_transient_many(jobs)
         assert bat[0].stats["halvings"] > 0
-
-        seq = [simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
-                                  initial_voltages=INITIAL, options=opts)]
-        gentle = _sharp_inverter()
-        gentle.vsources[1] = type(gentle.vsources[1])(
-            "Vin", "in", "0", RampSource(0.2e-9, 200e-12, 0.0, 1.2))
-        seq.append(simulate_transient(gentle, t_stop=1e-9, dt=20e-12,
-                                      initial_voltages=INITIAL, options=opts))
-        _assert_equivalent(seq, bat)
+        _assert_equivalent([job.run() for job in jobs], bat)
 
 
 class TestManyMisc:
-    """Grouping, truncation and override plumbing of the batch front ends."""
+    """Grouping and per-job truncation of stacked jobs."""
 
     def _rc(self):
         c = Circuit("rc")
@@ -250,22 +226,15 @@ class TestManyMisc:
         assert out[1].stats["batch_size"] == 1
 
     def test_per_variant_t_stop_truncates(self):
-        base = self._rc()
-        stimuli = [BatchStimulus(), BatchStimulus(t_stop=0.5e-9)]
-        full, short = simulate_transient_batch(base, stimuli, t_stop=1e-9,
-                                               dt=10e-12,
-                                               options=_fixed(10e-12))
+        full, short = simulate_transient_many(
+            [TransientJob(self._rc(), t_stop=t_stop, dt=10e-12,
+                          options=_fixed(10e-12))
+             for t_stop in (1e-9, 0.5e-9)])
         assert len(short.times) == 51
         assert len(full.times) == 101
         ref = simulate_transient(self._rc(), t_stop=0.5e-9, dt=10e-12,
                                  options=_fixed(10e-12))
         _assert_equivalent([ref], [short])
-
-    def test_unknown_source_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown source"):
-            simulate_transient_batch(self._rc(),
-                                     [BatchStimulus(sources={"nope": Dc(1.0)})],
-                                     t_stop=1e-9, dt=10e-12)
 
     def test_lu_reuse_matches_plain_solve(self):
         # MOSFET-free circuits take the factored-LU path; results must

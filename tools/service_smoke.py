@@ -7,6 +7,9 @@ wire, shuts the daemon down cleanly — then re-runs the *same* case
 through the in-process batch path against the store the daemon warmed
 and asserts:
 
+* a malformed Table-1 spec (an unknown solver backend) is refused at
+  submit with an ``error`` reply and never ``accepted``, and the
+  daemon's ``stats`` then count it as one bad request and no job error,
 * the warm batch run performs **zero** transient solves (every job is
   a store hit in the ``smoke`` tenant's namespace), and
 * every row matches the service's streamed rows **bit for bit** (JSON
@@ -33,6 +36,7 @@ import time
 N_CASES = 2
 JOB = {"kind": "table1", "config": "I", "n_cases": N_CASES,
        "polarity": "opposing"}
+BAD_JOB = dict(JOB, solver_backend="bogus")
 TENANT = "smoke"
 
 
@@ -57,6 +61,23 @@ def boot_daemon(store_dir: str, src_dir: str) -> "tuple[subprocess.Popen, int]":
     return proc, int(match.group(1))
 
 
+def submit_malformed(svc) -> None:
+    """``BAD_JOB`` must get an ``error`` reply with no ``accepted``."""
+    from repro.service import ServiceError
+
+    events = []
+    try:
+        for event in svc.iter_submit(BAD_JOB):
+            events.append(event["event"])
+    except ServiceError as exc:
+        if events:
+            fail(f"malformed spec was admitted ({events}) and then "
+                 f"failed: {exc}")
+        print(f"service-smoke: malformed spec refused at submit: {exc}")
+        return
+    fail(f"malformed spec ran to completion ({events})")
+
+
 def run_over_the_wire(port: int) -> "tuple[dict, list]":
     from repro.service import ServiceClient
 
@@ -65,8 +86,13 @@ def run_over_the_wire(port: int) -> "tuple[dict, list]":
         pong = svc.ping()
         if pong.get("version") != 1:
             fail(f"unexpected protocol version in {pong}")
+        submit_malformed(svc)
         result = svc.submit(JOB, on_event=lambda ev: rows.append(ev)
                             if ev.get("event") == "row" else None)
+        stats = svc.stats()
+        if (stats["job_errors"], stats["bad_requests"]) != (0, 1):
+            fail(f"expected job_errors == 0 and bad_requests == 1, got "
+                 f"{stats['job_errors']} and {stats['bad_requests']}")
         svc.shutdown()
     return result, rows
 
@@ -116,7 +142,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         result, row_events = run_over_the_wire(port)
         code = proc.wait(timeout=60.0)
-    except Exception:
+    except BaseException:  # fail() exits: never leave the daemon running
         proc.kill()
         raise
     if code != 0:
