@@ -10,7 +10,9 @@ no glitch heights, so these numbers have no paper counterpart.
 :func:`measure_glitch` holds the victim input at its rail, fires the
 aggressors, and measures the victim far-end noise pulse and the
 receiver-output response.  :func:`glitch_sweep` maps pulse height against
-aggressor alignment; :func:`worst_glitch` reports the maximum.
+aggressor alignment; :func:`worst_glitch` reports the maximum.  A sweep
+(and :func:`measure_glitch`, a sweep of one) is one
+:func:`repro.exec.run_jobs` submission.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .._util import require
-from ..circuit.transient import simulate_transient
 from ..core.waveform import Waveform
-from .noise_injection import SweepTiming, alignment_offsets
+from ..exec import run_jobs
+from .noise_injection import SweepTiming, _bench_job, alignment_offsets
 from .setup import CrosstalkConfig, build_testbench
 
 __all__ = ["GlitchMeasurement", "measure_glitch", "glitch_sweep", "worst_glitch"]
@@ -76,6 +78,36 @@ def _excursion(wave: Waveform, quiet_level: float) -> tuple[float, float]:
     return peak, float(t[idx[-1]] - t[idx[0]])
 
 
+def _measure_glitches(config: CrosstalkConfig,
+                      offsets_list: "list[tuple[float, ...]]",
+                      timing: SweepTiming | None,
+                      toward_threshold: bool) -> list[GlitchMeasurement]:
+    """One quiet-victim glitch per offset tuple, in one submission."""
+    timing = timing or SweepTiming()
+    if toward_threshold:
+        # Victim rests at its pre-transition rail; an aggressor moving in
+        # the victim's own transition direction lifts it toward threshold
+        # — that is the "same-direction" (non-opposing) configuration.
+        config = replace(config, aggressors_opposing=False)
+    benches = []
+    for offsets in offsets_list:
+        require(len(offsets) == config.n_aggressors, "one offset per aggressor")
+        benches.append(build_testbench(
+            config, victim_start=timing.victim_start,
+            aggressor_starts=[timing.victim_start + off for off in offsets],
+            aggressor_active=True, victim_active=False))
+    results = run_jobs([_bench_job(b, timing) for b in benches])
+    quiet = 0.0 if config.victim_line_rising else config.vdd
+    out = []
+    for offsets, bench, result in zip(offsets_list, benches, results):
+        v_victim = result.waveform(bench.nodes.victim_far_end)
+        v_out = result.waveform(bench.nodes.receiver_out)
+        out.append(GlitchMeasurement(tuple(offsets), v_victim, v_out,
+                                     *_excursion(v_victim, quiet),
+                                     _excursion(v_out, config.vdd - quiet)[0]))
+    return out
+
+
 def measure_glitch(config: CrosstalkConfig, offsets: tuple[float, ...],
                    timing: SweepTiming | None = None,
                    toward_threshold: bool = True) -> GlitchMeasurement:
@@ -95,33 +127,7 @@ def measure_glitch(config: CrosstalkConfig, offsets: tuple[float, ...],
         which for opposing-aggressor configs drives the victim past its
         own rail (an overshoot glitch the receiver ignores).
     """
-    timing = timing or SweepTiming()
-    require(len(offsets) == config.n_aggressors, "one offset per aggressor")
-    if toward_threshold:
-        # Victim rests at its pre-transition rail; an aggressor moving in
-        # the victim's own transition direction lifts it toward threshold
-        # — that is the "same-direction" (non-opposing) configuration.
-        config = replace(config, aggressors_opposing=False)
-    starts = [timing.victim_start + off for off in offsets]
-    bench = build_testbench(config, victim_start=timing.victim_start,
-                            aggressor_starts=starts, aggressor_active=True,
-                            victim_active=False)
-    result = simulate_transient(bench.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                                initial_voltages=bench.initial_voltages)
-    v_victim = result.waveform(bench.nodes.victim_far_end)
-    v_out = result.waveform(bench.nodes.receiver_out)
-    quiet_victim = 0.0 if config.victim_line_rising else config.vdd
-    quiet_out = config.vdd - quiet_victim
-    peak, width = _excursion(v_victim, quiet_victim)
-    out_peak, _ = _excursion(v_out, quiet_out)
-    return GlitchMeasurement(
-        offsets=tuple(offsets),
-        v_victim=v_victim,
-        v_receiver_out=v_out,
-        peak_height=peak,
-        width_at_half=width,
-        output_disturbance=out_peak,
-    )
+    return _measure_glitches(config, [offsets], timing, toward_threshold)[0]
 
 
 def glitch_sweep(config: CrosstalkConfig, n_cases: int,
@@ -133,11 +139,9 @@ def glitch_sweep(config: CrosstalkConfig, n_cases: int,
     exists to expose multi-aggressor constructive overlap in Config II.
     """
     timing = timing or SweepTiming()
-    out = []
-    for base in alignment_offsets(n_cases, timing.window):
-        offsets = tuple(base for _ in range(config.n_aggressors))
-        out.append(measure_glitch(config, offsets, timing))
-    return out
+    offsets_list = [tuple(base for _ in range(config.n_aggressors))
+                    for base in alignment_offsets(n_cases, timing.window)]
+    return _measure_glitches(config, offsets_list, timing, True)
 
 
 def worst_glitch(measurements: list[GlitchMeasurement]) -> GlitchMeasurement:

@@ -24,7 +24,10 @@ drivers (:func:`run_noiseless`, :func:`run_noise_case`,
 :func:`iter_noise_cases`) are one-job sweeps on that path, and every
 driver takes the shared ``execution`` object (defaulting to the
 ``REPRO_WORKERS`` / ``REPRO_STORE`` environment configuration) instead
-of constructing its own.
+of constructing its own.  The glitch sweeps, NLDM characterisation and
+path re-timing submit through :func:`~repro.exec.run_jobs` too: no
+module under ``experiments``, ``library`` or ``sta`` calls the engine
+directly.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Standard-cell substrate: inverter cells, NLDM characterisation by
-simulation, and Liberty import/export."""
+simulation (gate-fixture jobs through :func:`repro.exec.run_jobs`), and
+Liberty import/export."""
 
 from .cells import (
     InverterCell,
@@ -11,11 +12,9 @@ from .cells import (
 )
 from .characterize import (
     CharacterizedCell,
-    GateResponse,
     characterize_cell,
     default_load_grid,
     default_slew_grid,
-    simulate_gate_response,
 )
 from .liberty import LibertyGroup, LibertyParseError, parse_liberty, write_liberty
 from .nldm import NldmTable, TimingArc
@@ -27,8 +26,6 @@ __all__ = [
     "make_inverter",
     "standard_cell",
     "standard_cells",
-    "GateResponse",
-    "simulate_gate_response",
     "characterize_cell",
     "CharacterizedCell",
     "default_slew_grid",

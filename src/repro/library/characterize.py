@@ -6,6 +6,10 @@ and measure 50%→50% delay and 10–90% output transition.  The paper's
 point is that SGDP works "with the current level of gate characterization
 in conventional ASIC cell libraries" — i.e. exactly these tables plus the
 noiseless input/output waveforms, no extra library data.
+
+Each grid point is a job on Table 1's gate harness
+(:class:`~repro.core.propagation.GateFixture`), and the whole grid is one
+:func:`repro.exec.run_jobs` submission under the default execution.
 """
 
 from __future__ import annotations
@@ -15,16 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import require
-from ..circuit.netlist import Circuit
-from ..circuit.sources import RampSource
-from ..circuit.transient import simulate_transient
-from ..core.waveform import Waveform
+from ..core.ramp import SaturatedRamp
 from .cells import InverterCell
 from .nldm import NldmTable, TimingArc
 
 __all__ = [
-    "GateResponse",
-    "simulate_gate_response",
     "characterize_cell",
     "CharacterizedCell",
     "default_slew_grid",
@@ -43,26 +42,6 @@ def default_load_grid(cell: InverterCell) -> np.ndarray:
     return base * cell.drive
 
 
-@dataclass(frozen=True)
-class GateResponse:
-    """Waveforms from one gate simulation.
-
-    Attributes
-    ----------
-    v_in, v_out:
-        Input and output waveforms on the simulation grid.
-    delay:
-        Input 50% (latest crossing) to output 50% (latest crossing).
-    output_slew:
-        10–90% output transition time.
-    """
-
-    v_in: Waveform
-    v_out: Waveform
-    delay: float
-    output_slew: float
-
-
 def _settle_window(cell: InverterCell, slew: float, load: float) -> tuple[float, float]:
     """Heuristic (t_start, t_stop) so input and output both settle."""
     idsat = 0.5 * cell.nmos.beta(cell.wn, cell.length) * (cell.vdd - cell.nmos.vth) ** 2
@@ -73,66 +52,12 @@ def _settle_window(cell: InverterCell, slew: float, load: float) -> tuple[float,
     return t_start, t_stop
 
 
-def simulate_gate_response(
-    cell: InverterCell,
-    input_slew: float,
-    load: float,
-    input_rising: bool,
-    dt: float = 1e-12,
-    t_start_offset: float | None = None,
-) -> GateResponse:
-    """Simulate one inverter with a ramp input into a lumped load.
-
-    Parameters
-    ----------
-    cell:
-        The inverter to characterise.
-    input_slew:
-        10–90% input transition time.
-    load:
-        Lumped output capacitance in farads.
-    input_rising:
-        Direction of the input transition.
-    dt:
-        Simulation step.
-    t_start_offset:
-        Optional explicit ramp start time.
-
-    Raises
-    ------
-    RuntimeError
-        If the output fails to settle even after window extension.
-    """
-    require(input_slew > 0 and load >= 0, "bad characterisation point")
-    t_ramp, t_stop = _settle_window(cell, input_slew, load)
-    if t_start_offset is not None:
-        shift = t_start_offset - t_ramp
-        t_ramp, t_stop = t_start_offset, t_stop + shift
-
+def _input_ramp(cell: InverterCell, slew: float, t_ramp: float,
+                input_rising: bool) -> SaturatedRamp:
+    """Rail-to-rail ramp leaving its rail at ``t_ramp`` with 10–90 ``slew``."""
     v_from, v_to = (0.0, cell.vdd) if input_rising else (cell.vdd, 0.0)
-    out_target = 0.0 if input_rising else cell.vdd
-
-    for attempt in range(4):
-        circuit = Circuit(f"char.{cell.name}")
-        circuit.vsource("Vdd", "vdd", "0", cell.vdd)
-        circuit.vsource("Vin", "in", "0", RampSource(t_ramp, input_slew, v_from, v_to))
-        cell.instantiate(circuit, "dut", "in", "out", "vdd")
-        if load > 0:
-            circuit.capacitor("CL", "out", "0", load)
-        initial = {"in": v_from, "out": cell.vdd - v_from, "vdd": cell.vdd}
-        result = simulate_transient(circuit, t_stop=t_stop, dt=dt,
-                                    initial_voltages=initial)
-        v_out = result.waveform("out")
-        if v_out.settles_to(out_target, 0.02 * cell.vdd):
-            v_in = result.waveform("in")
-            delay = (v_out.arrival_time(cell.vdd, which="last")
-                     - v_in.arrival_time(cell.vdd, which="last"))
-            return GateResponse(v_in=v_in, v_out=v_out, delay=delay,
-                                output_slew=v_out.slew(cell.vdd))
-        t_stop = t_ramp + 2.0 * (t_stop - t_ramp)
-    raise RuntimeError(
-        f"{cell.name} output failed to settle (slew={input_slew:.3e}, load={load:.3e})"
-    )
+    return SaturatedRamp.from_points(t_ramp, v_from, t_ramp + slew / 0.8, v_to,
+                                     cell.vdd)
 
 
 @dataclass(frozen=True)
@@ -202,29 +127,64 @@ def characterize_cell(
 
     For the inverting arc, Liberty tables are named by the *output*
     transition: ``cell_rise`` is measured with a falling input.
+
+    Every (slew, load, input edge) point is one fixture job over its
+    settle window, and the grid is one :func:`~repro.exec.run_jobs`
+    submission.  Points whose output has not settled are resubmitted
+    with their window doubled, up to four attempts in all.
+
+    Raises
+    ------
+    RuntimeError
+        If an output fails to settle even after window extension.
     """
+    # Not at module level: core.propagation imports this package, and
+    # `import repro.library` (the SSTA flow) should load neither module.
+    from ..core.propagation import GateFixture
+    from ..exec import run_jobs
+
     slews = default_slew_grid() if input_slews is None else np.asarray(input_slews, dtype=float)
     cap_grid = default_load_grid(cell) if loads is None else np.asarray(loads, dtype=float)
-    shape = (slews.size, cap_grid.size)
-    cell_rise = np.empty(shape)
-    cell_fall = np.empty(shape)
-    rise_tran = np.empty(shape)
-    fall_tran = np.empty(shape)
-    for i, slew in enumerate(slews):
-        for j, load in enumerate(cap_grid):
-            falling_in = simulate_gate_response(cell, slew, load, input_rising=False, dt=dt)
-            rising_in = simulate_gate_response(cell, slew, load, input_rising=True, dt=dt)
-            cell_rise[i, j] = falling_in.delay
-            rise_tran[i, j] = falling_in.output_slew
-            cell_fall[i, j] = rising_in.delay
-            fall_tran[i, j] = rising_in.output_slew
+    require(bool(np.all(slews > 0) and np.all(cap_grid >= 0)),
+            "bad characterisation point")
+    fixtures = [GateFixture(cell, extra_load=load, dt=dt) for load in cap_grid]
+    # Point (edge, i, j): slew i, load j; edge 0 is a falling input
+    # (rising output), edge 1 a rising input.
+    windows = {(e, i, j): _settle_window(cell, slew, load)
+               for i, slew in enumerate(slews)
+               for j, load in enumerate(cap_grid) for e in (0, 1)}
+    delay = np.empty((2, slews.size, cap_grid.size))
+    out_slew = np.empty_like(delay)
+    pending = list(windows)
+    for _ in range(4):
+        jobs = [fixtures[j].transient_job(
+                    _input_ramp(cell, slews[i], windows[e, i, j][0], e == 1),
+                    (0.0, windows[e, i, j][1]))
+                for e, i, j in pending]
+        unsettled = []
+        for p, result in zip(pending, run_jobs(jobs)):
+            out_target = cell.vdd if p[0] == 0 else 0.0
+            if result.waveform("out").settles_to(out_target, 0.02 * cell.vdd):
+                out = fixtures[p[2]].measure(result)
+                delay[p], out_slew[p] = out.gate_delay, out.output_slew
+            else:
+                t_ramp, t_stop = windows[p]
+                windows[p] = (t_ramp, t_ramp + 2.0 * (t_stop - t_ramp))
+                unsettled.append(p)
+        pending = unsettled
+        if not pending:
+            break
+    if pending:
+        _, i, j = pending[0]
+        raise RuntimeError(f"{cell.name} output failed to settle "
+                           f"(slew={slews[i]:.3e}, load={cap_grid[j]:.3e})")
     arc = TimingArc(
         related_pin="A",
         output_pin="Y",
         inverting=True,
-        cell_rise=NldmTable(slews, cap_grid, cell_rise),
-        cell_fall=NldmTable(slews, cap_grid, cell_fall),
-        rise_transition=NldmTable(slews, cap_grid, rise_tran),
-        fall_transition=NldmTable(slews, cap_grid, fall_tran),
+        cell_rise=NldmTable(slews, cap_grid, delay[0]),
+        cell_fall=NldmTable(slews, cap_grid, delay[1]),
+        rise_transition=NldmTable(slews, cap_grid, out_slew[0]),
+        fall_transition=NldmTable(slews, cap_grid, out_slew[1]),
     )
     return CharacterizedCell(cell=cell, arc=arc, input_slews=slews, loads=cap_grid)

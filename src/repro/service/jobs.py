@@ -33,10 +33,11 @@ Built-in kinds
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Callable
 
 from .._util import require
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import GROUND, Circuit
 from ..circuit.solvers import BACKENDS
 from ..circuit.sources import Dc, Pwl, RampSource, SourceFunction
 from ..circuit.transient import TransientJob, TransientOptions
@@ -176,6 +177,19 @@ def _decode_circuit(obj: object) -> Circuit:
     return circuit
 
 
+def _decode_initial_voltages(obj: object, circuit: Circuit) -> "dict | None":
+    """``initial_voltages``: netlist node (or ground) → finite number."""
+    if obj is None:
+        return None
+    _require_spec(isinstance(obj, dict), "'initial_voltages' must be a JSON object")
+    unknown = sorted(set(obj) - set(circuit.nodes) - {GROUND})
+    _require_spec(not unknown, f"unknown initial-voltage node(s) {unknown}")
+    for node in obj:
+        _require_spec(math.isfinite(_float_field(obj, node)),
+                      f"initial voltage of {node!r} must be finite")
+    return obj
+
+
 def _decode_options(obj: object) -> "TransientOptions | None":
     if obj is None:
         return None
@@ -205,10 +219,14 @@ class TransientServiceJob(ServiceJob):
         t_start = _float_field(spec, "t_start", 0.0)
         _require_spec(dt > 0 and t_stop > t_start,
                       "need dt > 0 and t_stop > t_start")
+        use_ic = spec.get("use_ic", False)
+        _require_spec(isinstance(use_ic, bool),
+                      "'use_ic' must be a boolean when given")
         self.job = TransientJob(
             self.circuit, t_stop=t_stop, dt=dt, t_start=t_start,
-            initial_voltages=spec.get("initial_voltages"),
-            use_ic=bool(spec.get("use_ic", False)),
+            initial_voltages=_decode_initial_voltages(
+                spec.get("initial_voltages"), self.circuit),
+            use_ic=use_ic,
             options=_decode_options(spec.get("options")))
         probes = spec.get("probes")
         if probes is not None:

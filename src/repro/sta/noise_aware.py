@@ -25,7 +25,8 @@ submitted together through the execution layer
 :class:`~repro.exec.ExecutionConfig`); stages without aggressors share a
 topology with their reference and advance through one stacked Newton
 loop, and a configured result store memoises every stage simulation
-across runs.
+across runs.  Technique mode re-times the receiver from the equivalent
+ramp on Table 1's gate harness (:class:`~repro.core.propagation.GateFixture`).
 
 The quiet reference depends only on the stage configuration and the
 incoming stimulus — not on the aggressor alignment — so it is memoised in
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .._util import require
 from ..circuit.netlist import Circuit
@@ -213,11 +214,13 @@ def quiet_cache_stats() -> dict:
             "size": len(_QUIET_CACHE)}
 
 
-def _build_stage_circuit(stage: NoisyStage, vdd: float) -> tuple[Circuit, dict[str, float], str, str]:
-    """Stage netlist with a forced source at the driver input.
-
-    Returns (circuit, initial voltages, far-end node, receiver output node).
-    """
+def _stage_job(stage: NoisyStage, wave_in: Waveform, t_stop: float,
+               dt: float, options: TransientOptions) -> TransientJob:
+    """The stage netlist with ``wave_in`` forced at the driver input,
+    seeded with logic-consistent pre-transition node voltages for fast DC
+    solves.  The line's far end is node ``far``, the receiver output
+    ``out``."""
+    vdd = stage.driver.vdd
     circuit = Circuit("stage")
     circuit.vsource("Vdd", "vdd", "0", vdd)
     stage.driver.instantiate(circuit, "drv", "in", "near", "vdd")
@@ -240,20 +243,18 @@ def _build_stage_circuit(stage: NoisyStage, vdd: float) -> tuple[Circuit, dict[s
     stage.receiver.instantiate(circuit, "recv", "far", "out", "vdd")
     if stage.receiver_load > 0:
         circuit.capacitor("cl", "out", "0", stage.receiver_load)
-    return circuit, {}, "far", "out"
+    circuit.vsource("Vin", "in", "0", wave_in)
 
-
-def _stage_initial(stage: NoisyStage, vdd: float, input_level: float) -> dict[str, float]:
-    """Logic-consistent pre-transition node voltages for fast DC solves."""
-    near = vdd - input_level if input_level in (0.0, vdd) else vdd / 2
-    initial = {"in": input_level, "near": near, "far": near,
+    level = wave_in.v_initial
+    near = vdd - level if level in (0.0, vdd) else vdd / 2
+    initial = {"in": level, "near": near, "far": near,
                "out": vdd - near, "vdd": vdd}
     for k, agg in enumerate(stage.aggressors):
         a_from = vdd if agg.rising else 0.0
         initial[f"a{k}_in"] = a_from
-        initial[f"a{k}_near"] = vdd - a_from
-        initial[f"a{k}_far"] = vdd - a_from
-    return initial
+        initial[f"a{k}_near"] = initial[f"a{k}_far"] = vdd - a_from
+    return TransientJob(circuit, t_stop=t_stop, dt=dt, t_start=wave_in.t_start,
+                        initial_voltages=initial, options=options)
 
 
 def _slew_or_fallback(slew: float, fallback: float | None,
@@ -337,6 +338,8 @@ def propagate_path(
     list[StageTiming]
         One entry per stage, in path order.
     """
+    from ..core.propagation import GateFixture  # keeps it out of `import repro.sta`
+
     require(len(stages) >= 1, "need at least one stage")
     tech = technique or Sgdp()
     sim_opts = TransientOptions(backend=solver_backend)
@@ -360,39 +363,26 @@ def propagate_path(
         if window_end is not None:
             t1 = max(t1, window_end)
 
-        circuit, _, far, out = _build_stage_circuit(stage, vdd)
         if wave_in.t_end < t1:
             wave_in = Waveform(list(wave_in.times) + [t1],
                                list(wave_in.values) + [wave_in.v_final])
-        circuit.vsource("Vin", "in", "0", wave_in)
-        initial = _stage_initial(stage, vdd, wave_in.v_initial)
-        jobs = [TransientJob(circuit, t_stop=t1, dt=dt,
-                             t_start=wave_in.t_start, initial_voltages=initial,
-                             options=sim_opts)]
+        jobs = [_stage_job(stage, wave_in, t1, dt, sim_opts)]
 
         # Noiseless reference for the receiver: same stage, quiet
         # aggressors — memoised per (stage config, stimulus, window, dt).
-        quiet = NoisyStage(driver=stage.driver, line=stage.line,
-                           receiver=stage.receiver, aggressors=(),
-                           receiver_load=stage.receiver_load)
+        quiet = replace(stage, aggressors=())
         # The solver backend deliberately does not key the entry.
         quiet_key = (quiet, wave_in, t1, dt)
         quiet_pair = cache.lookup(quiet_key)
         if quiet_pair is None:
-            qc, _, qfar, qout = _build_stage_circuit(quiet, vdd)
-            qc.vsource("Vin", "in", "0", wave_in)
-            jobs.append(TransientJob(
-                qc, t_stop=t1, dt=dt, t_start=wave_in.t_start,
-                initial_voltages=_stage_initial(quiet, vdd, wave_in.v_initial),
-                options=sim_opts))
+            jobs.append(_stage_job(quiet, wave_in, t1, dt, sim_opts))
 
         # Aggressor-free stages share a topology with their quiet
         # reference, so this advances both through one stacked solve.
         sims = run_jobs(jobs, execution)
-        v_far = sims[0].waveform(far)
-        v_out = sims[0].waveform(out)
+        v_far, v_out = sims[0].waveform("far"), sims[0].waveform("out")
         if quiet_pair is None:
-            quiet_pair = (sims[1].waveform(qfar), sims[1].waveform(qout))
+            quiet_pair = (sims[1].waveform("far"), sims[1].waveform("out"))
             cache.store(quiet_key, quiet_pair)
 
         inputs = PropagationInputs(
@@ -421,31 +411,18 @@ def propagate_path(
         else:
             # Re-time the receiver from the equivalent input waveform: the
             # next stage sees only the abstraction, as a real STA would.
-            g0 = gamma_in.t_begin - 100e-12
-            g1 = gamma_in.t_finish + settle_margin
-            gamma_wave = gamma_in.to_waveform(min(g0, wave_in.t_start), max(g1, t1))
-            re_c = Circuit("retime")
-            re_c.vsource("Vdd", "vdd", "0", vdd)
-            stage.receiver.instantiate(re_c, "recv", "far", "out", "vdd")
-            re_c.capacitor("cl", "out", "0", stage.receiver_load)
-            re_c.vsource("Vfar", "far", "0", gamma_wave)
-            re_init = {"far": gamma_wave.v_initial, "vdd": vdd,
-                       "out": vdd - gamma_wave.v_initial}
-            re_sim = run_jobs([TransientJob(
-                re_c, t_stop=gamma_wave.t_end, dt=dt,
-                t_start=gamma_wave.t_start, initial_voltages=re_init,
-                options=sim_opts)], execution)[0]
-            re_v_out = re_sim.waveform("out")
-            arr = re_v_out.arrival_time(vdd, which="last")
-            try:
-                slw = re_v_out.slew(vdd)
-            except ValueError:
-                slw = float("nan")
+            retime = GateFixture(stage.receiver, extra_load=stage.receiver_load,
+                                 dt=dt, solver_backend=solver_backend)
+            window = (min(gamma_in.t_begin - 100e-12, wave_in.t_start),
+                      max(gamma_in.t_finish + settle_margin, t1))
+            re_out = retime.measure(run_jobs(
+                [retime.transient_job(gamma_in, window)], execution)[0])
             slw, retime_substituted = _slew_or_fallback(
-                slw, slew_fallback, f"stage {stage_index} re-timed output")
+                re_out.output_slew, slew_fallback,
+                f"stage {stage_index} re-timed output")
             stimulus = SaturatedRamp.from_arrival_slew(
-                arrival=arr, slew=slw, vdd=vdd,
-                rising=re_v_out.polarity() == "rising")
+                arrival=re_out.output_arrival, slew=slw, vdd=vdd,
+                rising=re_out.v_out.polarity() == "rising")
 
         results.append(StageTiming(
             ramp=out_ramp,

@@ -8,14 +8,14 @@ cached waveforms or on synthetic ones from :mod:`tests.helpers`.
 import pytest
 
 from repro.library.cells import standard_cell
-from repro.library.characterize import simulate_gate_response
+from tests.helpers import characterisation_response
 
 
 @pytest.fixture(scope="session")
 def invx4_response():
     """INVX4 driven by a 150 ps rising ramp into 20 fF (one simulation)."""
-    return simulate_gate_response(standard_cell(4), 150e-12, 20e-15,
-                                  input_rising=True, dt=2e-12)
+    return characterisation_response(standard_cell(4), 150e-12, 20e-15,
+                                     input_rising=True, dt=2e-12)
 
 
 @pytest.fixture(scope="session")

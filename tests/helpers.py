@@ -1,5 +1,6 @@
-"""Synthetic-waveform builders, golden-grid comparison utilities and the
-Monte-Carlo block seam shared across the test suite."""
+"""Synthetic-waveform builders, golden-grid comparison utilities, the
+characterisation-point response and the Monte-Carlo block seam shared
+across the test suite."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import random
 import numpy as np
 
 import repro.sta.statistical as statistical
+from repro.core.propagation import GateFixture
 from repro.core.waveform import Waveform
+from repro.library.characterize import _input_ramp, _settle_window
 
 VDD = 1.2
 
@@ -27,6 +30,15 @@ def max_node_deviation(golden, other, nodes=None) -> float:
                     - golden.voltage_samples(node))
         worst = max(worst, float(dv.max()))
     return worst
+
+
+def characterisation_response(cell, slew: float, load: float,
+                              input_rising: bool, dt: float):
+    """:class:`GateFixture` response of one characterisation point: the
+    ramp and settle window :func:`characterize_cell` simulates."""
+    t_ramp, t_stop = _settle_window(cell, slew, load)
+    return GateFixture(cell, extra_load=load, dt=dt).response(
+        _input_ramp(cell, slew, t_ramp, input_rising), (0.0, t_stop))
 
 
 def sigmoid_edge(t50: float, slew: float, vdd: float = VDD, rising: bool = True,

@@ -49,6 +49,16 @@ class TestSweep:
         two = measure_glitch(CONFIG_II, offsets=(0.0, 0.0), timing=FAST)
         assert two.peak_height > one.peak_height
 
+    def test_sweep_matches_per_offset_measurements(self):
+        # One stacked submission against one run per alignment.
+        sweep = glitch_sweep(CONFIG_I, 3, timing=FAST)
+        assert len(sweep) == 3
+        for m in sweep:
+            alone = measure_glitch(CONFIG_I, m.offsets, timing=FAST)
+            assert m.peak_height == pytest.approx(alone.peak_height, abs=1e-12)
+            assert m.output_disturbance == pytest.approx(
+                alone.output_disturbance, abs=1e-12)
+
     def test_worst_glitch_selection(self):
         sweep = glitch_sweep(CONFIG_I, n_cases=2, timing=FAST)
         worst = worst_glitch(sweep)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.exec import ExecutionConfig, ResultStore, set_default_execution
 from repro.library.cells import (
     STANDARD_DRIVES,
     make_inverter,
@@ -15,7 +16,6 @@ from repro.library.characterize import (
     characterize_cell,
     default_load_grid,
     default_slew_grid,
-    simulate_gate_response,
 )
 from repro.library.liberty import (
     LibertyParseError,
@@ -23,7 +23,7 @@ from repro.library.liberty import (
     write_liberty,
 )
 from repro.library.nldm import NldmTable, TimingArc
-from tests.helpers import seeded_mutations
+from tests.helpers import characterisation_response, seeded_mutations
 
 VDD = 1.2
 C17_LIB = (Path(__file__).parent / "data" / "c17.lib").read_text()
@@ -113,15 +113,15 @@ class TestNldmTable:
 class TestCharacterisation:
     def test_gate_response_measures(self, invx4_response):
         r = invx4_response
-        assert 5e-12 < r.delay < 300e-12
+        assert 5e-12 < r.gate_delay < 300e-12
         assert 10e-12 < r.output_slew < 500e-12
         assert r.v_out.v_final == pytest.approx(0.0, abs=0.02)
 
     def test_delay_grows_with_load(self):
         cell = standard_cell(1)
-        fast = simulate_gate_response(cell, 100e-12, 2e-15, True, dt=2e-12)
-        slow = simulate_gate_response(cell, 100e-12, 40e-15, True, dt=2e-12)
-        assert slow.delay > fast.delay
+        fast = characterisation_response(cell, 100e-12, 2e-15, True, dt=2e-12)
+        slow = characterisation_response(cell, 100e-12, 40e-15, True, dt=2e-12)
+        assert slow.gate_delay > fast.gate_delay
         assert slow.output_slew > fast.output_slew
 
     def test_characterize_tables_monotone_in_load(self):
@@ -130,6 +130,25 @@ class TestCharacterisation:
                                loads=np.array([5e-15, 40e-15]), dt=2e-12)
         for table in (cc.arc.cell_rise, cc.arc.cell_fall):
             assert np.all(np.diff(table.values, axis=1) > 0)
+
+    def test_warm_store_rerun_solves_nothing(self, tmp_path):
+        # The grid is one run_jobs submission under the default
+        # execution, so an installed store answers a rerun outright.
+        store = ResultStore(tmp_path)
+        previous = set_default_execution(ExecutionConfig(store=store))
+        try:
+            grid = dict(input_slews=np.array([60e-12, 200e-12]),
+                        loads=np.array([2e-15, 10e-15]), dt=2e-12)
+            cold = characterize_cell(standard_cell(1), **grid)
+            store.reset_counters()
+            warm = characterize_cell(standard_cell(1), **grid)
+        finally:
+            set_default_execution(previous)
+        assert (store.hits, store.misses) == (8, 0)
+        for attr in ("cell_rise", "cell_fall", "rise_transition",
+                     "fall_transition"):
+            assert np.array_equal(getattr(warm.arc, attr).values,
+                                  getattr(cold.arc, attr).values)
 
     def test_default_grids(self):
         cell = standard_cell(4)

@@ -253,6 +253,22 @@ class TestJobSpecs:
         with pytest.raises(JobSpecError, match="unknown option"):
             build_job(dict(RC_SPEC, options={"turbo": True}))
 
+    def test_bad_initial_voltages_rejected(self):
+        # Rejected at submit, not in a worker thread.
+        for bad, match in (([1, 2], "must be a JSON object"),
+                           ({"out": "x"}, "field 'out' must be a number"),
+                           ({"out": float("nan")}, "'out' must be finite"),
+                           ({"nope": 0.5}, r"unknown initial-voltage node\(s\) \['nope'\]")):
+            with pytest.raises(JobSpecError, match=match):
+                build_job(dict(RC_SPEC, initial_voltages=bad))
+        job = build_job(dict(RC_SPEC, initial_voltages={"out": 0.5, "0": 0}))
+        assert job.job.initial_voltages == {"out": 0.5, "0": 0}
+
+    def test_non_boolean_use_ic_rejected(self):
+        with pytest.raises(JobSpecError, match="'use_ic' must be a boolean"):
+            build_job(dict(RC_SPEC, use_ic="false"))
+        assert build_job(dict(RC_SPEC, use_ic=True)).job.use_ic is True
+
     def test_bad_grid_rejected(self):
         with pytest.raises(JobSpecError, match="t_stop > t_start"):
             build_job(dict(RC_SPEC, t_stop=0.0))

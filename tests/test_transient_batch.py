@@ -101,8 +101,7 @@ class TestCoupledStageEquivalence:
     def test_stage_with_aggressor(self):
         from repro.core.ramp import SaturatedRamp
         from repro.interconnect.rcline import RcLineSpec
-        from repro.sta.noise_aware import (AggressorSpec, NoisyStage,
-                                           _build_stage_circuit, _stage_initial)
+        from repro.sta.noise_aware import AggressorSpec, NoisyStage, _stage_job
 
         vdd = 1.2
         agg = AggressorSpec(coupling=100e-15, transition_start=0.35e-9,
@@ -114,21 +113,16 @@ class TestCoupledStageEquivalence:
             SaturatedRamp.from_arrival_slew(0.3e-9, 150e-12, vdd, rising=False),
             SaturatedRamp.from_arrival_slew(0.35e-9, 220e-12, vdd, rising=False),
         ]
-        initial = _stage_initial(stage, vdd, vdd)
-        jobs = []
-        for ramp in ramps:
-            circuit, _, far, out = _build_stage_circuit(stage, vdd)
-            circuit.vsource("Vin", "in", "0", ramp.to_waveform(0.1e-9, 1.4e-9))
-            jobs.append(TransientJob(circuit, t_stop=1.4e-9, dt=4e-12,
-                                     t_start=0.1e-9, initial_voltages=initial,
-                                     options=_fixed(4e-12)))
+        jobs = [_stage_job(stage, ramp.to_waveform(0.1e-9, 1.4e-9), 1.4e-9,
+                           4e-12, _fixed(4e-12)) for ramp in ramps]
+        assert all(job.initial_voltages["in"] == vdd for job in jobs)
         bat = simulate_transient_many(jobs)
         assert bat[0].stats["batch_size"] == 2
 
         _assert_equivalent([job.run() for job in jobs], bat)
         # Sanity: the two variants actually differ (distinct stimuli).
         assert _worst_dv(bat[0], bat[1]) > 1e-3
-        assert bat[0].waveform(far) is not None and bat[0].waveform(out) is not None
+        assert bat[0].waveform("far") is not None and bat[0].waveform("out") is not None
 
 
 def _sharp_inverter(rise: float = 20e-12):
