@@ -10,9 +10,10 @@ same gate — exactly the Hspice comparison of Table 1.
 
 All fixture circuits for one evaluation share a topology (only the forced
 ``Vin`` stimulus differs), so :func:`evaluate_techniques` submits the
-golden run and every technique's Γ_eff re-simulation as one batch to
-:func:`~repro.circuit.transient.simulate_transient_many` — one stacked
-Newton loop instead of ~7 sequential simulations.  Each technique's
+golden run and every technique's Γ_eff re-simulation as one
+:func:`repro.exec.run_jobs` batch — one stacked Newton loop instead of
+~7 sequential simulations, under the default execution (worker pool,
+result store) like every other driver.  Each technique's
 simulation window is extended to cover its *own* ramp
 (``ramp.t_finish + settle_margin``), so a late/slow equivalent ramp is
 never clipped mid-transition by the noisy waveform's window.
@@ -25,8 +26,8 @@ from dataclasses import replace as _dc_replace
 
 from .._util import require
 from ..circuit.netlist import Circuit
-from ..circuit.transient import (TransientJob, TransientOptions,
-                                 TransientResult, simulate_transient_many)
+from ..circuit.transient import TransientJob, TransientOptions, TransientResult
+from ..exec import run_jobs
 from ..library.cells import InverterCell
 from .ramp import SaturatedRamp
 from .techniques.base import PropagationInputs, Technique, TechniqueError
@@ -340,8 +341,9 @@ def evaluate_techniques(
 
     The golden run and every technique's re-simulation share the fixture
     topology, so :func:`prepare_evaluation` builds them as one batch,
-    :func:`~repro.circuit.transient.simulate_transient_many` runs it as a
-    single stacked Newton loop and :func:`finish_evaluation` scores it.
+    :func:`repro.exec.run_jobs` runs it as a single stacked Newton loop
+    (or answers it from the default execution's result store) and
+    :func:`finish_evaluation` scores it.
 
     Each technique's window covers its *own* equivalent ramp: sampling a
     late/slow ramp over only the noisy waveform's span would clip it
@@ -373,4 +375,4 @@ def evaluate_techniques(
     if solver_backend is not None and solver_backend != fixture.solver_backend:
         fixture = _dc_replace(fixture, solver_backend=solver_backend)
     plan = prepare_evaluation(fixture, inputs, techniques, golden=golden)
-    return finish_evaluation(plan, simulate_transient_many(plan.jobs))
+    return finish_evaluation(plan, run_jobs(plan.jobs))

@@ -144,7 +144,15 @@ def glitch_sweep(config: CrosstalkConfig, n_cases: int,
     return _measure_glitches(config, offsets_list, timing, True)
 
 
+#: Peaks closer than this (volts) are one peak: the engine's fixed-grid
+#: equivalence, within which a stacked and a lone run may differ.
+_PEAK_TIE = 1e-9
+
+
 def worst_glitch(measurements: list[GlitchMeasurement]) -> GlitchMeasurement:
-    """The measurement with the largest victim-side peak."""
+    """The measurement with the largest victim-side peak: the first, in
+    sweep order, within :data:`_PEAK_TIE` of the maximum, so peaks that
+    tie to rounding do not pick by their last bits."""
     require(len(measurements) > 0, "no measurements")
-    return max(measurements, key=lambda m: m.peak_height)
+    top = max(m.peak_height for m in measurements)
+    return next(m for m in measurements if m.peak_height >= top - _PEAK_TIE)

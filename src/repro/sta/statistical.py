@@ -7,16 +7,19 @@ interconnect factors.  Arrival and slack *distributions* come out of
 the sample sweep; the drivers report the 5/50/95 quantiles.
 
 The sweep is sample-parallel.  The design is compiled into its
-:class:`~repro.sta.graph.TimingGraph` once per sweep, and every block
-reads connectivity and level order from that one graph.  Samples run
+:class:`~repro.sta.graph.TimingGraph` and checked once per process
+(:func:`_compiled`, a bounded, thread-safe memo keyed by the netlist's
+content and the library cells' identity, so a repeated sweep of held
+design objects compiles nothing), and every block reads connectivity
+and level order from that one graph.  Samples run
 in blocks sized to the design (:func:`_block_size`): as many as fit
 :data:`_BLOCK_BYTES` of arrays and at least :data:`_BLOCK`, so a
-c17 sweep of a few thousand samples is one block.  The sweep compiles
-its per-net constants once (:func:`_compile`: loads, each arc's tables
-paired by input edge, inverting flags, input values, the nets that get
-required times), and a block walks the graph's levels once with each
-net's arrival, slew and required time held as one ``(2, block)``
-array, row 0 rising and row 1 falling (the level-by-level,
+c17 sweep of a few thousand samples is one block.  The memo keeps
+the design's per-net constants beside the graph (:func:`_compile`:
+loads, each arc's tables paired by input edge, inverting flags, the
+nets that get required times), and a block walks the graph's levels
+once with each net's arrival, slew and required time held as one
+``(2, block)`` array, row 0 rising and row 1 falling (the level-by-level,
 all-patterns-in-one-array evaluation of a logic simulator).  An arc
 then costs one delay and one slew lookup for both input edges, and an
 inverting arc swaps the rows with a ``[::-1]`` view.  No scaled library
@@ -33,13 +36,15 @@ sequential RNG — so the value of a sample depends neither on its block
 nor on which worker computes it.  Building that generator per sample
 costs more than the sample's timing does, so :func:`_block_normals`
 draws a whole block in array passes: SeedSequence's hash of every
-sample's entropy words, the PCG64 seeding and stepping on ``uint64``
-halves of the 128-bit state, and NumPy's ziggurat fast path with its
-tables read from the running NumPy (:func:`_ziggurat`).  Only a row
-with a rejected draw (~1.8% of c17's one-column rows) is reset into a
-NumPy generator and drawn there.  The same draws bit for bit, at
-1.5–2.5 µs a sample on c17 against 18–40 µs for ``default_rng``
-(2-core x86-64 host).
+sample's entropy words (one stacked pass where one word mixes into
+several), the PCG64 seeding and stepping on ``uint64`` halves of the
+128-bit state, and NumPy's ziggurat fast path with its tables read
+from the running NumPy (:func:`_ziggurat`).  Only a row with a
+rejected draw (~1.8% of c17's one-column rows) is reset into the
+thread's NumPy generator and drawn there.  The same draws bit for bit,
+at 0.4–0.7 µs a sample in a 500-sample c17 block (0.2 µs in a
+4,681-sample one) against 14–15 µs for ``default_rng`` (2-core x86-64
+host).
 Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
 quantiles are bit-for-bit identical (asserted by the corpus smoke in CI).
@@ -61,10 +66,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -157,45 +163,74 @@ def _u32(value):
     return value & _M32 if isinstance(value, int) else value
 
 
-def _generate_state(entropy: list) -> list[np.ndarray]:
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """SeedSequence's running hash constant: ``init`` and ``count`` more
+    steps of ``·mult mod 2³²``."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _M32)
+    return consts
+
+
+#: ``generate_state``'s eight output steps as one ``(8, 1)`` pass: word
+#: ``j`` reads pool word ``j mod 4``, XORs the hash constant and
+#: multiplies by the next.
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_OUT_XOR, _OUT_MUL = (np.array(c, np.uint32)[:, None]
+                      for c in (_OUT_CONSTS[:-1], _OUT_CONSTS[1:]))
+
+
+def _generate_state(entropy: list) -> np.ndarray:
     """``SeedSequence(words).generate_state(4, np.uint64)`` of every row.
 
     ``entropy`` holds ``L >= 4`` words, each a Python int shared by every
     row or a ``(m,)`` ``uint32`` array with one word per row (at least
-    one is); each step of SeedSequence's ``mix_entropy`` and
-    ``generate_state`` runs once, on ints until an array enters it.
-    Returns the four ``(m,)`` ``uint64`` words.
+    one is).  Each step of SeedSequence's ``mix_entropy`` runs once, on
+    ints until an array enters it; where one array word mixes into
+    several int pool words (the index word into the other three), those
+    mixes are one stacked pass, and so are the eight output words.
+    Returns the ``(4, m)`` ``uint64`` words.
     """
     hash_const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value, k=1):
+        # ``k > 1``: ``value`` under the next k constants, as (k, m) rows.
         nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _M32
-        value = _u32(value * hash_const)
+        consts = _hash_consts(hash_const, _MULT_A, k)
+        hash_const = consts[-1]
+        if k == 1:
+            xor, mul = consts
+        else:
+            xor, mul = (np.array(c, np.uint32)[:, None]
+                        for c in (consts[:-1], consts[1:]))
+        value = _u32((value ^ xor) * mul)
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = _u32(_u32(x * _MIX_L) - _u32(y * _MIX_R))
         return result ^ (result >> 16)
 
+    def mix_into(dsts, word):
+        if isinstance(word, int) or not all(
+                isinstance(pool[dst], int) for dst in dsts):
+            for dst in dsts:
+                pool[dst] = mix(pool[dst], hashmix(word))
+            return
+        rows = mix(np.array([pool[dst] for dst in dsts], np.uint32)[:, None],
+                   hashmix(word, len(dsts)))
+        for dst, row in zip(dsts, rows):
+            pool[dst] = row
+
     pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        mix_into([dst for dst in range(_POOL) if dst != src], pool[src])
     for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        mix_into(range(_POOL), word)
 
-    hash_const, words = _INIT_B, []
-    for j in range(2 * _POOL):
-        value = pool[j % _POOL] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _M32
-        value = value * hash_const
-        words.append((value ^ (value >> 16)).astype(np.uint64))
+    value = (np.tile(pool, (2, 1)) ^ _OUT_XOR) * _OUT_MUL
+    words = (value ^ (value >> 16)).astype(np.uint64)
     # Eight uint32 words read back as four little-endian uint64 words.
-    return [words[2 * k] | (words[2 * k + 1] << 32) for k in range(_POOL)]
+    return words[0::2] | (words[1::2] << 32)
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
@@ -229,27 +264,32 @@ def _pcg64_states(tag: str, seed: int, indices: Sequence[int]):
     of the 128-bit state and increment.  PCG64 takes ``initstate =
     w0·2⁶⁴ + w1`` and ``initseq = w2·2⁶⁴ + w3`` from its SeedSequence's
     four words; ``pcg64_srandom_r`` sets ``inc = 2·initseq + 1`` and
-    ``state = (inc + initstate)·MULT + inc``.  Indices are grouped by
-    word count (an index ``≥ 2³²`` adds entropy words).
+    ``state = (inc + initstate)·MULT + inc``.  A ``range`` below 2³²
+    (every sweep's fresh blocks) is one word per index; other indices
+    are grouped by word count (an index ``≥ 2³²`` adds entropy words).
     """
     head = [_STREAM_SALT, zlib.crc32(tag.encode()), *_uint32_words(int(seed))]
     n = len(indices)
-    rest = np.fromiter(indices, np.uint64 if n == 0 or max(indices) <= _M64
-                       else object, n)
-    words, nwords = [], np.ones(n, np.intp)
-    while True:
-        words.append((rest & _M32).astype(np.uint32))
-        rest = rest >> 32
-        if not rest.any():
-            break
-        nwords += rest != 0
-    w0, w1, w2, w3 = seeded = [np.empty(n, np.uint64) for _ in range(_POOL)]
-    for count in range(1, len(words) + 1):
-        rows = np.flatnonzero(nwords == count)
-        generated = _generate_state(head + [word[rows]
-                                            for word in words[:count]])
-        for out, word in zip(seeded, generated):
-            out[rows] = word
+    if isinstance(indices, range) and (
+            not n or max(indices[0], indices[-1]) <= _M32):
+        seeded = _generate_state(head + [np.arange(
+            indices.start, indices.stop, indices.step, dtype=np.uint32)])
+    else:
+        rest = np.fromiter(indices, np.uint64
+                           if n == 0 or max(indices) <= _M64 else object, n)
+        words, nwords = [], np.ones(n, np.intp)
+        while True:
+            words.append((rest & _M32).astype(np.uint32))
+            rest = rest >> 32
+            if not rest.any():
+                break
+            nwords += rest != 0
+        seeded = np.empty((_POOL, n), np.uint64)
+        for count in range(1, len(words) + 1):
+            rows = np.flatnonzero(nwords == count)
+            seeded[:, rows] = _generate_state(
+                head + [word[rows] for word in words[:count]])
+    w0, w1, w2, w3 = seeded
     inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
     lo = inc_lo + w1
     return (*_pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo),
@@ -321,14 +361,20 @@ def _ziggurat_fast(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where((r >> 8) & 1 == 1, -x, x), rabs < ki[idx]
 
 
+#: Each thread's generator for :func:`_scalar_normals`, made on first use.
+_RESTART = threading.local()
+
+
 def _scalar_normals(draws: np.ndarray,
                     restarts: list[tuple[int, int, int, int]]) -> None:
     """The rejection path: for each ``(row, column, state, inc)``, NumPy
-    itself draws ``draws[row, column:]`` from that PCG64 state."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    itself draws ``draws[row, column:]`` from that PCG64 state, on this
+    thread's generator (reset for every row, so no state carries over)."""
+    gen = getattr(_RESTART, "gen", None)
+    if gen is None:
+        gen = _RESTART.gen = np.random.Generator(np.random.PCG64(0))
     for row, column, state, inc in restarts:
-        _reset(bitgen, state, inc)
+        _reset(gen.bit_generator, state, inc)
         gen.standard_normal(out=draws[row, column:])
 
 
@@ -536,7 +582,9 @@ class _Plan:
     """A sweep's per-net constants, compiled once (:func:`_compile`) and
     shared by every block.
 
-    ``inputs`` holds each primary input's ``(net, arrival, slew)``.
+    ``inputs`` names the primary inputs; a block reads their arrival
+    and slew from its spec, so the plan holds no float that a
+    value-equal design (``-0.0 == 0.0``) could have set differently.
     ``gates`` holds each driven net in level order as ``(net, cell, load,
     n_segments, arcs)``: the fanout pins' capacitance summed as
     :meth:`StaEngine.net_load` sums it, the wire's segment count (0 for
@@ -546,7 +594,7 @@ class _Plan:
     constrained nets and their transitive fanin.
     """
 
-    inputs: tuple[tuple[str, float, float], ...]
+    inputs: tuple[str, ...]
     gates: tuple[tuple, ...]
     required: frozenset[str]
 
@@ -558,8 +606,7 @@ def _compile(spec: _McSpec, graph: TimingGraph) -> _Plan:
     for net in graph.levels():
         inst = graph.fanin.get(net)
         if inst is None:
-            pi = spec.inputs.get(net, InputSpec())
-            inputs.append((net, pi.arrival, pi.slew))
+            inputs.append(net)
             continue
         load = sum(library[load_inst.cell].input_capacitance
                    for load_inst, _pin in graph.fanout.get(net, ()))
@@ -586,6 +633,43 @@ def _compile(spec: _McSpec, graph: TimingGraph) -> _Plan:
     return _Plan(tuple(inputs), tuple(gates), frozenset(required))
 
 
+#: Designs :func:`_compiled` keeps per process (least recently used out).
+_DESIGNS = 16
+
+
+@dataclass(frozen=True)
+class _Design:
+    """A design as a memo key: the netlist by content (a
+    :class:`GateNetlist` is mutable, so its ``id`` could go stale), the
+    cells by ``id``, wires, inputs and required times by their frozen
+    items.  ``spec`` is not compared; it holds the cells, so no kept id
+    is reused."""
+
+    key: tuple
+    spec: _McSpec = field(compare=False)
+
+    @classmethod
+    def of(cls, spec: _McSpec) -> "_Design":
+        net = spec.netlist
+        return cls((tuple(net.instances), tuple(net.primary_inputs),
+                    tuple(net.primary_outputs),
+                    tuple((name, id(cell))
+                          for name, cell in spec.library.items()),
+                    *(tuple(d.items()) for d in (
+                        spec.wire_specs, spec.inputs, spec.required_times))),
+                   spec)
+
+
+@lru_cache(maxsize=_DESIGNS)
+def _compiled(design: _Design) -> tuple[TimingGraph, _Plan]:
+    """``design``'s graph, checked, and its plan, once per process (a
+    failed check caches nothing; the cache is thread-safe)."""
+    spec = design.spec
+    graph = TimingGraph.build(spec.netlist)
+    StaEngine(spec.library, wire_specs=spec.wire_specs).check(graph)
+    return graph, _compile(spec, graph)
+
+
 def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
     """Columns of samples ``indices``: one level-order pass over the block.
 
@@ -602,8 +686,9 @@ def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
     """
     n = len(indices)
     scale, wires = _draw_block(spec, indices)
-    arrival = {net: np.full((2, n), at) for net, at, _sl in plan.inputs}
-    slew = {net: np.full((2, n), sl) for net, _at, sl in plan.inputs}
+    pis = {net: spec.inputs.get(net, InputSpec()) for net in plan.inputs}
+    arrival = {net: np.full((2, n), pi.arrival) for net, pi in pis.items()}
+    slew = {net: np.full((2, n), pi.slew) for net, pi in pis.items()}
     delays = []  # (net, ((in_net, inverting, delay), ...)) on required paths
     for net, cell, load, n_segments, arcs in plan.gates:
         factor = scale[cell]
@@ -670,22 +755,28 @@ def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
 
 def _block_size(spec: _McSpec, graph: TimingGraph) -> int:
     """Samples per block: as many as :data:`_BLOCK_BYTES` holds at the
-    floats :func:`_evaluate` keeps live per sample, and at least
-    :data:`_BLOCK`.
+    floats :func:`_evaluate` keeps live per sample in its largest phase,
+    and at least :data:`_BLOCK`.
 
-    Per sample, counting the forward pass and the slack step as if they
-    overlapped (the slews and delays are dropped before the slack step):
-    7 per net (arrival, required time and slack of both edges, and the
-    net's slack; the forward pass holds 4, arrival and slew), 2 per input pin
-    (an arc's delays, both edges, kept for the backward pass), the
-    factors (one per cell, and R, C and their scaled values per wire),
-    the watched arrivals, the worst slack, and 8 for one arc's
-    temporaries.  With NumPy 2.4 a budgeted block peaks at 64–90% of
-    the budget on c17 and a 60-gate netlist, wired or not.
+    Per sample, the draws hold 3 per factor (one per cell, R and C per
+    wire: the normals, the drawn columns and their scaled copy) and 32
+    for the streams' state and ziggurat temporaries.  From then on the
+    factors and each wire's scaled R and C stay live beside the forward
+    pass, 4 per net (arrival and slew of both edges) and 2 per input pin
+    (an arc's delays, kept for the backward pass), or beside the slack
+    step, which has dropped slews and delays: 7 per net (arrival,
+    required time and slack of both edges, and the net's slack) and the
+    watched arrivals.  Every phase adds 32 for one step's temporaries
+    and what the last step leaves live.  With NumPy 2.4 a budgeted block
+    peaks at 81–94% of the budget on c17 and a 60-gate netlist, wired or
+    not, and at 98% on c17 with a 300-cell library, where the draws are
+    the largest phase.
     """
-    floats = (7 * len(graph.order) + 2 * sum(map(len, graph.fanout.values()))
-              + len(spec.library) + 4 * len(spec.wire_specs)
-              + len(spec.watch) + 9)
+    wires, nets = len(spec.wire_specs), len(graph.order)
+    factors = len(spec.library) + 2 * wires
+    pins = sum(map(len, graph.fanout.values()))
+    floats = 32 + max(3 * factors + 32, factors + 2 * wires + max(
+        4 * nets + 2 * pins, 7 * nets + len(spec.watch)))
     return max(_BLOCK, _BLOCK_BYTES // (8 * floats))
 
 
@@ -866,10 +957,9 @@ def run_sta_monte_carlo(
                    inputs=dict(inputs or {}),
                    required_times=dict(required_times or {}),
                    variation=variation, seed=base_seed, watch=watch_nets)
-    # Compile once and fail fast, in-process, on a bad design or watch
-    # list (a broken design reports its own error first).
-    graph = TimingGraph.build(netlist)
-    StaEngine(spec.library, wire_specs=spec.wire_specs).check(graph)
+    # Compile once per design and fail fast, in-process, on a bad design
+    # or watch list (a broken design reports its own error first).
+    graph, plan = _compiled(_Design.of(spec))
     unknown = sorted(set(watch_nets).difference(graph.order))
     require(not unknown, f"unknown watch net(s) {unknown}")
 
@@ -882,7 +972,7 @@ def run_sta_monte_carlo(
     size = _block_size(spec, graph)
     blocks = tuple(todo[k:k + size] for k in range(0, len(todo), size))
     solved = run_indexed(
-        partial(_solve_block, spec=spec, plan=_compile(spec, graph),
+        partial(_solve_block, spec=spec, plan=plan,
                 blocks=blocks, journal=jr),
         len(blocks), execution=execution, diag=diag)
     if len(solved) == 1 and not done:

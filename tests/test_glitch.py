@@ -1,5 +1,7 @@
 """Tests for the quiet-victim glitch analysis."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.glitch import glitch_sweep, measure_glitch, worst_glitch
@@ -62,7 +64,20 @@ class TestSweep:
     def test_worst_glitch_selection(self):
         sweep = glitch_sweep(CONFIG_I, n_cases=2, timing=FAST)
         worst = worst_glitch(sweep)
-        assert worst.peak_height == max(m.peak_height for m in sweep)
+        top = max(m.peak_height for m in sweep)
+        assert worst is next(m for m in sweep if m.peak_height >= top - 1e-9)
+
+    def test_worst_glitch_takes_the_first_of_tied_peaks(self):
+        # Peaks 1e-15 V apart tie: the first in sweep order wins, either
+        # way round; a peak higher by more than 1e-9 V still wins.
+        base = measure_glitch(CONFIG_I, offsets=(0.0,), timing=FAST)
+        low, high, clear = (replace(base, offsets=(k,),
+                                    peak_height=base.peak_height + bump)
+                            for k, bump in enumerate((0.0, 1e-15, 2e-9)))
+        assert low.peak_height < high.peak_height
+        assert worst_glitch([low, high]) is low
+        assert worst_glitch([high, low]) is high
+        assert worst_glitch([low, high, clear]) is clear
 
     def test_worst_glitch_empty_rejected(self):
         with pytest.raises(ValueError):

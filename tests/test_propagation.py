@@ -8,6 +8,7 @@ from repro.core.propagation import (GateFixture, evaluate_techniques,
                                     finish_evaluation, prepare_evaluation)
 from repro.core.ramp import SaturatedRamp
 from repro.core.techniques import PropagationInputs, technique_by_name
+from repro.exec import ExecutionConfig, ResultStore, set_default_execution
 from repro.library.cells import standard_cell
 
 from tests.helpers import VDD, sigmoid_edge
@@ -76,6 +77,26 @@ class TestEvaluateTechniques:
         assert golden2 is golden
         # Clean stimulus: P2's ramp reproduces the golden delay closely.
         assert abs(results["P2"].delay_error) < 30e-12
+
+    def test_warm_store_rerun_solves_nothing(self, fixture, tmp_path):
+        # The golden run and the re-simulations are one run_jobs
+        # submission under the default execution, so an installed store
+        # answers a rerun outright, with the cold run's values.
+        wave = sigmoid_edge(0.5e-9, 150e-12, t_start=0.0, t_end=1.5e-9)
+        inputs = PropagationInputs(v_in_noisy=wave, vdd=VDD)
+        techs = [technique_by_name("P2"), technique_by_name("E4")]
+        store = ResultStore(tmp_path)
+        previous = set_default_execution(ExecutionConfig(store=store))
+        try:
+            golden, cold = evaluate_techniques(fixture, inputs, techs)
+            store.reset_counters()
+            golden_warm, warm = evaluate_techniques(fixture, inputs, techs)
+        finally:
+            set_default_execution(previous)
+        assert (store.hits, store.misses) == (3, 0)
+        assert golden_warm.output_arrival == golden.output_arrival
+        for name in ("P2", "E4"):
+            assert warm[name].delay_error == cold[name].delay_error
 
     def test_batched_matches_sequential(self, fixture):
         wave = sigmoid_edge(0.5e-9, 150e-12, t_start=0.0, t_end=1.5e-9)

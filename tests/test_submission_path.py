@@ -1,7 +1,7 @@
-"""The experiment, library and STA drivers submit every simulation
-through :func:`repro.exec.run_jobs`: none of them calls the engine's
-entry points directly, so each follows the default execution (worker
-pool, result store) like Table 1 does."""
+"""The evaluation, experiment, library and STA drivers submit every
+simulation through :func:`repro.exec.run_jobs`: none of them calls the
+engine's entry points directly, so each follows the default execution
+(worker pool, result store) like Table 1 does."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ENGINE_ENTRIES = {"simulate_transient", "simulate_transient_many"}
-DRIVER_PACKAGES = ("experiments", "library", "sta")
+DRIVER_PACKAGES = ("core", "experiments", "library", "sta")
 
 
 def _engine_uses(path: Path) -> list[str]:
