@@ -8,19 +8,18 @@ the sample sweep; the drivers report the 5/50/95 quantiles.
 
 The sweep is sample-parallel.  The design is compiled into its
 :class:`~repro.sta.graph.TimingGraph` and checked once per process
-(:func:`_compiled`, a bounded, thread-safe memo keyed by the netlist's
-content and the library cells' identity, so a repeated sweep of held
-design objects compiles nothing), and every block reads connectivity
-and level order from that one graph.  Samples run
-in blocks sized to the design (:func:`_block_size`): as many as fit
-:data:`_BLOCK_BYTES` of arrays and at least :data:`_BLOCK`, so a
-c17 sweep of a few thousand samples is one block.  The memo keeps
-the design's per-net constants beside the graph (:func:`_compile`:
-loads, each arc's tables paired by input edge, inverting flags, the
-nets that get required times), and a block walks the graph's levels
-once with each net's arrival, slew and required time held as one
-``(2, block)`` array, row 0 rising and row 1 falling (the level-by-level,
-all-patterns-in-one-array evaluation of a logic simulator).  An arc
+(:func:`_compiled` keeps the last design, keyed by the netlist's content
+and the cells' identity), and every block reads connectivity and level
+order from that one graph.  Samples run in blocks sized to the design
+(:func:`_block_size`): as many as fit :data:`_BLOCK_BYTES` of arrays
+and at least :data:`_BLOCK`, so a c17 sweep of a few thousand samples
+is one block.  The memo keeps the design's per-net constants beside the
+graph (:func:`_compile`: loads, each arc's tables paired by input edge,
+inverting flags, the nets that get required times), and a block walks
+the graph's levels once with each net's arrival, slew and required time
+held as one ``(2, block)`` array, row 0 rising and row 1 falling (the
+level-by-level, all-patterns-in-one-array evaluation of a logic
+simulator).  An arc
 then costs one delay and one slew lookup for both input edges, and an
 inverting arc swaps the rows with a ``[::-1]`` view.  No scaled library
 is built: NLDM lookups multiply the nominal table entries by each
@@ -36,14 +35,14 @@ sequential RNG — so the value of a sample depends neither on its block
 nor on which worker computes it.  Building that generator per sample
 costs more than the sample's timing does, so :func:`_block_normals`
 draws a whole block in array passes: SeedSequence's hash of every
-sample's entropy words (one stacked pass where one word mixes into
-several), the PCG64 seeding and stepping on ``uint64`` halves of the
+sample's entropy words (the eight output words in one stacked
+pass), the PCG64 seeding and stepping on ``uint64`` halves of the
 128-bit state, and NumPy's ziggurat fast path with its tables read
 from the running NumPy (:func:`_ziggurat`).  Only a row with a
 rejected draw (~1.8% of c17's one-column rows) is reset into the
 thread's NumPy generator and drawn there.  The same draws bit for bit,
-at 0.4–0.7 µs a sample in a 500-sample c17 block (0.2 µs in a
-4,681-sample one) against 14–15 µs for ``default_rng`` (2-core x86-64
+at 0.5–0.6 µs a sample in a 500-sample c17 block (0.3 µs in a
+4,681-sample one) against 15–16 µs for ``default_rng`` (2-core x86-64
 host).
 Blocks fan out through
 :func:`repro.exec.run_indexed` (one index per block), and sharded≡serial
@@ -163,19 +162,12 @@ def _u32(value):
     return value & _M32 if isinstance(value, int) else value
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
-    """SeedSequence's running hash constant: ``init`` and ``count`` more
-    steps of ``·mult mod 2³²``."""
-    consts = [init]
-    for _ in range(count):
-        consts.append((consts[-1] * mult) & _M32)
-    return consts
-
-
-#: ``generate_state``'s eight output steps as one ``(8, 1)`` pass: word
-#: ``j`` reads pool word ``j mod 4``, XORs the hash constant and
+#: ``generate_state``'s eight output hash steps as ``(8, 1)`` columns:
+#: word ``j`` XORs pool word ``j mod 4`` with one constant and
 #: multiplies by the next.
-_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_OUT_CONSTS = [_INIT_B]
+for _ in range(2 * _POOL):
+    _OUT_CONSTS.append((_OUT_CONSTS[-1] * _MULT_B) & _M32)
 _OUT_XOR, _OUT_MUL = (np.array(c, np.uint32)[:, None]
                       for c in (_OUT_CONSTS[:-1], _OUT_CONSTS[1:]))
 
@@ -185,47 +177,31 @@ def _generate_state(entropy: list) -> np.ndarray:
 
     ``entropy`` holds ``L >= 4`` words, each a Python int shared by every
     row or a ``(m,)`` ``uint32`` array with one word per row (at least
-    one is).  Each step of SeedSequence's ``mix_entropy`` runs once, on
-    ints until an array enters it; where one array word mixes into
-    several int pool words (the index word into the other three), those
-    mixes are one stacked pass, and so are the eight output words.
-    Returns the ``(4, m)`` ``uint64`` words.
+    one is); each step of SeedSequence's ``mix_entropy`` runs once, on
+    ints until an array enters it, and the eight output words are one
+    stacked pass.  Returns the ``(4, m)`` ``uint64`` words.
     """
     hash_const = _INIT_A
 
-    def hashmix(value, k=1):
-        # ``k > 1``: ``value`` under the next k constants, as (k, m) rows.
+    def hashmix(value):
         nonlocal hash_const
-        consts = _hash_consts(hash_const, _MULT_A, k)
-        hash_const = consts[-1]
-        if k == 1:
-            xor, mul = consts
-        else:
-            xor, mul = (np.array(c, np.uint32)[:, None]
-                        for c in (consts[:-1], consts[1:]))
-        value = _u32((value ^ xor) * mul)
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = _u32(value * hash_const)
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = _u32(_u32(x * _MIX_L) - _u32(y * _MIX_R))
         return result ^ (result >> 16)
 
-    def mix_into(dsts, word):
-        if isinstance(word, int) or not all(
-                isinstance(pool[dst], int) for dst in dsts):
-            for dst in dsts:
-                pool[dst] = mix(pool[dst], hashmix(word))
-            return
-        rows = mix(np.array([pool[dst] for dst in dsts], np.uint32)[:, None],
-                   hashmix(word, len(dsts)))
-        for dst, row in zip(dsts, rows):
-            pool[dst] = row
-
     pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
-        mix_into([dst for dst in range(_POOL) if dst != src], pool[src])
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for word in entropy[_POOL:]:
-        mix_into(range(_POOL), word)
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
 
     value = (np.tile(pool, (2, 1)) ^ _OUT_XOR) * _OUT_MUL
     words = (value ^ (value >> 16)).astype(np.uint64)
@@ -264,26 +240,23 @@ def _pcg64_states(tag: str, seed: int, indices: Sequence[int]):
     of the 128-bit state and increment.  PCG64 takes ``initstate =
     w0·2⁶⁴ + w1`` and ``initseq = w2·2⁶⁴ + w3`` from its SeedSequence's
     four words; ``pcg64_srandom_r`` sets ``inc = 2·initseq + 1`` and
-    ``state = (inc + initstate)·MULT + inc``.  A ``range`` below 2³²
-    (every sweep's fresh blocks) is one word per index; other indices
-    are grouped by word count (an index ``≥ 2³²`` adds entropy words).
+    ``state = (inc + initstate)·MULT + inc``.  Indices are grouped by
+    word count (an index ``≥ 2³²`` adds entropy words).
     """
     head = [_STREAM_SALT, zlib.crc32(tag.encode()), *_uint32_words(int(seed))]
     n = len(indices)
-    if isinstance(indices, range) and (
-            not n or max(indices[0], indices[-1]) <= _M32):
-        seeded = _generate_state(head + [np.arange(
-            indices.start, indices.stop, indices.step, dtype=np.uint32)])
+    rest = np.fromiter(indices, np.uint64 if n == 0 or max(indices) <= _M64
+                       else object, n)
+    words, nwords = [], np.ones(n, np.intp)
+    while True:
+        words.append((rest & _M32).astype(np.uint32))
+        rest = rest >> 32
+        if not rest.any():
+            break
+        nwords += rest != 0
+    if len(words) == 1:
+        seeded = _generate_state(head + words)
     else:
-        rest = np.fromiter(indices, np.uint64
-                           if n == 0 or max(indices) <= _M64 else object, n)
-        words, nwords = [], np.ones(n, np.intp)
-        while True:
-            words.append((rest & _M32).astype(np.uint32))
-            rest = rest >> 32
-            if not rest.any():
-                break
-            nwords += rest != 0
         seeded = np.empty((_POOL, n), np.uint64)
         for count in range(1, len(words) + 1):
             rows = np.flatnonzero(nwords == count)
@@ -582,9 +555,8 @@ class _Plan:
     """A sweep's per-net constants, compiled once (:func:`_compile`) and
     shared by every block.
 
-    ``inputs`` names the primary inputs; a block reads their arrival
-    and slew from its spec, so the plan holds no float that a
-    value-equal design (``-0.0 == 0.0``) could have set differently.
+    ``inputs`` names the primary inputs; a block reads their arrival and
+    slew from its spec (a value-equal key may differ in a zero's sign).
     ``gates`` holds each driven net in level order as ``(net, cell, load,
     n_segments, arcs)``: the fanout pins' capacitance summed as
     :meth:`StaEngine.net_load` sums it, the wire's segment count (0 for
@@ -633,17 +605,11 @@ def _compile(spec: _McSpec, graph: TimingGraph) -> _Plan:
     return _Plan(tuple(inputs), tuple(gates), frozenset(required))
 
 
-#: Designs :func:`_compiled` keeps per process (least recently used out).
-_DESIGNS = 16
-
-
 @dataclass(frozen=True)
 class _Design:
-    """A design as a memo key: the netlist by content (a
-    :class:`GateNetlist` is mutable, so its ``id`` could go stale), the
-    cells by ``id``, wires, inputs and required times by their frozen
-    items.  ``spec`` is not compared; it holds the cells, so no kept id
-    is reused."""
+    """A memo key: the netlist by content (a :class:`GateNetlist` is
+    mutable), cells by ``id``, wires, inputs and required times by item.
+    ``spec`` is not compared; it holds the cells, so no kept id is reused."""
 
     key: tuple
     spec: _McSpec = field(compare=False)
@@ -660,10 +626,11 @@ class _Design:
                    spec)
 
 
-@lru_cache(maxsize=_DESIGNS)
+@lru_cache(maxsize=1)
 def _compiled(design: _Design) -> tuple[TimingGraph, _Plan]:
-    """``design``'s graph, checked, and its plan, once per process (a
-    failed check caches nothing; the cache is thread-safe)."""
+    """``design``'s checked graph and plan, kept for the last design swept
+    (a repeat compiles nothing; a new design evicts it).  A failed check
+    caches nothing; ``lru_cache`` is thread-safe."""
     spec = design.spec
     graph = TimingGraph.build(spec.netlist)
     StaEngine(spec.library, wire_specs=spec.wire_specs).check(graph)
@@ -759,18 +726,16 @@ def _block_size(spec: _McSpec, graph: TimingGraph) -> int:
     and at least :data:`_BLOCK`.
 
     Per sample, the draws hold 3 per factor (one per cell, R and C per
-    wire: the normals, the drawn columns and their scaled copy) and 32
-    for the streams' state and ziggurat temporaries.  From then on the
-    factors and each wire's scaled R and C stay live beside the forward
-    pass, 4 per net (arrival and slew of both edges) and 2 per input pin
-    (an arc's delays, kept for the backward pass), or beside the slack
-    step, which has dropped slews and delays: 7 per net (arrival,
-    required time and slack of both edges, and the net's slack) and the
-    watched arrivals.  Every phase adds 32 for one step's temporaries
-    and what the last step leaves live.  With NumPy 2.4 a budgeted block
-    peaks at 81–94% of the budget on c17 and a 60-gate netlist, wired or
-    not, and at 98% on c17 with a 300-cell library, where the draws are
-    the largest phase.
+    wire: normals, drawn columns, scaled copy) and 32 for stream state
+    and ziggurat temporaries.  Then the factors and each wire's scaled R
+    and C stay live beside the forward pass, 4 per net (arrival and slew,
+    both edges) and 2 per input pin (an arc's delays, kept for the
+    backward pass), or beside the slack step, which has dropped those: 7
+    per net (arrival, required time and slack of both edges, the net's
+    slack) and the watched arrivals.  Each phase adds 32 for one step's
+    temporaries and what the last step leaves live.  With NumPy 2.4 a
+    budgeted block peaks at 81–94% of the budget on c17 and a 60-gate
+    netlist, wired or not, and at 98% on c17 with a 300-cell library.
     """
     wires, nets = len(spec.wire_specs), len(graph.order)
     factors = len(spec.library) + 2 * wires
