@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`~repro.circuit.netlist.Circuit` — netlist builder
-* :func:`~repro.circuit.transient.simulate_transient` — trapezoidal/Newton
-  transient analysis
+* :class:`~repro.circuit.transient.TransientJob` — one trapezoidal/Newton
+  transient analysis (:meth:`~repro.circuit.transient.TransientJob.run`)
 * :func:`~repro.circuit.transient.simulate_transient_many` — batched
   transient analysis over stacked matrices: a list of
   :class:`~repro.circuit.transient.TransientJob` (many stimuli, one
@@ -36,7 +36,6 @@ from .transient import (
     TransientJob,
     TransientOptions,
     TransientResult,
-    simulate_transient,
     simulate_transient_many,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "PulseSource",
     "WaveformSource",
     "SourceFunction",
-    "simulate_transient",
     "simulate_transient_many",
     "TransientJob",
     "TransientResult",

@@ -30,8 +30,7 @@ caller's circuit builder:
   :meth:`~repro.circuit.mna.MnaSystem.topology_signature` (plus time grid
   and solver options); each group is one stack.
   :func:`repro.exec.run_jobs` adds the result store and process shards.
-* :func:`simulate_transient` (or :meth:`TransientJob.run`) — one
-  circuit, a stack of one.
+* :meth:`TransientJob.run` — one circuit, a stack of one.
 
 The Newton loop freezes converged variants and applies the convergence
 and voltage-limiting tests per variant, and the variants whose base step
@@ -176,7 +175,6 @@ from .solvers import BACKENDS, factorize, select_backend, sparse_csr
 
 __all__ = [
     "TransientResult",
-    "simulate_transient",
     "TransientOptions",
     "ConvergenceError",
     "TransientJob",
@@ -328,9 +326,38 @@ class TransientResult:
 class TransientJob:
     """One independent transient simulation, for :func:`simulate_transient_many`.
 
-    Mirrors the parameters of :func:`simulate_transient`; jobs whose
-    circuits share a topology (and whose ``t_start``/``dt``/``options``
-    agree) are solved together as one stack.
+    Jobs whose circuits share a topology (and whose
+    ``t_start``/``dt``/``options`` agree) are solved together as one
+    stack; :meth:`run` solves one job alone.
+
+    Parameters
+    ----------
+    circuit:
+        The netlist to simulate.
+    t_stop:
+        End time (seconds); must exceed ``t_start``.
+    dt:
+        Base time step: every reported time is ``t_start + k·dt``.  The
+        solver strides over several base steps where the LTE test allows
+        (``options.max_step`` caps the stride; ``max_step = dt`` reports
+        every base step) and subdivides a base step internally when
+        Newton struggles.
+    t_start:
+        Start time of the analysis window.
+    initial_voltages:
+        Optional node → voltage seed.  By default a DC operating point at
+        ``t_start`` (seeded with these values) sets the initial state.
+    use_ic:
+        When ``True``, skip the DC solve and start *exactly* from
+        ``initial_voltages`` (unset nodes start at 0 V) — SPICE's ``UIC``.
+    options:
+        Solver tolerances; defaults are fine for the experiments.
+
+    Raises
+    ------
+    ConvergenceError
+        From :meth:`run` (or a batch holding this job), if a time step
+        cannot be converged even after step halving.
     """
 
     circuit: Circuit
@@ -565,54 +592,6 @@ def _new_stats(**extra) -> dict:
              "batch_size": 1, "backend": "dense", "newton_fallbacks": 0}
     stats.update(extra)
     return stats
-
-
-def simulate_transient(
-    circuit: Circuit,
-    t_stop: float,
-    dt: float,
-    t_start: float = 0.0,
-    initial_voltages: dict[str, float] | None = None,
-    use_ic: bool = False,
-    options: TransientOptions | None = None,
-) -> TransientResult:
-    """Run a transient analysis and return sampled node voltages.
-
-    Parameters
-    ----------
-    circuit:
-        The netlist to simulate.
-    t_stop:
-        End time (seconds); must exceed ``t_start``.
-    dt:
-        Base time step: every reported time is ``t_start + k·dt``.  The
-        solver strides over several base steps where the LTE test allows
-        (``options.max_step`` caps the stride; ``max_step = dt`` reports
-        every base step) and subdivides a base step internally when
-        Newton struggles.
-    t_start:
-        Start time of the analysis window.
-    initial_voltages:
-        Optional node → voltage seed.  By default a DC operating point at
-        ``t_start`` (seeded with these values) sets the initial state.
-    use_ic:
-        When ``True``, skip the DC solve and start *exactly* from
-        ``initial_voltages`` (unset nodes start at 0 V) — SPICE's ``UIC``.
-    options:
-        Solver tolerances; defaults are fine for the experiments.
-
-    Returns
-    -------
-    TransientResult
-
-    Raises
-    ------
-    ConvergenceError
-        If a time step cannot be converged even after step halving.
-    """
-    return TransientJob(circuit=circuit, t_stop=t_stop, dt=dt,
-                        t_start=t_start, initial_voltages=initial_voltages,
-                        use_ic=use_ic, options=options).run()
 
 
 def _halve(

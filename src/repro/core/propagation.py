@@ -131,8 +131,7 @@ class GateFixture:
         Ramps are sampled over ``t_window``; waveform records that end
         before the window are extended with their settled value.  Jobs
         built from the same fixture share a topology, so a list of them
-        batches through
-        :func:`~repro.circuit.transient.simulate_transient_many`.
+        batches through :func:`repro.exec.run_jobs`.
         """
         if isinstance(stimulus, SaturatedRamp):
             if t_window is None:
@@ -181,6 +180,9 @@ class GateFixture:
                  t_window: tuple[float, float] | None = None) -> GateOutput:
         """Simulate the fixture driven by ``stimulus`` and measure the output.
 
+        The one job goes through :func:`repro.exec.run_jobs` under the
+        default execution, so the result store applies.
+
         Parameters
         ----------
         stimulus:
@@ -191,7 +193,8 @@ class GateFixture:
             Absolute simulation window.  Defaults to the waveform's span
             plus the settle margin.
         """
-        return self.measure(self.transient_job(stimulus, t_window).run())
+        job = self.transient_job(stimulus, t_window)
+        return self.measure(run_jobs([job])[0])
 
 
 @dataclass(frozen=True)

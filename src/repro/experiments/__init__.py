@@ -14,7 +14,6 @@ from .noise_injection import (
     NoiselessReference,
     SweepTiming,
     alignment_offsets,
-    iter_noise_cases,
     run_noise_case,
     run_noise_cases,
     run_noiseless,
@@ -58,7 +57,6 @@ __all__ = [
     "run_noiseless",
     "run_noise_case",
     "run_noise_cases",
-    "iter_noise_cases",
     "Table1Row",
     "Table1Result",
     "run_table1",

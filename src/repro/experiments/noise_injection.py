@@ -20,14 +20,14 @@ content-keyed result store.
 Every simulation takes the same path: :func:`prepare_noise_sweep`
 builds the jobs, :func:`~repro.exec.run_jobs` runs them and
 :func:`finish_noise_sweep` extracts the waveforms.  The single-case
-drivers (:func:`run_noiseless`, :func:`run_noise_case`,
-:func:`iter_noise_cases`) are one-job sweeps on that path, and every
-driver takes the shared ``execution`` object (defaulting to the
-``REPRO_WORKERS`` / ``REPRO_STORE`` environment configuration) instead
-of constructing its own.  The glitch sweeps, NLDM characterisation and
-path re-timing submit through :func:`~repro.exec.run_jobs` too: no
-module under ``experiments``, ``library`` or ``sta`` calls the engine
-directly.
+drivers (:func:`run_noiseless`, :func:`run_noise_case`) are one-job
+sweeps on that path, and every driver takes the shared ``execution``
+object (defaulting to the ``REPRO_WORKERS`` / ``REPRO_STORE``
+environment configuration) instead of constructing its own.  The glitch
+sweeps, NLDM characterisation, path re-timing, technique scoring and
+the service submit through :func:`~repro.exec.run_jobs` too: no module
+under ``core``, ``experiments``, ``library``, ``service`` or ``sta``
+calls the engine directly.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "run_noiseless",
     "run_noise_case",
     "run_noise_cases",
-    "iter_noise_cases",
 ]
 
 
@@ -297,29 +296,3 @@ def run_noise_cases(
                                adaptive=adaptive)
     return finish_noise_sweep(plan, run_jobs(list(plan.jobs), execution))
 
-
-def iter_noise_cases(config: CrosstalkConfig, n_cases: int,
-                     timing: SweepTiming | None = None,
-                     stagger: float = 0.0,
-                     solver_backend: str = "auto",
-                     execution: ExecutionConfig | None = None):
-    """Yield :class:`NoiseCase` objects across the alignment sweep.
-
-    With multiple aggressors, all are swept together; ``stagger`` offsets
-    aggressor ``k`` by ``k·stagger`` from the first (the paper does not
-    specify the multi-aggressor alignment policy — synchronised aggressors
-    maximise the injected noise, which is the interesting regime).
-
-    Lazy: one coupled simulation per ``next()``, each a one-case
-    :func:`run_noise_case` sweep through the shared ``execution``
-    configuration — so a warm result store feeds the iterator for free,
-    and consumers that break early never pay for the rest of the sweep.
-    Use :func:`run_noise_cases` for the batched/sharded all-at-once
-    front.
-    """
-    timing = timing or SweepTiming()
-    for base in alignment_offsets(n_cases, timing.window):
-        offsets = tuple(base + k * stagger for k in range(config.n_aggressors))
-        yield run_noise_case(config, offsets, timing,
-                             solver_backend=solver_backend,
-                             execution=execution)

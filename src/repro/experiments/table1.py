@@ -41,9 +41,8 @@ from ..core.metrics import ErrorStats, error_stats, format_ps
 from ..core.propagation import finish_evaluation, prepare_evaluation
 from ..core.techniques import PropagationInputs, Technique, all_techniques
 from ..exec import ExecutionConfig, journal_for, run_jobs
-from .noise_injection import (NoiselessReference, SweepTiming,
-                              alignment_offsets, finish_noise_sweep,
-                              prepare_noise_sweep)
+from .noise_injection import (SweepTiming, alignment_offsets,
+                              finish_noise_sweep, prepare_noise_sweep)
 from .setup import CrosstalkConfig, receiver_fixture
 
 __all__ = ["Table1Row", "Table1Result", "run_table1", "run_table1_many",
@@ -146,7 +145,6 @@ def run_table1(
     timing: SweepTiming | None = None,
     techniques: list[Technique] | None = None,
     polarity: str = "both",
-    noiseless: NoiselessReference | None = None,
     progress: bool = False,
     solver_backend: str = "auto",
     adaptive: bool = True,
@@ -170,9 +168,6 @@ def run_table1(
     polarity:
         ``"both"`` (default), ``"opposing"`` or ``"same"`` aggressor
         transition directions.
-    noiseless:
-        Optionally reuse a precomputed noiseless reference (per polarity
-        the reference is identical — aggressors are quiet).
     progress:
         Announce each batched submission as it starts and print one
         line per case once its results are scored (for long interactive
@@ -202,7 +197,7 @@ def run_table1(
     """
     return run_table1_many(
         [config], n_cases=n_cases, timing=timing, techniques=techniques,
-        polarity=polarity, noiseless=noiseless, progress=progress,
+        polarity=polarity, progress=progress,
         solver_backend=solver_backend, adaptive=adaptive,
         execution=execution, journal=journal)[0]
 
@@ -213,7 +208,6 @@ def run_table1_many(
     timing: SweepTiming | None = None,
     techniques: list[Technique] | None = None,
     polarity: str = "both",
-    noiseless: NoiselessReference | None = None,
     progress: bool = False,
     solver_backend: str = "auto",
     adaptive: bool = True,
@@ -230,10 +224,8 @@ def run_table1_many(
     ``workers > 1`` both submissions shard across processes; with a warm
     result store neither performs a single transient solve.
 
-    Parameters are as in :func:`run_table1` (``noiseless``, when given,
-    replaces the reference of every configuration — only meaningful when
-    all configurations share one).  Returns one :class:`Table1Result`
-    per configuration, in order.
+    Parameters are as in :func:`run_table1`.  Returns one
+    :class:`Table1Result` per configuration, in order.
     """
     require(polarity in _POLARITIES, f"polarity must be one of {_POLARITIES}")
     require(len(configs) >= 1, "need at least one configuration")
@@ -245,7 +237,7 @@ def run_table1_many(
     jr = journal_for(
         "table1",
         (tuple(configs), int(n_total), timing,
-         tuple(t.name for t in techs), polarity, noiseless,
+         tuple(t.name for t in techs), polarity,
          str(solver_backend), bool(adaptive)),
         len(configs), execution=execution, enabled=journal)
     if jr is not None:
@@ -263,7 +255,7 @@ def run_table1_many(
                 continue
             res = run_table1_many(
                 [config], n_cases=n_total, timing=timing, techniques=techs,
-                polarity=polarity, noiseless=noiseless, progress=progress,
+                polarity=polarity, progress=progress,
                 solver_backend=solver_backend, adaptive=adaptive,
                 execution=execution, journal=False)[0]
             jr.record(c_idx, _result_payload(res))
@@ -294,7 +286,7 @@ def run_table1_many(
             offsets_list = [tuple(base for _ in range(cfg.n_aggressors))
                             for base in alignment_offsets(n_here, timing.window)]
             sweep = prepare_noise_sweep(cfg, offsets_list, timing,
-                                        include_noiseless=noiseless is None,
+                                        include_noiseless=True,
                                         solver_backend=solver_backend,
                                         adaptive=adaptive)
             plans.append((c_idx, label, sweep))
@@ -314,7 +306,6 @@ def run_table1_many(
     for c_idx, label, sweep in plans:
         ref, cases = finish_noise_sweep(sweep, sims[cursor:cursor + sweep.n_jobs])
         cursor += sweep.n_jobs
-        ref = noiseless if noiseless is not None else ref
         for case in cases:
             inputs = PropagationInputs(
                 v_in_noisy=case.v_in_noisy,

@@ -637,20 +637,11 @@ def _compiled(design: _Design) -> tuple[TimingGraph, _Plan]:
     return graph, _compile(spec, graph)
 
 
-def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
-    """Columns of samples ``indices``: one level-order pass over the block.
-
-    Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
-    per-edge backward required pass) operation for operation, with each
-    net's arrival, slew and required time one ``(2, len(indices))``
-    array — row 0 the rising edge, row 1 the falling — in place of a
-    float per edge, so each sample equals the scalar engine's bit for
-    bit.  An arc computes both input edges at once, in input-edge order;
-    an inverting arc's rows reach the output, and its required times
-    the input, through a ``[::-1]`` view.  Nested as
-    :attr:`McResult.quantiles`: ``arrival`` (and with required times
-    ``slack``) ``{net: arr}``, ``worst_slack`` an array.
-    """
+def _forward(spec: _McSpec, plan: _Plan, indices: Sequence[int]):
+    """The forward pass of :func:`_evaluate`: each net's ``(2, n)``
+    arrivals and, per net on a required path, its arcs' delays.  Its
+    locals — the block's factors, the slews, the last arc's arrays —
+    die with its frame, before the slack step allocates."""
     n = len(indices)
     scale, wires = _draw_block(spec, indices)
     pis = {net: spec.inputs.get(net, InputSpec()) for net in plan.inputs}
@@ -690,7 +681,25 @@ def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
         arrival[net], slew[net] = best
         if net in plan.required:
             delays.append((net, kept))
-    del slew  # only the forward pass reads slews
+    return arrival, delays
+
+
+def _evaluate(spec: _McSpec, plan: _Plan, indices: Sequence[int]) -> dict:
+    """Columns of samples ``indices``: one level-order pass over the block.
+
+    Mirrors :meth:`StaEngine.analyze` (forward arcs, worst-edge merge,
+    per-edge backward required pass) operation for operation, with each
+    net's arrival, slew and required time one ``(2, len(indices))``
+    array — row 0 the rising edge, row 1 the falling — in place of a
+    float per edge, so each sample equals the scalar engine's bit for
+    bit.  An arc computes both input edges at once, in input-edge order;
+    an inverting arc's rows reach the output, and its required times
+    the input, through a ``[::-1]`` view.  Nested as
+    :attr:`McResult.quantiles`: ``arrival`` (and with required times
+    ``slack``) ``{net: arr}``, ``worst_slack`` an array.
+    """
+    n = len(indices)
+    arrival, delays = _forward(spec, plan, indices)
 
     def worst(net):
         r, f = arrival[net]
@@ -734,7 +743,7 @@ def _block_size(spec: _McSpec, graph: TimingGraph) -> int:
     per net (arrival, required time and slack of both edges, the net's
     slack) and the watched arrivals.  Each phase adds 32 for one step's
     temporaries and what the last step leaves live.  With NumPy 2.4 a
-    budgeted block peaks at 81–94% of the budget on c17 and a 60-gate
+    budgeted block peaks at 73–94% of the budget on c17 and a 60-gate
     netlist, wired or not, and at 98% on c17 with a 300-cell library.
     """
     wires, nets = len(spec.wire_specs), len(graph.order)

@@ -24,7 +24,6 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PulseSource, RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
                                      _STEP_CACHE_ENTRIES, _StepMatrixCache,
-                                     simulate_transient,
                                      simulate_transient_many)
 from repro.core.waveform import Waveform
 from repro.experiments.noise_injection import SweepTiming
@@ -62,11 +61,11 @@ def rc_bundle(n_segments: int = 12, delay: float = 0.0) -> Circuit:
 
 def run_both(circuit, t_stop, dt, initial=None):
     """The fixed-grid golden and the adaptive run of one circuit."""
-    golden = simulate_transient(circuit, t_stop=t_stop, dt=dt,
-                                initial_voltages=initial,
-                                options=TransientOptions(max_step=dt))
-    adaptive = simulate_transient(circuit, t_stop=t_stop, dt=dt,
-                                  initial_voltages=initial, options=ADAPTIVE)
+    golden = TransientJob(circuit, t_stop=t_stop, dt=dt,
+                          initial_voltages=initial,
+                          options=TransientOptions(max_step=dt)).run()
+    adaptive = TransientJob(circuit, t_stop=t_stop, dt=dt,
+                            initial_voltages=initial, options=ADAPTIVE).run()
     return golden, adaptive
 
 
@@ -164,9 +163,9 @@ class TestFixedGrid:
 
     def test_times_are_the_uniform_base_grid(self):
         t_start, dt, n = 0.1e-9, 2e-12, 600
-        res = simulate_transient(rc_bundle(3), t_stop=t_start + n * dt, dt=dt,
-                                 t_start=t_start,
-                                 options=TransientOptions(max_step=dt))
+        res = TransientJob(rc_bundle(3), t_stop=t_start + n * dt, dt=dt,
+                           t_start=t_start,
+                           options=TransientOptions(max_step=dt)).run()
         np.testing.assert_array_equal(res.times,
                                       t_start + dt * np.arange(n + 1))
         assert res.stats["steps_accepted"] == n
@@ -252,10 +251,10 @@ class TestAdaptiveGrids:
             results[2].times, results[0].times[: len(results[2].times)])
         assert results[2].times[-1] == pytest.approx(t_stops[2], abs=LONG.dt)
         for b, ts, res in zip(benches, t_stops, results):
-            golden = simulate_transient(b.circuit, t_stop=ts, dt=LONG.dt,
-                                        initial_voltages=b.initial_voltages,
-                                        options=TransientOptions(
-                                            max_step=LONG.dt))
+            golden = TransientJob(b.circuit, t_stop=ts, dt=LONG.dt,
+                                  initial_voltages=b.initial_voltages,
+                                  options=TransientOptions(
+                                      max_step=LONG.dt)).run()
             assert max_node_deviation(golden, res) < VOLTAGE_GATE
             assert len(res.times) < len(golden.times)
 
@@ -313,19 +312,19 @@ class TestStepMatrixCacheRekey:
         """An adaptive run visits many strides (plus Newton halvings) but
         never more matrix builds than distinct quantised step values."""
         opts = TransientOptions(max_newton=4)
-        res = simulate_transient(_sharp_inverter(), t_stop=4e-9, dt=4e-12,
-                                 initial_voltages={"in": 0.0, "out": VDD,
-                                                   "vdd": VDD},
-                                 options=opts)
+        res = TransientJob(_sharp_inverter(), t_stop=4e-9, dt=4e-12,
+                           initial_voltages={"in": 0.0, "out": VDD,
+                                             "vdd": VDD},
+                           options=opts).run()
         strides = {round(float(h) / 4e-12, 6) for h in res.step_sizes()}
         assert len(strides) > 1, "the run must actually have grown strides"
         assert res.stats["matrix_builds"] <= len(strides) + opts.max_halvings + 1
         assert max_node_deviation(
-            simulate_transient(_sharp_inverter(), t_stop=4e-9, dt=4e-12,
-                               initial_voltages={"in": 0.0, "out": VDD,
-                                                 "vdd": VDD},
-                               options=TransientOptions(max_newton=4,
-                                                        max_step=4e-12)),
+            TransientJob(_sharp_inverter(), t_stop=4e-9, dt=4e-12,
+                         initial_voltages={"in": 0.0, "out": VDD,
+                                           "vdd": VDD},
+                         options=TransientOptions(max_newton=4,
+                                                  max_step=4e-12)).run(),
             res) < VOLTAGE_GATE
 
 
@@ -346,8 +345,8 @@ class TestOptionsAndEnv:
         # A positive max_step below dt cannot bound anything (the base
         # grid is the floor of every step): fail loudly, not silently.
         with pytest.raises(ValueError, match="max_step"):
-            simulate_transient(rc_bundle(3), t_stop=1e-9, dt=2e-12,
-                               options=TransientOptions(max_step=1e-12))
+            TransientJob(rc_bundle(3), t_stop=1e-9, dt=2e-12,
+                         options=TransientOptions(max_step=1e-12)).run()
         # A 1 ps RC run capped at 0.5 ps: a whole group is rejected.
         rc = Circuit("rc")
         rc.vsource("V", "a", "0", RampSource(1e-12, 3e-12, 0.0, VDD))
@@ -361,9 +360,9 @@ class TestOptionsAndEnv:
 
     def test_max_step_caps_the_ladder(self):
         cap = 8e-12
-        res = simulate_transient(rc_bundle(3), t_stop=8e-9, dt=2e-12,
-                                 options=TransientOptions(max_step=cap))
+        res = TransientJob(rc_bundle(3), t_stop=8e-9, dt=2e-12,
+                           options=TransientOptions(max_step=cap)).run()
         assert res.step_sizes().max() <= cap * 1.0001
-        free = simulate_transient(rc_bundle(3), t_stop=8e-9, dt=2e-12,
-                                  options=ADAPTIVE)
+        free = TransientJob(rc_bundle(3), t_stop=8e-9, dt=2e-12,
+                            options=ADAPTIVE).run()
         assert free.step_sizes().max() > cap

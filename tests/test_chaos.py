@@ -19,7 +19,6 @@ import pytest
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
-                                     simulate_transient,
                                      simulate_transient_many)
 from repro.exec import ExecutionConfig, ResultStore, run_jobs
 from repro.faults import FaultPlan, install_plan, injected, would_fire
@@ -275,18 +274,18 @@ class TestSolverChaos:
                             line_length_um=1000.0,
                             coupling_per_aggressor=100e-15, n_segments=48),
             0.05e-9, (0.06e-9,))
-        ref = simulate_transient(
+        ref = TransientJob(
             tb.circuit, t_stop=0.3e-9, dt=5e-12,
             initial_voltages=dict(tb.initial_voltages),
-            options=TransientOptions(backend="dense"))
+            options=TransientOptions(backend="dense")).run()
         # Unlimited storm: the DC operating-point solve has its own
         # (uncounted) dense fallback and would eat a one-shot fault
         # before the transient Newton loop ever saw it.
         with injected("solver.refactor=singular"):
-            res = simulate_transient(
+            res = TransientJob(
                 tb.circuit, t_stop=0.3e-9, dt=5e-12,
                 initial_voltages=dict(tb.initial_voltages),
-                options=TransientOptions(backend="banded"))
+                options=TransientOptions(backend="banded")).run()
         assert res.stats["backend"] == "banded"
         assert res.stats["newton_fallbacks"] >= 1
         worst = max(float(np.max(np.abs(res.voltages_at(n, ref.times)

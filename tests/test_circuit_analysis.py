@@ -13,7 +13,7 @@ from repro.circuit.dc import dc_operating_point
 from repro.circuit.mna import MnaSystem
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
-from repro.circuit.transient import TransientOptions, simulate_transient
+from repro.circuit.transient import TransientJob, TransientOptions
 
 VDD = 1.2
 
@@ -100,7 +100,7 @@ class TestTransient:
         c.vsource("Vin", "in", "0", [(0.0, 0.0), (1e-12, 1.0)])
         c.resistor("R", "in", "out", 1e3)
         c.capacitor("C", "out", "0", 1e-12)  # tau = 1 ns
-        res = simulate_transient(c, t_stop=5e-9, dt=5e-12)
+        res = TransientJob(c, t_stop=5e-9, dt=5e-12).run()
         w = res.waveform("out")
         for t in (0.5e-9, 1e-9, 3e-9):
             expect = 1.0 - np.exp(-(t - 1e-12) / 1e-9)
@@ -115,7 +115,7 @@ class TestTransient:
         c.capacitor("C", "out", "0", 1e-12)
         errs = []
         for dt in (20e-12, 10e-12):
-            res = simulate_transient(c, t_stop=2e-9, dt=dt)
+            res = TransientJob(c, t_stop=2e-9, dt=dt).run()
             w = res.waveform("out")
             # Analytic response to the finite ramp 0->1 V over [0, T].
             T, tau, t = 40e-12, 1e-9, 2e-9
@@ -138,7 +138,7 @@ class TestTransient:
         circ.capacitor("C1", "a", "0", c1)
         circ.capacitor("C2", "b", "0", c2)
         circ.capacitor("Cm", "a", "b", cm)
-        res = simulate_transient(circ, t_stop=2e-9, dt=2e-12)
+        res = TransientJob(circ, t_stop=2e-9, dt=2e-12).run()
 
         cmat = np.array([[c1 + cm, -cm], [-cm, c2 + cm]])
 
@@ -159,8 +159,8 @@ class TestTransient:
         c.vsource("Vin", "in", "0", 1.0)
         c.resistor("R", "in", "out", 1e3)
         c.capacitor("C", "out", "0", 1e-13)
-        res = simulate_transient(c, t_stop=3e-9, dt=10e-12, use_ic=True,
-                                 initial_voltages={"out": 0.0})
+        res = TransientJob(c, t_stop=3e-9, dt=10e-12, use_ic=True,
+                           initial_voltages={"out": 0.0}).run()
         w = res.waveform("out")
         assert w.v_initial == pytest.approx(0.0, abs=1e-9)
         assert w.v_final == pytest.approx(1.0, abs=5e-3)
@@ -171,7 +171,7 @@ class TestTransient:
         c.vsource("Vin", "in", "0", RampSource(0.2e-9, 150e-12, 0.0, VDD))
         c.inverter("inv", "in", "out", "vdd", wn=0.5e-6, wp=1.0e-6)
         c.capacitor("CL", "out", "0", 10e-15)
-        res = simulate_transient(c, t_stop=2e-9, dt=2e-12)
+        res = TransientJob(c, t_stop=2e-9, dt=2e-12).run()
         vout = res.waveform("out")
         vin = res.waveform("in")
         assert vout.v_initial == pytest.approx(VDD, abs=0.01)
@@ -185,24 +185,24 @@ class TestTransient:
         c.vsource("Vin", "in", "0", RampSource(0.2e-9, 150e-12, VDD, 0.0))
         c.inverter("inv", "in", "out", "vdd", wn=0.5e-6, wp=1.0e-6)
         c.capacitor("CL", "out", "0", 20e-15)
-        res = simulate_transient(c, t_stop=1.5e-9, dt=2e-12)
+        res = TransientJob(c, t_stop=1.5e-9, dt=2e-12).run()
         i_vdd = res.branch_current("Vdd")
         assert np.max(np.abs(i_vdd)) > 1e-5  # charging current visible
 
     def test_final_voltages_helper(self):
-        res = simulate_transient(_with_cap(), t_stop=1e-9, dt=10e-12)
+        res = TransientJob(_with_cap(), t_stop=1e-9, dt=10e-12).run()
         final = res.final_voltages()
         assert set(final) == {"in", "out"}
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            simulate_transient(_with_cap(), t_stop=0.0, dt=1e-12)
+            TransientJob(_with_cap(), t_stop=0.0, dt=1e-12).run()
         with pytest.raises(ValueError):
-            simulate_transient(_with_cap(), t_stop=1e-9, dt=-1.0)
+            TransientJob(_with_cap(), t_stop=1e-9, dt=-1.0).run()
 
     def test_options_validation_surface(self):
-        res = simulate_transient(_with_cap(), t_stop=1e-9, dt=10e-12,
-                                 options=TransientOptions(abstol=1e-7))
+        res = TransientJob(_with_cap(), t_stop=1e-9, dt=10e-12,
+                           options=TransientOptions(abstol=1e-7)).run()
         assert res.times[-1] == pytest.approx(1e-9)
 
 

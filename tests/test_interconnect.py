@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
-from repro.circuit.transient import simulate_transient
+from repro.circuit.transient import TransientJob
 from repro.interconnect.coupling import CouplingSpec, add_coupled_lines
 from repro.interconnect.elmore import RcTree, elmore_delay, elmore_delays_line
 from repro.interconnect.rcline import RcLineSpec, WIRE_C_PER_UM, WIRE_R_PER_UM, add_rc_line
@@ -101,7 +101,7 @@ class TestCoupling:
                                   [spec, spec], [CouplingSpec(0, 1, 100e-15)])
             else:
                 add_rc_line(c, "b.l0", "near", "far", spec)
-            res = simulate_transient(c, t_stop=3e-9, dt=5e-12)
+            res = TransientJob(c, t_stop=3e-9, dt=5e-12).run()
             return res.waveform("far").slew(1.2)
 
         assert far_slew(True) > far_slew(False)
@@ -161,7 +161,7 @@ class TestElmore:
         c = Circuit()
         c.vsource("Vin", "in", "0", [(0.0, 0.0), (1e-12, 1.0)])
         add_rc_line(c, "w", "in", "out", spec)
-        res = simulate_transient(c, t_stop=5 * elm, dt=elm / 200)
+        res = TransientJob(c, t_stop=5 * elm, dt=elm / 200).run()
         t50 = res.waveform("out").cross_time(0.5)
         assert 0.4 * elm < t50 < 1.5 * elm
 

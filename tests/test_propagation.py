@@ -80,23 +80,30 @@ class TestEvaluateTechniques:
 
     def test_warm_store_rerun_solves_nothing(self, fixture, tmp_path):
         # The golden run and the re-simulations are one run_jobs
-        # submission under the default execution, so an installed store
-        # answers a rerun outright, with the cold run's values.
+        # submission under the default execution, and a fixture response
+        # is a submission of one, so an installed store answers a rerun
+        # of both outright, with the cold run's values.
         wave = sigmoid_edge(0.5e-9, 150e-12, t_start=0.0, t_end=1.5e-9)
         inputs = PropagationInputs(v_in_noisy=wave, vdd=VDD)
         techs = [technique_by_name("P2"), technique_by_name("E4")]
+        ramp = SaturatedRamp.from_arrival_slew(0.5e-9, 150e-12, VDD)
         store = ResultStore(tmp_path)
         previous = set_default_execution(ExecutionConfig(store=store))
         try:
             golden, cold = evaluate_techniques(fixture, inputs, techs)
+            cold_out = fixture.response(ramp)
             store.reset_counters()
             golden_warm, warm = evaluate_techniques(fixture, inputs, techs)
+            warm_out = fixture.response(ramp)
         finally:
             set_default_execution(previous)
-        assert (store.hits, store.misses) == (3, 0)
+        assert (store.hits, store.misses) == (4, 0)
         assert golden_warm.output_arrival == golden.output_arrival
         for name in ("P2", "E4"):
             assert warm[name].delay_error == cold[name].delay_error
+        assert warm_out.output_arrival == cold_out.output_arrival
+        assert warm_out.output_slew == cold_out.output_slew
+        assert warm_out.gate_delay == cold_out.gate_delay
 
     def test_batched_matches_sequential(self, fixture):
         wave = sigmoid_edge(0.5e-9, 150e-12, t_start=0.0, t_end=1.5e-9)

@@ -20,7 +20,8 @@ from repro.core.techniques.sgdp import Sgdp
 from repro.exec import (ExecutionConfig, ResultStore, job_key, run_jobs,
                         set_default_execution)
 from repro.exec import pool as pool_mod
-from repro.experiments.noise_injection import SweepTiming, iter_noise_cases
+from repro.experiments.noise_injection import (SweepTiming, alignment_offsets,
+                                               run_noise_cases)
 from repro.experiments.setup import CONFIG_I
 from repro.experiments.table1 import run_table1
 
@@ -311,17 +312,20 @@ class TestWarmTable1:
         # Exact — not approximate — agreement with the cold run.
         assert warm == cold
 
-    def test_iter_noise_cases_honours_shared_execution(self, store, monkeypatch):
-        """The iterator must run through the shared ExecutionConfig, not
-        a private per-case default — a warm store feeds it for free."""
+    def test_run_noise_cases_honours_shared_execution(self, store,
+                                                      monkeypatch):
+        """The sweep must run through the shared ExecutionConfig, not a
+        private default — a warm store feeds it for free."""
         calls = _counting(monkeypatch)
         cfg = ExecutionConfig(store=store)
         timing = SweepTiming(victim_start=0.4e-9, window=0.4e-9,
                              t_stop=1.2e-9, dt=4e-12)
-        first = list(iter_noise_cases(CONFIG_I, 2, timing, execution=cfg))
+        offsets = [(base,) * CONFIG_I.n_aggressors
+                   for base in alignment_offsets(2, timing.window)]
+        _, first = run_noise_cases(CONFIG_I, offsets, timing, execution=cfg)
         assert calls["jobs"] == 2 and store.stores == 2
         calls["jobs"] = 0
-        again = list(iter_noise_cases(CONFIG_I, 2, timing, execution=cfg))
+        _, again = run_noise_cases(CONFIG_I, offsets, timing, execution=cfg)
         assert calls["jobs"] == 0 and store.hits == 2
         for a, b in zip(first, again):
             assert a.offsets == b.offsets

@@ -20,7 +20,6 @@ from repro.circuit.solvers import (BandedThomas, DenseLu, SparseLu,
                                    analyze_pattern, factorize, select_backend)
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
-                                     simulate_transient,
                                      simulate_transient_many)
 from repro.interconnect.coupling import CouplingSpec, add_coupled_lines
 from repro.interconnect.rcline import RcLineSpec, add_rc_line
@@ -201,9 +200,9 @@ class TestTransientEquivalence:
     def test_structured_backends_match_dense(self, circuit_fn, probe):
         runs = {}
         for backend in ("dense", "banded", "sparse"):
-            runs[backend] = simulate_transient(
+            runs[backend] = TransientJob(
                 circuit_fn(), t_stop=1.0e-9, dt=2e-12,
-                options=TransientOptions(backend=backend))
+                options=TransientOptions(backend=backend)).run()
             assert runs[backend].stats["backend"] == backend
         assert _worst_dv(runs["dense"], runs["banded"]) < VOLTAGE_TOL
         assert _worst_dv(runs["dense"], runs["sparse"]) < VOLTAGE_TOL
@@ -213,17 +212,17 @@ class TestTransientEquivalence:
     def test_auto_selects_structured_path_for_lines(self):
         """Selection spy: a line topology transparently takes the banded
         (Thomas) path under the default options."""
-        res = simulate_transient(_rc_line(48), t_stop=0.5e-9, dt=2e-12)
+        res = TransientJob(_rc_line(48), t_stop=0.5e-9, dt=2e-12).run()
         assert res.stats["backend"] == "banded"
 
     def test_small_mosfet_circuit_auto_stays_dense(self):
-        ref = simulate_transient(_inverter(), t_stop=0.5e-9, dt=5e-12,
-                                 initial_voltages=INV_INITIAL)
+        ref = TransientJob(_inverter(), t_stop=0.5e-9, dt=5e-12,
+                           initial_voltages=INV_INITIAL).run()
         # A "banded" request on a MOSFET circuit with no core/border
         # partition runs dense Newton: the very same solve.
-        forced = simulate_transient(_inverter(), t_stop=0.5e-9, dt=5e-12,
-                                    initial_voltages=INV_INITIAL,
-                                    options=TransientOptions(backend="banded"))
+        forced = TransientJob(_inverter(), t_stop=0.5e-9, dt=5e-12,
+                              initial_voltages=INV_INITIAL,
+                              options=TransientOptions(backend="banded")).run()
         assert ref.stats["backend"] == "dense"
         assert forced.stats["backend"] == "dense"
         assert _worst_dv(ref, forced) == 0.0

@@ -25,7 +25,6 @@ from repro.circuit.mna import (BorderedNewtonStep, MnaSystem,
 from repro.circuit.solvers import (BorderedBanded, analyze_pattern,
                                    select_backend)
 from repro.circuit.transient import (TransientJob, TransientOptions,
-                                     simulate_transient,
                                      simulate_transient_many)
 from repro.experiments.setup import (CONFIG_I, CONFIG_II, CrosstalkConfig,
                                      build_testbench, receiver_fixture)
@@ -46,9 +45,9 @@ def _deep_config(n_segments: int) -> CrosstalkConfig:
 
 def _simulate(circuit, initial, backend, t_stop=0.4e-9, dt=2e-12, **kw):
     kw.setdefault("max_step", dt)  # the fixed grid unless a test strides
-    return simulate_transient(circuit, t_stop=t_stop, dt=dt,
-                              initial_voltages=dict(initial),
-                              options=TransientOptions(backend=backend, **kw))
+    return TransientJob(circuit, t_stop=t_stop, dt=dt,
+                        initial_voltages=dict(initial),
+                        options=TransientOptions(backend=backend, **kw)).run()
 
 
 def _worst_dv(ref, other):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
-from repro.circuit.transient import simulate_transient
+from repro.circuit.transient import TransientJob
 from repro.library.cells import standard_cell
 from repro.library.characterize import characterize_cell
 from repro.sta.analysis import InputSpec, StaEngine
@@ -47,7 +47,8 @@ def simulated_chain():
     for k, drive in enumerate(DRIVES):
         standard_cell(drive).instantiate(c, f"u{k}", f"n{k}", f"n{k + 1}", "vdd")
     initial = {"n0": 0.0, "n1": VDD, "n2": 0.0, "n3": VDD, "vdd": VDD}
-    res = simulate_transient(c, t_stop=1.6e-9, dt=1e-12, initial_voltages=initial)
+    res = TransientJob(c, t_stop=1.6e-9, dt=1e-12,
+                       initial_voltages=initial).run()
     return {f"n{k}": res.waveform(f"n{k}") for k in range(len(DRIVES) + 1)}
 
 
@@ -73,7 +74,8 @@ def simulated_chain_falling():
     for k, drive in enumerate(DRIVES):
         standard_cell(drive).instantiate(c, f"u{k}", f"n{k}", f"n{k + 1}", "vdd")
     initial = {"n0": VDD, "n1": 0.0, "n2": VDD, "n3": 0.0, "vdd": VDD}
-    res = simulate_transient(c, t_stop=1.6e-9, dt=1e-12, initial_voltages=initial)
+    res = TransientJob(c, t_stop=1.6e-9, dt=1e-12,
+                       initial_voltages=initial).run()
     return {f"n{k}": res.waveform(f"n{k}") for k in range(len(DRIVES) + 1)}
 
 

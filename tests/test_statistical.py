@@ -760,7 +760,7 @@ class TestBlockBudget:
         (0, False), (0, True), (60, False), (60, True)])
     def test_block_arrays_fit_the_budget(self, gates, wired):
         # Above the floor, the block's arrays, temporaries included,
-        # stay within the budget (81-94% of it with NumPy 2.4).  The
+        # stay within the budget (73-94% of it with NumPy 2.4).  The
         # margin of 16 sample-wide arrays past it (1.9-14% of the budget
         # here) leaves room for a NumPy release that keeps a few more
         # temporaries alive than ``_block_size`` counts.

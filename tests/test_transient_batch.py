@@ -17,7 +17,6 @@ from repro.circuit.transient import (
     ConvergenceError,
     TransientJob,
     TransientOptions,
-    simulate_transient,
     simulate_transient_many,
 )
 from repro.experiments.noise_injection import SweepTiming
@@ -66,9 +65,9 @@ class TestTable1FixtureEquivalence:
                              initial_voltages=b.initial_voltages,
                              options=_fixed(timing.dt))
                 for b in benches]
-        seq = [simulate_transient(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                                  initial_voltages=b.initial_voltages,
-                                  options=_fixed(timing.dt))
+        seq = [TransientJob(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
+                            initial_voltages=b.initial_voltages,
+                            options=_fixed(timing.dt)).run()
                for b in benches]
         bat = simulate_transient_many(jobs)
         assert bat[0].stats["batch_size"] == len(offsets)
@@ -88,9 +87,9 @@ class TestTable1FixtureEquivalence:
                 for b in (quiet, noisy)]
         bat = simulate_transient_many(jobs)
         assert bat[0].stats["batch_size"] == 2
-        seq = [simulate_transient(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
-                                  initial_voltages=b.initial_voltages,
-                                  options=_fixed(timing.dt))
+        seq = [TransientJob(b.circuit, t_stop=timing.t_stop, dt=timing.dt,
+                            initial_voltages=b.initial_voltages,
+                            options=_fixed(timing.dt)).run()
                for b in (quiet, noisy)]
         _assert_equivalent(seq, bat)
 
@@ -153,8 +152,8 @@ class TestStepHalving:
 
     def test_halving_engages_and_converges(self):
         opts = TransientOptions(max_newton=4)
-        res = simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
-                                 initial_voltages=INITIAL, options=opts)
+        res = TransientJob(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
+                           initial_voltages=INITIAL, options=opts).run()
         assert res.stats["halvings"] > 0
         # Output still switches rail to rail.
         out = res.voltage_samples("out")
@@ -165,8 +164,8 @@ class TestStepHalving:
         # One extra matrix build per halving depth reached — not one per
         # floating-point step value (the old cache keyed on drifting h).
         opts = TransientOptions(max_newton=3)
-        res = simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
-                                 initial_voltages=INITIAL, options=opts)
+        res = TransientJob(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
+                           initial_voltages=INITIAL, options=opts).run()
         assert res.stats["halvings"] > 2
         # Many halvings, but only as many builds as distinct depths; depth
         # is bounded by max_halvings, and repeats must hit the cache.
@@ -176,8 +175,8 @@ class TestStepHalving:
     def test_convergence_error_when_halving_exhausted(self):
         opts = TransientOptions(max_newton=2, max_halvings=1)
         with pytest.raises(ConvergenceError):
-            simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
-                               initial_voltages=INITIAL, options=opts)
+            TransientJob(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
+                         initial_voltages=INITIAL, options=opts).run()
 
     def test_halving_respects_min_step_in_a_batch(self):
         # h/2 = 10 ps would undercut min_step: the failing switching step
@@ -185,8 +184,8 @@ class TestStepHalving:
         opts = TransientOptions(max_newton=4, min_step=15e-12)
         message = r"t=2\.4000e-10s even at dt=2\.00e-11s"
         with pytest.raises(ConvergenceError, match=message):
-            simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
-                               initial_voltages=INITIAL, options=opts)
+            TransientJob(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
+                         initial_voltages=INITIAL, options=opts).run()
         with pytest.raises(ConvergenceError, match=message):
             simulate_transient_many(_sharp_and_gentle(opts))
 
@@ -226,15 +225,15 @@ class TestManyMisc:
              for t_stop in (1e-9, 0.5e-9)])
         assert len(short.times) == 51
         assert len(full.times) == 101
-        ref = simulate_transient(self._rc(), t_stop=0.5e-9, dt=10e-12,
-                                 options=_fixed(10e-12))
+        ref = TransientJob(self._rc(), t_stop=0.5e-9, dt=10e-12,
+                           options=_fixed(10e-12)).run()
         _assert_equivalent([ref], [short])
 
     def test_lu_reuse_matches_plain_solve(self):
         # MOSFET-free circuits take the factored-LU path; results must
         # match the reference integration regardless.
-        res = simulate_transient(self._rc(), t_stop=2e-9, dt=5e-12,
-                                 options=_fixed(5e-12))
+        res = TransientJob(self._rc(), t_stop=2e-9, dt=5e-12,
+                           options=_fixed(5e-12)).run()
         v = res.voltage_samples("out")
         assert v[-1] == pytest.approx(1.0, abs=1e-3)
         assert res.stats["matrix_builds"] == 1
@@ -266,8 +265,8 @@ def _assert_phases_sum_to_total(phases):
 class TestPhaseTimers:
     def _run(self):
         tb = _table1_bench()
-        return simulate_transient(tb.circuit, t_stop=0.4e-9, dt=4e-12,
-                                  initial_voltages=tb.initial_voltages)
+        return TransientJob(tb.circuit, t_stop=0.4e-9, dt=4e-12,
+                            initial_voltages=tb.initial_voltages).run()
 
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_PHASE_TIMERS", raising=False)
